@@ -10,7 +10,7 @@ from .composition import (ComposedComponent, dynamic_compose, is_update,
                           transform_method_vs_update, transform_update_vs_method,
                           update_addr, update_child_method, update_old)
 from .kernel import (Attribute, Component, apply, apply_seq, enabled, legal,
-                     obs_equal, observe, transform, transform_seq)
+                     observe, transform, transform_seq)
 from .patterns import (AdmissibilityReport, CompositionPattern, Morphism,
                        check_admissible, instantiate, set_pattern,
                        string_pattern, token_component)
@@ -18,7 +18,8 @@ from .registry import build
 from .simulator import (RunReport, Scenario, integrate, load_scenario,
                         run_scenario)
 from .values import (NOP, Cell, Method, Opaque, Product, SeqOf, SetOf,
-                     product, seq_of, set_of, value_from_json, value_to_json)
+                     decode_method, decode_state, display, product, seq_of,
+                     set_of, value_from_json, value_to_json)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -18,15 +18,14 @@ class Bounds:
     colors: int = 3        # colors from the fixed enumeration
     universe: int = 2      # opaque set-element tokens
     max_len: int = 3       # sequence states up to this length
-    depth: int = 3         # observational-equality context depth
     sites: int = 2         # site ids 0..sites-1
     max_methods: int = 100_000   # refuse enumerations past this many methods
     max_cases: int = 10_000_000  # refuse sweeps past this many cases
 
     def __post_init__(self):
         for name in ("alphabet", "nat_max", "colors", "universe", "max_len",
-                     "depth", "sites", "max_methods", "max_cases"):
-            if getattr(self, name) < 0 or (getattr(self, name) == 0 and name not in ("nat_max", "depth")):
+                     "sites", "max_methods", "max_cases"):
+            if getattr(self, name) < 0 or (getattr(self, name) == 0 and name != "nat_max"):
                 raise ValueError(f"bound {name} must be strictly positive")
 
     def with_(self, **kwargs) -> "Bounds":

@@ -16,7 +16,7 @@ from typing import Any, Callable, List
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .errors import InvalidSpec, UndefinedObservation
 from .kernel import Attribute, Component
-from .values import NOP, Cell, Method
+from .values import DATA, NOP, Cell, Method
 
 COLOR_ORDER = ("red", "green", "blue")
 
@@ -44,10 +44,9 @@ def _validate_merge(spec: CellComponentSpec, b: Bounds) -> None:
             raise InvalidSpec(f"{spec.name}: merge not associative at ({a!r},{c!r},{d!r})")
 
 
-def make_cell_component(spec: CellComponentSpec,
-                        validate_at: Bounds = DEFAULT_BOUNDS) -> Component:
+def make_cell_component(spec: CellComponentSpec) -> Component:
     """Build a cell component; rejects merge functions that break their laws."""
-    _validate_merge(spec, validate_at)
+    _validate_merge(spec, DEFAULT_BOUNDS)
     put, get = spec.put_name, spec.get_name
 
     def do_fn(m: Method, st: Cell) -> Cell:
@@ -61,15 +60,9 @@ def make_cell_component(spec: CellComponentSpec,
             raise UndefinedObservation(f"{get} on the initial cell")
         return st.value
 
-    def parse_state(obj):
-        return Cell(obj if not isinstance(obj, dict) else obj.get("cell"))
-
-    def parse_method(obj):
-        return Method(obj["ctor"], (obj["args"][0],), obj.get("site"))
-
     return Component(
         name=spec.name,
-        method_ctors=frozenset({"nop", put}),
+        method_ctors={"nop": (), put: (DATA,)},
         attributes={get: Attribute(get, get_fn)},
         initial_state=Cell(None),
         do_fn=do_fn,
@@ -77,9 +70,6 @@ def make_cell_component(spec: CellComponentSpec,
         it_fn=it_fn,
         enum_methods_fn=lambda b: [NOP] + [Method(put, (v,)) for v in spec.values(b)],
         enum_states_fn=lambda b: [Cell(None)] + [Cell(v) for v in spec.values(b)],
-        state_from_json=parse_state,
-        state_to_display=lambda st: st.value,
-        method_from_json=parse_method,
         provenance=spec.name,
     )
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .composition import ComposedComponent, is_update
 from .errors import BoundsExceeded, NotDisjoint
 from . import kernel
 from .kernel import Component
-from .values import Method, StateValue, canon_key, value_to_json
+from .values import Method, value_to_json
 
 MethodFilter = Callable[[Method], bool]
 
@@ -110,9 +110,8 @@ def _cp1_sweep(c: Component, b: Bounds, name: str,
                         "left": value_to_json(left),
                         "right": value_to_json(right),
                     })
-    rep = CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
-                      (time.perf_counter() - t0) * 1000.0, examined)
-    return rep
+    return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
+                       (time.perf_counter() - t0) * 1000.0, examined)
 
 
 def _replay_cp1(c, st, m1, m2, left, right) -> None:
@@ -247,14 +246,12 @@ def check_consistency(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
         updates = is_update
         container = lambda m: not is_update(m)
         parts = [
-            _with_name(_cp1_sweep(c, b, "CP1-updates", updates, updates)),
-            _with_name(_cp1_sweep(c, b, "CP1-container", container, container)),
-            _with_name(check_cp1_restricted(c, updates, container, b),
-                       "CP1-cross"),
+            _cp1_sweep(c, b, "CP1-updates", updates, updates),
+            _cp1_sweep(c, b, "CP1-container", container, container),
+            _renamed(check_cp1_restricted(c, updates, container, b), "CP1-cross"),
             _cp2_subset(c, b, "CP2-updates", updates),
             _cp2_subset(c, b, "CP2-container", container),
-            _with_name(check_cp2_restricted(c, updates, container, b),
-                       "CP2-cross"),
+            _renamed(check_cp2_restricted(c, updates, container, b), "CP2-cross"),
         ]
     else:
         parts = [check_cp1(c, b), check_cp2(c, b)]
@@ -264,11 +261,9 @@ def check_consistency(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
 def _cp2_subset(c: Component, b: Bounds, name: str, f: MethodFilter) -> CheckReport:
     group = [m for m in c.enum_methods(b) if f(m)]
     _guard_cases(len(group) ** 3, b)
-    return _with_name(_cp2_sweep(c, b, name,
-                                 itertools.product(group, group, group)))
+    return _cp2_sweep(c, b, name, itertools.product(group, group, group))
 
 
-def _with_name(rep: CheckReport, name: Optional[str] = None) -> CheckReport:
-    if name is not None:
-        rep.property = name
+def _renamed(rep: CheckReport, name: str) -> CheckReport:
+    rep.property = name
     return rep

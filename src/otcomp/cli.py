@@ -20,7 +20,7 @@ from typing import Optional
 
 from .bounds import Bounds
 from .checker import CheckReport, check_consistency, check_cp1, check_cp2
-from .errors import OtcompError, ScenarioError
+from .errors import OtcompError
 from .registry import build, registry_names
 from .simulator import load_scenario, run_scenario
 from .tower import TOWER_BOUNDS, build_document_tower, demo_word_scenario
@@ -33,16 +33,13 @@ def _add_bounds_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nat-max", type=int, default=None)
     p.add_argument("--universe", type=int, default=None)
     p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
     p.add_argument("--sites", type=int, default=None)
 
 
 def _bounds_from(args) -> Bounds:
     kwargs = {}
-    for flag, field in [("alphabet", "alphabet"), ("nat_max", "nat_max"),
-                        ("universe", "universe"), ("max_len", "max_len"),
-                        ("depth", "depth"), ("sites", "sites")]:
-        v = getattr(args, flag, None)
+    for field in ("alphabet", "nat_max", "universe", "max_len", "sites"):
+        v = getattr(args, field, None)
         if v is not None:
             kwargs[field] = v
     env_cases = os.environ.get("OTCOMP_MAX_CASES")

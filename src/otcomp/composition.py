@@ -14,18 +14,17 @@ child methods through the child's own transform.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
-from .errors import (ComponentMismatch, MissingCrossTable, NameClash,
-                     NotAdmissible)
+from .errors import (BoundsExceeded, ComponentMismatch, MissingCrossTable,
+                     NameClash)
 from .kernel import Attribute, Component
 from . import kernel
-from .patterns import (CompositionPattern, Morphism, check_admissible,
-                       instantiate, _parse_child_state)
-from .values import (NOP, Method, Product, StateValue, product,
-                     value_from_json)
+from .patterns import CompositionPattern, Morphism, instantiate
+from .values import DATA, METHOD, NOP, STATE, Method, Product, StateValue, product
 
 
 # ---------------------------------------------------------------------------
@@ -41,39 +40,15 @@ def static_compose(*factors: Component, namespace: bool = True) -> Component:
     if len(factors) < 2:
         raise ValueError("static composition needs at least two factors")
 
-    owner: dict = {}          # composed ctor -> (factor index, original ctor)
-    renamed: List[dict] = []  # per factor: original ctor -> composed ctor
+    owner: dict = {}       # composed ctor -> (factor index, original ctor)
+    attr_owner: dict = {}  # composed attribute -> (factor index, attribute)
     for i, f in enumerate(factors):
-        ren: dict = {}
         for ctor in sorted(f.method_ctors):
-            if ctor == "nop":
-                continue
-            name = ctor
-            if name in owner:
-                if not namespace:
-                    raise NameClash(f"method {ctor!r} in more than one factor")
-                name = f"{f.name}.{ctor}"
-                k = 2
-                while name in owner:
-                    name = f"{f.name}{k}.{ctor}"
-                    k += 1
-            owner[name] = (i, ctor)
-            ren[ctor] = name
-        renamed.append(ren)
-
-    attr_owner: dict = {}
-    for i, f in enumerate(factors):
+            if ctor != "nop":
+                owner[_claim(owner, ctor, f, namespace, "method")] = (i, ctor)
         for aname, attr in f.attributes.items():
-            name = aname
-            if name in attr_owner:
-                if not namespace:
-                    raise NameClash(f"attribute {aname!r} in more than one factor")
-                name = f"{f.name}.{aname}"
-                k = 2
-                while name in attr_owner:
-                    name = f"{f.name}{k}.{aname}"
-                    k += 1
-            attr_owner[name] = (i, attr)
+            attr_owner[_claim(attr_owner, aname, f, namespace, "attribute")] = (i, attr)
+    renamed = {v: k for k, v in owner.items()}  # inverse of owner
 
     def _unpack(m: Method) -> Tuple[int, Method]:
         i, ctor = owner[m.ctor]
@@ -82,7 +57,7 @@ def static_compose(*factors: Component, namespace: bool = True) -> Component:
     def _pack(i: int, m: Method) -> Method:
         if m.ctor == "nop":
             return NOP
-        return Method(renamed[i][m.ctor], m.args, m.site)
+        return Method(renamed[i, m.ctor], m.args, m.site)
 
     def do_fn(m: Method, st: Product) -> Product:
         i, inner = _unpack(m)
@@ -113,43 +88,15 @@ def static_compose(*factors: Component, namespace: bool = True) -> Component:
 
     attributes = {
         name: Attribute(
-            name,
-            fn=(lambda i, attr: lambda args, st: attr.fn(args, st.items[i]))(i, attr),
-            enum_args=(lambda i, attr: lambda b: attr.enum_args(b))(i, attr))
+            name, (lambda i, attr: lambda args, st: attr.fn(args, st.items[i]))(i, attr))
         for name, (i, attr) in attr_owner.items()
     }
-
-    def parse_state(obj):
-        if isinstance(obj, list):
-            return product(_parse_child_state(f, x) for f, x in zip(factors, obj))
-        if isinstance(obj, dict) and "prod" in obj:
-            return product(_parse_child_state(f, x)
-                           for f, x in zip(factors, obj["prod"]))
-        return value_from_json(obj)
-
-    def parse_method(obj):
-        ctor = obj["ctor"]
-        if ctor == "nop":
-            return NOP
-        if ctor not in owner:
-            raise ComponentMismatch(f"{ctor!r} not a method of this product")
-        i, orig = owner[ctor]
-        f = factors[i]
-        if f.method_from_json is not None:
-            inner = f.method_from_json({**obj, "ctor": orig})
-        else:
-            inner = Method(orig, tuple(value_from_json(a) for a in obj.get("args", [])),
-                           obj.get("site"))
-        return _pack(i, inner)
-
-    def display(st: Product):
-        return [f.state_to_display(x) if f.state_to_display else x
-                for f, x in zip(factors, st.items)]
 
     provenance = " (+) ".join(f.provenance or f.name for f in factors)
     return Component(
         name=provenance,
-        method_ctors=frozenset(owner) | {"nop"},
+        method_ctors={"nop": (), **{name: factors[i].method_ctors[ctor]
+                                    for name, (i, ctor) in owner.items()}},
         attributes=attributes,
         initial_state=product(f.initial_state for f in factors),
         do_fn=do_fn,
@@ -158,11 +105,23 @@ def static_compose(*factors: Component, namespace: bool = True) -> Component:
         enum_methods_fn=enum_methods,
         enum_states_fn=enum_states,
         site_aware=any(f.site_aware for f in factors),
-        state_from_json=parse_state,
-        state_to_display=display,
-        method_from_json=parse_method,
         provenance=provenance,
+        parts=tuple(factors),
+        owner=owner,
     )
+
+
+def _claim(taken: dict, name: str, factor: Component, namespace: bool,
+           kind: str) -> str:
+    """`name`, prefixed with the factor's name if another factor has it."""
+    if name not in taken:
+        return name
+    if not namespace:
+        raise NameClash(f"{kind} {name!r} in more than one factor")
+    out, k = f"{factor.name}.{name}", 2
+    while out in taken:
+        out, k = f"{factor.name}{k}.{name}", k + 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +151,11 @@ def is_update(m: Method) -> bool:
 
 @dataclass(eq=False)
 class ComposedComponent(Component):
-    pattern: CompositionPattern = None
-    child: Component = None
-    base: Component = None
+    pattern: CompositionPattern = None  # instantiated over the child, parts[0]
 
     def update_new(self, u: Method) -> StateValue:
         """The new child state carried implicitly by an update method."""
-        return kernel.apply(self.child, update_child_method(u), update_old(u))
+        return kernel.apply(self.parts[0], update_child_method(u), update_old(u))
 
 
 def transform_update(comp: ComposedComponent, u1: Method, u2: Method) -> Method:
@@ -211,7 +168,7 @@ def transform_update(comp: ComposedComponent, u1: Method, u2: Method) -> Method:
     if not (is_update(u1) and is_update(u2)):
         raise ComponentMismatch("transform_update expects two update methods")
     if update_addr(u1) == update_addr(u2) and update_old(u1) == update_old(u2):
-        rebased = kernel.transform(comp.child, update_child_method(u1),
+        rebased = kernel.transform(comp.parts[0], update_child_method(u1),
                                    update_child_method(u2))
         return make_update(update_addr(u1), comp.update_new(u2), rebased, u1.site)
     return u1
@@ -233,22 +190,11 @@ def transform_method_vs_update(comp: ComposedComponent, m: Method,
 
 def dynamic_compose(pattern: CompositionPattern, child: Component,
                     phi: Optional[Morphism] = None,
-                    b: Bounds = DEFAULT_BOUNDS,
-                    check: bool = True) -> ComposedComponent:
+                    b: Bounds = DEFAULT_BOUNDS) -> ComposedComponent:
     """Instantiate the pattern over the child and graft on the update method."""
-    base = instantiate(pattern, child, phi, b, check=check)
-    comp = ComposedComponent(
-        name=f"{pattern.name}[{child.name}]",
-        method_ctors=base.method_ctors | {"Update"},
-        attributes=base.attributes,  # updates add no attributes
-        initial_state=base.initial_state,
-        do_fn=None, poss_fn=None, it_fn=None,
-        enum_methods_fn=None, enum_states_fn=None,
-        site_aware=base.site_aware or pattern.update_site_aware,
-        provenance=f"{pattern.name}[{child.provenance or child.name}]",
-        pattern=pattern, child=child, base=base,
-    )
+    base = instantiate(pattern, child, phi, b)
 
+    # The closures read `comp`, which is bound below before any of them runs.
     def do_fn(m: Method, st: StateValue) -> StateValue:
         if is_update(m):
             return pattern.update_do(update_addr(m), update_old(m),
@@ -271,42 +217,26 @@ def dynamic_compose(pattern: CompositionPattern, child: Component,
         return kernel.transform(base, m1, m2)
 
     def enum_methods(b2: Bounds) -> List[Method]:
-        out = list(base.enum_methods(b2))
-        sites = range(b2.sites) if pattern.update_site_aware else [None]
-        for addr in pattern.update_addrs(b2):
-            for old in child.enum_states(b2):
-                for cm in child.enum_methods(b2):
-                    for n in sites:
-                        out.append(make_update(addr, old, cm, n))
-        return out
+        # addresses x old child states x child methods x sites
+        axes = (pattern.update_addrs(b2), child.enum_states(b2), child.enum_methods(b2),
+                range(b2.sites) if pattern.update_site_aware else [None])
+        n = math.prod(map(len, axes))
+        if n > b2.max_methods:
+            raise BoundsExceeded(f"{comp.name}: {n} Update methods "
+                                 f"exceed the ceiling {b2.max_methods}")
+        return base.enum_methods(b2) + [make_update(*t) for t in itertools.product(*axes)]
 
-    def parse_method(obj):
-        if obj["ctor"] == "Update":
-            addr, old, cm = obj["args"]
-            return make_update(tuple(value_from_json(a) for a in addr),
-                               _parse_child_state(child, old),
-                               _parse_child_method(child, cm),
-                               obj.get("site"))
-        if base.method_from_json is not None:
-            return base.method_from_json(obj)
-        return Method(obj["ctor"],
-                      tuple(value_from_json(a) for a in obj.get("args", [])),
-                      obj.get("site"))
-
-    comp.do_fn = do_fn
-    comp.poss_fn = poss_fn
-    comp.it_fn = it_fn
-    comp.enum_methods_fn = enum_methods
-    comp.enum_states_fn = base.enum_states_fn
-    comp.state_from_json = base.state_from_json
-    comp.state_to_display = base.state_to_display
-    comp.method_from_json = parse_method
+    comp = ComposedComponent(
+        name=f"{pattern.name}[{child.name}]",
+        method_ctors={**base.method_ctors, "Update": (DATA, STATE, METHOD)},
+        attributes=base.attributes,  # updates add no attributes
+        initial_state=base.initial_state,
+        do_fn=do_fn,
+        poss_fn=poss_fn,
+        it_fn=it_fn,
+        enum_methods_fn=enum_methods,
+        enum_states_fn=base.enum_states_fn,
+        site_aware=base.site_aware or pattern.update_site_aware,
+        provenance=f"{pattern.name}[{child.provenance or child.name}]",
+        parts=(child,), pattern=pattern)
     return comp
-
-
-def _parse_child_method(child: Component, obj) -> Method:
-    if child.method_from_json is not None:
-        return child.method_from_json(obj)
-    return Method(obj["ctor"],
-                  tuple(value_from_json(a) for a in obj.get("args", [])),
-                  obj.get("site"))

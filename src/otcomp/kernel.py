@@ -10,31 +10,31 @@ immutable and every operation here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
-from .errors import UndefinedObservation, UnknownAttribute, UnknownMethod
-from .values import NOP, Method, StateValue, canon_key
+from .errors import BoundsExceeded, UnknownAttribute, UnknownMethod
+from .values import NOP, Method, StateValue, canon_key, display
 
 
 @dataclass
 class Attribute:
     """An observer: (data args, state) -> data value.
 
-    `enum_args` yields the argument tuples swept by bounded observational
-    equality; attributes may raise UndefinedObservation on states where no
-    value has been established yet.
+    Attributes may raise UndefinedObservation on states where no value has
+    been established yet.
     """
 
     name: str
     fn: Callable[[Tuple[Any, ...], StateValue], Any]
-    enum_args: Callable[[Bounds], Sequence[Tuple[Any, ...]]] = lambda b: [()]
 
 
 @dataclass(eq=False)
 class Component:
     name: str
-    method_ctors: frozenset
+    # Constructor -> argument sorts (values.DATA / STATE / METHOD), with
+    # `nop` declared as taking none.
+    method_ctors: Dict[str, Tuple[str, ...]]
     attributes: Dict[str, Attribute]
     initial_state: StateValue
     do_fn: Callable[[Method, StateValue], StateValue]
@@ -44,19 +44,26 @@ class Component:
     enum_states_fn: Callable[[Bounds], List[StateValue]]
     site_aware: bool = False
     provenance: str = ""
-    # Optional scenario-file codecs; default to the generic encoding.
-    state_from_json: Optional[Callable[[Any], StateValue]] = None
-    state_to_display: Optional[Callable[[StateValue], Any]] = None
-    method_from_json: Optional[Callable[[Any], Method]] = None
+    # The element component of a pattern instance or dynamic composition, or
+    # the factors of a static product.
+    parts: Tuple["Component", ...] = ()
+    # Static product: constructor -> (factor index, the factor's constructor).
+    owner: Dict[str, Tuple[int, str]] = field(default_factory=dict)
 
     def enum_methods(self, b: Bounds = DEFAULT_BOUNDS) -> List[Method]:
-        return sorted(self.enum_methods_fn(b), key=canon_key)
+        methods = self.enum_methods_fn(b)
+        if len(methods) > b.max_methods:
+            raise BoundsExceeded(f"{self.name}: {len(methods)} methods exceed "
+                                 f"the ceiling {b.max_methods}")
+        return sorted(methods, key=canon_key)
 
     def enum_states(self, b: Bounds = DEFAULT_BOUNDS) -> List[StateValue]:
         return sorted(self.enum_states_fn(b), key=canon_key)
 
     def declares(self, m: Method) -> bool:
-        return m.ctor in self.method_ctors or m.ctor == "nop"
+        return m.ctor in self.method_ctors
+
+    state_to_display = staticmethod(display)
 
 
 def _require_method(c: Component, m: Method) -> None:
@@ -123,37 +130,3 @@ def observe(c: Component, attr: str, args: Sequence[Any], st: StateValue) -> Any
     if attr not in c.attributes:
         raise UnknownAttribute(f"{attr!r} is not an attribute of {c.name!r}")
     return c.attributes[attr].fn(tuple(args), st)
-
-
-_BOTTOM = object()
-
-
-def _observations(c: Component, st: StateValue, b: Bounds):
-    for name in sorted(c.attributes):
-        a = c.attributes[name]
-        for args in a.enum_args(b):
-            try:
-                yield (name, args, a.fn(tuple(args), st))
-            except UndefinedObservation:
-                yield (name, args, _BOTTOM)
-
-
-def obs_equal(c: Component, s1: StateValue, s2: StateValue, depth: int,
-              b: Bounds = DEFAULT_BOUNDS) -> bool:
-    """States indistinguishable through attributes after legal contexts.
-
-    Depth 0 compares the attribute observations on the two states directly;
-    depth k also compares after every jointly enabled method, recursively.  A
-    method enabled on exactly one side counts as a distinguishing context.
-    """
-    if list(_observations(c, s1, b)) != list(_observations(c, s2, b)):
-        return False
-    if depth <= 0:
-        return True
-    for m in c.enum_methods(b):
-        e1, e2 = enabled(c, m, s1), enabled(c, m, s2)
-        if e1 != e2:
-            return False
-        if e1 and not obs_equal(c, apply(c, m, s1), apply(c, m, s2), depth - 1, b):
-            return False
-    return True

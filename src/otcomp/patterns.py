@@ -15,16 +15,17 @@ breaks insert ties by site id.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
-from .errors import BoundsExceeded, BoundsTooSmall, NotAdmissible
+from .errors import (BoundsExceeded, BoundsTooSmall, NotAdmissible,
+                     UndefinedObservation)
 from .kernel import Attribute, Component
-from .values import (NOP, Method, Opaque, SeqOf, SetOf, StateValue, canon_key,
-                     seq_of, set_of, value_from_json)
+from .values import (DATA, NOP, STATE, Method, Opaque, SeqOf, SetOf, StateValue,
+                     seq_of, set_of)
 
-_ADMISSIBILITY_SWEEP_LIMIT = 1_000_000  # pairs; beyond this only structural eq is accepted
+_ADMISSIBILITY_SWEEP_LIMIT = 1_000_000  # pairs a custom eq may be swept over
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,6 @@ class CompositionPattern:
     # the symmetric direction.  None marks a pattern without a table.
     it_update_vs_method: Optional[Callable[[Method, Method, StateValue], Method]] = None
     it_method_vs_update: Optional[Callable[[Method, Method, StateValue], Method]] = None
-    parametric_methods: Tuple[str, ...] = ()
-    parametric_attributes: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -63,11 +62,6 @@ class AdmissibilityReport:
     states_checked: int
     failed_axiom: Optional[str] = None
     witness: Optional[tuple] = None
-    note: str = ""
-
-
-def _structural_eq(a: StateValue, b: StateValue) -> bool:
-    return a == b
 
 
 def check_admissible(pattern: CompositionPattern, child: Component,
@@ -75,28 +69,24 @@ def check_admissible(pattern: CompositionPattern, child: Component,
                      b: Bounds = DEFAULT_BOUNDS) -> AdmissibilityReport:
     """Verify the pattern's element-equality laws over the child's states.
 
-    Structural equality over a very large state enumeration skips the pairwise
-    sweep: canonical forms make it an equivalence relation by construction, and
-    only duplicate-free enumeration needs verifying.
+    Structural equality over canonical forms is an equivalence relation by
+    construction, so only a duplicate-free enumeration needs verifying; a
+    custom equality is swept pairwise against the pattern's axioms.
     """
     states = child.enum_states(b)
     if len(states) < 2:
         raise BoundsTooSmall(
             f"{child.name}: admissibility needs at least 2 enumerated states, got {len(states)}")
-    eq = phi.eq if phi is not None and phi.eq is not None else None
     n = len(states)
 
-    if n * n > _ADMISSIBILITY_SWEEP_LIMIT:
-        if eq is not None:
-            raise BoundsExceeded(
-                f"custom eq sweep over {n} states needs {n * n} pairs")
-        if len(set(states)) != len(states):
-            return AdmissibilityReport(False, n, "canonical-unique",
-                                       note="duplicate canonical states in enumeration")
-        return AdmissibilityReport(True, n,
-                                   note="structural equality; pairwise sweep elided")
+    if phi is None or phi.eq is None:
+        if len(set(states)) != n:
+            return AdmissibilityReport(False, n, "canonical-unique")
+        return AdmissibilityReport(True, n)
 
-    eq = eq or _structural_eq
+    if n * n > _ADMISSIBILITY_SWEEP_LIMIT:
+        raise BoundsExceeded(f"custom eq sweep over {n} states needs {n * n} pairs")
+    eq = phi.eq
     if "eq-symmetric" in pattern.param_axioms:
         for x, y in itertools.product(states, repeat=2):
             if eq(x, y) != eq(y, x):
@@ -115,14 +105,13 @@ def check_admissible(pattern: CompositionPattern, child: Component,
 
 def instantiate(pattern: CompositionPattern, child: Component,
                 phi: Optional[Morphism] = None,
-                b: Bounds = DEFAULT_BOUNDS, check: bool = True) -> Component:
+                b: Bounds = DEFAULT_BOUNDS) -> Component:
     """Bind the pattern's element sort to the child's states."""
-    if check:
-        report = check_admissible(pattern, child, phi, b)
-        if not report.ok:
-            raise NotAdmissible(
-                f"{child.name} fails {report.failed_axiom} for pattern {pattern.name}: "
-                f"witness {report.witness}")
+    report = check_admissible(pattern, child, phi, b)
+    if not report.ok:
+        raise NotAdmissible(
+            f"{child.name} fails {report.failed_axiom} for pattern {pattern.name}: "
+            f"witness {report.witness}")
     return pattern.build_body(child)
 
 
@@ -164,28 +153,10 @@ def _set_body(child: Component, guarded: bool, name: str) -> Component:
             out.extend(set_of(c) for c in itertools.combinations(elems, r))
         return out
 
-    def parse_state(obj):
-        if isinstance(obj, dict) and "set" in obj:
-            return set_of(_parse_child_state(child, x) for x in obj["set"])
-        if isinstance(obj, list):
-            return set_of(_parse_child_state(child, x) for x in obj)
-        return value_from_json(obj)
-
-    def parse_method(obj):
-        ctor = obj["ctor"]
-        if ctor in ("add", "remove"):
-            return Method(ctor, (_parse_child_state(child, obj["args"][0]),),
-                          obj.get("site"))
-        return Method(ctor, tuple(value_from_json(a) for a in obj.get("args", [])),
-                      obj.get("site"))
-
     return Component(
         name=name,
-        method_ctors=frozenset({"nop", "add", "remove"}),
-        attributes={"iselem": Attribute(
-            "iselem",
-            fn=lambda args, st: args[0] in st.items,
-            enum_args=lambda b: [(e,) for e in child.enum_states(b)])},
+        method_ctors={"nop": (), "add": (STATE,), "remove": (STATE,)},
+        attributes={"iselem": Attribute("iselem", lambda args, st: args[0] in st.items)},
         initial_state=SetOf(),
         do_fn=do_fn,
         poss_fn=poss_fn,
@@ -193,9 +164,8 @@ def _set_body(child: Component, guarded: bool, name: str) -> Component:
         enum_methods_fn=enum_methods,
         enum_states_fn=enum_states,
         site_aware=child.site_aware,
-        state_from_json=parse_state,
-        method_from_json=parse_method,
         provenance=name,
+        parts=(child,),
     )
 
 
@@ -243,8 +213,6 @@ def set_pattern(variant: str = "guarded") -> CompositionPattern:
         update_site_aware=False,
         it_update_vs_method=it_update_vs_method,
         it_method_vs_update=it_method_vs_update,
-        parametric_methods=("add", "remove"),
-        parametric_attributes=("iselem",),
     )
 
 
@@ -300,7 +268,6 @@ def _string_body(child: Component) -> Component:
         return 0 <= p < len(st.items)
 
     def elem_at(args, st: SeqOf):
-        from .errors import UndefinedObservation
         p = args[0]
         if 0 <= p < len(st.items):
             return st.items[p]
@@ -325,37 +292,11 @@ def _string_body(child: Component) -> Component:
             out.extend(seq_of(t) for t in itertools.product(elems, repeat=r))
         return out
 
-    def parse_state(obj):
-        if isinstance(obj, str):
-            return seq_of(_parse_child_state(child, ch) for ch in obj)
-        if isinstance(obj, list):
-            return seq_of(_parse_child_state(child, x) for x in obj)
-        if isinstance(obj, dict) and "seq" in obj:
-            return seq_of(_parse_child_state(child, x) for x in obj["seq"])
-        return value_from_json(obj)
-
-    def display(st: SeqOf):
-        vals = [child.state_to_display(x) if child.state_to_display else x
-                for x in st.items]
-        if all(isinstance(v, str) and len(v) == 1 for v in vals):
-            return "".join(vals)
-        return vals
-
-    def parse_method(obj):
-        ctor, args = obj["ctor"], obj.get("args", [])
-        site = obj.get("site")
-        if ctor == "Ins":
-            return Method("Ins", (args[0], _parse_child_state(child, args[1])), site)
-        if ctor == "Del":
-            return Method("Del", (args[0],), site)
-        return Method(ctor, tuple(value_from_json(a) for a in args), site)
-
     return Component(
         name=name,
-        method_ctors=frozenset({"nop", "Ins", "Del"}),
+        method_ctors={"nop": (), "Ins": (DATA, STATE), "Del": (DATA,)},
         attributes={
-            "elemAt": Attribute("elemAt", elem_at,
-                                enum_args=lambda b: [(p,) for p in range(b.max_len)]),
+            "elemAt": Attribute("elemAt", elem_at),
             "length": Attribute("length", lambda args, st: len(st.items)),
         },
         initial_state=SeqOf(),
@@ -365,10 +306,8 @@ def _string_body(child: Component) -> Component:
         enum_methods_fn=enum_methods,
         enum_states_fn=enum_states,
         site_aware=True,
-        state_from_json=parse_state,
-        state_to_display=display,
-        method_from_json=parse_method,
         provenance=name,
+        parts=(child,),
     )
 
 
@@ -414,8 +353,6 @@ def string_pattern() -> CompositionPattern:
         update_site_aware=True,
         it_update_vs_method=it_update_vs_method,
         it_method_vs_update=it_method_vs_update,
-        parametric_methods=("Ins", "Del"),
-        parametric_attributes=("elemAt",),
     )
 
 
@@ -434,7 +371,7 @@ def token_component() -> Component:
     """A degenerate element supplier: fixed opaque tokens, no methods."""
     return Component(
         name="token",
-        method_ctors=frozenset({"nop"}),
+        method_ctors={"nop": ()},
         attributes={"ident": Attribute("ident", lambda args, st: st.value)},
         initial_state=Opaque("x"),
         do_fn=lambda m, st: st,
@@ -442,14 +379,5 @@ def token_component() -> Component:
         it_fn=lambda m1, m2: m1,
         enum_methods_fn=lambda b: [NOP],
         enum_states_fn=lambda b: [Opaque(t) for t in _token_names(b.universe)],
-        state_from_json=lambda obj: Opaque(obj if not isinstance(obj, dict)
-                                           else obj.get("atom")),
-        state_to_display=lambda st: st.value,
         provenance="token",
     )
-
-
-def _parse_child_state(child: Component, obj) -> StateValue:
-    if child.state_from_json is not None:
-        return child.state_from_json(obj)
-    return value_from_json(obj)

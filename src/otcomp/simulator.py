@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from .errors import ScenarioError, TooManyPermutations
 from . import kernel
 from .kernel import Component
-from .values import Method, StateValue, value_from_json, value_to_json
+from .values import (Method, StateValue, decode_method, decode_state, display,
+                     value_to_json)
 
 MAX_ALL_PERMUTATION_OPS = 6
 
@@ -55,15 +56,12 @@ class RunReport:
         return self.finals[0][1]
 
     def to_json(self, component: Optional[Component] = None) -> dict:
-        def show(st):
-            if component is not None and component.state_to_display:
-                return component.state_to_display(st)
-            return value_to_json(st)
-
+        """JSON form of the run; states in their display form, which depends
+        on the state alone (`component` is accepted but not needed)."""
         return {
             "converged": self.converged,
             "fully_legal": self.fully_legal,
-            "finals": [{"order": list(order), "state": show(st)}
+            "finals": [{"order": list(order), "state": display(st)}
                        for order, st in self.finals],
             "diverging": [list(o) for o in self.diverging] if self.diverging else None,
             "traces": {",".join(map(str, order)): [
@@ -100,8 +98,8 @@ def run_scenario(s: Scenario, component: Optional[Component] = None) -> RunRepor
         from .registry import build  # resolved lazily to avoid a cycle
         c = build(c)
 
-    base = _parse_state(c, s.base)
-    ops = [_parse_op(c, site, m) for site, m in s.ops]
+    base = decode_state(c, s.base)
+    ops = [_on_site(decode_method(c, m), site) for site, m in s.ops]
 
     if s.delivery in ("all", "all-permutations"):
         if len(ops) > MAX_ALL_PERMUTATION_OPS:
@@ -157,21 +155,6 @@ def load_scenario(source) -> Scenario:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
-def _parse_state(c: Component, obj) -> StateValue:
-    if not isinstance(obj, (str, int, float, list, dict, type(None))):
-        return obj  # already a value
-    if c.state_from_json is not None:
-        return c.state_from_json(obj)
-    return value_from_json(obj)
-
-
-def _parse_op(c: Component, site: int, m) -> Method:
-    if isinstance(m, Method):
-        return Method(m.ctor, m.args, m.site if m.site is not None else site)
-    obj = dict(m)
-    obj.setdefault("site", site)
-    if c.method_from_json is not None:
-        return c.method_from_json(obj)
-    return Method(obj["ctor"],
-                  tuple(value_from_json(a) for a in obj.get("args", [])),
-                  obj.get("site"))
+def _on_site(m: Method, site: int) -> Method:
+    """The method as issued by `site`, unless it names its own site."""
+    return m if m.site is not None else Method(m.ctor, m.args, site)

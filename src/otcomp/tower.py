@@ -4,11 +4,11 @@ each level a sequence of the one below with size and color cells alongside."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .bounds import Bounds
 from .cells import cchar, ccolor, cnat
-from .composition import ComposedComponent, dynamic_compose, make_update, static_compose
+from .composition import dynamic_compose, make_update, static_compose
 from .kernel import Component
 from .patterns import string_pattern
 from .simulator import RunReport, Scenario, run_scenario

@@ -3,11 +3,15 @@
 States are one of Cell, SetOf, SeqOf, Product, Opaque.  Sets are backed by
 frozenset so canonical (structural) equality is the dataclass equality;
 ordering for display/serialization is restored by `canon_key`.
+
+This module owns the JSON literal format: `value_to_json` writes it, and
+`decode_state` / `decode_method` read it back against a component's declared
+structure; `display` gives the human-facing form of a state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Tuple
 
 
@@ -139,3 +143,74 @@ def value_from_json(obj: Any) -> Any:
                           tuple(value_from_json(a) for a in obj.get("args", [])),
                           obj.get("site"))
     raise ValueError(f"cannot decode value: {obj!r}")
+
+
+# Argument sorts of a method constructor, as declared in
+# Component.method_ctors: plain data, or a state or method of the element
+# component (the component's only part).
+DATA, STATE, METHOD = "data", "state", "method"
+
+# The canonical form's key for each kind of state.
+_KEYS = {Cell: "cell", Opaque: "atom", SetOf: "set", SeqOf: "seq", Product: "prod"}
+
+
+def decode_state(c, obj: Any) -> StateValue:
+    """Read a state of component c from a JSON literal shaped like c's states.
+
+    Besides the canonical value_to_json form, a cell or an atom may be given
+    as its bare value, a container as a list of element literals, and a
+    sequence also as a string of one-character elements.
+    """
+    if type(obj) in _KEYS:
+        return obj
+    kind = type(c.initial_state)
+    if isinstance(obj, dict) and _KEYS[kind] in obj:
+        obj = obj[_KEYS[kind]]
+    if kind in (Cell, Opaque):
+        return kind(value_from_json(obj))
+    if isinstance(obj, str) and kind is SeqOf:
+        obj = list(obj)
+    if not isinstance(obj, list) or (kind is Product and len(obj) != len(c.parts)):
+        raise ValueError(f"cannot read {obj!r} as a state of {c.name}")
+    parts = c.parts if kind is Product else c.parts * len(obj)
+    items = [decode_state(p, x) for p, x in zip(parts, obj)]
+    return set_of(items) if kind is SetOf else kind(tuple(items))
+
+
+def decode_method(c, obj: Any) -> Method:
+    """Read a method of component c from its value_to_json form.
+
+    Arguments are read by the sorts c declares for the constructor, and a
+    static product hands the method to the factor owning its constructor.
+    """
+    if isinstance(obj, Method):
+        return obj
+    if not isinstance(obj, dict) or "ctor" not in obj:
+        raise ValueError(f"cannot read {obj!r} as a method of {c.name}")
+    ctor, args = obj["ctor"], obj.get("args", [])
+    if ctor in c.owner:
+        i, inner = c.owner[ctor]
+        m = decode_method(c.parts[i], {**obj, "ctor": inner})
+        return Method(ctor, m.args, m.site)
+    sorts = c.method_ctors.get(ctor)
+    if sorts is None or len(args) != len(sorts):
+        raise ValueError(f"cannot read {obj!r} as a method of {c.name}")
+    return Method(ctor, tuple(
+        decode_state(c.parts[0], a) if sort == STATE else
+        decode_method(c.parts[0], a) if sort == METHOD else value_from_json(a)
+        for sort, a in zip(sorts, args)), obj.get("site"))
+
+
+def display(v: Any) -> Any:
+    """The human-facing JSON form of a state: a cell's or atom's value, a
+    string for a sequence of one-character strings, a list for other
+    sequences and products, value_to_json for anything else (sets)."""
+    if isinstance(v, (Cell, Opaque)):
+        return v.value
+    if isinstance(v, (SeqOf, Product)):
+        items = [display(x) for x in v.items]
+        if isinstance(v, SeqOf) and all(isinstance(x, str) and len(x) == 1
+                                         for x in items):
+            return "".join(items)
+        return items
+    return value_to_json(v)

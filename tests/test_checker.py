@@ -72,6 +72,17 @@ def test_case_ceiling_is_enforced():
         check_cp1(cchar(), B.with_(max_cases=10))
 
 
+def test_method_ceiling_is_enforced():
+    c = build("string[cchar]")
+    assert len(c.enum_methods(B.with_(max_methods=135))) == 135
+    with pytest.raises(BoundsExceeded, match="135 methods"):
+        c.enum_methods(B.with_(max_methods=134))
+    # 3 addresses x 4 old cells x 4 cell methods x 2 sites, refused before
+    # the list is built
+    with pytest.raises(BoundsExceeded, match="96 Update methods"):
+        check_consistency(c, B.with_(max_methods=95))
+
+
 def test_same_site_pairs_are_not_counted_as_concurrent():
     b = B.with_(universe=2, max_len=2, sites=1)
     c = build("string", b)

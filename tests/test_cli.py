@@ -68,6 +68,27 @@ def test_simulate_bundled_divergent_scenario(capsys):
     assert {f["state"] for f in data["finals"]} == {"effece", "effect"}
 
 
+def test_check_method_ceiling_exits_3(capsys):
+    code = main(["check", "string[cnat]", "--property", "cp1",
+                 "--nat-max", "200"])
+    assert code == EXIT_USAGE
+    assert "Update methods exceed the ceiling" in capsys.readouterr().err
+
+
+def test_simulate_product_with_a_set_factor(tmp_path, capsys):
+    path = tmp_path / "product.scenario"
+    path.write_text(json.dumps({
+        "component": "set-guarded[cchar] (+) cnat",
+        "base": [["a"], 1],
+        "ops": [{"site": 1, "method": {"ctor": "add", "args": ["b"]}},
+                {"site": 2, "method": {"ctor": "putnat", "args": [0]}}]}))
+    assert main(["simulate", str(path)]) == EXIT_PASS
+    data = json.loads(capsys.readouterr().out)
+    assert data["converged"]
+    assert all(f["state"] == [{"set": [{"cell": "a"}, {"cell": "b"}]}, 0]
+               for f in data["finals"])
+
+
 def test_simulate_missing_file_is_a_usage_error(capsys):
     assert main(["simulate", "no/such/file.scenario"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err

@@ -99,37 +99,6 @@ def test_legal_checks_intermediate_states():
     assert not kernel.legal(c, [m, m], Cell(None))
 
 
-# --- bounded observational equality -----------------------------------------
-
-def test_obs_equal_reflexive(char):
-    for s in char.enum_states():
-        assert kernel.obs_equal(char, s, s, depth=2)
-
-
-def test_obs_equal_distinguishes_by_attribute(char):
-    assert not kernel.obs_equal(char, Cell("a"), Cell("b"), depth=0)
-
-
-def test_obs_equal_distinguishes_undefined_from_defined(char):
-    # The getter is undefined on the fresh cell but not on a written one.
-    assert not kernel.obs_equal(char, Cell(None), Cell("a"), depth=0)
-
-
-@given(st.data())
-def test_obs_equal_symmetric(data):
-    c = cchar()
-    states = c.enum_states()
-    s1 = data.draw(st.sampled_from(states))
-    s2 = data.draw(st.sampled_from(states))
-    assert kernel.obs_equal(c, s1, s2, 1) == kernel.obs_equal(c, s2, s1, 1)
-
-
-def test_structural_equality_implies_obs_equal():
-    c = cnat()
-    for s in c.enum_states():
-        assert kernel.obs_equal(c, s, Cell(s.value), depth=2)
-
-
 def test_enumerations_are_sorted_and_deterministic(char):
     assert char.enum_states() == char.enum_states()
     assert char.enum_methods() == char.enum_methods()
