@@ -9,8 +9,10 @@ from dataclasses import dataclass, replace
 class Bounds:
     """Finite enumeration limits.
 
-    Defaults keep a full CP2 sweep (cubic in the method count) well under a
-    second for the bundled components.
+    At these defaults the slowest bundled check, `check_consistency` on
+    `string[cchar]` (1,362,998 cases), took about 1 s on a 2-vCPU Xeon VM, and
+    every other bundled component under 0.1 s.  CP2 is cubic in the method
+    count, so raising a bound that grows the methods grows it fast.
     """
 
     alphabet: int = 3      # characters drawn from 'a', 'b', 'c', ...

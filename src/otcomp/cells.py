@@ -16,7 +16,7 @@ from typing import Any, Callable, List
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .errors import InvalidSpec, UndefinedObservation
 from .kernel import Attribute, Component
-from .values import DATA, NOP, Cell, Method
+from .values import NOP, VALUE, Cell, Method
 
 COLOR_ORDER = ("red", "green", "blue")
 
@@ -62,7 +62,7 @@ def make_cell_component(spec: CellComponentSpec) -> Component:
 
     return Component(
         name=spec.name,
-        method_ctors={"nop": (), put: (DATA,)},
+        method_ctors={"nop": (), put: (VALUE,)},
         attributes={get: Attribute(get, get_fn)},
         initial_state=Cell(None),
         do_fn=do_fn,
@@ -71,6 +71,7 @@ def make_cell_component(spec: CellComponentSpec) -> Component:
         enum_methods_fn=lambda b: [NOP] + [Method(put, (v,)) for v in spec.values(b)],
         enum_states_fn=lambda b: [Cell(None)] + [Cell(v) for v in spec.values(b)],
         provenance=spec.name,
+        value_type=type(spec.values(DEFAULT_BOUNDS)[0]),
     )
 
 

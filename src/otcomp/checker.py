@@ -7,7 +7,19 @@ third method along either of the two equivalent sequences yields the same
 method.  Restricted variants quantify over given disjoint method subsets, and
 `check_consistency` runs the full decomposition for composed components.
 
-Every reported witness is replayed before it is emitted.
+Each check call compiles the component once: its sorted method and state
+enumerations are interned to ints, and the sweeps read three tables keyed by
+those ids, IT (method, method) -> method, Do (state, method) -> state and
+Poss (state, method) -> bool.  A table entry is filled on first use from the
+public kernel's `transform`, `apply` and `enabled`, so validation and `nop`
+handling stay in the kernel; a result outside the enumeration (an insert one
+past the longest state, a longer sequence) is interned when first seen.
+Nothing outlives the call.
+
+Every failing case is replayed through the public kernel before it is
+emitted, which cross-checks the tables: both final states or transformed
+methods, and for a triple its realizability verdict, re-decided by scanning
+the enumerated states.  A disagreement raises ReplayMismatch.
 """
 
 from __future__ import annotations
@@ -15,14 +27,15 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .composition import ComposedComponent, is_update
-from .errors import BoundsExceeded, NotDisjoint
+from .errors import BoundsExceeded, NotDisjoint, ReplayMismatch
 from . import kernel
 from .kernel import Component
-from .values import Method, value_to_json
+from .values import Method, StateValue, value_to_json
 
 MethodFilter = Callable[[Method], bool]
 
@@ -61,134 +74,249 @@ def _verdict(cases: int, witnesses: list) -> str:
     return "pass" if cases > 0 else "vacuous"
 
 
-def _concurrent_ok(c: Component, m1: Method, m2: Method) -> bool:
-    # Distinct issuers are assumed for concurrency on site-aware components.
-    if not c.site_aware or m1.site is None or m2.site is None:
-        return True
-    return m1.site != m2.site
-
-
 def _guard_cases(estimate: int, b: Bounds) -> None:
     if estimate > b.max_cases:
         raise BoundsExceeded(
             f"estimated {estimate} cases exceeds ceiling {b.max_cases}")
 
 
-def _pair_seqs(c: Component, m1: Method, m2: Method):
-    return ([m1, kernel.transform(c, m2, m1)],
-            [m2, kernel.transform(c, m1, m2)])
+class _Lazy(dict):
+    """A dict that fills a missing key with `fill(key)` and keeps it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
-def _cp1_sweep(c: Component, b: Bounds, name: str,
-               f1: Optional[MethodFilter], f2: Optional[MethodFilter]) -> CheckReport:
+class _Compiled:
+    """A component as one check call sees it: methods and states interned to
+    ids, and the kernel's functions as lazily filled tables over those ids.
+
+    `it[j][i]` is the id of transform(method i, method j), `do[i][s]` the id
+    of apply(method i, state s), and `poss[i][s]` is enabled(method i,
+    state s).  `joint[i1, i2]` lists the enumerated states, in order, on
+    which both orders of the pair are legal.
+    """
+
+    def __init__(self, c: Component, b: Bounds):
+        self.c, self.b = c, b
+        self.method: List[Method] = []
+        self.state: List[StateValue] = []
+        # The issuing site of each method, None where concurrency is not
+        # decided by sites: two methods are concurrent unless both name the
+        # same site.
+        self.site: List[Optional[int]] = []
+        self._mid: Dict[Method, int] = {}
+        self._sid: Dict[StateValue, int] = {}
+        method, state = self.method, self.state
+        self.it = _Lazy(lambda j: _Lazy(
+            lambda i: self.mid(kernel.transform(c, method[i], method[j]))))
+        self.do = _Lazy(lambda i: _Lazy(
+            lambda s: self.sid(kernel.apply(c, method[i], state[s]))))
+        self.poss = _Lazy(lambda i: _Lazy(
+            lambda s: kernel.enabled(c, method[i], state[s])))
+        self.joint = _Lazy(lambda pair: [s for s in self.states
+                                         if self.both_legal(s, *pair)])
+        self.methods = [self.mid(m) for m in c.enum_methods(b)]
+
+    @cached_property
+    def states(self) -> List[int]:
+        return [self.sid(st) for st in self.c.enum_states(self.b)]
+
+    def mid(self, m: Method) -> int:
+        i = self._mid.get(m)
+        if i is None:
+            i = self._mid[m] = len(self.method)
+            self.method.append(m)
+            self.site.append(m.site if self.c.site_aware else None)
+        return i
+
+    def sid(self, st: StateValue) -> int:
+        s = self._sid.get(st)
+        if s is None:
+            s = self._sid[st] = len(self.state)
+            self.state.append(st)
+        return s
+
+    def concurrent(self, i: int, j: int) -> bool:
+        a, b = self.site[i], self.site[j]
+        return a is None or b is None or a != b
+
+    def both_legal(self, s: int, i1: int, i2: int) -> bool:
+        """Both [m1, m2 transformed against m1] and [m2, m1 transformed
+        against m2] are legal from state s."""
+        it, do, poss = self.it, self.do, self.poss
+        t21, t12 = it[i1][i2], it[i2][i1]
+        return (poss[i1][s] and poss[t21][do[i1][s]]
+                and poss[i2][s] and poss[t12][do[i2][s]])
+
+    def select(self, f: MethodFilter) -> List[int]:
+        return [i for i in self.methods if f(self.method[i])]
+
+
+def _cp1_sweep(t: _Compiled, name: str, m1s: List[int],
+               m2s: List[int]) -> CheckReport:
     t0 = time.perf_counter()
-    methods = c.enum_methods(b)
-    m1s = [m for m in methods if f1 is None or f1(m)]
-    m2s = [m for m in methods if f2 is None or f2(m)]
-    states = c.enum_states(b)
-    _guard_cases(len(states) * len(m1s) * len(m2s), b)
+    states = t.states
+    _guard_cases(len(states) * len(m1s) * len(m2s), t.b)
+    it, do, poss = t.it, t.do, t.poss
+    partners = [(i1, [i2 for i2 in m2s if t.concurrent(i1, i2)]) for i1 in m1s]
 
     cases = examined = 0
     witnesses: List[dict] = []
-    for st in states:
-        for m1 in m1s:
-            for m2 in m2s:
-                if not _concurrent_ok(c, m1, m2):
+    for s in states:
+        for i1, concurrent in partners:
+            examined += len(concurrent)
+            if not (concurrent and poss[i1][s]):
+                continue
+            s1 = do[i1][s]
+            against1 = it[i1]
+            for i2 in concurrent:
+                t21 = against1[i2]
+                if not (poss[t21][s1] and poss[i2][s]):
                     continue
-                examined += 1
-                seq1, seq2 = _pair_seqs(c, m1, m2)
-                if not (kernel.legal(c, seq1, st) and kernel.legal(c, seq2, st)):
+                t12 = it[i2][i1]
+                s2 = do[i2][s]
+                if not poss[t12][s2]:
                     continue
                 cases += 1
-                left = kernel.apply_seq(c, seq1, st)
-                right = kernel.apply_seq(c, seq2, st)
+                left, right = do[t21][s1], do[t12][s2]
                 if left != right:
-                    _replay_cp1(c, st, m1, m2, left, right)
-                    witnesses.append({
-                        "state": value_to_json(st),
-                        "methods": [value_to_json(m1), value_to_json(m2)],
-                        "left": value_to_json(left),
-                        "right": value_to_json(right),
-                    })
+                    witnesses.append(_replay_cp1(t, s, i1, i2, left, right))
     return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
                        (time.perf_counter() - t0) * 1000.0, examined)
 
 
-def _replay_cp1(c, st, m1, m2, left, right) -> None:
-    # Witness soundness: re-derive both final states independently.
+def _replay_cp1(t: _Compiled, s: int, i1: int, i2: int, left: int,
+                right: int) -> dict:
+    """Re-derive a failing pair through the public kernel; its witness."""
+    c, st, m1, m2 = t.c, t.state[s], t.method[i1], t.method[i2]
     seq1, seq2 = _pair_seqs(c, m1, m2)
-    assert kernel.apply_seq(c, seq1, st) == left
-    assert kernel.apply_seq(c, seq2, st) == right
-    assert left != right
+    if not (kernel.legal(c, seq1, st) and kernel.legal(c, seq2, st)):
+        _mismatch("CP1", (m1, m2), "a sequence is not legal from " + repr(st))
+    got = (kernel.apply_seq(c, seq1, st), kernel.apply_seq(c, seq2, st))
+    if got != (t.state[left], t.state[right]) or got[0] == got[1]:
+        _mismatch("CP1", (m1, m2), f"final states {got}")
+    return {
+        "state": value_to_json(st),
+        "methods": [value_to_json(m1), value_to_json(m2)],
+        "left": value_to_json(got[0]),
+        "right": value_to_json(got[1]),
+    }
 
 
-def _cp2_paths(c: Component, m1: Method, m2: Method, m3: Method):
-    seq1, seq2 = _pair_seqs(c, m1, m2)
-    return (kernel.transform_seq(c, m3, seq1),
-            kernel.transform_seq(c, m3, seq2))
+def _pair_seqs(c: Component, m1: Method, m2: Method):
+    """Both orders of a concurrent pair, transformed by the public kernel."""
+    return ([m1, kernel.transform(c, m2, m1)],
+            [m2, kernel.transform(c, m1, m2)])
 
 
-def _cp2_realizable(c: Component, b: Bounds, m1, m2, m3) -> bool:
-    seq1, seq2 = _pair_seqs(c, m1, m2)
-    for st in c.enum_states(b):
-        if (kernel.legal(c, seq1, st) and kernel.legal(c, seq2, st)
-                and kernel.enabled(c, m3, st)):
-            return True
-    return False
+def _mismatch(condition: str, methods: Sequence[Method], what: str) -> None:
+    raise ReplayMismatch(
+        f"{condition} case {list(methods)} does not replay through the "
+        f"kernel as it was checked: {what}; is the component deterministic?")
 
 
-def _cp2_sweep(c: Component, b: Bounds, name: str,
-               triples: Iterable[tuple]) -> CheckReport:
+# A CP2 sweep runs over blocks (g1, g2, g3) of method ids: m1 from g1, m2 from
+# g2 and m3 from g3, in that nesting order.
+Blocks = Sequence[Tuple[List[int], List[int], List[int]]]
+
+
+def _cp2_sweep(t: _Compiled, name: str, blocks: Blocks) -> CheckReport:
     t0 = time.perf_counter()
+    it = t.it
     cases = 0
+    failing: List[Tuple[int, int, int, int, int]] = []
+    for g1, g2, g3 in blocks:
+        # via[i]: m3 transformed against method i, for every m3 in g3
+        via = _Lazy(lambda i: [it[i][i3] for i3 in g3])
+        for i1 in g1:
+            for i2 in g2:
+                if not t.concurrent(i1, i2):
+                    continue
+                cases += len(g3)
+                after21, after12 = it[it[i1][i2]], it[it[i2][i1]]
+                lefts = [after21[k] for k in via[i1]]
+                rights = [after12[k] for k in via[i2]]
+                if lefts != rights:
+                    failing.extend((i1, i2, i3, left, right) for i3, left, right
+                                   in zip(g3, lefts, rights) if left != right)
+
     witnesses: List[dict] = []
     unrealizable: List[dict] = []
-    for m1, m2, m3 in triples:
-        if not _concurrent_ok(c, m1, m2):
-            continue
-        cases += 1
-        left, right = _cp2_paths(c, m1, m2, m3)
-        if left != right:
-            l2, r2 = _cp2_paths(c, m1, m2, m3)  # replay
-            assert (l2, r2) == (left, right) and l2 != r2
-            entry = {
-                "state": None,
-                "methods": [value_to_json(m1), value_to_json(m2), value_to_json(m3)],
-                "left": value_to_json(left),
-                "right": value_to_json(right),
-            }
-            if _cp2_realizable(c, b, m1, m2, m3):
-                witnesses.append({**entry, "realizable": True})
-            else:
-                unrealizable.append({**entry, "realizable": False})
+    joint_by_kernel = _Lazy(lambda pair: _kernel_joint(t, *pair))
+    for i1, i2, i3, left, right in failing:
+        entry = _replay_cp2(t, joint_by_kernel, i1, i2, i3, left, right)
+        (witnesses if entry["realizable"] else unrealizable).append(entry)
     return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
                        (time.perf_counter() - t0) * 1000.0, cases,
                        unrealizable=unrealizable)
 
 
+def _kernel_joint(t: _Compiled, i1: int, i2: int) -> List[StateValue]:
+    """The enumerated states on which both orders of the pair are legal,
+    decided through the public kernel."""
+    seq1, seq2 = _pair_seqs(t.c, t.method[i1], t.method[i2])
+    states = [t.state[s] for s in t.states]
+    return [st for st in states
+            if kernel.legal(t.c, seq1, st) and kernel.legal(t.c, seq2, st)]
+
+
+def _replay_cp2(t: _Compiled, joint_by_kernel: _Lazy, i1: int, i2: int,
+                i3: int, left: int, right: int) -> dict:
+    """Re-derive a failing triple and its realizability through the public
+    kernel; its report entry."""
+    c = t.c
+    m1, m2, m3 = t.method[i1], t.method[i2], t.method[i3]
+    seq1, seq2 = _pair_seqs(c, m1, m2)
+    got = (kernel.transform_seq(c, m3, seq1), kernel.transform_seq(c, m3, seq2))
+    if got != (t.method[left], t.method[right]) or got[0] == got[1]:
+        _mismatch("CP2", (m1, m2, m3), f"transformed methods {got}")
+    poss3 = t.poss[i3]
+    realizable = any(poss3[s] for s in t.joint[i1, i2])
+    if realizable != any(kernel.enabled(c, m3, st)
+                         for st in joint_by_kernel[i1, i2]):
+        _mismatch("CP2", (m1, m2, m3), f"realizable is {realizable} by the tables")
+    return {
+        "state": None,
+        "methods": [value_to_json(m1), value_to_json(m2), value_to_json(m3)],
+        "left": value_to_json(got[0]),
+        "right": value_to_json(got[1]),
+        "realizable": realizable,
+    }
+
+
+def _cp2_cube(t: _Compiled, name: str, group: List[int]) -> CheckReport:
+    _guard_cases(len(group) ** 3, t.b)
+    return _cp2_sweep(t, name, [(group, group, group)])
+
+
 def check_cp1(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Pair condition over every enumerated state and method pair."""
-    return _cp1_sweep(c, b, "CP1", None, None)
+    t = _Compiled(c, b)
+    return _cp1_sweep(t, "CP1", t.methods, t.methods)
 
 
 def check_cp2(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Triple condition over every enumerated method triple (state-free)."""
-    methods = c.enum_methods(b)
-    _guard_cases(len(methods) ** 3, b)
-    return _cp2_sweep(c, b, "CP2",
-                      itertools.product(methods, methods, methods))
+    t = _Compiled(c, b)
+    return _cp2_cube(t, "CP2", t.methods)
 
 
-def _split(c: Component, b: Bounds, sub1, sub2):
-    methods = c.enum_methods(b)
-    f1 = _as_filter(sub1)
-    f2 = _as_filter(sub2)
-    g1 = [m for m in methods if f1(m)]
-    g2 = [m for m in methods if f2(m)]
+def _split(t: _Compiled, sub1, sub2) -> Tuple[List[int], List[int]]:
+    g1 = t.select(_as_filter(sub1))
+    g2 = t.select(_as_filter(sub2))
     overlap = set(g1) & set(g2)
     if overlap:
-        raise NotDisjoint(f"method subsets overlap: {sorted(m.ctor for m in overlap)}")
-    return g1, g2, f1, f2
+        raise NotDisjoint("method subsets overlap: "
+                          f"{sorted(t.method[i].ctor for i in overlap)}")
+    return g1, g2
 
 
 def _as_filter(sub) -> MethodFilter:
@@ -198,28 +326,28 @@ def _as_filter(sub) -> MethodFilter:
     return lambda m: m in frozen
 
 
+def _cp2_cross(t: _Compiled, name: str, g1: List[int],
+               g2: List[int]) -> CheckReport:
+    groups = {1: g1, 2: g2}
+    _guard_cases((len(g1) + len(g2)) ** 3, t.b)
+    return _cp2_sweep(t, name, [
+        (groups[i], groups[j], groups[k])
+        for i, j, k in itertools.product((1, 2), repeat=3) if not i == j == k])
+
+
 def check_cp1_restricted(c: Component, sub1, sub2,
                          b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Pair condition over cross pairs only: one method from each subset."""
-    _g1, _g2, f1, f2 = _split(c, b, sub1, sub2)
-    return _cp1_sweep(c, b, "CP1-restricted", f1, f2)
+    t = _Compiled(c, b)
+    return _cp1_sweep(t, "CP1-restricted", *_split(t, sub1, sub2))
 
 
 def check_cp2_restricted(c: Component, sub1, sub2,
                          b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Triple condition with (m1, m2, m3) drawn from the two subsets in every
     combination except all three from the same one."""
-    g1, g2, _f1, _f2 = _split(c, b, sub1, sub2)
-    groups = {1: g1, 2: g2}
-    _guard_cases((len(g1) + len(g2)) ** 3, b)
-
-    def triples():
-        for i, j, k in itertools.product((1, 2), repeat=3):
-            if i == j == k:
-                continue
-            yield from itertools.product(groups[i], groups[j], groups[k])
-
-    return _cp2_sweep(c, b, "CP2-restricted", triples())
+    t = _Compiled(c, b)
+    return _cp2_cross(t, "CP2-restricted", *_split(t, sub1, sub2))
 
 
 def _aggregate(name: str, parts: List[CheckReport]) -> CheckReport:
@@ -242,28 +370,19 @@ def _aggregate(name: str, parts: List[CheckReport]) -> CheckReport:
 def check_consistency(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Both conditions; for a composed component the three-way decomposition
     (update-only, container-only, cross) is run for each condition."""
+    t = _Compiled(c, b)
     if isinstance(c, ComposedComponent):
-        updates = is_update
-        container = lambda m: not is_update(m)
+        updates = t.select(is_update)
+        container = t.select(lambda m: not is_update(m))
         parts = [
-            _cp1_sweep(c, b, "CP1-updates", updates, updates),
-            _cp1_sweep(c, b, "CP1-container", container, container),
-            _renamed(check_cp1_restricted(c, updates, container, b), "CP1-cross"),
-            _cp2_subset(c, b, "CP2-updates", updates),
-            _cp2_subset(c, b, "CP2-container", container),
-            _renamed(check_cp2_restricted(c, updates, container, b), "CP2-cross"),
+            _cp1_sweep(t, "CP1-updates", updates, updates),
+            _cp1_sweep(t, "CP1-container", container, container),
+            _cp1_sweep(t, "CP1-cross", updates, container),
+            _cp2_cube(t, "CP2-updates", updates),
+            _cp2_cube(t, "CP2-container", container),
+            _cp2_cross(t, "CP2-cross", updates, container),
         ]
     else:
-        parts = [check_cp1(c, b), check_cp2(c, b)]
+        parts = [_cp1_sweep(t, "CP1", t.methods, t.methods),
+                 _cp2_cube(t, "CP2", t.methods)]
     return _aggregate("consistency", parts)
-
-
-def _cp2_subset(c: Component, b: Bounds, name: str, f: MethodFilter) -> CheckReport:
-    group = [m for m in c.enum_methods(b) if f(m)]
-    _guard_cases(len(group) ** 3, b)
-    return _cp2_sweep(c, b, name, itertools.product(group, group, group))
-
-
-def _renamed(rep: CheckReport, name: str) -> CheckReport:
-    rep.property = name
-    return rep

@@ -24,7 +24,7 @@ from .errors import (BoundsExceeded, ComponentMismatch, MissingCrossTable,
 from .kernel import Attribute, Component
 from . import kernel
 from .patterns import CompositionPattern, Morphism, instantiate
-from .values import DATA, METHOD, NOP, STATE, Method, Product, StateValue, product
+from .values import ADDRESS, METHOD, NOP, STATE, Method, Product, StateValue, product
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def dynamic_compose(pattern: CompositionPattern, child: Component,
 
     comp = ComposedComponent(
         name=f"{pattern.name}[{child.name}]",
-        method_ctors={**base.method_ctors, "Update": (DATA, STATE, METHOD)},
+        method_ctors={**base.method_ctors, "Update": (ADDRESS, STATE, METHOD)},
         attributes=base.attributes,  # updates add no attributes
         initial_state=base.initial_state,
         do_fn=do_fn,

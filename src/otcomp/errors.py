@@ -45,6 +45,10 @@ class MissingCrossTable(OtcompError):
     """Pattern lacks its update-vs-method transform table."""
 
 
+class ReplayMismatch(OtcompError):
+    """A failing case did not replay the same way through the public kernel."""
+
+
 class NotDisjoint(OtcompError):
     """Restricted check called with overlapping method subsets."""
 

@@ -10,7 +10,7 @@ immutable and every operation here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UnknownAttribute, UnknownMethod
@@ -32,8 +32,8 @@ class Attribute:
 @dataclass(eq=False)
 class Component:
     name: str
-    # Constructor -> argument sorts (values.DATA / STATE / METHOD), with
-    # `nop` declared as taking none.
+    # Constructor -> argument sorts (values.VALUE / POSITION / ADDRESS /
+    # STATE / METHOD), with `nop` declared as taking none.
     method_ctors: Dict[str, Tuple[str, ...]]
     attributes: Dict[str, Attribute]
     initial_state: StateValue
@@ -49,6 +49,9 @@ class Component:
     parts: Tuple["Component", ...] = ()
     # Static product: constructor -> (factor index, the factor's constructor).
     owner: Dict[str, Tuple[int, str]] = field(default_factory=dict)
+    # Cells and atoms: the type of the value held, and of a VALUE argument;
+    # None leaves them unchecked when read from JSON.
+    value_type: Optional[type] = None
 
     def enum_methods(self, b: Bounds = DEFAULT_BOUNDS) -> List[Method]:
         methods = self.enum_methods_fn(b)

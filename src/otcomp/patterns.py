@@ -22,7 +22,7 @@ from .bounds import Bounds, DEFAULT_BOUNDS
 from .errors import (BoundsExceeded, BoundsTooSmall, NotAdmissible,
                      UndefinedObservation)
 from .kernel import Attribute, Component
-from .values import (DATA, NOP, STATE, Method, Opaque, SeqOf, SetOf, StateValue,
+from .values import (NOP, POSITION, STATE, Method, Opaque, SeqOf, SetOf, StateValue,
                      seq_of, set_of)
 
 _ADMISSIBILITY_SWEEP_LIMIT = 1_000_000  # pairs a custom eq may be swept over
@@ -294,7 +294,7 @@ def _string_body(child: Component) -> Component:
 
     return Component(
         name=name,
-        method_ctors={"nop": (), "Ins": (DATA, STATE), "Del": (DATA,)},
+        method_ctors={"nop": (), "Ins": (POSITION, STATE), "Del": (POSITION,)},
         attributes={
             "elemAt": Attribute("elemAt", elem_at),
             "length": Attribute("length", lambda args, st: len(st.items)),
@@ -380,4 +380,5 @@ def token_component() -> Component:
         enum_methods_fn=lambda b: [NOP],
         enum_states_fn=lambda b: [Opaque(t) for t in _token_names(b.universe)],
         provenance="token",
+        value_type=str,
     )

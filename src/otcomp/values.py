@@ -146,9 +146,12 @@ def value_from_json(obj: Any) -> Any:
 
 
 # Argument sorts of a method constructor, as declared in
-# Component.method_ctors: plain data, or a state or method of the element
-# component (the component's only part).
-DATA, STATE, METHOD = "data", "state", "method"
+# Component.method_ctors.  Plain data is a VALUE (of the component's own
+# `value_type`, as a cell's write carries), a POSITION (an int) or an ADDRESS
+# (a tuple of positions); a STATE or a METHOD is one of the element component
+# (the component's only part).
+VALUE, POSITION, ADDRESS = "value", "position", "address"
+STATE, METHOD = "state", "method"
 
 # The canonical form's key for each kind of state.
 _KEYS = {Cell: "cell", Opaque: "atom", SetOf: "set", SeqOf: "seq", Product: "prod"}
@@ -159,7 +162,8 @@ def decode_state(c, obj: Any) -> StateValue:
 
     Besides the canonical value_to_json form, a cell or an atom may be given
     as its bare value, a container as a list of element literals, and a
-    sequence also as a string of one-character elements.
+    sequence also as a string of one-character elements.  A cell's or atom's
+    value must be None or of c's `value_type` (ValueError otherwise).
     """
     if type(obj) in _KEYS:
         return obj
@@ -167,7 +171,8 @@ def decode_state(c, obj: Any) -> StateValue:
     if isinstance(obj, dict) and _KEYS[kind] in obj:
         obj = obj[_KEYS[kind]]
     if kind in (Cell, Opaque):
-        return kind(value_from_json(obj))
+        v = value_from_json(obj)
+        return kind(v if v is None else _typed(c, VALUE, v))
     if isinstance(obj, str) and kind is SeqOf:
         obj = list(obj)
     if not isinstance(obj, list) or (kind is Product and len(obj) != len(c.parts)):
@@ -180,8 +185,9 @@ def decode_state(c, obj: Any) -> StateValue:
 def decode_method(c, obj: Any) -> Method:
     """Read a method of component c from its value_to_json form.
 
-    Arguments are read by the sorts c declares for the constructor, and a
-    static product hands the method to the factor owning its constructor.
+    Arguments are read by the sorts c declares for the constructor, plain
+    data checked against its sort (ValueError otherwise), and a static
+    product hands the method to the factor owning its constructor.
     """
     if isinstance(obj, Method):
         return obj
@@ -197,8 +203,22 @@ def decode_method(c, obj: Any) -> Method:
         raise ValueError(f"cannot read {obj!r} as a method of {c.name}")
     return Method(ctor, tuple(
         decode_state(c.parts[0], a) if sort == STATE else
-        decode_method(c.parts[0], a) if sort == METHOD else value_from_json(a)
+        decode_method(c.parts[0], a) if sort == METHOD else
+        _typed(c, sort, value_from_json(a))
         for sort, a in zip(sorts, args)), obj.get("site"))
+
+
+def _typed(c, sort: str, v: Any) -> Any:
+    """v, if it is plain data of the given sort for component c."""
+    if sort == POSITION:
+        ok = type(v) is int
+    elif sort == ADDRESS:
+        ok = type(v) is tuple and all(type(p) is int for p in v)
+    else:
+        ok = c.value_type is None or type(v) is c.value_type
+    if not ok:
+        raise ValueError(f"{v!r} is not a {sort} of {c.name}")
+    return v
 
 
 def display(v: Any) -> Any:

@@ -265,3 +265,30 @@ def test_criterion_9_document_tower_demo(capsys):
         for name in ("fchar", "fword", "fsentence", "fparagraph"):
             assert check_admissible(string_pattern(), tower[name],
                                     b=TOWER_BOUNDS).ok
+
+
+def test_criterion_10_string_of_characters_check_is_fast_and_replayable():
+    with criterion(10, "string[cchar] consistency check", limit_s=10.0):
+        b = DEFAULT_BOUNDS
+        comp = build("string[cchar]", b)
+        rep = check_consistency(comp, b)
+        assert (rep.verdict, rep.cases, rep.examined) == ("fail", 1_362_998, 1_871_140)
+        assert (len(rep.witnesses), len(rep.unrealizable)) == (384, 2_952)
+
+        states = comp.enum_states(b)
+        joint = {}  # (m1, m2) -> the states on which both orders are legal
+        for w in rep.witnesses + rep.unrealizable:
+            m1, m2, m3 = (value_from_json(m) for m in w["methods"])
+            seq1 = [m1, kernel.transform(comp, m2, m1)]
+            seq2 = [m2, kernel.transform(comp, m1, m2)]
+            left = kernel.transform_seq(comp, m3, seq1)
+            right = kernel.transform_seq(comp, m3, seq2)
+            assert left == value_from_json(w["left"])
+            assert right == value_from_json(w["right"])
+            assert left != right
+            if (m1, m2) not in joint:
+                joint[m1, m2] = [st for st in states if kernel.legal(comp, seq1, st)
+                                 and kernel.legal(comp, seq2, st)]
+            realizable = any(kernel.enabled(comp, m3, st) for st in joint[m1, m2])
+            assert w["realizable"] is realizable
+        assert all(w["realizable"] for w in rep.witnesses)

@@ -1,9 +1,15 @@
 """The exhaustive convergence checker: verdicts, witnesses, reports."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import otcomp
 from otcomp import kernel
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar
@@ -128,6 +134,42 @@ def test_aggregate_fails_when_any_part_fails():
     assert rep.verdict == "fail"
     assert any(p.verdict == "fail" for p in rep.parts)
     assert all(w["part"] for w in rep.witnesses)
+
+
+def test_a_witness_that_does_not_replay_raises_under_python_o():
+    # it_fn answers each pair once as the component does, then differently:
+    # the replay through the kernel disagrees with the checked case.
+    script = textwrap.dedent("""
+        import dataclasses
+        from otcomp.bounds import DEFAULT_BOUNDS
+        from otcomp.checker import check_cp1
+        from otcomp.errors import ReplayMismatch
+        from otcomp.registry import build
+        from otcomp.values import NOP
+
+        b = DEFAULT_BOUNDS.with_(universe=1)
+        base = build("set-literal", b)
+        seen = set()
+
+        def it_fn(m1, m2):
+            out = base.it_fn(m1, m2)
+            if (m1, m2) in seen:
+                return NOP if out != NOP else m1
+            seen.add((m1, m2))
+            return out
+
+        try:
+            check_cp1(dataclasses.replace(base, it_fn=it_fn), b)
+        except ReplayMismatch as exc:
+            print("raised:", exc)
+        else:
+            print("reported")
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(otcomp.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("raised: CP1 case"), run.stdout
 
 
 def test_masked_reports_have_zero_elapsed():

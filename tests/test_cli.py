@@ -89,6 +89,31 @@ def test_simulate_product_with_a_set_factor(tmp_path, capsys):
                for f in data["finals"])
 
 
+def test_simulate_badly_typed_data_is_a_usage_error(tmp_path, capsys):
+    # Each races a badly typed argument against a well-typed one, which
+    # without the check ends in a TypeError from the merge or the position.
+    cases = [("cnat", 1, {"ctor": "putnat", "args": ["x"]},
+              {"ctor": "putnat", "args": [0]}, "'x' is not a value of cnat"),
+             ("cchar", "a", {"ctor": "putchar", "args": [5]},
+              {"ctor": "putchar", "args": ["b"]}, "5 is not a value of cchar"),
+             ("string[cchar]", "ab", {"ctor": "Del", "args": ["x"]},
+              {"ctor": "Ins", "args": [0, "c"]}, "'x' is not a position")]
+    path = tmp_path / "typed.scenario"
+    for component, base, bad, good, message in cases:
+        path.write_text(json.dumps({
+            "component": component, "base": base,
+            "ops": [{"site": 1, "method": bad}, {"site": 2, "method": good}]}))
+        assert main(["simulate", str(path)]) == EXIT_USAGE, component
+        assert message in capsys.readouterr().err
+    # well-typed values outside the bounds still run
+    path.write_text(json.dumps({
+        "component": "cnat", "base": 40,
+        "ops": [{"site": 1, "method": {"ctor": "putnat", "args": [37]}},
+                {"site": 2, "method": {"ctor": "putnat", "args": [99]}}]}))
+    assert main(["simulate", str(path)]) == EXIT_PASS
+    assert {f["state"] for f in json.loads(capsys.readouterr().out)["finals"]} == {37}
+
+
 def test_simulate_missing_file_is_a_usage_error(capsys):
     assert main(["simulate", "no/such/file.scenario"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+no check rests on an `assert`, which `python -O` removes."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,11 @@ def test_no_unused_imports():
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
              for line, name in _unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, "assert statements:\n" + "\n".join(found)
