@@ -7,7 +7,6 @@ from .checker import (CheckReport, check_consistency, check_cp1,
                       check_cp1_restricted, check_cp2, check_cp2_restricted)
 from .composition import (ComposedComponent, dynamic_compose, is_update,
                           make_update, static_compose, transform_update,
-                          transform_method_vs_update, transform_update_vs_method,
                           update_addr, update_child_method, update_old)
 from .kernel import (Attribute, Component, apply, apply_seq, enabled, legal,
                      observe, transform, transform_seq)

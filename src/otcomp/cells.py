@@ -70,7 +70,6 @@ def make_cell_component(spec: CellComponentSpec) -> Component:
         it_fn=it_fn,
         enum_methods_fn=lambda b: [NOP] + [Method(put, (v,)) for v in spec.values(b)],
         enum_states_fn=lambda b: [Cell(None)] + [Cell(v) for v in spec.values(b)],
-        provenance=spec.name,
         value_type=type(spec.values(DEFAULT_BOUNDS)[0]),
     )
 

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .composition import ComposedComponent, is_update
-from .errors import BoundsExceeded, NotDisjoint, ReplayMismatch
+from .errors import BoundsExceeded, InvalidSpec, NotDisjoint, ReplayMismatch
 from . import kernel
 from .kernel import Component
 from .values import Method, StateValue, value_to_json
@@ -74,12 +74,6 @@ def _verdict(cases: int, witnesses: list) -> str:
     return "pass" if cases > 0 else "vacuous"
 
 
-def _guard_cases(estimate: int, b: Bounds) -> None:
-    if estimate > b.max_cases:
-        raise BoundsExceeded(
-            f"estimated {estimate} cases exceeds ceiling {b.max_cases}")
-
-
 class _Lazy(dict):
     """A dict that fills a missing key with `fill(key)` and keeps it."""
 
@@ -101,7 +95,8 @@ class _Compiled:
     `it[j][i]` is the id of transform(method i, method j), `do[i][s]` the id
     of apply(method i, state s), and `poss[i][s]` is enabled(method i,
     state s).  `joint[i1, i2]` lists the enumerated states, in order, on
-    which both orders of the pair are legal.
+    which both orders of the pair are legal.  An enumeration that repeats a
+    value would count its cases twice; it raises InvalidSpec.
     """
 
     def __init__(self, c: Component, b: Bounds):
@@ -123,11 +118,16 @@ class _Compiled:
             lambda s: kernel.enabled(c, method[i], state[s])))
         self.joint = _Lazy(lambda pair: [s for s in self.states
                                          if self.both_legal(s, *pair)])
-        self.methods = [self.mid(m) for m in c.enum_methods(b)]
+        self.methods = self._distinct("method", [self.mid(m) for m in c.enum_methods(b)])
 
     @cached_property
     def states(self) -> List[int]:
-        return [self.sid(st) for st in self.c.enum_states(self.b)]
+        return self._distinct("state", [self.sid(st) for st in self.c.enum_states(self.b)])
+
+    def _distinct(self, kind: str, ids: List[int]) -> List[int]:
+        if len(set(ids)) != len(ids):
+            raise InvalidSpec(f"{self.c.name}: its {kind} enumeration repeats a value")
+        return ids
 
     def mid(self, m: Method) -> int:
         i = self._mid.get(m)
@@ -164,7 +164,6 @@ def _cp1_sweep(t: _Compiled, name: str, m1s: List[int],
                m2s: List[int]) -> CheckReport:
     t0 = time.perf_counter()
     states = t.states
-    _guard_cases(len(states) * len(m1s) * len(m2s), t.b)
     it, do, poss = t.it, t.do, t.poss
     partners = [(i1, [i2 for i2 in m2s if t.concurrent(i1, i2)]) for i1 in m1s]
 
@@ -292,21 +291,38 @@ def _replay_cp2(t: _Compiled, joint_by_kernel: _Lazy, i1: int, i2: int,
     }
 
 
-def _cp2_cube(t: _Compiled, name: str, group: List[int]) -> CheckReport:
-    _guard_cases(len(group) ** 3, t.b)
-    return _cp2_sweep(t, name, [(group, group, group)])
+# A part of a check: its estimated case count, and the sweep that runs it.
+Part = Tuple[int, Callable[[], CheckReport]]
+
+
+def _cp1(t: _Compiled, name: str, m1s: List[int], m2s: List[int]) -> Part:
+    return (len(t.states) * len(m1s) * len(m2s),
+            lambda: _cp1_sweep(t, name, m1s, m2s))
+
+
+def _cp2_cube(t: _Compiled, name: str, group: List[int]) -> Part:
+    return len(group) ** 3, lambda: _cp2_sweep(t, name, [(group, group, group)])
+
+
+def _run(t: _Compiled, parts: List[Part]) -> List[CheckReport]:
+    """Sweep the parts, once every estimate is within the case ceiling."""
+    for estimate, _ in parts:
+        if estimate > t.b.max_cases:
+            raise BoundsExceeded(
+                f"estimated {estimate} cases exceeds ceiling {t.b.max_cases}")
+    return [sweep() for _, sweep in parts]
 
 
 def check_cp1(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Pair condition over every enumerated state and method pair."""
     t = _Compiled(c, b)
-    return _cp1_sweep(t, "CP1", t.methods, t.methods)
+    return _run(t, [_cp1(t, "CP1", t.methods, t.methods)])[0]
 
 
 def check_cp2(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Triple condition over every enumerated method triple (state-free)."""
     t = _Compiled(c, b)
-    return _cp2_cube(t, "CP2", t.methods)
+    return _run(t, [_cp2_cube(t, "CP2", t.methods)])[0]
 
 
 def _split(t: _Compiled, sub1, sub2) -> Tuple[List[int], List[int]]:
@@ -326,11 +342,9 @@ def _as_filter(sub) -> MethodFilter:
     return lambda m: m in frozen
 
 
-def _cp2_cross(t: _Compiled, name: str, g1: List[int],
-               g2: List[int]) -> CheckReport:
+def _cp2_cross(t: _Compiled, name: str, g1: List[int], g2: List[int]) -> Part:
     groups = {1: g1, 2: g2}
-    _guard_cases((len(g1) + len(g2)) ** 3, t.b)
-    return _cp2_sweep(t, name, [
+    return (len(g1) + len(g2)) ** 3, lambda: _cp2_sweep(t, name, [
         (groups[i], groups[j], groups[k])
         for i, j, k in itertools.product((1, 2), repeat=3) if not i == j == k])
 
@@ -339,7 +353,7 @@ def check_cp1_restricted(c: Component, sub1, sub2,
                          b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Pair condition over cross pairs only: one method from each subset."""
     t = _Compiled(c, b)
-    return _cp1_sweep(t, "CP1-restricted", *_split(t, sub1, sub2))
+    return _run(t, [_cp1(t, "CP1-restricted", *_split(t, sub1, sub2))])[0]
 
 
 def check_cp2_restricted(c: Component, sub1, sub2,
@@ -347,7 +361,7 @@ def check_cp2_restricted(c: Component, sub1, sub2,
     """Triple condition with (m1, m2, m3) drawn from the two subsets in every
     combination except all three from the same one."""
     t = _Compiled(c, b)
-    return _cp2_cross(t, "CP2-restricted", *_split(t, sub1, sub2))
+    return _run(t, [_cp2_cross(t, "CP2-restricted", *_split(t, sub1, sub2))])[0]
 
 
 def _aggregate(name: str, parts: List[CheckReport]) -> CheckReport:
@@ -369,20 +383,21 @@ def _aggregate(name: str, parts: List[CheckReport]) -> CheckReport:
 
 def check_consistency(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Both conditions; for a composed component the three-way decomposition
-    (update-only, container-only, cross) is run for each condition."""
+    (update-only, container-only, cross) is run for each condition.  No part
+    is swept unless every part is within the case ceiling."""
     t = _Compiled(c, b)
     if isinstance(c, ComposedComponent):
         updates = t.select(is_update)
         container = t.select(lambda m: not is_update(m))
         parts = [
-            _cp1_sweep(t, "CP1-updates", updates, updates),
-            _cp1_sweep(t, "CP1-container", container, container),
-            _cp1_sweep(t, "CP1-cross", updates, container),
+            _cp1(t, "CP1-updates", updates, updates),
+            _cp1(t, "CP1-container", container, container),
+            _cp1(t, "CP1-cross", updates, container),
             _cp2_cube(t, "CP2-updates", updates),
             _cp2_cube(t, "CP2-container", container),
             _cp2_cross(t, "CP2-cross", updates, container),
         ]
     else:
-        parts = [_cp1_sweep(t, "CP1", t.methods, t.methods),
+        parts = [_cp1(t, "CP1", t.methods, t.methods),
                  _cp2_cube(t, "CP2", t.methods)]
-    return _aggregate("consistency", parts)
+    return _aggregate("consistency", _run(t, parts))

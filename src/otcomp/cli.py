@@ -20,6 +20,7 @@ from typing import Optional
 
 from .bounds import Bounds
 from .checker import CheckReport, check_consistency, check_cp1, check_cp2
+from .composition import ComposedComponent
 from .errors import OtcompError
 from .registry import build, registry_names
 from .simulator import load_scenario, run_scenario
@@ -37,15 +38,8 @@ def _add_bounds_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _bounds_from(args) -> Bounds:
-    kwargs = {}
-    for field in ("alphabet", "nat_max", "universe", "max_len", "sites"):
-        v = getattr(args, field, None)
-        if v is not None:
-            kwargs[field] = v
-    env_cases = os.environ.get("OTCOMP_MAX_CASES")
-    if env_cases:
-        kwargs["max_cases"] = int(env_cases)
-    return Bounds(**kwargs)
+    fields = ("alphabet", "nat_max", "universe", "max_len", "sites")
+    return Bounds(**{f: getattr(args, f) for f in fields if getattr(args, f) is not None})
 
 
 def _emit_report(rep: CheckReport, args) -> None:
@@ -120,7 +114,7 @@ def cmd_demo_document(args) -> int:
     tower = build_document_tower()
     print(f"document tower ({len(tower)} components):")
     for name, comp in tower.items():
-        kind = "dynamic" if hasattr(comp, "pattern") and comp.pattern else "static"
+        kind = "dynamic" if isinstance(comp, ComposedComponent) else "static"
         print(f"  {name:12s} {kind:8s} method families: {len(comp.method_ctors):2d} "
               f"attributes: {len(comp.attributes)}")
     scenario, report = demo_word_scenario(tower)

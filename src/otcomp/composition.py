@@ -15,27 +15,25 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
-from .errors import (BoundsExceeded, ComponentMismatch, MissingCrossTable,
-                     NameClash)
+from .errors import BoundsExceeded, ComponentMismatch
 from .kernel import Attribute, Component
 from . import kernel
 from .patterns import CompositionPattern, Morphism, instantiate
-from .values import ADDRESS, METHOD, NOP, STATE, Method, Product, StateValue, product
+from .values import METHOD, NOP, POSITION, STATE, Method, Product, StateValue, product
 
 
 # ---------------------------------------------------------------------------
 # Static composition
 # ---------------------------------------------------------------------------
 
-def static_compose(*factors: Component, namespace: bool = True) -> Component:
+def static_compose(*factors: Component) -> Component:
     """Non-interacting product of two or more components.
 
-    Clashing constructor names are prefixed with the owning factor's name
-    (`nop` stays shared).  With namespace=False a clash raises NameClash.
+    Clashing constructor and attribute names are prefixed with the owning
+    factor's name (`nop` stays shared).
     """
     if len(factors) < 2:
         raise ValueError("static composition needs at least two factors")
@@ -45,9 +43,9 @@ def static_compose(*factors: Component, namespace: bool = True) -> Component:
     for i, f in enumerate(factors):
         for ctor in sorted(f.method_ctors):
             if ctor != "nop":
-                owner[_claim(owner, ctor, f, namespace, "method")] = (i, ctor)
+                owner[_claim(owner, ctor, f)] = (i, ctor)
         for aname, attr in f.attributes.items():
-            attr_owner[_claim(attr_owner, aname, f, namespace, "attribute")] = (i, attr)
+            attr_owner[_claim(attr_owner, aname, f)] = (i, attr)
     renamed = {v: k for k, v in owner.items()}  # inverse of owner
 
     def _unpack(m: Method) -> Tuple[int, Method]:
@@ -92,9 +90,8 @@ def static_compose(*factors: Component, namespace: bool = True) -> Component:
         for name, (i, attr) in attr_owner.items()
     }
 
-    provenance = " (+) ".join(f.provenance or f.name for f in factors)
     return Component(
-        name=provenance,
+        name=" (+) ".join(f.name for f in factors),
         method_ctors={"nop": (), **{name: factors[i].method_ctors[ctor]
                                     for name, (i, ctor) in owner.items()}},
         attributes=attributes,
@@ -105,19 +102,15 @@ def static_compose(*factors: Component, namespace: bool = True) -> Component:
         enum_methods_fn=enum_methods,
         enum_states_fn=enum_states,
         site_aware=any(f.site_aware for f in factors),
-        provenance=provenance,
         parts=tuple(factors),
         owner=owner,
     )
 
 
-def _claim(taken: dict, name: str, factor: Component, namespace: bool,
-           kind: str) -> str:
+def _claim(taken: dict, name: str, factor: Component) -> str:
     """`name`, prefixed with the factor's name if another factor has it."""
     if name not in taken:
         return name
-    if not namespace:
-        raise NameClash(f"{kind} {name!r} in more than one factor")
     out, k = f"{factor.name}.{name}", 2
     while out in taken:
         out, k = f"{factor.name}{k}.{name}", k + 1
@@ -149,9 +142,8 @@ def is_update(m: Method) -> bool:
     return m.ctor == "Update"
 
 
-@dataclass(eq=False)
 class ComposedComponent(Component):
-    pattern: CompositionPattern = None  # instantiated over the child, parts[0]
+    """A pattern instantiated over its child, parts[0], with Update grafted on."""
 
     def update_new(self, u: Method) -> StateValue:
         """The new child state carried implicitly by an update method."""
@@ -174,25 +166,16 @@ def transform_update(comp: ComposedComponent, u1: Method, u2: Method) -> Method:
     return u1
 
 
-def transform_update_vs_method(comp: ComposedComponent, u: Method,
-                               m: Method) -> Method:
-    if comp.pattern.it_update_vs_method is None:
-        raise MissingCrossTable(f"pattern {comp.pattern.name} has no cross table")
-    return comp.pattern.it_update_vs_method(u, m, comp.update_new(u))
-
-
-def transform_method_vs_update(comp: ComposedComponent, m: Method,
-                               u: Method) -> Method:
-    if comp.pattern.it_method_vs_update is None:
-        raise MissingCrossTable(f"pattern {comp.pattern.name} has no cross table")
-    return comp.pattern.it_method_vs_update(m, u, comp.update_new(u))
-
-
 def dynamic_compose(pattern: CompositionPattern, child: Component,
                     phi: Optional[Morphism] = None,
                     b: Bounds = DEFAULT_BOUNDS) -> ComposedComponent:
-    """Instantiate the pattern over the child and graft on the update method."""
+    """Instantiate the pattern over the child and graft on the update method.
+
+    `phi` and `b` are passed to `instantiate`.  Update declares its address
+    as a tuple of as many positions as the pattern's addresses have.
+    """
     base = instantiate(pattern, child, phi, b)
+    address = tuple(POSITION for _ in pattern.update_addrs(b)[0])
 
     # The closures read `comp`, which is bound below before any of them runs.
     def do_fn(m: Method, st: StateValue) -> StateValue:
@@ -211,9 +194,9 @@ def dynamic_compose(pattern: CompositionPattern, child: Component,
         if is_update(m1) and is_update(m2):
             return transform_update(comp, m1, m2)
         if is_update(m1):
-            return transform_update_vs_method(comp, m1, m2)
+            return pattern.it_update_vs_method(m1, m2, comp.update_new(m1))
         if is_update(m2):
-            return transform_method_vs_update(comp, m1, m2)
+            return pattern.it_method_vs_update(m1, m2, comp.update_new(m2))
         return kernel.transform(base, m1, m2)
 
     def enum_methods(b2: Bounds) -> List[Method]:
@@ -228,7 +211,7 @@ def dynamic_compose(pattern: CompositionPattern, child: Component,
 
     comp = ComposedComponent(
         name=f"{pattern.name}[{child.name}]",
-        method_ctors={**base.method_ctors, "Update": (ADDRESS, STATE, METHOD)},
+        method_ctors={**base.method_ctors, "Update": (address, STATE, METHOD)},
         attributes=base.attributes,  # updates add no attributes
         initial_state=base.initial_state,
         do_fn=do_fn,
@@ -237,6 +220,5 @@ def dynamic_compose(pattern: CompositionPattern, child: Component,
         enum_methods_fn=enum_methods,
         enum_states_fn=base.enum_states_fn,
         site_aware=base.site_aware or pattern.update_site_aware,
-        provenance=f"{pattern.name}[{child.provenance or child.name}]",
-        parts=(child,), pattern=pattern)
+        parts=(child,))
     return comp

@@ -33,16 +33,8 @@ class NotAdmissible(OtcompError):
     """Component failed the pattern's formal-parameter laws."""
 
 
-class NameClash(OtcompError):
-    """Constructor names collide and namespacing was disabled."""
-
-
 class ComponentMismatch(OtcompError):
     """Methods passed to a transform do not belong to the same component."""
-
-
-class MissingCrossTable(OtcompError):
-    """Pattern lacks its update-vs-method transform table."""
 
 
 class ReplayMismatch(OtcompError):

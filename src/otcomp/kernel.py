@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UnknownAttribute, UnknownMethod
-from .values import NOP, Method, StateValue, canon_key, display
+from .values import NOP, Method, StateValue, canon_key
 
 
 @dataclass
@@ -32,9 +32,10 @@ class Attribute:
 @dataclass(eq=False)
 class Component:
     name: str
-    # Constructor -> argument sorts (values.VALUE / POSITION / ADDRESS /
-    # STATE / METHOD), with `nop` declared as taking none.
-    method_ctors: Dict[str, Tuple[str, ...]]
+    # Constructor -> argument sorts (values.VALUE / POSITION / STATE / METHOD,
+    # or a tuple of POSITIONs for an address), with `nop` declared as taking
+    # none.
+    method_ctors: Dict[str, Tuple[Any, ...]]
     attributes: Dict[str, Attribute]
     initial_state: StateValue
     do_fn: Callable[[Method, StateValue], StateValue]
@@ -43,7 +44,6 @@ class Component:
     enum_methods_fn: Callable[[Bounds], List[Method]]
     enum_states_fn: Callable[[Bounds], List[StateValue]]
     site_aware: bool = False
-    provenance: str = ""
     # The element component of a pattern instance or dynamic composition, or
     # the factors of a static product.
     parts: Tuple["Component", ...] = ()
@@ -63,14 +63,9 @@ class Component:
     def enum_states(self, b: Bounds = DEFAULT_BOUNDS) -> List[StateValue]:
         return sorted(self.enum_states_fn(b), key=canon_key)
 
-    def declares(self, m: Method) -> bool:
-        return m.ctor in self.method_ctors
-
-    state_to_display = staticmethod(display)
-
 
 def _require_method(c: Component, m: Method) -> None:
-    if not isinstance(m, Method) or not c.declares(m):
+    if not isinstance(m, Method) or m.ctor not in c.method_ctors:
         ctor = getattr(m, "ctor", m)
         raise UnknownMethod(f"{ctor!r} is not a method of component {c.name!r}")
 

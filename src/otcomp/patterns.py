@@ -32,8 +32,8 @@ _ADMISSIBILITY_SWEEP_LIMIT = 1_000_000  # pairs a custom eq may be swept over
 class Morphism:
     """Binding of the pattern's element sort to a target component's states.
 
-    eq=None means canonical structural equality of the target states; a
-    custom predicate is only meaningful for admissibility checking.
+    eq=None means canonical structural equality of the target states, an
+    equivalence by construction; a custom predicate is swept on instantiation.
     """
 
     eq: Optional[Callable[[StateValue, StateValue], bool]] = None
@@ -41,19 +41,21 @@ class Morphism:
 
 @dataclass
 class CompositionPattern:
+    """A container whose formal element parameter must come with an
+    equivalence (the axioms eq-symmetric and eq-transitive)."""
+
     name: str
-    param_axioms: Tuple[str, ...]  # subset of {"eq-symmetric", "eq-transitive"}
     build_body: Callable[[Component], Component]
     # In-place element-edit semantics used by dynamic composition.
     # update_do / update_poss take (addr, old child, new child, container state).
     update_addrs: Callable[[Bounds], List[Tuple[Any, ...]]]
     update_do: Callable[[Tuple[Any, ...], StateValue, StateValue, StateValue], StateValue]
     update_poss: Callable[[Tuple[Any, ...], StateValue, StateValue, StateValue], bool]
-    update_site_aware: bool = False
     # Cross-transform tables: (update method, container method, new child) and
-    # the symmetric direction.  None marks a pattern without a table.
-    it_update_vs_method: Optional[Callable[[Method, Method, StateValue], Method]] = None
-    it_method_vs_update: Optional[Callable[[Method, Method, StateValue], Method]] = None
+    # the symmetric direction.
+    it_update_vs_method: Callable[[Method, Method, StateValue], Method]
+    it_method_vs_update: Callable[[Method, Method, StateValue], Method]
+    update_site_aware: bool = False
 
 
 @dataclass
@@ -71,7 +73,7 @@ def check_admissible(pattern: CompositionPattern, child: Component,
 
     Structural equality over canonical forms is an equivalence relation by
     construction, so only a duplicate-free enumeration needs verifying; a
-    custom equality is swept pairwise against the pattern's axioms.
+    custom equality is swept pairwise against both axioms.
     """
     states = child.enum_states(b)
     if len(states) < 2:
@@ -87,31 +89,32 @@ def check_admissible(pattern: CompositionPattern, child: Component,
     if n * n > _ADMISSIBILITY_SWEEP_LIMIT:
         raise BoundsExceeded(f"custom eq sweep over {n} states needs {n * n} pairs")
     eq = phi.eq
-    if "eq-symmetric" in pattern.param_axioms:
-        for x, y in itertools.product(states, repeat=2):
-            if eq(x, y) != eq(y, x):
-                return AdmissibilityReport(False, n, "eq-symmetric", (x, y))
-    if "eq-transitive" in pattern.param_axioms:
-        related = [(x, y) for x, y in itertools.product(states, repeat=2) if eq(x, y)]
-        succ: dict = {}
-        for x, y in related:
-            succ.setdefault(x, []).append(y)
-        for x, y in related:
-            for z in succ.get(y, []):
-                if not eq(x, z):
-                    return AdmissibilityReport(False, n, "eq-transitive", (x, y, z))
+    for x, y in itertools.product(states, repeat=2):
+        if eq(x, y) != eq(y, x):
+            return AdmissibilityReport(False, n, "eq-symmetric", (x, y))
+    related = [(x, y) for x, y in itertools.product(states, repeat=2) if eq(x, y)]
+    succ: dict = {}
+    for x, y in related:
+        succ.setdefault(x, []).append(y)
+    for x, y in related:
+        for z in succ.get(y, []):
+            if not eq(x, z):
+                return AdmissibilityReport(False, n, "eq-transitive", (x, y, z))
     return AdmissibilityReport(True, n)
 
 
 def instantiate(pattern: CompositionPattern, child: Component,
                 phi: Optional[Morphism] = None,
                 b: Bounds = DEFAULT_BOUNDS) -> Component:
-    """Bind the pattern's element sort to the child's states."""
-    report = check_admissible(pattern, child, phi, b)
-    if not report.ok:
-        raise NotAdmissible(
-            f"{child.name} fails {report.failed_axiom} for pattern {pattern.name}: "
-            f"witness {report.witness}")
+    """Bind the pattern's element sort to the child's states.  Only a custom
+    equality can break the pattern's axioms, so only it is swept (over the
+    child's states at `b`); under structural equality nothing is enumerated."""
+    if phi is not None and phi.eq is not None:
+        report = check_admissible(pattern, child, phi, b)
+        if not report.ok:
+            raise NotAdmissible(
+                f"{child.name} fails {report.failed_axiom} for pattern {pattern.name}: "
+                f"witness {report.witness}")
     return pattern.build_body(child)
 
 
@@ -164,7 +167,6 @@ def _set_body(child: Component, guarded: bool, name: str) -> Component:
         enum_methods_fn=enum_methods,
         enum_states_fn=enum_states,
         site_aware=child.site_aware,
-        provenance=name,
         parts=(child,),
     )
 
@@ -205,12 +207,10 @@ def set_pattern(variant: str = "guarded") -> CompositionPattern:
 
     return CompositionPattern(
         name=name,
-        param_axioms=("eq-symmetric", "eq-transitive"),
         build_body=lambda child: _set_body(child, guarded, name),
         update_addrs=lambda b: [()],  # the old element itself addresses the target
         update_do=lambda addr, old, new, st: SetOf((st.items - {old}) | {new}),
         update_poss=update_poss,
-        update_site_aware=False,
         it_update_vs_method=it_update_vs_method,
         it_method_vs_update=it_method_vs_update,
     )
@@ -306,7 +306,6 @@ def _string_body(child: Component) -> Component:
         enum_methods_fn=enum_methods,
         enum_states_fn=enum_states,
         site_aware=True,
-        provenance=name,
         parts=(child,),
     )
 
@@ -345,14 +344,13 @@ def string_pattern() -> CompositionPattern:
 
     return CompositionPattern(
         name="string",
-        param_axioms=("eq-symmetric", "eq-transitive"),
         build_body=_string_body,
         update_addrs=lambda b: [(p,) for p in range(b.max_len)],
         update_do=update_do,
         update_poss=update_poss,
-        update_site_aware=True,
         it_update_vs_method=it_update_vs_method,
         it_method_vs_update=it_method_vs_update,
+        update_site_aware=True,
     )
 
 
@@ -379,6 +377,5 @@ def token_component() -> Component:
         it_fn=lambda m1, m2: m1,
         enum_methods_fn=lambda b: [NOP],
         enum_states_fn=lambda b: [Opaque(t) for t in _token_names(b.universe)],
-        provenance="token",
         value_type=str,
     )

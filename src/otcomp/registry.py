@@ -54,74 +54,59 @@ def _tokenize(text: str) -> List[Tuple[str, int]]:
     return out
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+class _Builder:
+    """Recursive descent over the tokens that builds each component as soon
+    as its syntax is complete."""
+
+    def __init__(self, text: str, b: Bounds):
+        self.text, self.b = text, b
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> Optional[Tuple[str, int]]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
 
-    def take(self):
-        tok = self.peek()
-        if tok is None:
+    def take(self) -> Tuple[str, int]:
+        if self.i == len(self.tokens):
             raise ExprError("unexpected end of expression", len(self.text))
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            tok, pos = self.peek()
+    def build(self) -> Component:
+        c = self.expr()
+        if self.i < len(self.tokens):
+            tok, pos = self.tokens[self.i]
             raise ExprError(f"unexpected token {tok!r}", pos)
-        return node
+        return c
 
-    def expr(self):
+    def expr(self) -> Component:
         parts = [self.atom()]
-        while self.peek() is not None and self.peek()[0] == "(+)":
+        while self.peek() == "(+)":
             self.take()
             parts.append(self.atom())
-        return parts[0] if len(parts) == 1 else ("oplus", parts)
+        return parts[0] if len(parts) == 1 else static_compose(*parts)
 
-    def atom(self):
+    def atom(self) -> Component:
         tok, pos = self.take()
         if tok in ("(+)", "[", "]"):
             raise ExprError(f"expected a name, got {tok!r}", pos)
-        if self.peek() is not None and self.peek()[0] == "[":
+        if self.peek() == "[":
+            if tok not in PATTERNS:
+                raise ExprError(f"{tok!r} is not a pattern", pos)
             self.take()
-            inner = self.expr()
-            closing = self.peek()
-            if closing is None or closing[0] != "]":
+            child = self.expr()
+            if self.peek() != "]":
                 raise ExprError("missing ']'", pos)
             self.take()
-            return ("dyn", tok, pos, inner)
-        return ("name", tok, pos)
-
-
-def _eval(node, b: Bounds) -> Component:
-    kind = node[0]
-    if kind == "name":
-        _, name, pos = node
-        if name in COMPONENTS:
-            return COMPONENTS[name]()
-        if name in PATTERNS:
-            # Bare pattern over opaque tokens; admissibility needs two states
-            # even when the runtime universe is smaller.
-            check_b = b.with_(universe=max(2, b.universe))
-            return instantiate(PATTERNS[name](), token_component(), b=check_b)
-        raise ExprError(f"unknown name {name!r}", pos)
-    if kind == "dyn":
-        _, name, pos, inner = node
-        if name not in PATTERNS:
-            raise ExprError(f"{name!r} is not a pattern", pos)
-        child = _eval(inner, b)
-        return dynamic_compose(PATTERNS[name](), child, b=b)
-    if kind == "oplus":
-        return static_compose(*(_eval(p, b) for p in node[1]))
-    raise ExprError(f"bad expression node {kind!r}")
+            return dynamic_compose(PATTERNS[tok](), child, b=self.b)
+        if tok in COMPONENTS:
+            return COMPONENTS[tok]()
+        if tok in PATTERNS:  # a bare pattern holds opaque tokens
+            return instantiate(PATTERNS[tok](), token_component())
+        raise ExprError(f"unknown name {tok!r}", pos)
 
 
 def build(expr: str, b: Bounds = DEFAULT_BOUNDS) -> Component:
-    """Build the component denoted by a composition expression."""
-    return _eval(_Parser(expr).parse(), b)
+    """Build the component denoted by a composition expression; `b` is
+    passed to every dynamic composition."""
+    return _Builder(expr, b).build()

@@ -144,6 +144,9 @@ def load_scenario(source) -> Scenario:
                 data = json.load(f)
     try:
         ops = [(op["site"], op["method"]) for op in data["ops"]]
+        for site, _ in ops:
+            if type(site) is not int:
+                raise ScenarioError(f"{site!r} is not a site")
         return Scenario(
             component=data["component"],
             base=data["base"],

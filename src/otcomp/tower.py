@@ -14,37 +14,25 @@ from .patterns import string_pattern
 from .simulator import RunReport, Scenario, run_scenario
 from .values import Cell, Method, product, seq_of
 
-# Small bounds keep admissibility sweeps at the upper tiers tractable.
+# Small bounds keep the tower enumerable up to fparagraph (20,502 states).
 TOWER_BOUNDS = Bounds(alphabet=2, nat_max=1, colors=2, max_len=1, sites=2)
 
 
-def build_document_tower(b: Bounds = TOWER_BOUNDS) -> Dict[str, Component]:
-    """Build the nine components of the document hierarchy in order."""
-    string = string_pattern
-    fchar = static_compose(cchar(), cnat(), ccolor())
-    fchar.name = "fchar"
-    word = dynamic_compose(string(), fchar, b=b)
-    word.name = "word"
-    fword = static_compose(word, cnat(), ccolor())
-    fword.name = "fword"
-    sentence = dynamic_compose(string(), fword, b=b)
-    sentence.name = "sentence"
-    fsentence = static_compose(sentence, cnat(), ccolor())
-    fsentence.name = "fsentence"
-    paragraph = dynamic_compose(string(), fsentence, b=b)
-    paragraph.name = "paragraph"
-    fparagraph = static_compose(paragraph, cnat(), ccolor())
-    fparagraph.name = "fparagraph"
-    page = dynamic_compose(string(), fparagraph, b=b)
-    page.name = "page"
-    fpage = static_compose(page, cnat(), ccolor())
-    fpage.name = "fpage"
-    return {
-        "fchar": fchar, "word": word, "fword": fword,
-        "sentence": sentence, "fsentence": fsentence,
-        "paragraph": paragraph, "fparagraph": fparagraph,
-        "page": page, "fpage": fpage,
-    }
+def _named(c: Component, name: str) -> Component:
+    c.name = name
+    return c
+
+
+def build_document_tower() -> Dict[str, Component]:
+    """Build the nine components of the document hierarchy in order: each
+    level a string of the formatted level below, formatted in turn."""
+    tower: Dict[str, Component] = {}
+    below = tower["fchar"] = _named(static_compose(cchar(), cnat(), ccolor()), "fchar")
+    for level in ("word", "sentence", "paragraph", "page"):
+        seq = tower[level] = _named(dynamic_compose(string_pattern(), below), level)
+        below = tower["f" + level] = _named(static_compose(seq, cnat(), ccolor()),
+                                            "f" + level)
+    return tower
 
 
 def _fchar(ch: str, size: int = 1, color: str = "red"):

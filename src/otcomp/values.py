@@ -147,10 +147,10 @@ def value_from_json(obj: Any) -> Any:
 
 # Argument sorts of a method constructor, as declared in
 # Component.method_ctors.  Plain data is a VALUE (of the component's own
-# `value_type`, as a cell's write carries), a POSITION (an int) or an ADDRESS
-# (a tuple of positions); a STATE or a METHOD is one of the element component
-# (the component's only part).
-VALUE, POSITION, ADDRESS = "value", "position", "address"
+# `value_type`, as a cell's write carries), a POSITION (an int) or an address,
+# declared as a tuple of as many POSITIONs as it has; a STATE or a METHOD is
+# one of the element component (the component's only part).
+VALUE, POSITION = "value", "position"
 STATE, METHOD = "state", "method"
 
 # The canonical form's key for each kind of state.
@@ -186,8 +186,9 @@ def decode_method(c, obj: Any) -> Method:
     """Read a method of component c from its value_to_json form.
 
     Arguments are read by the sorts c declares for the constructor, plain
-    data checked against its sort (ValueError otherwise), and a static
-    product hands the method to the factor owning its constructor.
+    data checked against its sort and a method's own site against being an
+    int (ValueError otherwise), and a static product hands the method to
+    the factor owning its constructor.
     """
     if isinstance(obj, Method):
         return obj
@@ -201,19 +202,23 @@ def decode_method(c, obj: Any) -> Method:
     sorts = c.method_ctors.get(ctor)
     if sorts is None or len(args) != len(sorts):
         raise ValueError(f"cannot read {obj!r} as a method of {c.name}")
+    site = obj.get("site")
+    if site is not None and type(site) is not int:
+        raise ValueError(f"{site!r} is not a site")
     return Method(ctor, tuple(
         decode_state(c.parts[0], a) if sort == STATE else
         decode_method(c.parts[0], a) if sort == METHOD else
         _typed(c, sort, value_from_json(a))
-        for sort, a in zip(sorts, args)), obj.get("site"))
+        for sort, a in zip(sorts, args)), site)
 
 
-def _typed(c, sort: str, v: Any) -> Any:
+def _typed(c, sort, v: Any) -> Any:
     """v, if it is plain data of the given sort for component c."""
-    if sort == POSITION:
+    if type(sort) is tuple:  # an address
+        ok = type(v) is tuple and len(v) == len(sort) and all(type(p) is int for p in v)
+        sort = f"{len(sort)}-position address"
+    elif sort == POSITION:
         ok = type(v) is int
-    elif sort == ADDRESS:
-        ok = type(v) is tuple and all(type(p) is int for p in v)
     else:
         ok = c.value_type is None or type(v) is c.value_type
     if not ok:

@@ -25,7 +25,7 @@ from otcomp.composition import (dynamic_compose, is_update, make_update,
 from otcomp.patterns import check_admissible, string_pattern
 from otcomp.registry import build
 from otcomp.simulator import Scenario, load_scenario, run_scenario
-from otcomp.values import (Cell, Method, SetOf, set_of, value_from_json)
+from otcomp.values import (Cell, Method, SetOf, display, set_of, value_from_json)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -57,7 +57,7 @@ def test_criterion_1_concurrent_insert_delete_converges():
         assert t == Method("Del", (6,), 2)
         rep = run_scenario(load_scenario(_bundled("insert_delete_transformed.scenario")), component=c)
         assert rep.converged and rep.fully_legal
-        assert {c.state_to_display(s) for _, s in rep.finals} == {"effect"}
+        assert {display(s) for _, s in rep.finals} == {"effect"}
 
 
 def test_criterion_2_untransformed_edits_diverge():
@@ -66,7 +66,7 @@ def test_criterion_2_untransformed_edits_diverge():
         rep = run_scenario(load_scenario(_bundled("insert_delete_untransformed.scenario")),
                            component=c)
         assert not rep.converged
-        finals = {tuple(o): c.state_to_display(s) for o, s in rep.finals}
+        finals = {tuple(o): display(s) for o, s in rep.finals}
         assert finals == {(0, 1): "effece", (1, 0): "effect"}
 
 

@@ -15,9 +15,10 @@ from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar
 from otcomp.checker import (check_consistency, check_cp1, check_cp1_restricted,
                             check_cp2, check_cp2_restricted)
-from otcomp.errors import BoundsExceeded, NotDisjoint
+from otcomp.errors import BoundsExceeded, InvalidSpec, NotDisjoint
+from otcomp.patterns import set_pattern
 from otcomp.registry import build
-from otcomp.values import Method, value_from_json
+from otcomp.values import Cell, Method, value_from_json
 
 B = DEFAULT_BOUNDS
 
@@ -175,3 +176,28 @@ def test_a_witness_that_does_not_replay_raises_under_python_o():
 def test_masked_reports_have_zero_elapsed():
     data = check_cp1(cchar()).to_json(mask_elapsed=True)
     assert data["elapsed_ms"] == 0.0
+
+
+def test_an_enumeration_that_repeats_a_value_is_rejected():
+    c = cchar()
+    states = c.enum_states_fn
+    c.enum_states_fn = lambda b: states(b) + [Cell("a")]
+    with pytest.raises(InvalidSpec, match="repeats"):
+        check_cp1(c)
+    # A pattern over such a child repeats the methods built from its states.
+    with pytest.raises(InvalidSpec, match="repeats"):
+        check_cp2(set_pattern("guarded").build_body(c))
+
+
+def test_every_ceiling_is_checked_before_the_first_sweep(monkeypatch):
+    # The CP2-cross part alone exceeds the ceiling; nothing may be swept.
+    b = B.with_(sites=4)
+    c = build("string[cchar]", b)
+
+    def swept(*args):
+        raise RuntimeError("swept before every part's estimate was checked")
+
+    for name in ("apply", "enabled", "transform"):
+        monkeypatch.setattr(kernel, name, swept)
+    with pytest.raises(BoundsExceeded, match="19465109"):
+        check_consistency(c, b)

@@ -34,10 +34,10 @@ def test_check_unknown_name_is_a_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_check_case_ceiling_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("OTCOMP_MAX_CASES", "10")
-    assert main(["check", "cchar", "--property", "cp1"]) == EXIT_USAGE
-    assert "error" in capsys.readouterr().err
+def test_check_case_ceiling_exits_3(capsys):
+    assert main(["check", "string[cchar]", "--sites", "4",
+                 "--property", "cp2"]) == EXIT_USAGE
+    assert "exceeds ceiling" in capsys.readouterr().err
 
 
 def test_check_text_format(capsys):
@@ -112,6 +112,49 @@ def test_simulate_badly_typed_data_is_a_usage_error(tmp_path, capsys):
                 {"site": 2, "method": {"ctor": "putnat", "args": [99]}}]}))
     assert main(["simulate", str(path)]) == EXIT_PASS
     assert {f["state"] for f in json.loads(capsys.readouterr().out)["finals"]} == {37}
+
+
+def test_simulate_badly_typed_site_is_a_usage_error(tmp_path, capsys):
+    # A site that is not an int, on the op or on the method itself, ends
+    # without the check in a TypeError when two inserts compare sites.
+    ins = {"ctor": "Ins", "args": [0, "c"]}
+    cases = [("x", ins, "'x' is not a site"),
+             (True, ins, "True is not a site"),
+             (1, {**ins, "site": "q"}, "'q' is not a site"),
+             (1, {**ins, "site": True}, "True is not a site")]
+    path = tmp_path / "sites.scenario"
+    for site, method, message in cases:
+        path.write_text(json.dumps({
+            "component": "string[cchar]", "base": "ab",
+            "ops": [{"site": site, "method": method},
+                    {"site": 2, "method": {"ctor": "Ins", "args": [0, "d"]}}]}))
+        assert main(["simulate", str(path)]) == EXIT_USAGE, (site, method)
+        assert message in capsys.readouterr().err
+
+
+def test_simulate_update_address_of_the_wrong_length_is_a_usage_error(tmp_path, capsys):
+    def update(addr):
+        return {"ctor": "Update",
+                "args": [addr, "a", {"ctor": "putchar", "args": ["c"]}]}
+
+    cases = [("string[cchar]", "ab", [], "() is not a 1-position address"),
+             ("string[cchar]", "ab", [0, 1], "(0, 1) is not a 1-position address"),
+             ("set-guarded[cchar]", ["a"], [0], "(0,) is not a 0-position address")]
+    path = tmp_path / "update.scenario"
+    for component, base, addr, message in cases:
+        path.write_text(json.dumps({
+            "component": component, "base": base,
+            "ops": [{"site": 1, "method": update(addr)},
+                    {"site": 2, "method": update(addr)}]}))
+        assert main(["simulate", str(path)]) == EXIT_USAGE, (component, addr)
+        assert message in capsys.readouterr().err
+    # the right length still runs
+    path.write_text(json.dumps({
+        "component": "string[cchar]", "base": "ab",
+        "ops": [{"site": 1, "method": update([0])},
+                {"site": 2, "method": {"ctor": "Del", "args": [1]}}]}))
+    assert main(["simulate", str(path)]) == EXIT_PASS
+    assert {f["state"] for f in json.loads(capsys.readouterr().out)["finals"]} == {"c"}
 
 
 def test_simulate_missing_file_is_a_usage_error(capsys):

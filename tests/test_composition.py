@@ -1,17 +1,14 @@
 """Static products and dynamic (in-place edit) composition."""
 
-import dataclasses
-
 import pytest
 
 from otcomp import kernel
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar, ccolor, cnat
 from otcomp.composition import (dynamic_compose, is_update, make_update,
-                                static_compose, transform_update,
-                                transform_update_vs_method, update_addr,
+                                static_compose, transform_update, update_addr,
                                 update_child_method, update_old)
-from otcomp.errors import ComponentMismatch, MissingCrossTable, NameClash
+from otcomp.errors import ComponentMismatch
 from otcomp.patterns import set_pattern, string_pattern
 from otcomp.values import NOP, Cell, Method, Product, SetOf, product, set_of
 
@@ -64,11 +61,6 @@ def test_duplicate_factor_names_are_prefixed():
     s = kernel.apply(c, Method("cchar.putchar", ("b",)),
                      product([Cell(None), Cell(None)]))
     assert s == product([Cell(None), Cell("b")])
-
-
-def test_clash_without_namespacing_is_an_error():
-    with pytest.raises(NameClash):
-        static_compose(cchar(), cchar(), namespace=False)
 
 
 def test_at_least_two_factors():
@@ -148,14 +140,6 @@ def test_unrelated_method_and_update_ignore_each_other(setchar):
     add = Method("add", (Cell("c"),))
     assert kernel.transform(setchar, u, add) == u
     assert kernel.transform(setchar, add, u) == add
-
-
-def test_missing_cross_table_is_reported(setchar):
-    bare = dataclasses.replace(setchar.pattern, it_update_vs_method=None)
-    crippled = dataclasses.replace(setchar, pattern=bare)
-    with pytest.raises(MissingCrossTable):
-        transform_update_vs_method(crippled, _upd("a", "b"),
-                                   Method("add", (Cell("c"),)))
 
 
 def test_update_methods_are_enumerated(setchar):

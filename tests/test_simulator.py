@@ -10,7 +10,7 @@ from otcomp.errors import ScenarioError, TooManyPermutations
 from otcomp.registry import build
 from otcomp.simulator import (Scenario, integrate, load_scenario,
                               run_scenario)
-from otcomp.values import Cell, Method, SetOf, set_of
+from otcomp.values import Cell, Method, SetOf, display, set_of
 
 
 def _string_scenario(transform=True):
@@ -25,15 +25,13 @@ def _string_scenario(transform=True):
 def test_concurrent_insert_delete_converges():
     rep = run_scenario(_string_scenario())
     assert rep.converged and rep.fully_legal
-    c = build("string[cchar]")
-    assert c.state_to_display(rep.final_state()) == "effect"
+    assert display(rep.final_state()) == "effect"
 
 
 def test_without_transformation_the_same_edits_diverge():
     rep = run_scenario(_string_scenario(transform=False))
     assert not rep.converged
-    c = build("string[cchar]")
-    finals = {c.state_to_display(s) for _, s in rep.finals}
+    finals = {display(s) for _, s in rep.finals}
     assert finals == {"effece", "effect"}
 
 

@@ -44,6 +44,6 @@ def test_word_demo_scenario_converges(tower):
 
 
 def test_states_stay_enumerable_at_tower_bounds(tower):
-    # The top of the tower still enumerates (the admissibility checks that
-    # ran during construction depend on this).
+    # Building the tower enumerates nothing, but its top must still
+    # enumerate at these bounds for a check or a sweep to reach it.
     assert len(tower["fpage"].enum_states(TOWER_BOUNDS)) > 2
