@@ -10,7 +10,7 @@ class Bounds:
     """Finite enumeration limits.
 
     At these defaults the slowest bundled check, `check_consistency` on
-    `string[cchar]` (1,362,998 cases), took about 1 s on a 2-vCPU Xeon VM, and
+    `string[cchar]` (1,362,998 cases), took about 0.55 s on a 2-vCPU Xeon VM, and
     every other bundled component under 0.1 s.  CP2 is cubic in the method
     count, so raising a bound that grows the methods grows it fast.
     """

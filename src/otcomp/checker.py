@@ -18,17 +18,21 @@ Nothing outlives the call.
 
 Every failing case is replayed through the public kernel before it is
 emitted, which cross-checks the tables: both final states or transformed
-methods, and for a triple its realizability verdict, re-decided by scanning
-the enumerated states.  A disagreement raises ReplayMismatch.
+methods, and for a triple its realizability verdict.  The replay re-derives
+what a triple shares once: for each method, the enumerated states the
+kernel enables it on, and for each (m1, m2) pair, its two transformed
+sequences and the states on which both are legal; it reads none of the
+tables to do so.  A disagreement raises ReplayMismatch.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .composition import ComposedComponent, is_update
@@ -94,9 +98,16 @@ class _Compiled:
 
     `it[j][i]` is the id of transform(method i, method j), `do[i][s]` the id
     of apply(method i, state s), and `poss[i][s]` is enabled(method i,
-    state s).  `joint[i1, i2]` lists the enumerated states, in order, on
-    which both orders of the pair are legal.  An enumeration that repeats a
-    value would count its cases twice; it raises InvalidSpec.
+    state s).  `enables[i]` is the set of enumerated states that poss
+    enables method i on, and `joint[i1, i2]` the set of those on which both
+    orders of the pair are legal.
+
+    The replay's view is kept apart and filled by the public kernel alone:
+    `kernel_enables[i]` as `enables[i]`, and `kernel_pair[i1, i2]` holds
+    the pair's two transformed sequences and its jointly legal states.
+    `json[i]` is the report form of method i, shared by every entry that
+    names it.  An enumeration that repeats a value would count its cases
+    twice; it raises InvalidSpec.
     """
 
     def __init__(self, c: Component, b: Bounds):
@@ -116,8 +127,13 @@ class _Compiled:
             lambda s: self.sid(kernel.apply(c, method[i], state[s]))))
         self.poss = _Lazy(lambda i: _Lazy(
             lambda s: kernel.enabled(c, method[i], state[s])))
-        self.joint = _Lazy(lambda pair: [s for s in self.states
-                                         if self.both_legal(s, *pair)])
+        self.enables = _Lazy(lambda i: frozenset(
+            s for s in self.states if self.poss[i][s]))
+        self.joint = _Lazy(self._joint)
+        self.kernel_enables = _Lazy(lambda i: frozenset(
+            s for s in self.states if kernel.enabled(c, method[i], state[s])))
+        self.kernel_pair = _Lazy(self._kernel_pair)
+        self.json = _Lazy(lambda i: value_to_json(method[i]))
         self.methods = self._distinct("method", [self.mid(m) for m in c.enum_methods(b)])
 
     @cached_property
@@ -148,13 +164,26 @@ class _Compiled:
         a, b = self.site[i], self.site[j]
         return a is None or b is None or a != b
 
-    def both_legal(self, s: int, i1: int, i2: int) -> bool:
-        """Both [m1, m2 transformed against m1] and [m2, m1 transformed
-        against m2] are legal from state s."""
-        it, do, poss = self.it, self.do, self.poss
-        t21, t12 = it[i1][i2], it[i2][i1]
-        return (poss[i1][s] and poss[t21][do[i1][s]]
-                and poss[i2][s] and poss[t12][do[i2][s]])
+    def _joint(self, pair: Tuple[int, int]) -> FrozenSet[int]:
+        """The states on which both [m1, m2 transformed against m1] and
+        [m2, m1 transformed against m2] are legal, by the tables."""
+        i1, i2 = pair
+        do, poss = self.do, self.poss
+        t21, t12 = self.it[i1][i2], self.it[i2][i1]
+        return frozenset(s for s in self.enables[i1] & self.enables[i2]
+                         if poss[t21][do[i1][s]] and poss[t12][do[i2][s]])
+
+    def _kernel_pair(self, pair: Tuple[int, int]):
+        """The pair's two transformed sequences and its jointly legal
+        states, decided through the public kernel."""
+        i1, i2 = pair
+        c, m1, m2 = self.c, self.method[i1], self.method[i2]
+        seq1, seq2 = _pair_seqs(c, m1, m2)
+        joint = frozenset(
+            s for s in self.kernel_enables[i1] & self.kernel_enables[i2]
+            if kernel.enabled(c, seq1[1], kernel.apply(c, m1, self.state[s]))
+            and kernel.enabled(c, seq2[1], kernel.apply(c, m2, self.state[s])))
+        return seq1, seq2, joint
 
     def select(self, f: MethodFilter) -> List[int]:
         return [i for i in self.methods if f(self.method[i])]
@@ -204,7 +233,7 @@ def _replay_cp1(t: _Compiled, s: int, i1: int, i2: int, left: int,
         _mismatch("CP1", (m1, m2), f"final states {got}")
     return {
         "state": value_to_json(st),
-        "methods": [value_to_json(m1), value_to_json(m2)],
+        "methods": [t.json[i1], t.json[i2]],
         "left": value_to_json(got[0]),
         "right": value_to_json(got[1]),
     }
@@ -233,60 +262,55 @@ def _cp2_sweep(t: _Compiled, name: str, blocks: Blocks) -> CheckReport:
     cases = 0
     failing: List[Tuple[int, int, int, int, int]] = []
     for g1, g2, g3 in blocks:
-        # via[i]: m3 transformed against method i, for every m3 in g3
-        via = _Lazy(lambda i: [it[i][i3] for i3 in g3])
+        # via[i] takes the IT column of a method m to the tuple, over m3 in
+        # g3, of m3 transformed against method i and then against m.
+        via = _Lazy(lambda i: _values_at([it[i][i3] for i3 in g3]))
         for i1 in g1:
             for i2 in g2:
                 if not t.concurrent(i1, i2):
                     continue
                 cases += len(g3)
-                after21, after12 = it[it[i1][i2]], it[it[i2][i1]]
-                lefts = [after21[k] for k in via[i1]]
-                rights = [after12[k] for k in via[i2]]
+                lefts = via[i1](it[it[i1][i2]])
+                rights = via[i2](it[it[i2][i1]])
                 if lefts != rights:
                     failing.extend((i1, i2, i3, left, right) for i3, left, right
                                    in zip(g3, lefts, rights) if left != right)
 
     witnesses: List[dict] = []
     unrealizable: List[dict] = []
-    joint_by_kernel = _Lazy(lambda pair: _kernel_joint(t, *pair))
     for i1, i2, i3, left, right in failing:
-        entry = _replay_cp2(t, joint_by_kernel, i1, i2, i3, left, right)
+        entry = _replay_cp2(t, i1, i2, i3, left, right)
         (witnesses if entry["realizable"] else unrealizable).append(entry)
     return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
                        (time.perf_counter() - t0) * 1000.0, cases,
                        unrealizable=unrealizable)
 
 
-def _kernel_joint(t: _Compiled, i1: int, i2: int) -> List[StateValue]:
-    """The enumerated states on which both orders of the pair are legal,
-    decided through the public kernel."""
-    seq1, seq2 = _pair_seqs(t.c, t.method[i1], t.method[i2])
-    states = [t.state[s] for s in t.states]
-    return [st for st in states
-            if kernel.legal(t.c, seq1, st) and kernel.legal(t.c, seq2, st)]
+def _values_at(keys: List[int]) -> Callable[[dict], tuple]:
+    """A function giving the tuple of a dict's values at the keys."""
+    if len(keys) > 1:
+        return operator.itemgetter(*keys)
+    return lambda d: tuple(d[k] for k in keys)
 
 
-def _replay_cp2(t: _Compiled, joint_by_kernel: _Lazy, i1: int, i2: int,
-                i3: int, left: int, right: int) -> dict:
+def _replay_cp2(t: _Compiled, i1: int, i2: int, i3: int, left: int,
+                right: int) -> dict:
     """Re-derive a failing triple and its realizability through the public
     kernel; its report entry."""
-    c = t.c
-    m1, m2, m3 = t.method[i1], t.method[i2], t.method[i3]
-    seq1, seq2 = _pair_seqs(c, m1, m2)
+    c, m3 = t.c, t.method[i3]
+    triple = (t.method[i1], t.method[i2], m3)
+    seq1, seq2, joint = t.kernel_pair[i1, i2]
     got = (kernel.transform_seq(c, m3, seq1), kernel.transform_seq(c, m3, seq2))
     if got != (t.method[left], t.method[right]) or got[0] == got[1]:
-        _mismatch("CP2", (m1, m2, m3), f"transformed methods {got}")
-    poss3 = t.poss[i3]
-    realizable = any(poss3[s] for s in t.joint[i1, i2])
-    if realizable != any(kernel.enabled(c, m3, st)
-                         for st in joint_by_kernel[i1, i2]):
-        _mismatch("CP2", (m1, m2, m3), f"realizable is {realizable} by the tables")
+        _mismatch("CP2", triple, f"transformed methods {got}")
+    realizable = not t.joint[i1, i2].isdisjoint(t.enables[i3])
+    if realizable != (not joint.isdisjoint(t.kernel_enables[i3])):
+        _mismatch("CP2", triple, f"realizable is {realizable} by the tables")
     return {
         "state": None,
-        "methods": [value_to_json(m1), value_to_json(m2), value_to_json(m3)],
-        "left": value_to_json(got[0]),
-        "right": value_to_json(got[1]),
+        "methods": [t.json[i1], t.json[i2], t.json[i3]],
+        "left": t.json[left],
+        "right": t.json[right],
         "realizable": realizable,
     }
 

@@ -57,22 +57,24 @@ def static_compose(*factors: Component) -> Component:
             return NOP
         return Method(renamed[i, m.ctor], m.args, m.site)
 
+    # The kernel has checked m's ctor against the product's method_ctors and
+    # answered `nop` itself, so a factor's own functions are called directly.
     def do_fn(m: Method, st: Product) -> Product:
         i, inner = _unpack(m)
         items = list(st.items)
-        items[i] = kernel.apply(factors[i], inner, items[i])
+        items[i] = factors[i].do_fn(inner, items[i])
         return Product(tuple(items))
 
     def poss_fn(m: Method, st: Product) -> bool:
         i, inner = _unpack(m)
-        return kernel.enabled(factors[i], inner, st.items[i])
+        return factors[i].poss_fn(inner, st.items[i])
 
     def it_fn(m1: Method, m2: Method) -> Method:
         i1, inner1 = _unpack(m1)
         i2, inner2 = _unpack(m2)
         if i1 != i2:
             return m1  # factors do not interact
-        return _pack(i1, kernel.transform(factors[i1], inner1, inner2))
+        return _pack(i1, factors[i1].it_fn(inner1, inner2))
 
     def enum_methods(b: Bounds) -> List[Method]:
         out = [NOP]
@@ -178,17 +180,20 @@ def dynamic_compose(pattern: CompositionPattern, child: Component,
     address = tuple(POSITION for _ in pattern.update_addrs(b)[0])
 
     # The closures read `comp`, which is bound below before any of them runs.
+    # The kernel has checked each method's ctor and answered `nop`, so the
+    # base's own functions are called directly; an Update's child method is
+    # checked by `update_new`.
     def do_fn(m: Method, st: StateValue) -> StateValue:
         if is_update(m):
             return pattern.update_do(update_addr(m), update_old(m),
                                      comp.update_new(m), st)
-        return kernel.apply(base, m, st)
+        return base.do_fn(m, st)
 
     def poss_fn(m: Method, st: StateValue) -> bool:
         if is_update(m):
             return pattern.update_poss(update_addr(m), update_old(m),
                                        comp.update_new(m), st)
-        return kernel.enabled(base, m, st)
+        return base.poss_fn(m, st)
 
     def it_fn(m1: Method, m2: Method) -> Method:
         if is_update(m1) and is_update(m2):
@@ -197,7 +202,7 @@ def dynamic_compose(pattern: CompositionPattern, child: Component,
             return pattern.it_update_vs_method(m1, m2, comp.update_new(m1))
         if is_update(m2):
             return pattern.it_method_vs_update(m1, m2, comp.update_new(m2))
-        return kernel.transform(base, m1, m2)
+        return base.it_fn(m1, m2)
 
     def enum_methods(b2: Bounds) -> List[Method]:
         # addresses x old child states x child methods x sites

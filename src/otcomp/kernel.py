@@ -10,6 +10,7 @@ immutable and every operation here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
@@ -53,15 +54,16 @@ class Component:
     # None leaves them unchecked when read from JSON.
     value_type: Optional[type] = None
 
+    # Each sort keys its list with one memo, whose ids the list keeps alive.
     def enum_methods(self, b: Bounds = DEFAULT_BOUNDS) -> List[Method]:
         methods = self.enum_methods_fn(b)
         if len(methods) > b.max_methods:
             raise BoundsExceeded(f"{self.name}: {len(methods)} methods exceed "
                                  f"the ceiling {b.max_methods}")
-        return sorted(methods, key=canon_key)
+        return sorted(methods, key=partial(canon_key, memo={}))
 
     def enum_states(self, b: Bounds = DEFAULT_BOUNDS) -> List[StateValue]:
-        return sorted(self.enum_states_fn(b), key=canon_key)
+        return sorted(self.enum_states_fn(b), key=partial(canon_key, memo={}))
 
 
 def _require_method(c: Component, m: Method) -> None:

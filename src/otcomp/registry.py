@@ -46,8 +46,10 @@ def _tokenize(text: str) -> List[Tuple[str, int]]:
     while pos < len(text):
         m = _TOKENS.match(text, pos)
         if m is None:
-            if text[pos:].strip():
-                raise ExprError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ExprError(f"unexpected character {rest[0]!r}",
+                                len(text) - len(rest))
             break
         out.append((m.group(1), m.start(1)))
         pos = m.end()

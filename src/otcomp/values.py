@@ -67,32 +67,46 @@ class Method:
 NOP = Method("nop")
 
 
-def canon_key(v: Any):
-    """Total order key over heterogeneous values, states and methods."""
+def canon_key(v: Any, memo: Optional[dict] = None):
+    """Total order key over heterogeneous values, states and methods.
+
+    A sort over values that share sub-values passes one `memo` for the whole
+    sort: it maps the id of each value keyed so far to its key, so a shared
+    sub-value is keyed once.  Ids are only sound while the values live, so
+    the memo must not outlive them.
+    """
+    if memo is not None:
+        key = memo.get(id(v))
+        if key is not None:
+            return key
     if v is None:
-        return ("0none",)
-    if isinstance(v, bool):
-        return ("1scal", "b", int(v))
-    if isinstance(v, (int, float)):
-        return ("1scal", "n", v)
-    if isinstance(v, str):
-        return ("1scal", "s", v)
-    if isinstance(v, Cell):
-        return ("2cell", canon_key(v.value))
-    if isinstance(v, Opaque):
-        return ("3atom", canon_key(v.value))
-    if isinstance(v, SetOf):
-        return ("4set", tuple(sorted(canon_key(x) for x in v.items)))
-    if isinstance(v, SeqOf):
-        return ("5seq", tuple(canon_key(x) for x in v.items))
-    if isinstance(v, Product):
-        return ("6prod", tuple(canon_key(x) for x in v.items))
-    if isinstance(v, Method):
-        return ("7meth", v.ctor, tuple(canon_key(a) for a in v.args),
-                -1 if v.site is None else v.site)
-    if isinstance(v, tuple):
-        return ("8tup", tuple(canon_key(x) for x in v))
-    raise TypeError(f"no canonical order for {type(v).__name__}")
+        key = ("0none",)
+    elif isinstance(v, bool):
+        key = ("1scal", "b", int(v))
+    elif isinstance(v, (int, float)):
+        key = ("1scal", "n", v)
+    elif isinstance(v, str):
+        key = ("1scal", "s", v)
+    elif isinstance(v, Cell):
+        key = ("2cell", canon_key(v.value, memo))
+    elif isinstance(v, Opaque):
+        key = ("3atom", canon_key(v.value, memo))
+    elif isinstance(v, SetOf):
+        key = ("4set", tuple(sorted(canon_key(x, memo) for x in v.items)))
+    elif isinstance(v, SeqOf):
+        key = ("5seq", tuple(canon_key(x, memo) for x in v.items))
+    elif isinstance(v, Product):
+        key = ("6prod", tuple(canon_key(x, memo) for x in v.items))
+    elif isinstance(v, Method):
+        key = ("7meth", v.ctor, tuple(canon_key(a, memo) for a in v.args),
+               -1 if v.site is None else v.site)
+    elif isinstance(v, tuple):
+        key = ("8tup", tuple(canon_key(x, memo) for x in v))
+    else:
+        raise TypeError(f"no canonical order for {type(v).__name__}")
+    if memo is not None:
+        memo[id(v)] = key
+    return key
 
 
 def value_to_json(v: Any) -> Any:

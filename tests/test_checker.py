@@ -137,10 +137,19 @@ def test_aggregate_fails_when_any_part_fails():
     assert all(w["part"] for w in rep.witnesses)
 
 
+def _under_python_o(script: str) -> str:
+    """What a check script prints when run with assertions stripped."""
+    env = {**os.environ, "PYTHONPATH": str(Path(otcomp.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
 def test_a_witness_that_does_not_replay_raises_under_python_o():
     # it_fn answers each pair once as the component does, then differently:
     # the replay through the kernel disagrees with the checked case.
-    script = textwrap.dedent("""
+    out = _under_python_o("""
         import dataclasses
         from otcomp.bounds import DEFAULT_BOUNDS
         from otcomp.checker import check_cp1
@@ -166,11 +175,44 @@ def test_a_witness_that_does_not_replay_raises_under_python_o():
         else:
             print("reported")
     """)
-    env = {**os.environ, "PYTHONPATH": str(Path(otcomp.__file__).parent.parent)}
-    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.startswith("raised: CP1 case"), run.stdout
+    assert out.startswith("raised: CP1 case"), out
+
+
+def test_a_realizability_that_does_not_replay_raises_under_python_o():
+    # The triple (put a on the element None, put b on it, any Update of the
+    # element 'a') fails CP2 and is unrealizable: the pair is jointly legal
+    # only on {None} and {None, 'c'}, where the third Update has no target.
+    # poss_fn answers whether that Update is enabled on {None} as the
+    # component does on its first call and the opposite from its second on,
+    # so the tables and the replay disagree on the triple's realizability.
+    out = _under_python_o("""
+        import dataclasses
+        from otcomp.checker import check_cp2
+        from otcomp.composition import make_update
+        from otcomp.errors import ReplayMismatch
+        from otcomp.registry import build
+        from otcomp.values import NOP, Cell, set_of
+
+        base = build("set-guarded[cchar]")
+        flipped = (make_update((), Cell("a"), NOP), set_of([Cell(None)]))
+        calls = []
+
+        def poss_fn(m, st):
+            out = base.poss_fn(m, st)
+            if (m, st) != flipped:
+                return out
+            calls.append(out)
+            return out if len(calls) == 1 else not out
+
+        try:
+            check_cp2(dataclasses.replace(base, poss_fn=poss_fn))
+        except ReplayMismatch as exc:
+            print("raised:", exc)
+        else:
+            print("reported")
+    """)
+    assert out.startswith("raised: CP2 case"), out
+    assert "realizable is False by the tables" in out, out
 
 
 def test_masked_reports_have_zero_elapsed():

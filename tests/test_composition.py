@@ -8,9 +8,10 @@ from otcomp.cells import cchar, ccolor, cnat
 from otcomp.composition import (dynamic_compose, is_update, make_update,
                                 static_compose, transform_update, update_addr,
                                 update_child_method, update_old)
-from otcomp.errors import ComponentMismatch
+from otcomp.errors import ComponentMismatch, UnknownMethod
 from otcomp.patterns import set_pattern, string_pattern
-from otcomp.values import NOP, Cell, Method, Product, SetOf, product, set_of
+from otcomp.registry import build
+from otcomp.values import NOP, Cell, Method, Product, SetOf, product, seq_of, set_of
 
 B = DEFAULT_BOUNDS
 
@@ -166,3 +167,36 @@ def test_sequence_updates_shift_like_their_position(tmp_path):
     assert kernel.transform(word, u, Method("Del", (1,), 2)) == NOP
     # Edits never shift inserts or deletes.
     assert kernel.transform(word, ins, u) == ins
+
+
+# --- validation at the kernel boundary --------------------------------------
+
+def test_a_product_method_of_no_factor_is_rejected(fchar):
+    st = product([Cell(None), Cell(None), Cell(None)])
+    shove, put = Method("shove", ("a",)), Method("putchar", ("a",))
+    with pytest.raises(UnknownMethod):
+        kernel.apply(fchar, shove, st)
+    with pytest.raises(UnknownMethod):
+        kernel.enabled(fchar, shove, st)
+    with pytest.raises(UnknownMethod):
+        kernel.transform(fchar, shove, put)
+    with pytest.raises(UnknownMethod):
+        kernel.transform(fchar, put, shove)
+
+
+@pytest.mark.parametrize("expr, addr, st, plain", [
+    ("string[cchar]", (0,), seq_of([Cell("a")]), Method("Del", (0,), 1)),
+    ("set-guarded[cchar]", (), set_of([Cell("a")]), Method("remove", (Cell("a"),))),
+])
+def test_an_update_whose_child_method_is_not_the_childs_is_rejected(expr, addr, st,
+                                                                   plain):
+    c = build(expr)
+    bad = make_update(addr, Cell("a"), Method("shove", ("b",)), 0)
+    good = make_update(addr, Cell("a"), Method("putchar", ("b",)), 1)
+    with pytest.raises(UnknownMethod):
+        kernel.apply(c, bad, st)
+    with pytest.raises(UnknownMethod):
+        kernel.enabled(c, bad, st)
+    for m1, m2 in ((bad, plain), (plain, bad), (bad, good), (good, bad)):
+        with pytest.raises(UnknownMethod):
+            kernel.transform(c, m1, m2)

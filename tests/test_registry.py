@@ -10,8 +10,8 @@ from otcomp.tower import build_document_tower
 
 
 @pytest.mark.parametrize("expr, message, position", [
-    ("cchar $", "unexpected character '$'", 5),
-    ("cchar  (+)  %", "unexpected character '%'", 10),
+    ("cchar $", "unexpected character '$'", 6),
+    ("cchar  (+)  %", "unexpected character '%'", 12),
     ("", "unexpected end of expression", 0),
     ("string[", "unexpected end of expression", 7),
     ("string[cchar] (+)", "unexpected end of expression", 17),
