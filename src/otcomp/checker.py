@@ -46,6 +46,12 @@ MethodFilter = Callable[[Method], bool]
 
 @dataclass
 class CheckReport:
+    """A verdict over `cases` compared cases, with its failing entries.
+
+    An aggregate's entries carry a `"part"` tag naming the part that found
+    them.  Its JSON writes each entry once, at the top level: a part's
+    `witnesses` / `unrealizable` are the indices of its own entries there.
+    In memory, every report keeps its full lists."""
     property: str
     verdict: str  # "pass" | "fail" | "vacuous"
     cases: int    # jointly-legal (non-vacuous) cases actually compared
@@ -68,7 +74,13 @@ class CheckReport:
         if self.unrealizable:
             out["unrealizable"] = self.unrealizable
         if self.parts:
-            out["parts"] = [p.to_json(mask_elapsed) for p in self.parts]
+            out["parts"] = parts = [p.to_json(mask_elapsed) for p in self.parts]
+            for key in ("witnesses", "unrealizable"):
+                at = 0  # the parts' entries follow each other in the aggregate
+                for p in parts:
+                    if key in p:
+                        p[key] = list(range(at, at + len(p[key])))
+                        at += len(p[key])
         return out
 
 
@@ -389,17 +401,12 @@ def check_cp2_restricted(c: Component, sub1, sub2,
 
 
 def _aggregate(name: str, parts: List[CheckReport]) -> CheckReport:
-    witnesses = []
-    unrealizable = []
-    for p in parts:
-        for w in p.witnesses:
-            witnesses.append({**w, "part": p.property})
-        for w in p.unrealizable:
-            unrealizable.append({**w, "part": p.property})
+    """The parts' reports as one: their entries in part order, each tagged
+    with its part's name, and a verdict that fails when any part fails."""
+    witnesses = [{**w, "part": p.property} for p in parts for w in p.witnesses]
+    unrealizable = [{**w, "part": p.property} for p in parts for w in p.unrealizable]
     cases = sum(p.cases for p in parts)
-    verdict = "fail" if any(p.verdict == "fail" for p in parts) else \
-        ("pass" if cases > 0 else "vacuous")
-    return CheckReport(name, verdict, cases, witnesses,
+    return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
                        sum(p.elapsed_ms for p in parts),
                        sum(p.examined for p in parts), parts,
                        unrealizable=unrealizable)

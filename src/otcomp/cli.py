@@ -1,12 +1,17 @@
 """Command-line front end.
 
     otcomp check EXPR --property cp1|cp2|consistency [bounds flags]
+                 [--out PATH] [--format json|text]
     otcomp simulate SCENARIO [--out PATH] [--format json|text]
     otcomp demo document [--check]
     otcomp list
 
 Exit codes for `check`: 0 pass, 1 fail, 2 vacuous, 3 usage error.
 `simulate`: 0 converged, 1 diverged, 3 malformed scenario.
+
+A `consistency` report lists each witness once, tagged with its part: in
+JSON, a part lists the indices of its own entries; in text, a part gives
+its counts.
 """
 
 from __future__ import annotations
@@ -54,16 +59,18 @@ def _emit_report(rep: CheckReport, args) -> None:
         print(text)
 
 
-def _render_report(rep: CheckReport, indent: str = "") -> str:
-    lines = [f"{indent}{rep.property}: {rep.verdict} "
-             f"({rep.cases} cases, {rep.elapsed_ms:.1f} ms)"]
-    for w in rep.witnesses[:10]:
-        lines.append(f"{indent}  witness: {json.dumps(w)}")
+def _render_report(rep: CheckReport) -> str:
+    lines = [_summary(rep)]
+    lines += [f"  witness: {json.dumps(w)}" for w in rep.witnesses[:10]]
     if len(rep.witnesses) > 10:
-        lines.append(f"{indent}  ... {len(rep.witnesses) - 10} more witnesses")
-    for part in rep.parts:
-        lines.append(_render_report(part, indent + "  "))
-    return "\n".join(lines)
+        lines.append(f"  ... {len(rep.witnesses) - 10} more witnesses")
+    return "\n".join(lines + ["  " + _summary(part) for part in rep.parts])
+
+
+def _summary(rep: CheckReport) -> str:
+    unrealizable = f", {len(rep.unrealizable)} unrealizable" if rep.unrealizable else ""
+    return (f"{rep.property}: {rep.verdict} ({rep.cases} cases, "
+            f"{len(rep.witnesses)} witnesses{unrealizable}, {rep.elapsed_ms:.1f} ms)")
 
 
 def cmd_check(args) -> int:

@@ -137,6 +137,29 @@ def test_aggregate_fails_when_any_part_fails():
     assert all(w["part"] for w in rep.witnesses)
 
 
+@pytest.mark.parametrize("expr, overrides", [("set-literal", {"universe": 1}),
+                                             ("set-guarded[cchar]", {})])
+def test_a_part_lists_the_indices_of_its_own_top_level_entries(expr, overrides):
+    """A consistency report writes each entry once, at the top level; a
+    part's JSON lists are the indices of its own entries there."""
+    b = B.with_(**overrides)
+    rep = check_consistency(build(expr, b), b)
+    data = json.loads(json.dumps(rep.to_json(mask_elapsed=True)))
+    assert data["witnesses"] or data.get("unrealizable")
+    for key in ("witnesses", "unrealizable"):
+        top, listed = data.get(key, []), []
+        for part, p in zip(rep.parts, data["parts"], strict=True):
+            indices = p.get(key, [])
+            assert all(type(i) is int for i in indices)
+            entries = json.loads(json.dumps(getattr(part, key)))
+            assert len(indices) == len(entries)
+            for i, entry in zip(indices, entries):
+                assert top[i]["part"] == part.property
+                assert {k: v for k, v in top[i].items() if k != "part"} == entry
+            listed += indices
+        assert sorted(listed) == list(range(len(top)))
+
+
 def _under_python_o(script: str) -> str:
     """What a check script prints when run with assertions stripped."""
     env = {**os.environ, "PYTHONPATH": str(Path(otcomp.__file__).parent.parent)}

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from otcomp.checker import check_consistency
 from otcomp.cli import (EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main)
+from otcomp.registry import build
 
 
 def test_list_names_registry(capsys):
@@ -45,6 +47,31 @@ def test_check_text_format(capsys):
                  "--format", "text"]) == EXIT_PASS
     out = capsys.readouterr().out
     assert "consistency: pass" in out and "CP1: pass" in out
+
+
+def test_check_text_format_lists_each_witness_once(capsys):
+    assert main(["check", "set-literal", "--universe", "1", "--property",
+                 "consistency", "--format", "text"]) == EXIT_FAIL
+    lines = capsys.readouterr().out.splitlines()
+    witnesses = [json.loads(line.split("witness: ", 1)[1])
+                 for line in lines if "witness: " in line]
+    assert witnesses and all(w.pop("part") == "CP1" for w in witnesses)
+    assert len({json.dumps(w, sort_keys=True) for w in witnesses}) == len(witnesses)
+    assert lines[-2].startswith("  CP1: fail (") and lines[-1].startswith("  CP2: pass (")
+    assert f" cases, {len(witnesses)} witnesses, " in lines[-2]
+    assert " cases, 0 witnesses, " in lines[-1]
+
+
+def test_check_text_format_counts_unrealizable_triples(capsys):
+    assert main(["check", "set-guarded[cchar]", "--property", "consistency",
+                 "--format", "text"]) == EXIT_PASS
+    lines = capsys.readouterr().out.splitlines()
+    rep = check_consistency(build("set-guarded[cchar]"))
+    assert f", 0 witnesses, {len(rep.unrealizable)} unrealizable, " in lines[0]
+    for part, line in zip(rep.parts, lines[1:], strict=True):
+        assert line.startswith(f"  {part.property}: ")
+        counted = f", {len(part.unrealizable)} unrealizable, " in line
+        assert counted == bool(part.unrealizable), line
 
 
 def test_check_writes_report_file(tmp_path, capsys):
