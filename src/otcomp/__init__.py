@@ -8,8 +8,8 @@ from .checker import (CheckReport, check_consistency, check_cp1,
 from .composition import (ComposedComponent, dynamic_compose, is_update,
                           make_update, static_compose, transform_update,
                           update_addr, update_child_method, update_old)
-from .kernel import (Attribute, Component, apply, apply_seq, enabled, legal,
-                     observe, transform, transform_seq)
+from .kernel import (Component, apply, apply_seq, enabled, legal, observe,
+                     transform, transform_seq)
 from .patterns import (AdmissibilityReport, CompositionPattern, Morphism,
                        check_admissible, instantiate, set_pattern,
                        string_pattern, token_component)

@@ -28,7 +28,8 @@ class Bounds:
         for name in ("alphabet", "nat_max", "colors", "universe", "max_len",
                      "sites", "max_methods", "max_cases"):
             if getattr(self, name) < 0 or (getattr(self, name) == 0 and name != "nat_max"):
-                raise ValueError(f"bound {name} must be strictly positive")
+                sign = "non-negative" if name == "nat_max" else "strictly positive"
+                raise ValueError(f"bound {name} must be {sign}")
 
     def with_(self, **kwargs) -> "Bounds":
         return replace(self, **kwargs)

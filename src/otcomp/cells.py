@@ -15,7 +15,7 @@ from typing import Any, Callable, List
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .errors import InvalidSpec, UndefinedObservation
-from .kernel import Attribute, Component
+from .kernel import Component
 from .values import NOP, VALUE, Cell, Method
 
 COLOR_ORDER = ("red", "green", "blue")
@@ -63,7 +63,7 @@ def make_cell_component(spec: CellComponentSpec) -> Component:
     return Component(
         name=spec.name,
         method_ctors={"nop": (), put: (VALUE,)},
-        attributes={get: Attribute(get, get_fn)},
+        attributes={get: get_fn},
         initial_state=Cell(None),
         do_fn=do_fn,
         poss_fn=lambda m, st: True,

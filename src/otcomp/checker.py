@@ -31,12 +31,12 @@ import itertools
 import operator
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .composition import ComposedComponent, is_update
-from .errors import BoundsExceeded, InvalidSpec, NotDisjoint, ReplayMismatch
+from .errors import BoundsExceeded, InvalidSpec, ReplayMismatch
 from . import kernel
 from .kernel import Component
 from .values import Method, StateValue, value_to_json
@@ -104,22 +104,21 @@ class _Lazy(dict):
         return value
 
 
+def _same(k: int) -> int:
+    return k
+
+
 class _Compiled:
     """A component as one check call sees it: methods and states interned to
     ids, and the kernel's functions as lazily filled tables over those ids.
 
     `it[j][i]` is the id of transform(method i, method j), `do[i][s]` the id
     of apply(method i, state s), and `poss[i][s]` is enabled(method i,
-    state s).  `enables[i]` is the set of enumerated states that poss
-    enables method i on, and `joint[i1, i2]` the set of those on which both
-    orders of the pair are legal.
-
-    The replay's view is kept apart and filled by the public kernel alone:
-    `kernel_enables[i]` as `enables[i]`, and `kernel_pair[i1, i2]` holds
-    the pair's two transformed sequences and its jointly legal states.
-    `json[i]` is the report form of method i, shared by every entry that
-    names it.  An enumeration that repeats a value would count its cases
-    twice; it raises InvalidSpec.
+    state s).  `enables` and `pair` decide joint legality from those tables,
+    and `kernel_enables` and `kernel_pair`, the replay's view, through the
+    public kernel alone (see `_legality`).  `json[i]` is the report form of
+    method i, shared by every entry that names it.  An enumeration that
+    repeats a value would count its cases twice; it raises InvalidSpec.
     """
 
     def __init__(self, c: Component, b: Bounds):
@@ -139,12 +138,12 @@ class _Compiled:
             lambda s: self.sid(kernel.apply(c, method[i], state[s]))))
         self.poss = _Lazy(lambda i: _Lazy(
             lambda s: kernel.enabled(c, method[i], state[s])))
-        self.enables = _Lazy(lambda i: frozenset(
-            s for s in self.states if self.poss[i][s]))
-        self.joint = _Lazy(self._joint)
-        self.kernel_enables = _Lazy(lambda i: frozenset(
-            s for s in self.states if kernel.enabled(c, method[i], state[s])))
-        self.kernel_pair = _Lazy(self._kernel_pair)
+        self.enables, self.pair = self._legality(
+            _same, _same, lambda i, s: self.poss[i][s], lambda i, s: self.do[i][s],
+            lambda i, j: self.it[j][i])
+        self.kernel_enables, self.kernel_pair = self._legality(
+            method.__getitem__, state.__getitem__, partial(kernel.enabled, c),
+            partial(kernel.apply, c), partial(kernel.transform, c))
         self.json = _Lazy(lambda i: value_to_json(method[i]))
         self.methods = self._distinct("method", [self.mid(m) for m in c.enum_methods(b)])
 
@@ -176,26 +175,26 @@ class _Compiled:
         a, b = self.site[i], self.site[j]
         return a is None or b is None or a != b
 
-    def _joint(self, pair: Tuple[int, int]) -> FrozenSet[int]:
-        """The states on which both [m1, m2 transformed against m1] and
-        [m2, m1 transformed against m2] are legal, by the tables."""
-        i1, i2 = pair
-        do, poss = self.do, self.poss
-        t21, t12 = self.it[i1][i2], self.it[i2][i1]
-        return frozenset(s for s in self.enables[i1] & self.enables[i2]
-                         if poss[t21][do[i1][s]] and poss[t12][do[i2][s]])
+    def _legality(self, method, state, enabled, apply, transform):
+        """`(enables, pair)` as decided by `enabled(m, st)`, `apply(m, st)`
+        and `transform(m1, m2)`, given the handles `method(i)` and `state(s)`
+        they take for enumerated ids: `enables[i]` is the set of enumerated
+        states method i is enabled on, and `pair[i1, i2]` holds the pair's
+        two transformed sequences and the set of states on which both are
+        legal."""
+        def enabled_on(i: int) -> FrozenSet[int]:
+            m = method(i)
+            return frozenset(s for s in self.states if enabled(m, state(s)))
 
-    def _kernel_pair(self, pair: Tuple[int, int]):
-        """The pair's two transformed sequences and its jointly legal
-        states, decided through the public kernel."""
-        i1, i2 = pair
-        c, m1, m2 = self.c, self.method[i1], self.method[i2]
-        seq1, seq2 = _pair_seqs(c, m1, m2)
-        joint = frozenset(
-            s for s in self.kernel_enables[i1] & self.kernel_enables[i2]
-            if kernel.enabled(c, seq1[1], kernel.apply(c, m1, self.state[s]))
-            and kernel.enabled(c, seq2[1], kernel.apply(c, m2, self.state[s])))
-        return seq1, seq2, joint
+        def pair(ids: Tuple[int, int]):
+            i1, i2 = ids
+            seq1, seq2 = _pair_seqs(transform, method(i1), method(i2))
+            return seq1, seq2, frozenset(
+                s for s in enables[i1] & enables[i2]
+                if enabled(seq1[1], apply(seq1[0], state(s)))
+                and enabled(seq2[1], apply(seq2[0], state(s))))
+        enables = _Lazy(enabled_on)
+        return enables, _Lazy(pair)
 
     def select(self, f: MethodFilter) -> List[int]:
         return [i for i in self.methods if f(self.method[i])]
@@ -237,7 +236,7 @@ def _replay_cp1(t: _Compiled, s: int, i1: int, i2: int, left: int,
                 right: int) -> dict:
     """Re-derive a failing pair through the public kernel; its witness."""
     c, st, m1, m2 = t.c, t.state[s], t.method[i1], t.method[i2]
-    seq1, seq2 = _pair_seqs(c, m1, m2)
+    seq1, seq2 = _pair_seqs(partial(kernel.transform, c), m1, m2)
     if not (kernel.legal(c, seq1, st) and kernel.legal(c, seq2, st)):
         _mismatch("CP1", (m1, m2), "a sequence is not legal from " + repr(st))
     got = (kernel.apply_seq(c, seq1, st), kernel.apply_seq(c, seq2, st))
@@ -251,10 +250,10 @@ def _replay_cp1(t: _Compiled, s: int, i1: int, i2: int, left: int,
     }
 
 
-def _pair_seqs(c: Component, m1: Method, m2: Method):
-    """Both orders of a concurrent pair, transformed by the public kernel."""
-    return ([m1, kernel.transform(c, m2, m1)],
-            [m2, kernel.transform(c, m1, m2)])
+def _pair_seqs(transform, m1, m2):
+    """Both orders of a concurrent pair, each second method transformed
+    against the first."""
+    return [m1, transform(m2, m1)], [m2, transform(m1, m2)]
 
 
 def _mismatch(condition: str, methods: Sequence[Method], what: str) -> None:
@@ -315,7 +314,7 @@ def _replay_cp2(t: _Compiled, i1: int, i2: int, i3: int, left: int,
     got = (kernel.transform_seq(c, m3, seq1), kernel.transform_seq(c, m3, seq2))
     if got != (t.method[left], t.method[right]) or got[0] == got[1]:
         _mismatch("CP2", triple, f"transformed methods {got}")
-    realizable = not t.joint[i1, i2].isdisjoint(t.enables[i3])
+    realizable = not t.pair[i1, i2][2].isdisjoint(t.enables[i3])
     if realizable != (not joint.isdisjoint(t.kernel_enables[i3])):
         _mismatch("CP2", triple, f"realizable is {realizable} by the tables")
     return {
@@ -366,7 +365,7 @@ def _split(t: _Compiled, sub1, sub2) -> Tuple[List[int], List[int]]:
     g2 = t.select(_as_filter(sub2))
     overlap = set(g1) & set(g2)
     if overlap:
-        raise NotDisjoint("method subsets overlap: "
+        raise InvalidSpec("method subsets overlap: "
                           f"{sorted(t.method[i].ctor for i in overlap)}")
     return g1, g2
 

@@ -1,13 +1,18 @@
 """Command-line front end.
 
-    otcomp check EXPR --property cp1|cp2|consistency [bounds flags]
+    otcomp check EXPR --property cp1|cp2|consistency [--alphabet N]
+                 [--nat-max N] [--universe N] [--max-len N] [--sites N]
                  [--out PATH] [--format json|text]
     otcomp simulate SCENARIO [--out PATH] [--format json|text]
     otcomp demo document [--check]
     otcomp list
 
+`simulate` builds the scenario's component at the default bounds.
+
 Exit codes for `check`: 0 pass, 1 fail, 2 vacuous, 3 usage error.
-`simulate`: 0 converged, 1 diverged, 3 malformed scenario.
+`simulate`: 0 converged, 1 diverged, 3 malformed scenario.  A usage error
+(exit 3, `error: ...` on stderr) is also an invalid bound or an --out path
+that cannot be written.
 
 A `consistency` report lists each witness once, tagged with its part: in
 JSON, a part lists the indices of its own entries; in text, a part gives
@@ -33,25 +38,16 @@ from .tower import TOWER_BOUNDS, build_document_tower, demo_word_scenario
 
 EXIT_PASS, EXIT_FAIL, EXIT_VACUOUS, EXIT_USAGE = 0, 1, 2, 3
 
-
-def _add_bounds_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alphabet", type=int, default=None)
-    p.add_argument("--nat-max", type=int, default=None)
-    p.add_argument("--universe", type=int, default=None)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--sites", type=int, default=None)
+# The Bounds fields `check` takes a flag for, as --alphabet, --nat-max, ...
+_BOUNDS_FLAGS = ("alphabet", "nat_max", "universe", "max_len", "sites")
 
 
 def _bounds_from(args) -> Bounds:
-    fields = ("alphabet", "nat_max", "universe", "max_len", "sites")
-    return Bounds(**{f: getattr(args, f) for f in fields if getattr(args, f) is not None})
+    return Bounds(**{f: getattr(args, f) for f in _BOUNDS_FLAGS if getattr(args, f) is not None})
 
 
-def _emit_report(rep: CheckReport, args) -> None:
-    if args.format == "json":
-        text = json.dumps(rep.to_json(), indent=2)
-    else:
-        text = _render_report(rep)
+def _emit(text: str, args) -> None:
+    """Print the text, or write it to the --out path."""
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
@@ -75,15 +71,11 @@ def _summary(rep: CheckReport) -> str:
 
 def cmd_check(args) -> int:
     b = _bounds_from(args)
-    try:
-        component = build(args.expr, b)
-        runner = {"cp1": check_cp1, "cp2": check_cp2,
-                  "consistency": check_consistency}[args.property]
-        rep = runner(component, b)
-    except OtcompError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit_report(rep, args)
+    runner = {"cp1": check_cp1, "cp2": check_cp2,
+              "consistency": check_consistency}[args.property]
+    rep = runner(build(args.expr, b), b)
+    _emit(json.dumps(rep.to_json(), indent=2) if args.format == "json"
+          else _render_report(rep), args)
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "vacuous": EXIT_VACUOUS}[rep.verdict]
 
 
@@ -97,23 +89,11 @@ def _resolve_scenario_path(path: str) -> str:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scenario = load_scenario(_resolve_scenario_path(args.scenario))
-        component = build(scenario.component, _bounds_from(args)) \
-            if isinstance(scenario.component, str) else scenario.component
-        report = run_scenario(scenario, component=component)
-    except (OtcompError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    data = report.to_json(component)
-    text = json.dumps(data, indent=2) if args.format == "json" else \
-        "\n".join([f"converged: {data['converged']}"]
-                  + [f"  order {f['order']}: {f['state']}" for f in data["finals"]])
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    report = run_scenario(load_scenario(_resolve_scenario_path(args.scenario)))
+    data = report.to_json()
+    _emit(json.dumps(data, indent=2) if args.format == "json" else
+          "\n".join([f"converged: {data['converged']}"]
+                    + [f"  order {f['order']}: {f['state']}" for f in data["finals"]]), args)
     return EXIT_PASS if report.converged else EXIT_FAIL
 
 
@@ -158,14 +138,14 @@ def make_parser() -> argparse.ArgumentParser:
     p_check.add_argument("expr")
     p_check.add_argument("--property", choices=["cp1", "cp2", "consistency"],
                          required=True)
-    _add_bounds_flags(p_check)
+    for f in _BOUNDS_FLAGS:
+        p_check.add_argument("--" + f.replace("_", "-"), type=int)
     p_check.add_argument("--out")
     p_check.add_argument("--format", choices=["json", "text"], default="json")
     p_check.set_defaults(fn=cmd_check)
 
     p_sim = sub.add_parser("simulate", help="run a scenario file")
     p_sim.add_argument("scenario")
-    _add_bounds_flags(p_sim)
     p_sim.add_argument("--out")
     p_sim.add_argument("--format", choices=["json", "text"], default="json")
     p_sim.set_defaults(fn=cmd_simulate)
@@ -187,7 +167,11 @@ def main(argv: Optional[list] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OtcompError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -18,10 +18,10 @@ import math
 from typing import Any, List, Optional, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
-from .errors import BoundsExceeded, ComponentMismatch
-from .kernel import Attribute, Component
+from .errors import BoundsExceeded, UnknownMethod
+from .kernel import Component
 from . import kernel
-from .patterns import CompositionPattern, Morphism, instantiate
+from .patterns import CompositionPattern, instantiate
 from .values import METHOD, NOP, POSITION, STATE, Method, Product, StateValue, product
 
 
@@ -39,13 +39,13 @@ def static_compose(*factors: Component) -> Component:
         raise ValueError("static composition needs at least two factors")
 
     owner: dict = {}       # composed ctor -> (factor index, original ctor)
-    attr_owner: dict = {}  # composed attribute -> (factor index, attribute)
+    attr_owner: dict = {}  # composed attribute -> (factor index, observer)
     for i, f in enumerate(factors):
         for ctor in sorted(f.method_ctors):
             if ctor != "nop":
                 owner[_claim(owner, ctor, f)] = (i, ctor)
-        for aname, attr in f.attributes.items():
-            attr_owner[_claim(attr_owner, aname, f)] = (i, attr)
+        for aname, observer in f.attributes.items():
+            attr_owner[_claim(attr_owner, aname, f)] = (i, observer)
     renamed = {v: k for k, v in owner.items()}  # inverse of owner
 
     def _unpack(m: Method) -> Tuple[int, Method]:
@@ -86,17 +86,12 @@ def static_compose(*factors: Component) -> Component:
         per = [f.enum_states(b) for f in factors]
         return [product(t) for t in itertools.product(*per)]
 
-    attributes = {
-        name: Attribute(
-            name, (lambda i, attr: lambda args, st: attr.fn(args, st.items[i]))(i, attr))
-        for name, (i, attr) in attr_owner.items()
-    }
-
     return Component(
         name=" (+) ".join(f.name for f in factors),
         method_ctors={"nop": (), **{name: factors[i].method_ctors[ctor]
                                     for name, (i, ctor) in owner.items()}},
-        attributes=attributes,
+        attributes={name: (lambda i, obs: lambda args, st: obs(args, st.items[i]))(i, obs)
+                    for name, (i, obs) in attr_owner.items()},
         initial_state=product(f.initial_state for f in factors),
         do_fn=do_fn,
         poss_fn=poss_fn,
@@ -160,7 +155,7 @@ def transform_update(comp: ComposedComponent, u1: Method, u2: Method) -> Method:
     targets never interfere, so u1 passes through unchanged.
     """
     if not (is_update(u1) and is_update(u2)):
-        raise ComponentMismatch("transform_update expects two update methods")
+        raise UnknownMethod("transform_update expects two update methods")
     if update_addr(u1) == update_addr(u2) and update_old(u1) == update_old(u2):
         rebased = kernel.transform(comp.parts[0], update_child_method(u1),
                                    update_child_method(u2))
@@ -169,14 +164,12 @@ def transform_update(comp: ComposedComponent, u1: Method, u2: Method) -> Method:
 
 
 def dynamic_compose(pattern: CompositionPattern, child: Component,
-                    phi: Optional[Morphism] = None,
                     b: Bounds = DEFAULT_BOUNDS) -> ComposedComponent:
-    """Instantiate the pattern over the child and graft on the update method.
-
-    `phi` and `b` are passed to `instantiate`.  Update declares its address
-    as a tuple of as many positions as the pattern's addresses have.
+    """Instantiate the pattern over the child, under structural equality,
+    and graft on the update method.  Update declares its address as a tuple
+    of as many positions as the pattern's addresses have at `b`.
     """
-    base = instantiate(pattern, child, phi, b)
+    base = instantiate(pattern, child)
     address = tuple(POSITION for _ in pattern.update_addrs(b)[0])
 
     # The closures read `comp`, which is bound below before any of them runs.

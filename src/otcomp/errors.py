@@ -6,7 +6,8 @@ class OtcompError(Exception):
 
 
 class UnknownMethod(OtcompError):
-    """Method constructor not declared for the component."""
+    """Method constructor not declared for the component, or not of the kind
+    the call expects (`transform_update` takes two Updates)."""
 
 
 class UnknownAttribute(OtcompError):
@@ -18,35 +19,21 @@ class UndefinedObservation(OtcompError):
 
 
 class InvalidSpec(OtcompError):
-    """A component specification violates its algebraic laws at bounds."""
-
-
-class BoundsTooSmall(OtcompError):
-    """Enumeration too small for the requested check to be meaningful."""
+    """A component specification violates its algebraic laws at bounds, or a
+    restricted check was given overlapping method subsets."""
 
 
 class BoundsExceeded(OtcompError):
-    """Estimated enumeration size exceeds the configured ceiling."""
+    """Estimated enumeration size exceeds the configured ceiling, or is too
+    small for the requested check to be meaningful."""
 
 
 class NotAdmissible(OtcompError):
     """Component failed the pattern's formal-parameter laws."""
 
 
-class ComponentMismatch(OtcompError):
-    """Methods passed to a transform do not belong to the same component."""
-
-
 class ReplayMismatch(OtcompError):
     """A failing case did not replay the same way through the public kernel."""
-
-
-class NotDisjoint(OtcompError):
-    """Restricted check called with overlapping method subsets."""
-
-
-class TooManyPermutations(OtcompError):
-    """All-permutations delivery requested for more than 6 operations."""
 
 
 class ExprError(OtcompError):
@@ -58,4 +45,5 @@ class ExprError(OtcompError):
 
 
 class ScenarioError(OtcompError):
-    """Malformed scenario file."""
+    """Malformed scenario file, or one whose delivery orders cannot be run
+    (more than 6 operations under all-permutations delivery)."""

@@ -18,18 +18,6 @@ from .errors import BoundsExceeded, UnknownAttribute, UnknownMethod
 from .values import NOP, Method, StateValue, canon_key
 
 
-@dataclass
-class Attribute:
-    """An observer: (data args, state) -> data value.
-
-    Attributes may raise UndefinedObservation on states where no value has
-    been established yet.
-    """
-
-    name: str
-    fn: Callable[[Tuple[Any, ...], StateValue], Any]
-
-
 @dataclass(eq=False)
 class Component:
     name: str
@@ -37,7 +25,9 @@ class Component:
     # or a tuple of POSITIONs for an address), with `nop` declared as taking
     # none.
     method_ctors: Dict[str, Tuple[Any, ...]]
-    attributes: Dict[str, Attribute]
+    # Attribute name -> observer (data args, state) -> data value; it may
+    # raise UndefinedObservation where no value has been established yet.
+    attributes: Dict[str, Callable[[Tuple[Any, ...], StateValue], Any]]
     initial_state: StateValue
     do_fn: Callable[[Method, StateValue], StateValue]
     poss_fn: Callable[[Method, StateValue], bool]
@@ -129,4 +119,4 @@ def transform_seq(c: Component, m: Method, seq: Sequence[Method]) -> Method:
 def observe(c: Component, attr: str, args: Sequence[Any], st: StateValue) -> Any:
     if attr not in c.attributes:
         raise UnknownAttribute(f"{attr!r} is not an attribute of {c.name!r}")
-    return c.attributes[attr].fn(tuple(args), st)
+    return c.attributes[attr](tuple(args), st)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
-from .errors import (BoundsExceeded, BoundsTooSmall, NotAdmissible,
-                     UndefinedObservation)
-from .kernel import Attribute, Component
+from .errors import BoundsExceeded, NotAdmissible, UndefinedObservation
+from .kernel import Component
 from .values import (NOP, POSITION, STATE, Method, Opaque, SeqOf, SetOf, StateValue,
                      seq_of, set_of)
 
@@ -77,7 +76,7 @@ def check_admissible(pattern: CompositionPattern, child: Component,
     """
     states = child.enum_states(b)
     if len(states) < 2:
-        raise BoundsTooSmall(
+        raise BoundsExceeded(
             f"{child.name}: admissibility needs at least 2 enumerated states, got {len(states)}")
     n = len(states)
 
@@ -159,7 +158,7 @@ def _set_body(child: Component, guarded: bool, name: str) -> Component:
     return Component(
         name=name,
         method_ctors={"nop": (), "add": (STATE,), "remove": (STATE,)},
-        attributes={"iselem": Attribute("iselem", lambda args, st: args[0] in st.items)},
+        attributes={"iselem": lambda args, st: args[0] in st.items},
         initial_state=SetOf(),
         do_fn=do_fn,
         poss_fn=poss_fn,
@@ -296,8 +295,8 @@ def _string_body(child: Component) -> Component:
         name=name,
         method_ctors={"nop": (), "Ins": (POSITION, STATE), "Del": (POSITION,)},
         attributes={
-            "elemAt": Attribute("elemAt", elem_at),
-            "length": Attribute("length", lambda args, st: len(st.items)),
+            "elemAt": elem_at,
+            "length": lambda args, st: len(st.items),
         },
         initial_state=SeqOf(),
         do_fn=do_fn,
@@ -370,7 +369,7 @@ def token_component() -> Component:
     return Component(
         name="token",
         method_ctors={"nop": ()},
-        attributes={"ident": Attribute("ident", lambda args, st: st.value)},
+        attributes={"ident": lambda args, st: st.value},
         initial_state=Opaque("x"),
         do_fn=lambda m, st: st,
         poss_fn=lambda m, st: True,

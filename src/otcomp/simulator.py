@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
-from .errors import ScenarioError, TooManyPermutations
+from .errors import ScenarioError
 from . import kernel
 from .kernel import Component
 from .values import (Method, StateValue, decode_method, decode_state, display,
@@ -100,17 +100,9 @@ def run_scenario(s: Scenario, component: Optional[Component] = None) -> RunRepor
 
     base = decode_state(c, s.base)
     ops = [_on_site(decode_method(c, m), site) for site, m in s.ops]
-
-    if s.delivery in ("all", "all-permutations"):
-        if len(ops) > MAX_ALL_PERMUTATION_OPS:
-            raise TooManyPermutations(
-                f"{len(ops)} ops need {len(ops)}! orders; pass explicit permutations")
-        orders = [tuple(p) for p in itertools.permutations(range(len(ops)))]
-    else:
-        orders = [tuple(p) for p in s.delivery]
-        for p in orders:
-            if sorted(p) != list(range(len(ops))):
-                raise ScenarioError(f"bad permutation {p} for {len(ops)} ops")
+    orders = _orders(s.delivery, len(ops))
+    if type(s.use_transform) is not bool:
+        raise ScenarioError(f"transform {s.use_transform!r} is not a bool")
 
     finals: List[Tuple[Tuple[int, ...], StateValue]] = []
     traces: dict = {}
@@ -129,12 +121,26 @@ def run_scenario(s: Scenario, component: Optional[Component] = None) -> RunRepor
     return RunReport(finals, diverging is None, diverging, traces, fully_legal)
 
 
+def _orders(delivery, n: int) -> List[Tuple[int, ...]]:
+    """Every order of the n ops for "all", else the listed permutations of
+    their indices; no order at all would make any run converge."""
+    if delivery == "all":
+        if n > MAX_ALL_PERMUTATION_OPS:
+            raise ScenarioError(f"{n} ops need {n}! orders; pass explicit permutations")
+        return list(itertools.permutations(range(n)))
+    if not (isinstance(delivery, (list, tuple)) and delivery):
+        raise ScenarioError(f"delivery {delivery!r} is neither 'all' nor a non-empty list")
+    for p in delivery:
+        if not (isinstance(p, (list, tuple)) and all(type(i) is int for i in p)
+                and sorted(p) == list(range(n))):
+            raise ScenarioError(f"bad permutation {p} for {n} ops")
+    return [tuple(p) for p in delivery]
+
+
 def load_scenario(source) -> Scenario:
-    """Read a scenario from a path, file object, JSON text, or dict."""
+    """Read a scenario from a path, JSON text, or dict."""
     if isinstance(source, dict):
         data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
     else:
         text = str(source)
         if text.lstrip().startswith("{"):

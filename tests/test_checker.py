@@ -15,7 +15,7 @@ from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar
 from otcomp.checker import (check_consistency, check_cp1, check_cp1_restricted,
                             check_cp2, check_cp2_restricted)
-from otcomp.errors import BoundsExceeded, InvalidSpec, NotDisjoint
+from otcomp.errors import BoundsExceeded, InvalidSpec
 from otcomp.patterns import set_pattern
 from otcomp.registry import build
 from otcomp.values import Cell, Method, value_from_json
@@ -68,9 +68,9 @@ def test_empty_method_subset_makes_the_check_vacuous():
 def test_overlapping_subsets_are_rejected():
     c = cchar()
     put = Method("putchar", ("a",))
-    with pytest.raises(NotDisjoint):
+    with pytest.raises(InvalidSpec):
         check_cp1_restricted(c, [put], [put])
-    with pytest.raises(NotDisjoint):
+    with pytest.raises(InvalidSpec):
         check_cp2_restricted(c, [put], [put])
 
 

@@ -81,6 +81,28 @@ def test_check_writes_report_file(tmp_path, capsys):
     assert json.loads(out.read_text())["verdict"] == "pass"
 
 
+def test_check_invalid_bound_is_a_usage_error(capsys):
+    for flag, value, message in (("--sites", "0", "bound sites must be strictly positive"),
+                                 ("--nat-max", "-1", "bound nat_max must be non-negative")):
+        assert main(["check", "cchar", "--property", "cp1", flag, value]) == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
+    assert main(["check", "cnat", "--property", "cp1", "--nat-max", "0"]) == EXIT_PASS
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "no" / "such" / "dir" / "report.json")
+    for argv in (["check", "cchar", "--property", "cp1"],
+                 ["simulate", "insert_delete_transformed.scenario"]):
+        assert main(argv + ["--out", out]) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_simulate_takes_no_bounds_flags(capsys):
+    assert main(["simulate", "insert_delete_transformed.scenario",
+                 "--alphabet", "1"]) == EXIT_USAGE
+
+
 def test_simulate_bundled_convergent_scenario(capsys):
     assert main(["simulate", "insert_delete_transformed.scenario"]) == EXIT_PASS
     data = json.loads(capsys.readouterr().out)
@@ -182,6 +204,17 @@ def test_simulate_update_address_of_the_wrong_length_is_a_usage_error(tmp_path, 
                 {"site": 2, "method": {"ctor": "Del", "args": [1]}}]}))
     assert main(["simulate", str(path)]) == EXIT_PASS
     assert {f["state"] for f in json.loads(capsys.readouterr().out)["finals"]} == {"c"}
+
+
+def test_simulate_bad_delivery_or_transform_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "delivery.scenario"
+    ops = [{"site": 1, "method": {"ctor": "putchar", "args": ["a"]}},
+           {"site": 2, "method": {"ctor": "putchar", "args": ["b"]}}]
+    for extra in ({"delivery": 5}, {"delivery": [5]}, {"delivery": [[0, "x"]]},
+                  {"delivery": [[0, 1.0]]}, {"transform": "no"}):
+        path.write_text(json.dumps({"component": "cchar", "base": None, "ops": ops, **extra}))
+        assert main(["simulate", str(path)]) == EXIT_USAGE, extra
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_simulate_missing_file_is_a_usage_error(capsys):

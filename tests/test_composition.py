@@ -8,7 +8,7 @@ from otcomp.cells import cchar, ccolor, cnat
 from otcomp.composition import (dynamic_compose, is_update, make_update,
                                 static_compose, transform_update, update_addr,
                                 update_child_method, update_old)
-from otcomp.errors import ComponentMismatch, UnknownMethod
+from otcomp.errors import UnknownMethod
 from otcomp.patterns import set_pattern, string_pattern
 from otcomp.registry import build
 from otcomp.values import NOP, Cell, Method, Product, SetOf, product, seq_of, set_of
@@ -120,7 +120,7 @@ def test_distinct_target_updates_pass_through(setchar):
 
 
 def test_transform_update_rejects_plain_methods(setchar):
-    with pytest.raises(ComponentMismatch):
+    with pytest.raises(UnknownMethod):
         transform_update(setchar, _upd("a", "b"), Method("add", (Cell("a"),)))
 
 

@@ -5,8 +5,7 @@ import pytest
 from otcomp import kernel
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar
-from otcomp.errors import (BoundsTooSmall, NotAdmissible,
-                           UndefinedObservation)
+from otcomp.errors import BoundsExceeded, NotAdmissible, UndefinedObservation
 from otcomp.patterns import (Morphism, check_admissible, instantiate,
                              set_pattern, string_pattern, token_component)
 from otcomp.values import NOP, Cell, Method, Opaque, SeqOf, SetOf, set_of, seq_of
@@ -26,7 +25,7 @@ def test_admissible_with_structural_equality():
 
 
 def test_admissibility_needs_two_states():
-    with pytest.raises(BoundsTooSmall):
+    with pytest.raises(BoundsExceeded):
         check_admissible(set_pattern(), token_component(), b=_tokens(1))
 
 
