@@ -17,12 +17,13 @@ past the longest state, a longer sequence) is interned when first seen.
 Nothing outlives the call.
 
 Every failing case is replayed through the public kernel before it is
-emitted, which cross-checks the tables: both final states or transformed
-methods, and for a triple its realizability verdict.  The replay re-derives
-what a triple shares once: for each method, the enumerated states the
-kernel enables it on, and for each (m1, m2) pair, its two transformed
-sequences and the states on which both are legal; it reads none of the
-tables to do so.  A disagreement raises ReplayMismatch.
+emitted, which cross-checks the tables: joint legality, both final states or
+transformed methods, and for a triple its realizability verdict.  One
+function, `_Compiled._legality`, decides joint legality: for the sweeps from
+the tables, and for the replay from the kernel calls that fill them, made
+anew, so the replay reads none of the tables.  The replay derives what cases
+share (a method's enabled states, a pair's transformed methods and jointly
+legal states) once.  A disagreement raises ReplayMismatch.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import itertools
 import operator
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .composition import ComposedComponent, is_update
@@ -104,21 +105,18 @@ class _Lazy(dict):
         return value
 
 
-def _same(k: int) -> int:
-    return k
-
-
 class _Compiled:
     """A component as one check call sees it: methods and states interned to
     ids, and the kernel's functions as lazily filled tables over those ids.
 
     `it[j][i]` is the id of transform(method i, method j), `do[i][s]` the id
     of apply(method i, state s), and `poss[i][s]` is enabled(method i,
-    state s).  `enables` and `pair` decide joint legality from those tables,
-    and `kernel_enables` and `kernel_pair`, the replay's view, through the
-    public kernel alone (see `_legality`).  `json[i]` is the report form of
-    method i, shared by every entry that names it.  An enumeration that
-    repeats a value would count its cases twice; it raises InvalidSpec.
+    state s).  `enables` and `pair` decide joint legality from those tables
+    for CP1 and CP2, and `kernel_enables` and `kernel_pair` for both replays
+    from the kernel calls that fill them (see `_legality`).  `json[i]` is
+    the report form of method i, shared by every entry that names it.  An
+    enumeration that repeats a value would count its cases twice; it
+    raises InvalidSpec.
     """
 
     def __init__(self, c: Component, b: Bounds):
@@ -132,18 +130,24 @@ class _Compiled:
         self._mid: Dict[Method, int] = {}
         self._sid: Dict[StateValue, int] = {}
         method, state = self.method, self.state
-        self.it = _Lazy(lambda j: _Lazy(
-            lambda i: self.mid(kernel.transform(c, method[i], method[j]))))
-        self.do = _Lazy(lambda i: _Lazy(
-            lambda s: self.sid(kernel.apply(c, method[i], state[s]))))
-        self.poss = _Lazy(lambda i: _Lazy(
-            lambda s: kernel.enabled(c, method[i], state[s])))
+
+        # The kernel's functions over ids: the tables' fill, and the replay.
+        def enabled(i: int) -> Callable[[int], bool]:
+            return lambda s: kernel.enabled(c, method[i], state[s])
+
+        def apply(i: int) -> Callable[[int], int]:
+            return lambda s: self.sid(kernel.apply(c, method[i], state[s]))
+
+        def transform(i: int, j: int) -> int:
+            return self.mid(kernel.transform(c, method[i], method[j]))
+
+        self.it = _Lazy(lambda j: _Lazy(lambda i: transform(i, j)))
+        self.do = _Lazy(lambda i: _Lazy(apply(i)))
+        self.poss = _Lazy(lambda i: _Lazy(enabled(i)))
         self.enables, self.pair = self._legality(
-            _same, _same, lambda i, s: self.poss[i][s], lambda i, s: self.do[i][s],
+            lambda i: self.poss[i].__getitem__, lambda i: self.do[i].__getitem__,
             lambda i, j: self.it[j][i])
-        self.kernel_enables, self.kernel_pair = self._legality(
-            method.__getitem__, state.__getitem__, partial(kernel.enabled, c),
-            partial(kernel.apply, c), partial(kernel.transform, c))
+        self.kernel_enables, self.kernel_pair = self._legality(enabled, apply, transform)
         self.json = _Lazy(lambda i: value_to_json(method[i]))
         self.methods = self._distinct("method", [self.mid(m) for m in c.enum_methods(b)])
 
@@ -175,25 +179,20 @@ class _Compiled:
         a, b = self.site[i], self.site[j]
         return a is None or b is None or a != b
 
-    def _legality(self, method, state, enabled, apply, transform):
-        """`(enables, pair)` as decided by `enabled(m, st)`, `apply(m, st)`
-        and `transform(m1, m2)`, given the handles `method(i)` and `state(s)`
-        they take for enumerated ids: `enables[i]` is the set of enumerated
-        states method i is enabled on, and `pair[i1, i2]` holds the pair's
-        two transformed sequences and the set of states on which both are
-        legal."""
-        def enabled_on(i: int) -> FrozenSet[int]:
-            m = method(i)
-            return frozenset(s for s in self.states if enabled(m, state(s)))
-
+    def _legality(self, enabled, apply, transform):
+        """The checker's one joint-legality decider, `(enables, pair)`, as
+        decided over ids by the predicate `enabled(i)` and the function
+        `apply(i)` on state ids, and by `transform(i, j)`: `enables[i]` is the
+        set of enumerated states method i is enabled on, and `pair[i1, i2]`
+        holds the pair's two transformed methods, i2 against i1 and i1
+        against i2, and the set of states on which both orders are legal."""
         def pair(ids: Tuple[int, int]):
             i1, i2 = ids
-            seq1, seq2 = _pair_seqs(transform, method(i1), method(i2))
-            return seq1, seq2, frozenset(
-                s for s in enables[i1] & enables[i2]
-                if enabled(seq1[1], apply(seq1[0], state(s)))
-                and enabled(seq2[1], apply(seq2[0], state(s))))
-        enables = _Lazy(enabled_on)
+            t21, t12 = transform(i2, i1), transform(i1, i2)
+            do1, do2, ok1, ok2 = apply(i1), apply(i2), enabled(t21), enabled(t12)
+            return t21, t12, frozenset(s for s in enables[i1] & enables[i2]
+                                       if ok1(do1(s)) and ok2(do2(s)))
+        enables = _Lazy(lambda i: frozenset(filter(enabled(i), self.states)))
         return enables, _Lazy(pair)
 
     def select(self, f: MethodFilter) -> List[int]:
@@ -203,41 +202,37 @@ class _Compiled:
 def _cp1_sweep(t: _Compiled, name: str, m1s: List[int],
                m2s: List[int]) -> CheckReport:
     t0 = time.perf_counter()
-    states = t.states
-    it, do, poss = t.it, t.do, t.poss
-    partners = [(i1, [i2 for i2 in m2s if t.concurrent(i1, i2)]) for i1 in m1s]
-
-    cases = examined = 0
-    witnesses: List[dict] = []
-    for s in states:
-        for i1, concurrent in partners:
-            examined += len(concurrent)
-            if not (concurrent and poss[i1][s]):
+    do, joint_legal = t.do, t.pair.fill  # uncached: each pair is asked once
+    pairs = cases = 0
+    failing: List[Tuple[int, int, int, int, int]] = []
+    for i1 in m1s:
+        for i2 in m2s:
+            if not t.concurrent(i1, i2):
                 continue
-            s1 = do[i1][s]
-            against1 = it[i1]
-            for i2 in concurrent:
-                t21 = against1[i2]
-                if not (poss[t21][s1] and poss[i2][s]):
-                    continue
-                t12 = it[i2][i1]
-                s2 = do[i2][s]
-                if not poss[t12][s2]:
-                    continue
-                cases += 1
-                left, right = do[t21][s1], do[t12][s2]
+            pairs += 1
+            t21, t12, joint = joint_legal((i1, i2))
+            cases += len(joint)
+            first1, then1, first2, then2 = do[i1], do[t21], do[i2], do[t12]
+            for s in joint:
+                left, right = then1[first1[s]], then2[first2[s]]
                 if left != right:
-                    witnesses.append(_replay_cp1(t, s, i1, i2, left, right))
+                    failing.append((s, i1, i2, left, right))
+
+    # Methods and states are interned in their sorted enumeration order
+    # before anything else, so (state, m1, m2) id order is the nesting order
+    # of a sweep over states, then m1, then m2.
+    witnesses = [_replay_cp1(t, *case) for case in sorted(failing)]
     return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
-                       (time.perf_counter() - t0) * 1000.0, examined)
+                       (time.perf_counter() - t0) * 1000.0, pairs * len(t.states))
 
 
 def _replay_cp1(t: _Compiled, s: int, i1: int, i2: int, left: int,
                 right: int) -> dict:
     """Re-derive a failing pair through the public kernel; its witness."""
     c, st, m1, m2 = t.c, t.state[s], t.method[i1], t.method[i2]
-    seq1, seq2 = _pair_seqs(partial(kernel.transform, c), m1, m2)
-    if not (kernel.legal(c, seq1, st) and kernel.legal(c, seq2, st)):
+    t21, t12, joint = t.kernel_pair[i1, i2]
+    seq1, seq2 = [m1, t.method[t21]], [m2, t.method[t12]]
+    if s not in joint:
         _mismatch("CP1", (m1, m2), "a sequence is not legal from " + repr(st))
     got = (kernel.apply_seq(c, seq1, st), kernel.apply_seq(c, seq2, st))
     if got != (t.state[left], t.state[right]) or got[0] == got[1]:
@@ -248,12 +243,6 @@ def _replay_cp1(t: _Compiled, s: int, i1: int, i2: int, left: int,
         "left": value_to_json(got[0]),
         "right": value_to_json(got[1]),
     }
-
-
-def _pair_seqs(transform, m1, m2):
-    """Both orders of a concurrent pair, each second method transformed
-    against the first."""
-    return [m1, transform(m2, m1)], [m2, transform(m1, m2)]
 
 
 def _mismatch(condition: str, methods: Sequence[Method], what: str) -> None:
@@ -308,9 +297,10 @@ def _replay_cp2(t: _Compiled, i1: int, i2: int, i3: int, left: int,
                 right: int) -> dict:
     """Re-derive a failing triple and its realizability through the public
     kernel; its report entry."""
-    c, m3 = t.c, t.method[i3]
-    triple = (t.method[i1], t.method[i2], m3)
-    seq1, seq2, joint = t.kernel_pair[i1, i2]
+    c = t.c
+    m1, m2, m3 = triple = (t.method[i1], t.method[i2], t.method[i3])
+    t21, t12, joint = t.kernel_pair[i1, i2]
+    seq1, seq2 = [m1, t.method[t21]], [m2, t.method[t12]]
     got = (kernel.transform_seq(c, m3, seq1), kernel.transform_seq(c, m3, seq2))
     if got != (t.method[left], t.method[right]) or got[0] == got[1]:
         _mismatch("CP2", triple, f"transformed methods {got}")
@@ -340,12 +330,15 @@ def _cp2_cube(t: _Compiled, name: str, group: List[int]) -> Part:
 
 
 def _run(t: _Compiled, parts: List[Part]) -> List[CheckReport]:
-    """Sweep the parts, once every estimate is within the case ceiling."""
+    """Sweep the parts, once every estimate is within the case ceiling; then
+    free the tables, whose fill functions refer back to t, without a GC pass."""
     for estimate, _ in parts:
         if estimate > t.b.max_cases:
             raise BoundsExceeded(
                 f"estimated {estimate} cases exceeds ceiling {t.b.max_cases}")
-    return [sweep() for _, sweep in parts]
+    reports = [sweep() for _, sweep in parts]
+    vars(t).clear()
+    return reports
 
 
 def check_cp1(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:

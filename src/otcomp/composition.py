@@ -192,9 +192,13 @@ def dynamic_compose(pattern: CompositionPattern, child: Component,
         if is_update(m1) and is_update(m2):
             return transform_update(comp, m1, m2)
         if is_update(m1):
-            return pattern.it_update_vs_method(m1, m2, comp.update_new(m1))
+            addr = pattern.it_update_vs_method(update_addr(m1), update_old(m1),
+                                               comp.update_new(m1), m2)
+            return NOP if addr is None else make_update(
+                addr, update_old(m1), update_child_method(m1), m1.site)
         if is_update(m2):
-            return pattern.it_method_vs_update(m1, m2, comp.update_new(m2))
+            return pattern.it_method_vs_update(m1, update_addr(m2), update_old(m2),
+                                               comp.update_new(m2))
         return base.it_fn(m1, m2)
 
     def enum_methods(b2: Bounds) -> List[Method]:

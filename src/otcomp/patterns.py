@@ -50,10 +50,13 @@ class CompositionPattern:
     update_addrs: Callable[[Bounds], List[Tuple[Any, ...]]]
     update_do: Callable[[Tuple[Any, ...], StateValue, StateValue, StateValue], StateValue]
     update_poss: Callable[[Tuple[Any, ...], StateValue, StateValue, StateValue], bool]
-    # Cross-transform tables: (update method, container method, new child) and
-    # the symmetric direction.
-    it_update_vs_method: Callable[[Method, Method, StateValue], Method]
-    it_method_vs_update: Callable[[Method, Method, StateValue], Method]
+    # Cross transforms against a concurrent edit (addr, old child, new child),
+    # whose Update only composition builds: (edit, container method m) -> the
+    # edit's address after m, or None where m removed the edited element;
+    # (m, edit) -> m transformed against the edit.
+    it_update_vs_method: Callable[[Tuple[Any, ...], StateValue, StateValue, Method],
+                                  Optional[Tuple[Any, ...]]]
+    it_method_vs_update: Callable[[Method, Tuple[Any, ...], StateValue, StateValue], Method]
     update_site_aware: bool = False
 
 
@@ -185,14 +188,12 @@ def set_pattern(variant: str = "guarded") -> CompositionPattern:
     guarded = variant == "guarded"
     name = f"set-{variant}"
 
-    def it_update_vs_method(u: Method, m: Method, new: StateValue) -> Method:
-        old = u.args[1]
+    def it_update_vs_method(addr, old, new, m: Method) -> Optional[Tuple[Any, ...]]:
         if m.ctor == "remove" and m.args[0] == old:
-            return NOP  # the edited element vanished
-        return u
+            return None  # the edited element vanished
+        return addr
 
-    def it_method_vs_update(m: Method, u: Method, new: StateValue) -> Method:
-        old = u.args[1]
+    def it_method_vs_update(m: Method, addr, old, new) -> Method:
         if m.ctor == "remove" and m.args[0] == old:
             return Method("remove", (new,), m.site)
         return m
@@ -312,24 +313,16 @@ def _string_body(child: Component) -> Component:
 def string_pattern() -> CompositionPattern:
     """A sequence of elements with position-addressed insert and delete."""
 
-    def it_update_vs_method(u: Method, m: Method, new: StateValue) -> Method:
-        (p,), old, cm = u.args
+    def it_update_vs_method(addr, old, new, m: Method) -> Optional[Tuple[Any, ...]]:
+        (p,) = addr
         if m.ctor == "Ins":
-            q = m.args[0]
-            if p < q:
-                return u
-            return Method("Update", ((p + 1,), old, cm), u.site)
+            return addr if p < m.args[0] else (p + 1,)
         if m.ctor == "Del":
             q = m.args[0]
-            if p < q:
-                return u
-            if p > q:
-                return Method("Update", ((p - 1,), old, cm), u.site)
-            return NOP  # the edited element was deleted
-        return u
-
-    def it_method_vs_update(m: Method, u: Method, new: StateValue) -> Method:
-        return m  # in-place edits do not shift positions
+            if p == q:
+                return None  # the edited element was deleted
+            return addr if p < q else (p - 1,)
+        return addr
 
     def update_do(addr, old, new, st: SeqOf) -> SeqOf:
         p = addr[0]
@@ -348,7 +341,7 @@ def string_pattern() -> CompositionPattern:
         update_do=update_do,
         update_poss=update_poss,
         it_update_vs_method=it_update_vs_method,
-        it_method_vs_update=it_method_vs_update,
+        it_method_vs_update=lambda m, addr, old, new: m,  # edits shift no position
         update_site_aware=True,
     )
 

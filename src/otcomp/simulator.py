@@ -94,9 +94,11 @@ def integrate(c: Component, base: StateValue, ops: Sequence[Method],
 def run_scenario(s: Scenario, component: Optional[Component] = None) -> RunReport:
     """Integrate under every requested delivery order and compare finals."""
     c = component if component is not None else s.component
-    if not isinstance(c, Component):
+    if isinstance(c, str):
         from .registry import build  # resolved lazily to avoid a cycle
         c = build(c)
+    elif not isinstance(c, Component):
+        raise ScenarioError(f"component {c!r} is neither a name nor a Component")
 
     base = decode_state(c, s.base)
     ops = [_on_site(decode_method(c, m), site) for site, m in s.ops]

@@ -51,6 +51,28 @@ def test_failing_pair_condition_produces_replayable_witnesses():
         assert w["left"] != w["right"]
 
 
+def test_set_literal_cp1_fixture_is_stable_and_replayable():
+    # CP1 witnesses are listed by state, then m1, then m2.
+    b = B.with_(universe=2)
+    c = build("set-literal", b)
+    regenerated = json.dumps(check_cp1(c, b).to_json(mask_elapsed=True), indent=2) + "\n"
+    committed = (Path(__file__).parent / "fixtures" / "set_literal_cp1_report.json").read_text()
+    assert regenerated == committed  # byte-stable
+
+    data = json.loads(committed)
+    assert (data["verdict"], len(data["witnesses"])) == ("fail", 8)
+    assert len({json.dumps(w["state"]) for w in data["witnesses"]}) == 3
+    for w in data["witnesses"]:
+        st = value_from_json(w["state"])
+        m1, m2 = (value_from_json(m) for m in w["methods"])
+        seq1 = [m1, kernel.transform(c, m2, m1)]
+        seq2 = [m2, kernel.transform(c, m1, m2)]
+        assert kernel.legal(c, seq1, st) and kernel.legal(c, seq2, st)
+        assert kernel.apply_seq(c, seq1, st) == value_from_json(w["left"])
+        assert kernel.apply_seq(c, seq2, st) == value_from_json(w["right"])
+        assert w["left"] != w["right"]
+
+
 def test_reports_are_deterministic():
     b = B.with_(universe=1)
     c = build("set-literal", b)
@@ -199,6 +221,42 @@ def test_a_witness_that_does_not_replay_raises_under_python_o():
             print("reported")
     """)
     assert out.startswith("raised: CP1 case"), out
+
+
+def test_a_cp1_legality_that_does_not_replay_raises_under_python_o():
+    # (add x, remove x) fails CP1 on {x}.  poss_fn answers whether remove x
+    # is enabled on {x} as the component does on its first call and the
+    # opposite from its second on, so the replay, which reads no table, finds
+    # that a sequence of the checked case is not legal.
+    out = _under_python_o("""
+        import dataclasses
+        from otcomp.bounds import DEFAULT_BOUNDS
+        from otcomp.checker import check_cp1
+        from otcomp.errors import ReplayMismatch
+        from otcomp.registry import build
+        from otcomp.values import Method, Opaque, set_of
+
+        b = DEFAULT_BOUNDS.with_(universe=1)
+        base = build("set-literal", b)
+        flipped = (Method("remove", (Opaque("x"),)), set_of([Opaque("x")]))
+        calls = []
+
+        def poss_fn(m, st):
+            out = base.poss_fn(m, st)
+            if (m, st) != flipped:
+                return out
+            calls.append(out)
+            return out if len(calls) == 1 else not out
+
+        try:
+            check_cp1(dataclasses.replace(base, poss_fn=poss_fn), b)
+        except ReplayMismatch as exc:
+            print("raised:", exc)
+        else:
+            print("reported")
+    """)
+    assert out.startswith("raised: CP1 case"), out
+    assert "a sequence is not legal" in out, out
 
 
 def test_a_realizability_that_does_not_replay_raises_under_python_o():

@@ -181,6 +181,16 @@ def test_simulate_badly_typed_site_is_a_usage_error(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_simulate_component_that_is_not_a_name_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "component.scenario"
+    for component in (5, ["cchar"]):
+        path.write_text(json.dumps({
+            "component": component, "base": None,
+            "ops": [{"site": 1, "method": {"ctor": "putchar", "args": ["a"]}}]}))
+        assert main(["simulate", str(path)]) == EXIT_USAGE, component
+        assert f"component {component!r} is neither" in capsys.readouterr().err
+
+
 def test_simulate_update_address_of_the_wrong_length_is_a_usage_error(tmp_path, capsys):
     def update(addr):
         return {"ctor": "Update",

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-no check rests on an `assert`, which `python -O` removes."""
+"""Source hygiene: every name a module imports is used in that module, no
+check rests on an `assert`, which `python -O` removes, and only composition
+knows how an Update method is laid out."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,13 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, "assert statements:\n" + "\n".join(found)
+
+
+def test_only_composition_names_the_update_constructor():
+    # Patterns and the checker reach an edit's fields through composition;
+    # a docstring is not a Constant equal to "Update", so it may mention it.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "composition.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Constant) and node.value == "Update"]
+    assert not found, "the string 'Update' outside composition:\n" + "\n".join(found)

@@ -72,6 +72,13 @@ def test_permutation_explosion_rejected():
         run_scenario(Scenario(component="cnat", base=None, ops=ops))
 
 
+def test_component_that_is_not_a_name_or_a_component_rejected():
+    for component in (5, ["cchar"], None):
+        with pytest.raises(ScenarioError, match="neither a name nor a Component"):
+            run_scenario(Scenario(component=component, base=None,
+                                  ops=[(1, {"ctor": "putchar", "args": ["a"]})]))
+
+
 def test_explicit_delivery_orders():
     s = _string_scenario()
     s.delivery = [[1, 0]]
