@@ -35,6 +35,7 @@ from .errors import OtcompError
 from .registry import build, registry_names
 from .simulator import load_scenario, run_scenario
 from .tower import TOWER_BOUNDS, build_document_tower, demo_word_scenario
+from .values import display
 
 EXIT_PASS, EXIT_FAIL, EXIT_VACUOUS, EXIT_USAGE = 0, 1, 2, 3
 
@@ -90,10 +91,10 @@ def _resolve_scenario_path(path: str) -> str:
 
 def cmd_simulate(args) -> int:
     report = run_scenario(load_scenario(_resolve_scenario_path(args.scenario)))
-    data = report.to_json()
-    _emit(json.dumps(data, indent=2) if args.format == "json" else
-          "\n".join([f"converged: {data['converged']}"]
-                    + [f"  order {f['order']}: {f['state']}" for f in data["finals"]]), args)
+    _emit(json.dumps(report.to_json(), indent=2) if args.format == "json" else
+          "\n".join([f"converged: {report.converged}"]
+                    + [f"  order {list(order)}: {display(st)}"
+                       for order, st in report.finals]), args)
     return EXIT_PASS if report.converged else EXIT_FAIL
 
 

@@ -72,8 +72,10 @@ def static_compose(*factors: Component) -> Component:
     def it_fn(m1: Method, m2: Method) -> Method:
         i1, inner1 = _unpack(m1)
         i2, inner2 = _unpack(m2)
-        if i1 != i2:
-            return m1  # factors do not interact
+        if i1 != i2:  # factors do not interact, so no factor reads either method
+            kernel.validate_method(factors[i1], inner1)
+            kernel.validate_method(factors[i2], inner2)
+            return m1
         return _pack(i1, factors[i1].it_fn(inner1, inner2))
 
     def enum_methods(b: Bounds) -> List[Method]:
@@ -152,14 +154,17 @@ def transform_update(comp: ComposedComponent, u1: Method, u2: Method) -> Method:
 
     Same target (equal address and equal old child state): rebase u1's child
     method through the child's transform onto the state u2 produced.  Distinct
-    targets never interfere, so u1 passes through unchanged.
+    targets never interfere, so u1 passes through unchanged, once both child
+    methods are known to be the child's.
     """
     if not (is_update(u1) and is_update(u2)):
         raise UnknownMethod("transform_update expects two update methods")
-    if update_addr(u1) == update_addr(u2) and update_old(u1) == update_old(u2):
-        rebased = kernel.transform(comp.parts[0], update_child_method(u1),
-                                   update_child_method(u2))
-        return make_update(update_addr(u1), comp.update_new(u2), rebased, u1.site)
+    (addr1, old1, child1), (addr2, old2, child2) = u1.args, u2.args  # see make_update
+    if addr1 == addr2 and old1 == old2:
+        rebased = kernel.transform(comp.parts[0], child1, child2)
+        return make_update(addr1, comp.update_new(u2), rebased, u1.site)
+    kernel.validate_method(comp.parts[0], child1)
+    kernel.validate_method(comp.parts[0], child2)
     return u1
 
 

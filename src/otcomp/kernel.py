@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UnknownAttribute, UnknownMethod
-from .values import NOP, Method, StateValue, canon_key
+from .values import METHOD, NOP, Method, StateValue, canon_key
 
 
 @dataclass(eq=False)
@@ -62,6 +62,24 @@ def _require_method(c: Component, m: Method) -> None:
         raise UnknownMethod(f"{ctor!r} is not a method of component {c.name!r}")
 
 
+def validate_method(c: Component, m: Method) -> None:
+    """Raise UnknownMethod unless m is a method of c, down to the methods its
+    arguments carry: a METHOD argument must be a method of c's element,
+    parts[0], as `values.decode_method` reads it.  A static product's method
+    is judged by the factor owning its constructor."""
+    if not (isinstance(m, Method) and m.ctor in c.method_ctors):
+        _require_method(c, m)  # raises
+    if not c.parts:  # only a component with parts declares METHOD arguments
+        return
+    if m.ctor in c.owner:
+        i, ctor = c.owner[m.ctor]
+        validate_method(c.parts[i], Method(ctor, m.args, m.site))
+    else:
+        for sort, arg in zip(c.method_ctors[m.ctor], m.args):
+            if sort == METHOD:
+                validate_method(c.parts[0], arg)
+
+
 def apply(c: Component, m: Method, st: StateValue) -> StateValue:
     """Execute one method on a state.  `nop` is the identity."""
     _require_method(c, m)
@@ -82,13 +100,16 @@ def transform(c: Component, m1: Method, m2: Method) -> Method:
     """Adjust m1 to include the effect of a concurrent m2.
 
     Transforming against `nop` is the identity and transforming `nop` stays
-    `nop`; component tables only cover proper method pairs.
+    `nop`; component tables only cover proper method pairs.  Those answers
+    read no component function, so the other method is validated in full.
     """
     _require_method(c, m1)
     _require_method(c, m2)
     if m2.ctor == "nop":
+        validate_method(c, m1)
         return m1
     if m1.ctor == "nop":
+        validate_method(c, m2)
         return NOP
     return c.it_fn(m1, m2)
 

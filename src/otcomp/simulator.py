@@ -5,6 +5,13 @@ Each delivered operation is transformed against the sequence of operations the
 site already executed, then applied.  A transformed operation that is not
 enabled at its point of application is skipped and recorded; such runs are
 marked partially legal rather than aborted.
+
+Orders that share a prefix share its integration: the orders are walked in
+their given sequence, each resuming from the longest prefix it shares with
+the one before, so that with every order requested each node of the
+delivery-order tree is integrated once.  Traces of such orders share their
+entries; the JSON form writes each distinct entry once per call and is the
+same as if every order had been integrated on its own.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ class Scenario:
             raise ScenarioError("sites issuing ops must be pairwise distinct")
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegrationTrace:
     delivered: Method
     transformed: Method
@@ -57,18 +64,33 @@ class RunReport:
 
     def to_json(self, component: Optional[Component] = None) -> dict:
         """JSON form of the run; states in their display form, which depends
-        on the state alone (`component` is accepted but not needed)."""
+        on the state alone (`component` is accepted but not needed).
+
+        Each distinct trace entry and method is encoded once, through a memo
+        from its id to its JSON form, so orders sharing a prefix share those
+        dicts; the memo lives only as long as this call."""
+        memo: dict = {}
+
+        def method(m: Method) -> Any:
+            if id(m) not in memo:
+                memo[id(m)] = value_to_json(m)
+            return memo[id(m)]
+
+        def entry(t: IntegrationTrace) -> dict:
+            if id(t) not in memo:
+                memo[id(t)] = {"delivered": method(t.delivered),
+                               "transformed": method(t.transformed),
+                               "applied": t.applied}
+            return memo[id(t)]
+
         return {
             "converged": self.converged,
             "fully_legal": self.fully_legal,
             "finals": [{"order": list(order), "state": display(st)}
                        for order, st in self.finals],
             "diverging": [list(o) for o in self.diverging] if self.diverging else None,
-            "traces": {",".join(map(str, order)): [
-                {"delivered": value_to_json(t.delivered),
-                 "transformed": value_to_json(t.transformed),
-                 "applied": t.applied}
-                for t in trace] for order, trace in self.traces.items()},
+            "traces": {",".join(map(str, order)): [entry(t) for t in trace]
+                       for order, trace in self.traces.items()},
         }
 
 
@@ -77,18 +99,9 @@ def integrate(c: Component, base: StateValue, ops: Sequence[Method],
               ) -> Tuple[StateValue, List[IntegrationTrace]]:
     """Deliver the ops in the given order, transforming each against the
     already-executed (transformed) ones before applying it."""
-    st = base
-    executed: List[Method] = []
-    trace: List[IntegrationTrace] = []
-    for idx in order:
-        op = ops[idx]
-        t = kernel.transform_seq(c, op, executed) if use_transform else op
-        ok = kernel.enabled(c, t, st)
-        if ok:
-            st = kernel.apply(c, t, st)
-            executed.append(t)
-        trace.append(IntegrationTrace(op, t, ok))
-    return st, trace
+    order = tuple(order)
+    finals, traces, _ = _integrate_orders(c, base, ops, [order], use_transform)
+    return finals[0][1], traces[order]
 
 
 def run_scenario(s: Scenario, component: Optional[Component] = None) -> RunReport:
@@ -106,21 +119,52 @@ def run_scenario(s: Scenario, component: Optional[Component] = None) -> RunRepor
     if type(s.use_transform) is not bool:
         raise ScenarioError(f"transform {s.use_transform!r} is not a bool")
 
+    finals, traces, fully_legal = _integrate_orders(c, base, ops, orders,
+                                                    s.use_transform)
+    # Equality is transitive, so the finals agree if each equals the first.
+    first_order, first = finals[0]
+    diverging = next(((first_order, order) for order, st in finals[1:] if st != first),
+                     None)
+    return RunReport(finals, diverging is None, diverging, traces, fully_legal)
+
+
+def _integrate_orders(c: Component, base: StateValue, ops: Sequence[Method],
+                      orders: Sequence[Tuple[int, ...]], use_transform: bool):
+    """Integrate the ops under each order, in the given sequence, and return
+    the finals in that sequence, the trace of each order, and whether every
+    delivered op was applied.
+
+    A depth-first walk of the delivery-order tree: level k of the stack holds
+    the state after an order's first k deliveries, each op not yet delivered
+    transformed against the ops applied so far, and the trace.  An order
+    resumes from the longest prefix it shares with the order before it, and
+    applying an op transforms only the ops still to come against it.
+    """
+    stack = [(base, dict(enumerate(ops)), [])]
     finals: List[Tuple[Tuple[int, ...], StateValue]] = []
     traces: dict = {}
     fully_legal = True
+    previous: Tuple[int, ...] = ()
     for order in orders:
-        st, trace = integrate(c, base, ops, order, s.use_transform)
+        k = 0
+        while k < len(previous) and previous[k] == order[k]:
+            k += 1
+        del stack[k + 1:]
+        for idx in order[k:]:
+            st, pending, trace = stack[-1]
+            t = pending[idx]
+            ok = kernel.enabled(c, t, st)
+            if ok:
+                st = kernel.apply(c, t, st)
+            rest = {j: kernel.transform(c, m, t) if ok and use_transform else m
+                    for j, m in pending.items() if j != idx}
+            fully_legal = fully_legal and ok
+            stack.append((st, rest, trace + [IntegrationTrace(ops[idx], t, ok)]))
+        st, _, trace = stack[-1]
         finals.append((order, st))
         traces[order] = trace
-        fully_legal = fully_legal and all(t.applied for t in trace)
-
-    diverging = None
-    for (o1, s1), (o2, s2) in itertools.combinations(finals, 2):
-        if s1 != s2:
-            diverging = (o1, o2)
-            break
-    return RunReport(finals, diverging is None, diverging, traces, fully_legal)
+        previous = order
+    return finals, traces, fully_legal
 
 
 def _orders(delivery, n: int) -> List[Tuple[int, ...]]:

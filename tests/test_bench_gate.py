@@ -1,11 +1,15 @@
-"""The benchmark's correctness gate accepts the checker's reports.
+"""The benchmark's correctness gate accepts the checker's reports and the
+simulator's runs.
 
 `bench/gate.py` judges every benchmark check by replaying its emitted JSON
 through the public kernel, and by requiring a report's parts to add up to
-its aggregate.  Running it here makes a report-format change that the gate
-cannot read fail the tests, instead of failing every benchmark operation.
+its aggregate; it judges every simulated scenario against its finals and,
+for two ops, against the pair identity.  Running it here makes a change that
+the gate rejects fail the tests, instead of failing every benchmark
+operation.
 """
 
+import dataclasses
 import importlib
 import json
 from pathlib import Path
@@ -15,6 +19,7 @@ import pytest
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.checker import check_consistency
 from otcomp.registry import build
+from otcomp.simulator import Scenario, run_scenario
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -39,3 +44,22 @@ def test_gate_finds_no_problem_in_a_consistency_report(gate, expr, overrides):
     next(p for p in data["parts"] if p.get(key))[key].pop()
     assert gate.check_report_problems(c, b, data) == [
         f"aggregate {key} differ from the parts'"]
+
+
+def test_gate_finds_no_problem_in_a_simulated_batch(gate):
+    workloads = importlib.import_module("workloads")
+    wl = workloads.SimulateWorkload()
+    runs = []
+    for c, base, ops in wl.scenarios(wl.prepare(7), 0):
+        rep = run_scenario(Scenario(component=c, base=base, ops=ops), component=c)
+        data = json.loads(json.dumps(rep.to_json(c)))
+        assert gate.scenario_problems(c, base, ops, rep, data) == []
+        runs.append((c, base, ops, rep, data))
+    assert len(runs) == workloads.SIM_BATCH
+    assert {len(ops) for _, _, ops, _, _ in runs} == {2, 3, 4}
+
+    # The gate is not vacuous: a run whose verdict is flipped is caught.
+    c, base, ops, rep, data = runs[0]
+    flipped = dataclasses.replace(rep, converged=not rep.converged)
+    assert "converged flag disagrees with the finals" in gate.scenario_problems(
+        c, base, ops, flipped, data)

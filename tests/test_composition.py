@@ -200,3 +200,37 @@ def test_an_update_whose_child_method_is_not_the_childs_is_rejected(expr, addr, 
     for m1, m2 in ((bad, plain), (plain, bad), (bad, good), (good, bad)):
         with pytest.raises(UnknownMethod):
             kernel.transform(c, m1, m2)
+
+
+@pytest.mark.parametrize("expr, addr, other", [
+    ("string[cchar]", (0,), (1,)),
+    ("set-guarded[cchar]", (), ()),
+])
+def test_an_invalid_update_is_rejected_against_nop_and_other_occurrences(expr, addr,
+                                                                          other):
+    # Neither path reads the child: the kernel answers `nop` itself, and an
+    # Update of another occurrence (another address, or another old child
+    # state) passes through unchanged.
+    c = build(expr)
+    bad = make_update(addr, Cell("a"), Method("shove", ("b",)), 0)
+    good = make_update(addr, Cell("a"), Method("putchar", ("b",)), 0)
+    elsewhere = make_update(other, Cell("c"), Method("putchar", ("d",)), 1)
+    for m1, m2 in ((bad, NOP), (NOP, bad), (bad, elsewhere), (elsewhere, bad)):
+        with pytest.raises(UnknownMethod):
+            kernel.transform(c, m1, m2)
+    assert kernel.transform(c, good, NOP) == good
+    assert kernel.transform(c, NOP, good) == NOP
+    assert kernel.transform(c, good, elsewhere) == good
+    assert kernel.transform(c, elsewhere, good) == elsewhere
+
+
+def test_an_invalid_update_is_rejected_against_another_factor():
+    c = build("string[cchar] (+) cnat")
+    bad = make_update((0,), Cell("a"), Method("shove", ("b",)), 0)
+    put = Method("putnat", (1,), 1)
+    for m1, m2 in ((bad, put), (put, bad), (bad, NOP), (NOP, bad)):
+        with pytest.raises(UnknownMethod):
+            kernel.transform(c, m1, m2)
+    good = make_update((0,), Cell("a"), Method("putchar", ("b",)), 0)
+    assert kernel.transform(c, good, put) == good
+    assert kernel.transform(c, put, good) == put

@@ -1,16 +1,22 @@
 """The replicated-sites harness: delivery orders, traces, scenario files."""
 
+import dataclasses
+import itertools
 import json
+import random
 
 import pytest
 
+from otcomp import kernel
 from otcomp.bounds import DEFAULT_BOUNDS
+from otcomp.cli import EXIT_USAGE, main
 from otcomp.composition import make_update
-from otcomp.errors import ScenarioError
+from otcomp.errors import ScenarioError, UnknownMethod
 from otcomp.registry import build
 from otcomp.simulator import (Scenario, integrate, load_scenario,
                               run_scenario)
-from otcomp.values import Cell, Method, SetOf, display, set_of
+from otcomp.values import (Cell, Method, SetOf, decode_state, display, set_of,
+                           value_to_json)
 
 
 def _string_scenario(transform=True):
@@ -138,3 +144,163 @@ def test_bundled_scenarios_parse():
         path = resources.files("otcomp") / "scenarios" / name
         s = load_scenario(str(path))
         assert s.component == "string[cchar]"
+
+
+# --- the walk against a per-order reference ----------------------------------
+
+def _reference(c, base, ops, orders, use_transform=True):
+    """Each order integrated on its own, as a fold over the kernel, and the
+    first unequal pair of finals in `itertools.combinations` order."""
+    finals, traces = [], {}
+    for order in orders:
+        st, executed, trace = base, [], []
+        for idx in order:
+            t = kernel.transform_seq(c, ops[idx], executed) if use_transform else ops[idx]
+            ok = kernel.enabled(c, t, st)
+            if ok:
+                st = kernel.apply(c, t, st)
+                executed.append(t)
+            trace.append((ops[idx], t, ok))
+        finals.append((order, st))
+        traces[order] = trace
+    fully_legal = all(ok for trace in traces.values() for _, _, ok in trace)
+    diverging = next(((o1, o2) for (o1, s1), (o2, s2)
+                      in itertools.combinations(finals, 2) if s1 != s2), None)
+    return finals, traces, fully_legal, diverging
+
+
+def _unshared_json(finals, traces, fully_legal, diverging) -> dict:
+    """The report's JSON with every trace entry and method encoded anew."""
+    return {
+        "converged": diverging is None,
+        "fully_legal": fully_legal,
+        "finals": [{"order": list(o), "state": display(st)} for o, st in finals],
+        "diverging": [list(o) for o in diverging] if diverging else None,
+        "traces": {",".join(map(str, o)): [
+            {"delivered": value_to_json(d), "transformed": value_to_json(t),
+             "applied": ok} for d, t, ok in trace] for o, trace in traces.items()},
+    }
+
+
+def _assert_matches_reference(c, base, ops, delivery="all", use_transform=True):
+    rep = run_scenario(Scenario(component=c, base=base, ops=ops, delivery=delivery,
+                                use_transform=use_transform), component=c)
+    methods = [m for _, m in ops]
+    orders = (list(itertools.permutations(range(len(ops)))) if delivery == "all"
+              else [tuple(o) for o in delivery])
+    finals, traces, fully_legal, diverging = _reference(c, base, methods, orders,
+                                                        use_transform)
+    assert rep.finals == finals
+    assert {o: [(t.delivered, t.transformed, t.applied) for t in trace]
+            for o, trace in rep.traces.items()} == traces
+    assert list(rep.traces) == list(traces)
+    assert (rep.fully_legal, rep.converged, rep.diverging) == (
+        fully_legal, diverging is None, diverging)
+    for indent in (None, 2):
+        assert json.dumps(rep.to_json(), indent=indent) == json.dumps(
+            _unshared_json(finals, traces, fully_legal, diverging), indent=indent)
+    return rep
+
+
+@pytest.fixture(scope="module")
+def live_ops():
+    """Each simulator component with its states and, per state, the proper
+    methods enabled on it."""
+    out = []
+    for expr in ("string[cchar]", "set-guarded[cchar]", "cchar (+) cnat (+) ccolor"):
+        c = build(expr)
+        states = c.enum_states(DEFAULT_BOUNDS)
+        methods = [m for m in c.enum_methods(DEFAULT_BOUNDS) if m.ctor != "nop"]
+        out.append((c, states, [[m for m in methods if kernel.enabled(c, m, st)]
+                                for st in states]))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_walk_matches_a_per_order_fold(live_ops, seed):
+    rng = random.Random(seed)
+    for c, states, live in live_ops:
+        for _ in range(12):
+            si = rng.randrange(len(states))
+            sites = rng.sample(range(1, 5), rng.randint(2, 4))
+            ops = [(s, Method(m.ctor, m.args, s))
+                   for s, m in zip(sites, (rng.choice(live[si]) for _ in sites))]
+            orders = list(itertools.permutations(range(len(ops))))
+            explicit = [list(rng.choice(orders)) for _ in range(rng.randint(1, 6))]
+            for delivery in ("all", explicit):
+                for use_transform in (True, False):
+                    _assert_matches_reference(c, states[si], ops, delivery,
+                                              use_transform)
+
+
+def test_the_walk_matches_explicit_unsorted_and_repeated_orders():
+    c = build("string[cchar]")
+    ops = [(1, Method("Ins", (0, Cell("x")), 1)), (2, Method("Del", (1,), 2)),
+           (3, Method("Ins", (2, Cell("y")), 3))]
+    base = c.enum_states(DEFAULT_BOUNDS)[-1]
+    rep = _assert_matches_reference(
+        c, base, ops, [[2, 0, 1], [0, 1, 2], [2, 0, 1], [1, 2, 0], [1, 0, 2]])
+    assert [o for o, _ in rep.finals] == [(2, 0, 1), (0, 1, 2), (2, 0, 1),
+                                          (1, 2, 0), (1, 0, 2)]
+    assert list(rep.traces) == [(2, 0, 1), (0, 1, 2), (1, 2, 0), (1, 0, 2)]
+
+
+def test_the_walk_matches_a_diverging_untransformed_run():
+    c = build("string[cchar]")
+    ops = [(1, Method("Ins", (1, Cell("f")), 1)), (2, Method("Del", (5,), 2)),
+           (3, Method("Ins", (0, Cell("e")), 3))]
+    rep = _assert_matches_reference(c, decode_state(c, "efecte"), ops,
+                                    use_transform=False)
+    assert not rep.converged and rep.diverging[0] == (0, 1, 2)
+
+
+def test_orders_sharing_a_prefix_share_its_integration(monkeypatch):
+    # Four always-enabled ops: each node of the order tree is integrated
+    # once, 4 + 12 + 24 + 24 applications and 12 + 24 + 24 transforms,
+    # where integrating each of the 24 orders alone takes 96 and 144.
+    c = build("cchar (+) cnat (+) ccolor")
+    ops = [(1, Method("putchar", ("a",), 1)), (2, Method("putnat", (1,), 2)),
+           (3, Method("putchar", ("b",), 3)), (4, Method("putcolor", ("red",), 4))]
+    calls = {"enabled": 0, "apply": 0, "transform": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(kernel, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(kernel, name, counted)
+    rep = run_scenario(Scenario(component=c, base=c.initial_state, ops=ops), component=c)
+    assert rep.fully_legal and len(rep.finals) == 24
+    assert calls == {"enabled": 64, "apply": 64, "transform": 60}
+    assert rep.traces[(0, 1, 2, 3)][:2] == rep.traces[(0, 1, 3, 2)][:2]
+    assert rep.traces[(0, 1, 2, 3)][1] is rep.traces[(0, 1, 3, 2)][1]
+
+
+def test_trace_entries_are_frozen():
+    trace = run_scenario(_string_scenario()).traces[(0, 1)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace[0].applied = False
+
+
+def test_a_malformed_op_raises_what_a_per_order_fold_raises():
+    # An Update whose child method is not the child's, passed as a Method,
+    # so that no decoding stops it before the run; first or second.
+    c = build("string[cchar]")
+    bad = make_update((0,), Cell("a"), Method("shove", ("b",)), 1)
+    ins = Method("Ins", (0, Cell("c")), 2)
+    base = decode_state(c, "ab")
+    for ops in ([(1, bad), (2, ins)], [(2, ins), (1, bad)]):
+        methods = [m for _, m in ops]
+        with pytest.raises(UnknownMethod):
+            _reference(c, base, methods, list(itertools.permutations(range(2))))
+        with pytest.raises(UnknownMethod):
+            run_scenario(Scenario(component=c, base=base, ops=ops), component=c)
+
+
+def test_a_malformed_op_in_a_scenario_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "bad.scenario"
+    path.write_text(json.dumps({
+        "component": "string[cchar]", "base": "ab",
+        "ops": [{"site": 1, "method": {"ctor": "Update", "args": [
+            [0], "a", {"ctor": "shove", "args": ["b"]}]}},
+                {"site": 2, "method": {"ctor": "Ins", "args": [0, "c"]}}]}))
+    assert main(["simulate", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
