@@ -180,7 +180,7 @@ def dynamic_compose(pattern: CompositionPattern, child: Component,
     # The closures read `comp`, which is bound below before any of them runs.
     # The kernel has checked each method's ctor and answered `nop`, so the
     # base's own functions are called directly; an Update's child method is
-    # checked by `update_new`.
+    # checked by `update_new`, or by `transform_update` where none runs.
     def do_fn(m: Method, st: StateValue) -> StateValue:
         if is_update(m):
             return pattern.update_do(update_addr(m), update_old(m),

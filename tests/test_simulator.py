@@ -121,6 +121,14 @@ def test_integrate_matches_manual_fold():
     assert [t.applied for t in trace] == [True, True]
 
 
+def test_integrate_takes_only_a_permutation_of_the_ops():
+    c = build("cchar")
+    ops = [Method("putchar", ("a",), 1), Method("putchar", ("c",), 2)]
+    for order in ((0, 0), (0,), (0, 2), (0, 1, 1)):
+        with pytest.raises(ScenarioError):
+            integrate(c, Cell(None), ops, order)
+
+
 def test_load_scenario_from_dict_text_and_file(tmp_path):
     data = {"component": "cchar", "base": "a",
             "ops": [{"site": 1, "method": {"ctor": "putchar", "args": ["b"]}}]}
