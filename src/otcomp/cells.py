@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List
 
 from .bounds import Bounds, DEFAULT_BOUNDS
-from .errors import InvalidSpec, UndefinedObservation
+from .errors import BoundsExceeded, InvalidSpec, UndefinedObservation
 from .kernel import Component
 from .values import NOP, VALUE, Cell, Method
 
@@ -74,13 +74,21 @@ def make_cell_component(spec: CellComponentSpec) -> Component:
     )
 
 
+def _first(values, b: Bounds, bound: str) -> list:
+    """The first `b.<bound>` of the values; BoundsExceeded if there are fewer."""
+    n = getattr(b, bound)
+    if n > len(values):
+        raise BoundsExceeded(f"bound {bound}={n} exceeds the {len(values)} values on offer")
+    return list(values[:n])
+
+
 def _color_min(c1: str, c2: str) -> str:
     return min(c1, c2, key=COLOR_ORDER.index)
 
 
 CHAR_CELL = CellComponentSpec(
     "cchar", "putchar", "getchar",
-    values=lambda b: list(string.ascii_lowercase[: b.alphabet]),
+    values=lambda b: _first(string.ascii_lowercase, b, "alphabet"),
     merge_fn=max,
 )
 
@@ -92,7 +100,7 @@ NAT_CELL = CellComponentSpec(
 
 COLOR_CELL = CellComponentSpec(
     "ccolor", "putcolor", "getcolor",
-    values=lambda b: list(COLOR_ORDER[: b.colors]),
+    values=lambda b: _first(COLOR_ORDER, b, "colors"),
     merge_fn=_color_min,
 )
 

@@ -7,14 +7,17 @@ third method along either of the two equivalent sequences yields the same
 method.  Restricted variants quantify over given disjoint method subsets, and
 `check_consistency` runs the full decomposition for composed components.
 
-Each check call compiles the component once: its sorted method and state
-enumerations are interned to ints, and the sweeps read three tables keyed by
-those ids, IT (method, method) -> method, Do (state, method) -> state and
-Poss (state, method) -> bool.  A table entry is filled on first use from the
-public kernel's `transform`, `apply` and `enabled`, so validation and `nop`
-handling stay in the kernel; a result outside the enumeration (an insert one
-past the longest state, a longer sequence) is interned when first seen.
-Nothing outlives the call.
+A check is a list of parts, each plain data: a name, a condition and the
+blocks of method ids its sweep walks.  One runner, `_check`, compiles the
+component once, reads every part's case estimate off its blocks, and raises
+BoundsExceeded before any sweep if one is over `max_cases`.  Compiling
+interns the sorted method and state enumerations to ints, and the sweeps
+read three tables keyed by those ids, IT (method, method) -> method, Do
+(state, method) -> state and Poss (state, method) -> bool.  A table entry is
+filled on first use from the public kernel's `transform`, `apply` and
+`enabled`, so validation and `nop` handling stay in the kernel; a result
+outside the enumeration (an insert one past the longest state, a longer
+sequence) is interned when first seen.  Nothing outlives the call.
 
 Every failing case is replayed through the public kernel before it is
 emitted, which cross-checks the tables: joint legality, both final states or
@@ -29,6 +32,7 @@ legal states) once.  A disagreement raises ReplayMismatch.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import time
 from dataclasses import dataclass, field
@@ -41,8 +45,6 @@ from .errors import BoundsExceeded, InvalidSpec, ReplayMismatch
 from . import kernel
 from .kernel import Component
 from .values import Method, StateValue, value_to_json
-
-MethodFilter = Callable[[Method], bool]
 
 
 @dataclass
@@ -195,28 +197,36 @@ class _Compiled:
         enables = _Lazy(lambda i: frozenset(filter(enabled(i), self.states)))
         return enables, _Lazy(pair)
 
-    def select(self, f: MethodFilter) -> List[int]:
+    def select(self, f: Callable[[Method], bool]) -> List[int]:
         return [i for i in self.methods if f(self.method[i])]
 
 
-def _cp1_sweep(t: _Compiled, name: str, m1s: List[int],
-               m2s: List[int]) -> CheckReport:
+# A part of a check as data: its name, its condition ("CP1" or "CP2"), and the
+# blocks of method ids its sweep walks: (m1s, m2s) for CP1, (g1, g2, g3) for
+# CP2, each drawing m1 from the first, m2 from the second and so on, in that
+# nesting order.
+Blocks = Sequence[Tuple[List[int], ...]]
+Part = Tuple[str, str, Blocks]
+
+
+def _cp1_sweep(t: _Compiled, name: str, blocks: Blocks) -> CheckReport:
     t0 = time.perf_counter()
     do, joint_legal = t.do, t.pair.fill  # uncached: each pair is asked once
     pairs = cases = 0
     failing: List[Tuple[int, int, int, int, int]] = []
-    for i1 in m1s:
-        for i2 in m2s:
-            if not t.concurrent(i1, i2):
-                continue
-            pairs += 1
-            t21, t12, joint = joint_legal((i1, i2))
-            cases += len(joint)
-            first1, then1, first2, then2 = do[i1], do[t21], do[i2], do[t12]
-            for s in joint:
-                left, right = then1[first1[s]], then2[first2[s]]
-                if left != right:
-                    failing.append((s, i1, i2, left, right))
+    for m1s, m2s in blocks:
+        for i1 in m1s:
+            for i2 in m2s:
+                if not t.concurrent(i1, i2):
+                    continue
+                pairs += 1
+                t21, t12, joint = joint_legal((i1, i2))
+                cases += len(joint)
+                first1, then1, first2, then2 = do[i1], do[t21], do[i2], do[t12]
+                for s in joint:
+                    left, right = then1[first1[s]], then2[first2[s]]
+                    if left != right:
+                        failing.append((s, i1, i2, left, right))
 
     # Methods and states are interned in their sorted enumeration order
     # before anything else, so (state, m1, m2) id order is the nesting order
@@ -249,11 +259,6 @@ def _mismatch(condition: str, methods: Sequence[Method], what: str) -> None:
     raise ReplayMismatch(
         f"{condition} case {list(methods)} does not replay through the "
         f"kernel as it was checked: {what}; is the component deterministic?")
-
-
-# A CP2 sweep runs over blocks (g1, g2, g3) of method ids: m1 from g1, m2 from
-# g2 and m3 from g3, in that nesting order.
-Blocks = Sequence[Tuple[List[int], List[int], List[int]]]
 
 
 def _cp2_sweep(t: _Compiled, name: str, blocks: Blocks) -> CheckReport:
@@ -316,46 +321,41 @@ def _replay_cp2(t: _Compiled, i1: int, i2: int, i3: int, left: int,
     }
 
 
-# A part of a check: its estimated case count, and the sweep that runs it.
-Part = Tuple[int, Callable[[], CheckReport]]
-
-
-def _cp1(t: _Compiled, name: str, m1s: List[int], m2s: List[int]) -> Part:
-    return (len(t.states) * len(m1s) * len(m2s),
-            lambda: _cp1_sweep(t, name, m1s, m2s))
-
-
-def _cp2_cube(t: _Compiled, name: str, group: List[int]) -> Part:
-    return len(group) ** 3, lambda: _cp2_sweep(t, name, [(group, group, group)])
-
-
-def _run(t: _Compiled, parts: List[Part]) -> List[CheckReport]:
-    """Sweep the parts, once every estimate is within the case ceiling; then
-    free the tables, whose fill functions refer back to t, without a GC pass."""
-    for estimate, _ in parts:
-        if estimate > t.b.max_cases:
+def _check(c: Component, b: Bounds,
+           parts_of: Callable[[_Compiled], List[Part]]) -> List[CheckReport]:
+    """Compile c once and sweep the parts `parts_of` names over it, once
+    every part's estimate is within the case ceiling: the cases its blocks
+    hold, times the states for CP1.  Then free the tables, whose fill
+    functions refer back to t, without a GC pass."""
+    t = _Compiled(c, b)
+    parts = parts_of(t)
+    for _, condition, blocks in parts:
+        estimate = sum(math.prod(map(len, block)) for block in blocks)
+        if condition == "CP1":
+            estimate *= len(t.states)
+        if estimate > b.max_cases:
             raise BoundsExceeded(
-                f"estimated {estimate} cases exceeds ceiling {t.b.max_cases}")
-    reports = [sweep() for _, sweep in parts]
+                f"estimated {estimate} cases exceeds ceiling {b.max_cases}")
+    sweep = {"CP1": _cp1_sweep, "CP2": _cp2_sweep}
+    reports = [sweep[condition](t, name, blocks) for name, condition, blocks in parts]
     vars(t).clear()
     return reports
 
 
 def check_cp1(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Pair condition over every enumerated state and method pair."""
-    t = _Compiled(c, b)
-    return _run(t, [_cp1(t, "CP1", t.methods, t.methods)])[0]
+    return _check(c, b, lambda t: [("CP1", "CP1", [(t.methods, t.methods)])])[0]
 
 
 def check_cp2(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Triple condition over every enumerated method triple (state-free)."""
-    t = _Compiled(c, b)
-    return _run(t, [_cp2_cube(t, "CP2", t.methods)])[0]
+    return _check(c, b, lambda t: [("CP2", "CP2", [(t.methods,) * 3])])[0]
 
 
 def _split(t: _Compiled, sub1, sub2) -> Tuple[List[int], List[int]]:
-    g1 = t.select(_as_filter(sub1))
-    g2 = t.select(_as_filter(sub2))
+    """The method ids in each subset, given as a filter or a collection."""
+    g1, g2 = (t.select(sub if callable(sub) else set(sub).__contains__)
+              for sub in (sub1, sub2))
     overlap = set(g1) & set(g2)
     if overlap:
         raise InvalidSpec("method subsets overlap: "
@@ -363,33 +363,27 @@ def _split(t: _Compiled, sub1, sub2) -> Tuple[List[int], List[int]]:
     return g1, g2
 
 
-def _as_filter(sub) -> MethodFilter:
-    if callable(sub):
-        return sub
-    frozen = set(sub)
-    return lambda m: m in frozen
-
-
-def _cp2_cross(t: _Compiled, name: str, g1: List[int], g2: List[int]) -> Part:
-    groups = {1: g1, 2: g2}
-    return (len(g1) + len(g2)) ** 3, lambda: _cp2_sweep(t, name, [
-        (groups[i], groups[j], groups[k])
-        for i, j, k in itertools.product((1, 2), repeat=3) if not i == j == k])
+def _cross(g1: List[int], g2: List[int]) -> Blocks:
+    """The CP2 blocks drawing (m1, m2, m3) from the two groups in every
+    combination except all three from the same one."""
+    groups = (g1, g2)
+    return [tuple(groups[k] for k in ks)
+            for ks in itertools.product((0, 1), repeat=3) if len(set(ks)) > 1]
 
 
 def check_cp1_restricted(c: Component, sub1, sub2,
                          b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Pair condition over cross pairs only: one method from each subset."""
-    t = _Compiled(c, b)
-    return _run(t, [_cp1(t, "CP1-restricted", *_split(t, sub1, sub2))])[0]
+    return _check(c, b, lambda t: [
+        ("CP1-restricted", "CP1", [_split(t, sub1, sub2)])])[0]
 
 
 def check_cp2_restricted(c: Component, sub1, sub2,
                          b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Triple condition with (m1, m2, m3) drawn from the two subsets in every
     combination except all three from the same one."""
-    t = _Compiled(c, b)
-    return _run(t, [_cp2_cross(t, "CP2-restricted", *_split(t, sub1, sub2))])[0]
+    return _check(c, b, lambda t: [
+        ("CP2-restricted", "CP2", _cross(*_split(t, sub1, sub2)))])[0]
 
 
 def _aggregate(name: str, parts: List[CheckReport]) -> CheckReport:
@@ -404,23 +398,24 @@ def _aggregate(name: str, parts: List[CheckReport]) -> CheckReport:
                        unrealizable=unrealizable)
 
 
+def _consistency_parts(t: _Compiled) -> List[Part]:
+    if not isinstance(t.c, ComposedComponent):
+        return [("CP1", "CP1", [(t.methods, t.methods)]),
+                ("CP2", "CP2", [(t.methods,) * 3])]
+    updates = t.select(is_update)
+    container = t.select(lambda m: not is_update(m))
+    return [
+        ("CP1-updates", "CP1", [(updates, updates)]),
+        ("CP1-container", "CP1", [(container, container)]),
+        ("CP1-cross", "CP1", [(updates, container)]),
+        ("CP2-updates", "CP2", [(updates,) * 3]),
+        ("CP2-container", "CP2", [(container,) * 3]),
+        ("CP2-cross", "CP2", _cross(updates, container)),
+    ]
+
+
 def check_consistency(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Both conditions; for a composed component the three-way decomposition
     (update-only, container-only, cross) is run for each condition.  No part
     is swept unless every part is within the case ceiling."""
-    t = _Compiled(c, b)
-    if isinstance(c, ComposedComponent):
-        updates = t.select(is_update)
-        container = t.select(lambda m: not is_update(m))
-        parts = [
-            _cp1(t, "CP1-updates", updates, updates),
-            _cp1(t, "CP1-container", container, container),
-            _cp1(t, "CP1-cross", updates, container),
-            _cp2_cube(t, "CP2-updates", updates),
-            _cp2_cube(t, "CP2-container", container),
-            _cp2_cross(t, "CP2-cross", updates, container),
-        ]
-    else:
-        parts = [_cp1(t, "CP1", t.methods, t.methods),
-                 _cp2_cube(t, "CP2", t.methods)]
-    return _aggregate("consistency", _run(t, parts))
+    return _aggregate("consistency", _check(c, b, _consistency_parts))

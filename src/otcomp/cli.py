@@ -7,7 +7,8 @@
     otcomp demo document [--check]
     otcomp list
 
-`simulate` builds the scenario's component at the default bounds.
+SCENARIO is a scenario file, or the name of one bundled with otcomp;
+`simulate` builds its component at the default bounds.
 
 Exit codes for `check`: 0 pass, 1 fail, 2 vacuous, 3 usage error.
 `simulate`: 0 converged, 1 diverged, 3 malformed scenario.  A usage error
@@ -106,10 +107,9 @@ def cmd_demo_document(args) -> int:
         print(f"  {name:12s} {kind:8s} method families: {len(comp.method_ctors):2d} "
               f"attributes: {len(comp.attributes)}")
     scenario, report = demo_word_scenario(tower)
-    data = report.to_json(tower["fword"])
     print("formatted-word concurrent edit:")
-    for f in data["finals"]:
-        print(f"  order {f['order']}: {f['state']}")
+    for order, st in report.finals:
+        print(f"  order {list(order)}: {display(st)}")
     print(f"  converged: {report.converged}")
     if args.check:
         rep = check_consistency(tower["fchar"], TOWER_BOUNDS)

@@ -19,17 +19,14 @@ class UndefinedObservation(OtcompError):
 
 
 class InvalidSpec(OtcompError):
-    """A component specification violates its algebraic laws at bounds, or a
-    restricted check was given overlapping method subsets."""
+    """A component specification violates its algebraic laws at bounds, a
+    component fails a pattern's formal-parameter laws (it is not admissible),
+    or a restricted check was given overlapping method subsets."""
 
 
 class BoundsExceeded(OtcompError):
     """Estimated enumeration size exceeds the configured ceiling, or is too
     small for the requested check to be meaningful."""
-
-
-class NotAdmissible(OtcompError):
-    """Component failed the pattern's formal-parameter laws."""
 
 
 class ReplayMismatch(OtcompError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
-from .errors import BoundsExceeded, NotAdmissible, UndefinedObservation
+from .errors import BoundsExceeded, InvalidSpec, UndefinedObservation
 from .kernel import Component
 from .values import (NOP, POSITION, STATE, Method, Opaque, SeqOf, SetOf, StateValue,
                      seq_of, set_of)
@@ -114,7 +114,7 @@ def instantiate(pattern: CompositionPattern, child: Component,
     if phi is not None and phi.eq is not None:
         report = check_admissible(pattern, child, phi, b)
         if not report.ok:
-            raise NotAdmissible(
+            raise InvalidSpec(
                 f"{child.name} fails {report.failed_axiom} for pattern {pattern.name}: "
                 f"witness {report.witness}")
     return pattern.build_body(child)

@@ -185,16 +185,12 @@ def _orders(delivery, n: int) -> List[Tuple[int, ...]]:
 
 
 def load_scenario(source) -> Scenario:
-    """Read a scenario from a path, JSON text, or dict."""
+    """Read a scenario from a path or a dict."""
     if isinstance(source, dict):
         data = source
     else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            data = json.loads(text)
-        else:
-            with open(text) as f:
-                data = json.load(f)
+        with open(source) as f:
+            data = json.load(f)
     try:
         ops = [(op["site"], op["method"]) for op in data["ops"]]
         for site, _ in ops:

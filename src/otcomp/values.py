@@ -199,16 +199,18 @@ def decode_state(c, obj: Any) -> StateValue:
 def decode_method(c, obj: Any) -> Method:
     """Read a method of component c from its value_to_json form.
 
-    Arguments are read by the sorts c declares for the constructor, plain
-    data checked against its sort and a method's own site against being an
-    int (ValueError otherwise), and a static product hands the method to
-    the factor owning its constructor.
+    The constructor must be a string and the arguments a list, read by the
+    sorts c declares for the constructor: plain data checked against its
+    sort and a method's own site against being an int (ValueError
+    otherwise).  A static product hands the method to the factor owning
+    its constructor.
     """
     if isinstance(obj, Method):
         return obj
-    if not isinstance(obj, dict) or "ctor" not in obj:
+    fields = obj if isinstance(obj, dict) else {}
+    ctor, args = fields.get("ctor"), fields.get("args", [])
+    if type(ctor) is not str or type(args) is not list:
         raise ValueError(f"cannot read {obj!r} as a method of {c.name}")
-    ctor, args = obj["ctor"], obj.get("args", [])
     if ctor in c.owner:
         i, inner = c.owner[ctor]
         m = decode_method(c.parts[i], {**obj, "ctor": inner})

@@ -9,7 +9,7 @@ from otcomp import kernel
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import (CellComponentSpec, cchar, ccolor, cnat,
                           make_cell_component)
-from otcomp.errors import InvalidSpec, UndefinedObservation
+from otcomp.errors import BoundsExceeded, InvalidSpec, UndefinedObservation
 from otcomp.values import Cell, Method
 
 
@@ -104,3 +104,14 @@ def test_value_domains_follow_bounds():
     assert [m.args[0] for m in cchar().enum_methods(b) if m.args] == ["a", "b"]
     assert [m.args[0] for m in cnat().enum_methods(b) if m.args] == [0, 1]
     assert [m.args[0] for m in ccolor().enum_methods(b) if m.args] == ["red"]
+
+
+def test_bounds_past_a_cells_values_are_refused():
+    # A cell has 26 letters and 3 colors; a larger bound would check no more
+    # than those, while its report claimed the larger domain.
+    with pytest.raises(BoundsExceeded, match="bound alphabet=27"):
+        cchar().enum_methods(DEFAULT_BOUNDS.with_(alphabet=27))
+    with pytest.raises(BoundsExceeded, match="bound colors=9"):
+        ccolor().enum_states(DEFAULT_BOUNDS.with_(colors=9))
+    assert len(cchar().enum_states(DEFAULT_BOUNDS.with_(alphabet=26))) == 27
+    assert len(ccolor().enum_methods(DEFAULT_BOUNDS.with_(colors=3))) == 4

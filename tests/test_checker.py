@@ -322,5 +322,15 @@ def test_every_ceiling_is_checked_before_the_first_sweep(monkeypatch):
 
     for name in ("apply", "enabled", "transform"):
         monkeypatch.setattr(kernel, name, swept)
-    with pytest.raises(BoundsExceeded, match="19465109"):
+    with pytest.raises(BoundsExceeded, match="11930688"):
         check_consistency(c, b)
+
+
+def test_a_part_is_estimated_by_the_blocks_it_sweeps():
+    # CP2-cross sweeps the six mixed blocks of updates and container methods,
+    # 1,516,320 triples, not the (|U| + |C|)^3 cube that holds them.
+    c = build("string[cchar]")
+    rep = check_consistency(c, B.with_(max_cases=1_516_320))
+    assert rep.parts[-1].property == "CP2-cross" and rep.parts[-1].cases > 0
+    with pytest.raises(BoundsExceeded, match="estimated 1516320 cases"):
+        check_consistency(c, B.with_(max_cases=1_516_319))

@@ -42,6 +42,14 @@ def test_check_case_ceiling_exits_3(capsys):
     assert "exceeds ceiling" in capsys.readouterr().err
 
 
+def test_check_alphabet_past_the_letters_exits_3(capsys):
+    assert main(["check", "cchar", "--property", "cp1",
+                 "--alphabet", "100"]) == EXIT_USAGE
+    assert "bound alphabet=100 exceeds" in capsys.readouterr().err
+    assert main(["check", "cchar", "--property", "cp1",
+                 "--alphabet", "26"]) == EXIT_PASS
+
+
 def test_check_text_format(capsys):
     assert main(["check", "cchar", "--property", "consistency",
                  "--format", "text"]) == EXIT_PASS
@@ -146,7 +154,17 @@ def test_simulate_badly_typed_data_is_a_usage_error(tmp_path, capsys):
              ("cchar", "a", {"ctor": "putchar", "args": [5]},
               {"ctor": "putchar", "args": ["b"]}, "5 is not a value of cchar"),
              ("string[cchar]", "ab", {"ctor": "Del", "args": ["x"]},
-              {"ctor": "Ins", "args": [0, "c"]}, "'x' is not a position")]
+              {"ctor": "Ins", "args": [0, "c"]}, "'x' is not a position"),
+             # a constructor that is not a string, arguments that are not a list
+             ("cchar", "a", {"ctor": "putchar", "args": 5},
+              {"ctor": "putchar", "args": ["b"]}, "as a method of cchar"),
+             ("cchar", "a", {"ctor": ["x"], "args": []},
+              {"ctor": "putchar", "args": ["b"]}, "as a method of cchar"),
+             ("cchar", "a", {"ctor": "putchar", "args": "a"},
+              {"ctor": "putchar", "args": ["b"]}, "as a method of cchar"),
+             ("string[cchar]", "ab",
+              {"ctor": "Update", "args": [[0], "a", {"ctor": "putchar", "args": "c"}]},
+              {"ctor": "Ins", "args": [0, "c"]}, "as a method of cchar")]
     path = tmp_path / "typed.scenario"
     for component, base, bad, good, message in cases:
         path.write_text(json.dumps({
@@ -230,6 +248,15 @@ def test_simulate_bad_delivery_or_transform_is_a_usage_error(tmp_path, capsys):
 def test_simulate_missing_file_is_a_usage_error(capsys):
     assert main(["simulate", "no/such/file.scenario"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+def test_simulate_inline_json_is_a_usage_error(capsys):
+    # SCENARIO is a file or a bundled name, whatever the text's length.
+    op = {"site": 1, "method": {"ctor": "putchar", "args": ["b"]}}
+    for ops in ([op], [op] * 8):
+        text = json.dumps({"component": "cchar", "base": "a", "ops": ops})
+        assert main(["simulate", text]) == EXIT_USAGE, len(text)
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_simulate_text_format(capsys):

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, no
-check rests on an `assert`, which `python -O` removes, and only composition
-knows how an Update method is laid out."""
+check rests on an `assert`, which `python -O` removes, only composition
+knows how an Update method is laid out, and only the checker's runner
+compiles a component or sweeps it."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,22 @@ def test_only_composition_names_the_update_constructor():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Constant) and node.value == "Update"]
     assert not found, "the string 'Update' outside composition:\n" + "\n".join(found)
+
+
+def test_only_the_runner_compiles_or_sweeps():
+    # checker._check refuses a check before any sweep when a part's estimate
+    # is over the case ceiling; a check that compiled or swept on its own
+    # would skip that.
+    sweeps = {"_cp1_sweep", "_cp2_sweep"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            owner = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                compiles = (isinstance(node, ast.Call)
+                            and getattr(node.func, "id", None) == "_Compiled")
+                if (name in sweeps or compiles) and owner != ("checker.py", "_check"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, "compiled or swept outside checker._check:\n" + "\n".join(found)

@@ -5,7 +5,7 @@ import pytest
 from otcomp import kernel
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar
-from otcomp.errors import BoundsExceeded, NotAdmissible, UndefinedObservation
+from otcomp.errors import BoundsExceeded, InvalidSpec, UndefinedObservation
 from otcomp.patterns import (Morphism, check_admissible, instantiate,
                              set_pattern, string_pattern, token_component)
 from otcomp.values import NOP, Cell, Method, Opaque, SeqOf, SetOf, set_of, seq_of
@@ -55,7 +55,7 @@ def test_intransitive_equality_rejected_with_witness():
 
 
 def test_instantiate_refuses_inadmissible_binding():
-    with pytest.raises(NotAdmissible):
+    with pytest.raises(InvalidSpec):
         instantiate(set_pattern(), token_component(),
                     Morphism(eq=lambda a, b: a.value <= b.value), b=_tokens(2))
 

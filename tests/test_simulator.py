@@ -129,15 +129,14 @@ def test_integrate_takes_only_a_permutation_of_the_ops():
             integrate(c, Cell(None), ops, order)
 
 
-def test_load_scenario_from_dict_text_and_file(tmp_path):
+def test_load_scenario_from_dict_and_file(tmp_path):
     data = {"component": "cchar", "base": "a",
             "ops": [{"site": 1, "method": {"ctor": "putchar", "args": ["b"]}}]}
     from_dict = load_scenario(data)
-    from_text = load_scenario(json.dumps(data))
     path = tmp_path / "one.scenario"
     path.write_text(json.dumps(data))
     from_file = load_scenario(str(path))
-    for s in (from_dict, from_text, from_file):
+    for s in (from_dict, from_file):
         assert s.component == "cchar" and s.ops[0][0] == 1
 
 
