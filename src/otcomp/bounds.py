@@ -9,10 +9,12 @@ from dataclasses import dataclass, replace
 class Bounds:
     """Finite enumeration limits.
 
-    At these defaults the slowest bundled check, `check_consistency` on
-    `string[cchar]` (1,362,998 cases), took about 0.55 s on a 2-vCPU Xeon VM, and
-    every other bundled component under 0.1 s.  CP2 is cubic in the method
-    count, so raising a bound that grows the methods grows it fast.
+    At these defaults `check_consistency` took about 0.56 s on `string[cchar]`
+    (1,362,998 cases) and 1.45 s on `string[cnat]` (4,184,053 cases, the
+    largest bundled check that fits) on a 2-vCPU Xeon VM; on each bundled
+    cell and pattern, and on `set-guarded[cchar]`, it took under 0.1 s.  CP2
+    is cubic in the method count, so raising a bound that grows the methods
+    grows it fast.
     """
 
     alphabet: int = 3      # characters drawn from 'a', 'b', 'c', ...
@@ -36,3 +38,7 @@ class Bounds:
 
 
 DEFAULT_BOUNDS = Bounds()
+
+# Refuse a state enumeration past this many states, before building any: a
+# sequence pattern's, or a static product's.
+MAX_STATES = 500_000

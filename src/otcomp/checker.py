@@ -13,11 +13,14 @@ component once, reads every part's case estimate off its blocks, and raises
 BoundsExceeded before any sweep if one is over `max_cases`.  Compiling
 interns the sorted method and state enumerations to ints, and the sweeps
 read three tables keyed by those ids, IT (method, method) -> method, Do
-(state, method) -> state and Poss (state, method) -> bool.  A table entry is
-filled on first use from the public kernel's `transform`, `apply` and
-`enabled`, so validation and `nop` handling stay in the kernel; a result
-outside the enumeration (an insert one past the longest state, a longer
-sequence) is interned when first seen.  Nothing outlives the call.
+(state, method) -> state and Poss (state, method) -> bool.  Each method is
+validated once, by `kernel.validate_method`, when it is interned: an
+enumerated one, or a result outside the enumeration (an insert one past the
+longest state, a longer sequence) when first seen.  A table entry is filled
+on first use by one call of the component's own `it_fn`, `do_fn` or
+`poss_fn`; an entry that involves `nop` is filled by the kernel's
+`transform`, `apply` or `enabled`, so the `nop` rules live only in the
+kernel.  Nothing outlives the call.
 
 Every failing case is replayed through the public kernel before it is
 emitted, which cross-checks the tables: joint legality, both final states or
@@ -26,7 +29,8 @@ function, `_Compiled._legality`, decides joint legality: for the sweeps from
 the tables, and for the replay from the kernel calls that fill them, made
 anew, so the replay reads none of the tables.  The replay derives what cases
 share (a method's enabled states, a pair's transformed methods and jointly
-legal states) once.  A disagreement raises ReplayMismatch.
+legal states) once, and makes each kernel transform once per pair of
+methods.  A disagreement raises ReplayMismatch.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
@@ -109,13 +113,15 @@ class _Lazy(dict):
 
 class _Compiled:
     """A component as one check call sees it: methods and states interned to
-    ids, and the kernel's functions as lazily filled tables over those ids.
+    ids, each method validated as it is, and the component's functions as
+    lazily filled tables over those ids.
 
     `it[j][i]` is the id of transform(method i, method j), `do[i][s]` the id
     of apply(method i, state s), and `poss[i][s]` is enabled(method i,
     state s).  `enables` and `pair` decide joint legality from those tables
     for CP1 and CP2, and `kernel_enables` and `kernel_pair` for both replays
-    from the kernel calls that fill them (see `_legality`).  `json[i]` is
+    from the public kernel (see `_legality`), whose transforms are
+    `kernel_it[i, j]`, made once per pair.  `json[i]` is
     the report form of method i, shared by every entry that names it.  An
     enumeration that repeats a value would count its cases twice; it
     raises InvalidSpec.
@@ -131,27 +137,57 @@ class _Compiled:
         self.site: List[Optional[int]] = []
         self._mid: Dict[Method, int] = {}
         self._sid: Dict[StateValue, int] = {}
-        method, state = self.method, self.state
+        method, state, mid, sid = self.method, self.state, self.mid, self.sid
 
-        # The kernel's functions over ids: the tables' fill, and the replay.
+        # The tables' fill: the component's own functions on interned, so
+        # validated, methods, and the kernel wherever `nop` is involved.  A
+        # result that is its input keeps the input's id.
+        def fill_poss(i: int) -> Callable[[int], bool]:
+            m = method[i]
+            poss = partial(kernel.enabled, c, m) if m.ctor == "nop" else partial(c.poss_fn, m)
+            return lambda s: bool(poss(state[s]))
+
+        def fill_do(i: int) -> Callable[[int], int]:
+            m = method[i]
+            do = partial(kernel.apply, c, m) if m.ctor == "nop" else partial(c.do_fn, m)
+
+            def fill(s: int) -> int:
+                st = state[s]
+                new = do(st)
+                return s if new is st else sid(new)
+            return fill
+
+        def fill_it(j: int) -> Callable[[int], int]:
+            m2, it_fn = method[j], c.it_fn
+            against_nop = m2.ctor == "nop"
+
+            def fill(i: int) -> int:
+                m1 = method[i]
+                new = (kernel.transform(c, m1, m2) if against_nop or m1.ctor == "nop"
+                       else it_fn(m1, m2))
+                return i if new is m1 else mid(new)
+            return fill
+
+        self.it = _Lazy(lambda j: _Lazy(fill_it(j)))
+        self.do = _Lazy(lambda i: _Lazy(fill_do(i)))
+        self.poss = _Lazy(lambda i: _Lazy(fill_poss(i)))
+        self.enables, self.pair = self._legality(
+            lambda i: self.poss[i].__getitem__, lambda i: self.do[i].__getitem__,
+            lambda i, j: self.it[j][i])
+
+        # The replay's view: the public kernel, each call made anew once.
         def enabled(i: int) -> Callable[[int], bool]:
             return lambda s: kernel.enabled(c, method[i], state[s])
 
         def apply(i: int) -> Callable[[int], int]:
-            return lambda s: self.sid(kernel.apply(c, method[i], state[s]))
+            return lambda s: sid(kernel.apply(c, method[i], state[s]))
 
-        def transform(i: int, j: int) -> int:
-            return self.mid(kernel.transform(c, method[i], method[j]))
-
-        self.it = _Lazy(lambda j: _Lazy(lambda i: transform(i, j)))
-        self.do = _Lazy(lambda i: _Lazy(apply(i)))
-        self.poss = _Lazy(lambda i: _Lazy(enabled(i)))
-        self.enables, self.pair = self._legality(
-            lambda i: self.poss[i].__getitem__, lambda i: self.do[i].__getitem__,
-            lambda i, j: self.it[j][i])
-        self.kernel_enables, self.kernel_pair = self._legality(enabled, apply, transform)
+        self.kernel_it = _Lazy(lambda ij: mid(kernel.transform(c, method[ij[0]],
+                                                               method[ij[1]])))
+        self.kernel_enables, self.kernel_pair = self._legality(
+            enabled, apply, lambda i, j: self.kernel_it[i, j])
         self.json = _Lazy(lambda i: value_to_json(method[i]))
-        self.methods = self._distinct("method", [self.mid(m) for m in c.enum_methods(b)])
+        self.methods = self._distinct("method", [mid(m) for m in c.enum_methods(b)])
 
     @cached_property
     def states(self) -> List[int]:
@@ -165,6 +201,7 @@ class _Compiled:
     def mid(self, m: Method) -> int:
         i = self._mid.get(m)
         if i is None:
+            kernel.validate_method(self.c, m)
             i = self._mid[m] = len(self.method)
             self.method.append(m)
             self.site.append(m.site if self.c.site_aware else None)
@@ -301,14 +338,14 @@ def _values_at(keys: List[int]) -> Callable[[dict], tuple]:
 def _replay_cp2(t: _Compiled, i1: int, i2: int, i3: int, left: int,
                 right: int) -> dict:
     """Re-derive a failing triple and its realizability through the public
-    kernel; its report entry."""
-    c = t.c
-    m1, m2, m3 = triple = (t.method[i1], t.method[i2], t.method[i3])
+    kernel; its report entry.  The transformed methods are kernel
+    transforms, each made once per pair and compared as ids."""
+    triple = (t.method[i1], t.method[i2], t.method[i3])
     t21, t12, joint = t.kernel_pair[i1, i2]
-    seq1, seq2 = [m1, t.method[t21]], [m2, t.method[t12]]
-    got = (kernel.transform_seq(c, m3, seq1), kernel.transform_seq(c, m3, seq2))
-    if got != (t.method[left], t.method[right]) or got[0] == got[1]:
-        _mismatch("CP2", triple, f"transformed methods {got}")
+    kit = t.kernel_it
+    got = (kit[kit[i3, i1], t21], kit[kit[i3, i2], t12])
+    if got != (left, right) or got[0] == got[1]:
+        _mismatch("CP2", triple, f"transformed methods {tuple(t.method[g] for g in got)}")
     realizable = not t.pair[i1, i2][2].isdisjoint(t.enables[i3])
     if realizable != (not joint.isdisjoint(t.kernel_enables[i3])):
         _mismatch("CP2", triple, f"realizable is {realizable} by the tables")

@@ -82,11 +82,13 @@ def cmd_check(args) -> int:
 
 
 def _resolve_scenario_path(path: str) -> str:
+    """The path itself if it exists, else the bundled scenario of that file
+    name if there is one; any other text is left for `open` to refuse."""
     if os.path.exists(path):
         return path
-    bundled = resources.files("otcomp") / "scenarios" / path
-    if bundled.is_file():
-        return str(bundled)
+    bundled = resources.files("otcomp") / "scenarios"
+    if path in {f.name for f in bundled.iterdir() if f.is_file()}:
+        return str(bundled / path)
     return path
 
 

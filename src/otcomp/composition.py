@@ -17,7 +17,7 @@ import itertools
 import math
 from typing import Any, List, Optional, Tuple
 
-from .bounds import Bounds, DEFAULT_BOUNDS
+from .bounds import MAX_STATES, Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UnknownMethod
 from .kernel import Component
 from . import kernel
@@ -47,6 +47,7 @@ def static_compose(*factors: Component) -> Component:
         for aname, observer in f.attributes.items():
             attr_owner[_claim(attr_owner, aname, f)] = (i, observer)
     renamed = {v: k for k, v in owner.items()}  # inverse of owner
+    comp_name = " (+) ".join(f.name for f in factors)
 
     def _unpack(m: Method) -> Tuple[int, Method]:
         i, ctor = owner[m.ctor]
@@ -86,10 +87,14 @@ def static_compose(*factors: Component) -> Component:
 
     def enum_states(b: Bounds) -> List[Product]:
         per = [f.enum_states(b) for f in factors]
+        n = math.prod(map(len, per))
+        if n > MAX_STATES:
+            raise BoundsExceeded(f"{comp_name}: {n} product states exceed "
+                                 f"the ceiling {MAX_STATES}")
         return [product(t) for t in itertools.product(*per)]
 
     return Component(
-        name=" (+) ".join(f.name for f in factors),
+        name=comp_name,
         method_ctors={"nop": (), **{name: factors[i].method_ctors[ctor]
                                     for name, (i, ctor) in owner.items()}},
         attributes={name: (lambda i, obs: lambda args, st: obs(args, st.items[i]))(i, obs)
@@ -145,8 +150,21 @@ class ComposedComponent(Component):
     """A pattern instantiated over its child, parts[0], with Update grafted on."""
 
     def update_new(self, u: Method) -> StateValue:
-        """The new child state carried implicitly by an update method."""
-        return kernel.apply(self.parts[0], update_child_method(u), update_old(u))
+        """The new child state carried implicitly by an update method.
+
+        It is derived through `kernel.apply`, which validates the child
+        method, once per Update object and child: the object keeps the state
+        it derived and the child it derived it under, outside its fields, so
+        its equality, hash, repr and JSON are unchanged.  Under a different
+        child the state is derived, and the child method validated, again."""
+        child = self.parts[0]
+        derived = getattr(u, "_new", None)
+        if derived is not None and derived[0] is child:
+            return derived[1]
+        _, old, child_method = u.args  # see make_update
+        new = kernel.apply(child, child_method, old)
+        object.__setattr__(u, "_new", (child, new))  # Method is frozen
+        return new
 
 
 def transform_update(comp: ComposedComponent, u1: Method, u2: Method) -> Method:
@@ -181,29 +199,29 @@ def dynamic_compose(pattern: CompositionPattern, child: Component,
     # The kernel has checked each method's ctor and answered `nop`, so the
     # base's own functions are called directly; an Update's child method is
     # checked by `update_new`, or by `transform_update` where none runs.
+    # Each unpacks an Update's arguments in line (see make_update).
     def do_fn(m: Method, st: StateValue) -> StateValue:
-        if is_update(m):
-            return pattern.update_do(update_addr(m), update_old(m),
-                                     comp.update_new(m), st)
+        if m.ctor == "Update":
+            addr, old, _ = m.args
+            return pattern.update_do(addr, old, comp.update_new(m), st)
         return base.do_fn(m, st)
 
     def poss_fn(m: Method, st: StateValue) -> bool:
-        if is_update(m):
-            return pattern.update_poss(update_addr(m), update_old(m),
-                                       comp.update_new(m), st)
+        if m.ctor == "Update":
+            addr, old, _ = m.args
+            return pattern.update_poss(addr, old, comp.update_new(m), st)
         return base.poss_fn(m, st)
 
     def it_fn(m1: Method, m2: Method) -> Method:
-        if is_update(m1) and is_update(m2):
-            return transform_update(comp, m1, m2)
-        if is_update(m1):
-            addr = pattern.it_update_vs_method(update_addr(m1), update_old(m1),
-                                               comp.update_new(m1), m2)
-            return NOP if addr is None else make_update(
-                addr, update_old(m1), update_child_method(m1), m1.site)
-        if is_update(m2):
-            return pattern.it_method_vs_update(m1, update_addr(m2), update_old(m2),
-                                               comp.update_new(m2))
+        if m1.ctor == "Update":
+            if m2.ctor == "Update":
+                return transform_update(comp, m1, m2)
+            addr, old, child_method = m1.args
+            addr = pattern.it_update_vs_method(addr, old, comp.update_new(m1), m2)
+            return NOP if addr is None else make_update(addr, old, child_method, m1.site)
+        if m2.ctor == "Update":
+            addr, old, _ = m2.args
+            return pattern.it_method_vs_update(m1, addr, old, comp.update_new(m2))
         return base.it_fn(m1, m2)
 
     def enum_methods(b2: Bounds) -> List[Method]:

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
-from .bounds import Bounds, DEFAULT_BOUNDS
+from .bounds import MAX_STATES, Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, InvalidSpec, UndefinedObservation
 from .kernel import Component
 from .values import (NOP, POSITION, STATE, Method, Opaque, SeqOf, SetOf, StateValue,
@@ -285,7 +285,7 @@ def _string_body(child: Component) -> Component:
     def enum_states(b: Bounds) -> List[SeqOf]:
         elems = child.enum_states(b)
         total = sum(len(elems) ** r for r in range(b.max_len + 1))
-        if total > 500_000:
+        if total > MAX_STATES:
             raise BoundsExceeded(f"{name}: {total} sequence states")
         out: List[SeqOf] = []
         for r in range(b.max_len + 1):

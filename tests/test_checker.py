@@ -296,6 +296,70 @@ def test_a_realizability_that_does_not_replay_raises_under_python_o():
     assert "realizable is False by the tables" in out, out
 
 
+# A script that checks CP2 of `string` with `it_fn` answering the pairs
+# `planted(m1, m2)` picks by `answer(out, call)`: out is the component's
+# answer, and call counts the planted calls so far.
+_PLANT_IT = """
+    import dataclasses
+    from otcomp.checker import check_cp2
+    from otcomp.errors import ReplayMismatch, UnknownMethod
+    from otcomp.registry import build
+    from otcomp.values import NOP, Method, Opaque
+
+    base = build("string")
+    calls = []
+
+    def it_fn(m1, m2):
+        out = base.it_fn(m1, m2)
+        if not planted(m1, m2):
+            return out
+        calls.append(out)
+        return answer(out, len(calls))
+
+    try:
+        check_cp2(dataclasses.replace(base, it_fn=it_fn))
+    except (ReplayMismatch, UnknownMethod) as exc:
+        print("raised:", type(exc).__name__, exc)
+    else:
+        print("reported")
+"""
+
+
+def _plant_it(planted_and_answer: str) -> str:
+    return textwrap.dedent(planted_and_answer) + textwrap.dedent(_PLANT_IT)
+
+
+def test_a_cp2_replay_transform_that_does_not_replay_raises_under_python_o():
+    # The triple (Del 0@0, Ins(0, x)@1, Ins(1, x)@0) fails CP2.  it_fn
+    # answers m3 against m1, a pair the sweep asks once, as the component
+    # does on its first call and with nop from its second on: the replay
+    # makes its own kernel transform of the pair, so the triple's
+    # transformed methods disagree.
+    out = _under_python_o(_plant_it("""
+        def planted(m1, m2):
+            return (m1, m2) == (Method("Ins", (1, Opaque("x")), 0), Method("Del", (0,), 0))
+
+        def answer(out, call):
+            return out if call == 1 else NOP
+    """))
+    assert out.startswith("raised: ReplayMismatch CP2 case"), out
+    assert "transformed methods" in out, out
+
+
+def test_a_transform_result_that_is_no_method_raises_under_python_o():
+    # An insert one past the longest state is only ever transformed against,
+    # so what it_fn answers against it is compared, never applied or
+    # transformed further.  It is still validated when it is interned.
+    out = _under_python_o(_plant_it("""
+        def planted(m1, m2):
+            return m2.ctor == "Ins" and m2.args[0] > 3
+
+        def answer(out, call):
+            return Method("shove", (0,), 0)
+    """))
+    assert out.startswith("raised: UnknownMethod 'shove' is not a method"), out
+
+
 def test_masked_reports_have_zero_elapsed():
     data = check_cp1(cchar()).to_json(mask_elapsed=True)
     assert data["elapsed_ms"] == 0.0

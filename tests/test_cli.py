@@ -256,7 +256,9 @@ def test_simulate_inline_json_is_a_usage_error(capsys):
     for ops in ([op], [op] * 8):
         text = json.dumps({"component": "cchar", "base": "a", "ops": ops})
         assert main(["simulate", text]) == EXIT_USAGE, len(text)
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "otcomp/scenarios" not in err, err  # a path the user never gave
 
 
 def test_simulate_text_format(capsys):

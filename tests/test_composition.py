@@ -1,16 +1,21 @@
 """Static products and dynamic (in-place edit) composition."""
 
+import dataclasses
+import time
+
 import pytest
 
 from otcomp import kernel
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar, ccolor, cnat
+from otcomp.checker import check_cp1
 from otcomp.composition import (dynamic_compose, is_update, make_update,
                                 static_compose, transform_update, update_addr,
                                 update_child_method, update_old)
-from otcomp.errors import UnknownMethod
+from otcomp.errors import BoundsExceeded, UnknownMethod
 from otcomp.patterns import set_pattern, string_pattern
 from otcomp.registry import build
+from otcomp.tower import TOWER_BOUNDS, build_document_tower
 from otcomp.values import NOP, Cell, Method, Product, SetOf, product, seq_of, set_of
 
 B = DEFAULT_BOUNDS
@@ -152,6 +157,17 @@ def test_update_methods_are_enumerated(setchar):
     assert all(update_addr(u) == () for u in ups)
 
 
+def test_a_product_past_the_state_ceiling_is_refused_before_it_is_built():
+    # Three factors of 85 states each make 614,125 product states: the
+    # factors' counts are multiplied and the product refused, unbuilt.
+    t0 = time.perf_counter()
+    with pytest.raises(BoundsExceeded, match="614125 product states"):
+        check_cp1(build("string[cchar] (+) string[cchar] (+) string[cchar]"))
+    assert time.perf_counter() - t0 < 0.5
+    # fpage, the tower's top, is a product under the ceiling.
+    assert len(build_document_tower()["fpage"].enum_states(TOWER_BOUNDS)) == 184_527
+
+
 # --- dynamic composition: sequence of characters ----------------------------
 
 def test_sequence_updates_shift_like_their_position(tmp_path):
@@ -234,3 +250,49 @@ def test_an_invalid_update_is_rejected_against_another_factor():
     good = make_update((0,), Cell("a"), Method("putchar", ("b",)), 0)
     assert kernel.transform(c, good, put) == good
     assert kernel.transform(c, put, good) == put
+
+
+# --- an Update's new child state --------------------------------------------
+
+def test_an_update_derives_its_new_child_state_once():
+    base = cchar()
+    derived = []
+
+    def do_fn(m, st):
+        derived.append((m, st))
+        return base.do_fn(m, st)
+
+    word = dynamic_compose(string_pattern(), dataclasses.replace(base, do_fn=do_fn), b=B)
+    put = Method("putchar", ("b",))
+    u = make_update((0,), Cell("a"), put, 0)
+    same = make_update((0,), Cell("a"), Method("putchar", ("c",)), 1)
+    st = seq_of([Cell("a"), Cell("c")])
+    ins, dele = Method("Ins", (0, Cell("b")), 1), Method("Del", (0,), 1)
+    for _ in range(3):
+        assert kernel.enabled(word, u, st)
+        assert kernel.apply(word, u, st) == seq_of([Cell("b"), Cell("c")])
+        assert kernel.transform(word, u, ins) == make_update((1,), Cell("a"), put, 0)
+        assert kernel.transform(word, dele, u) == dele
+        assert update_old(kernel.transform(word, same, u)) == Cell("b")
+    assert derived == [(put, Cell("a"))]
+    # An equal Update is another object: it derives its own.
+    kernel.apply(word, make_update((0,), Cell("a"), put, 0), st)
+    assert derived == [(put, Cell("a"))] * 2
+
+
+def test_an_update_derived_under_one_child_is_validated_under_another():
+    u = make_update((0,), Cell("a"), Method("putchar", ("b",)), 0)
+    st = seq_of([Cell("a")])
+    word = dynamic_compose(string_pattern(), cchar(), b=B)
+    assert kernel.apply(word, u, st) == seq_of([Cell("b")])
+    # cnat has no putchar: the same Update object is no method of a string
+    # of naturals, whatever it derived under the string of characters.
+    nats = dynamic_compose(string_pattern(), cnat(), b=B)
+    with pytest.raises(UnknownMethod):
+        kernel.apply(nats, u, st)
+    with pytest.raises(UnknownMethod):
+        kernel.enabled(nats, u, st)
+    with pytest.raises(UnknownMethod):
+        kernel.transform(nats, u, Method("Ins", (0, Cell(1)), 1))
+    with pytest.raises(UnknownMethod):
+        kernel.transform(nats, Method("Del", (0,), 1), u)

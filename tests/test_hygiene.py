@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, no
 check rests on an `assert`, which `python -O` removes, only composition
-knows how an Update method is laid out, and only the checker's runner
-compiles a component or sweeps it."""
+knows how an Update method is laid out, only the checker's runner
+compiles a component or sweeps it, and the checker's sweeps read tables
+filled from the component, not the validating kernel."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,49 @@ def test_only_the_runner_compiles_or_sweeps():
                 if (name in sweeps or compiles) and owner != ("checker.py", "_check"):
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, "compiled or swept outside checker._check:\n" + "\n".join(found)
+
+
+# The kernel functions that validate on every call, and where the checker may
+# call them: the replay's view and the `nop` fill, built in _Compiled.__init__,
+# and the two replays.
+_VALIDATING = {"apply", "enabled", "transform", "apply_seq", "transform_seq"}
+_MAY_VALIDATE = {("_Compiled", "__init__"), (None, "_replay_cp1"), (None, "_replay_cp2")}
+
+
+def _validating_kernel_calls(source: str):
+    """Lines that name a validating kernel function outside the places
+    allowed to: `kernel.apply` and its kind, called or passed on, or
+    imported from the kernel."""
+    tree = ast.parse(source)
+    allowed = set()
+    for top in tree.body:
+        scopes = ([(top.name, d) for d in top.body] if isinstance(top, ast.ClassDef)
+                  else [(None, top)])
+        for owner, d in scopes:
+            if (owner, getattr(d, "name", None)) in _MAY_VALIDATE:
+                allowed.update(map(id, ast.walk(d)))
+    found = []
+    for node in ast.walk(tree):
+        named = (isinstance(node, ast.Attribute) and node.attr in _VALIDATING
+                 and isinstance(node.value, ast.Name) and node.value.id == "kernel")
+        imported = (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == "kernel"
+                    and any(a.name in _VALIDATING for a in node.names))
+        if (named or imported) and id(node) not in allowed:
+            found.append(node.lineno)
+    return found
+
+
+def test_sweeps_do_not_call_the_validating_kernel():
+    # Each method is validated once, when the checker interns it, and the
+    # tables are filled from the component's own functions.
+    source = (SRC / "checker.py").read_text()
+    found = _validating_kernel_calls(source)
+    assert not found, f"checker.py lines calling the validating kernel: {found}"
+    # The rule catches a sweep that calls the kernel.
+    tree = ast.parse(source)
+    sweep = next(n for n in tree.body if getattr(n, "name", None) == "_cp1_sweep")
+    lines = source.splitlines(keepends=True)
+    lines.insert(sweep.body[0].lineno - 1,
+                 "    kernel.apply(t.c, t.method[0], t.state[0])\n")
+    assert _validating_kernel_calls("".join(lines)) == [sweep.body[0].lineno]
