@@ -4,33 +4,33 @@ The pair condition (cp1) asserts that two concurrent methods, each transformed
 to include the other's effect, lead to the same state from every state where
 both orders are legal.  The triple condition (cp2) asserts that transforming a
 third method along either of the two equivalent sequences yields the same
-method.  Restricted variants quantify over given disjoint method subsets, and
-`check_consistency` runs the full decomposition for composed components.
+method.  `check_cp1` and `check_cp2` check one condition over every
+enumerated method, and `check_consistency` checks both, for a composed
+component as its six-part decomposition.
 
 A check is a list of parts, each plain data: a name, a condition and the
 blocks of method ids its sweep walks.  One runner, `_check`, compiles the
 component once, reads every part's case estimate off its blocks, and raises
 BoundsExceeded before any sweep if one is over `max_cases`.  Compiling
-interns the sorted method and state enumerations to ints, and the sweeps
-read three tables keyed by those ids, IT (method, method) -> method, Do
-(state, method) -> state and Poss (state, method) -> bool.  Each method is
+interns the sorted method and state enumerations to ints.  Each method is
 validated once, by `kernel.validate_method`, when it is interned: an
 enumerated one, or a result outside the enumeration (an insert one past the
-longest state, a longer sequence) when first seen.  A table entry is filled
-on first use by one call of the component's own `it_fn`, `do_fn` or
-`poss_fn`; an entry that involves `nop` is filled by the kernel's
-`transform`, `apply` or `enabled`, so the `nop` rules live only in the
-kernel.  Nothing outlives the call.
+longest state, a longer sequence) when first seen.
 
-Every failing case is replayed through the public kernel before it is
-emitted, which cross-checks the tables: joint legality, both final states or
-transformed methods, and for a triple its realizability verdict.  One
-function, `_Compiled._legality`, decides joint legality: for the sweeps from
-the tables, and for the replay from the kernel calls that fill them, made
-anew, so the replay reads none of the tables.  The replay derives what cases
-share (a method's enabled states, a pair's transformed methods and jointly
-legal states) once, and makes each kernel transform once per pair of
-methods.  A disagreement raises ReplayMismatch.
+One table type, `_Tables`, holds what a check reads over those ids: IT
+(method, method) -> method, Do (state, method) -> state and Poss (state,
+method) -> bool, and from them each method's enabled states and each pair's
+jointly legal states.  An entry is filled on first use by one call of the
+functions the tables are built with.  A check builds two.  The sweeps read
+the component's, filled by its own `it_fn`, `do_fn` and `poss_fn`, and by
+the kernel's `transform`, `apply` or `enabled` where `nop` is involved, so
+the `nop` rules live only in the kernel.  The replays read the kernel's,
+filled by the public kernel alone.  Nothing outlives the call.
+
+Every failing case is replayed from the kernel's tables before it is
+emitted, which cross-checks the component's: joint legality, both final
+states or transformed methods, and for a triple its realizability verdict.
+A disagreement raises ReplayMismatch.
 """
 
 from __future__ import annotations
@@ -111,20 +111,68 @@ class _Lazy(dict):
         return value
 
 
-class _Compiled:
-    """A component as one check call sees it: methods and states interned to
-    ids, each method validated as it is, and the component's functions as
-    lazily filled tables over those ids.
+class _Tables:
+    """A component's functions as lazily filled tables over the ids t
+    interns: each entry is one call of `enabled(m, st)`, `apply(m, st)` or
+    `transform(m1, m2)`, made on first use.
 
     `it[j][i]` is the id of transform(method i, method j), `do[i][s]` the id
     of apply(method i, state s), and `poss[i][s]` is enabled(method i,
-    state s).  `enables` and `pair` decide joint legality from those tables
-    for CP1 and CP2, and `kernel_enables` and `kernel_pair` for both replays
-    from the public kernel (see `_legality`), whose transforms are
-    `kernel_it[i, j]`, made once per pair.  `json[i]` is
-    the report form of method i, shared by every entry that names it.  An
-    enumeration that repeats a value would count its cases twice; it
-    raises InvalidSpec.
+    state s).  `enables[i]` is the set of enumerated states method i is
+    enabled on, and `pair[i1, i2]` holds the pair's two transformed methods,
+    i2 against i1 and i1 against i2, and the set of states on which both
+    orders are legal.  A result that is its input keeps the input's id.  The
+    fills refer to t and to the tables' dicts, never to this object, so
+    clearing t's attributes frees them without a GC pass.
+    """
+
+    def __init__(self, t: "_Compiled", enabled, apply, transform):
+        method, state, mid, sid = t.method, t.state, t.mid, t.sid
+
+        def poss_row(i: int) -> _Lazy:
+            m = method[i]
+            return _Lazy(lambda s: bool(enabled(m, state[s])))
+
+        def do_row(i: int) -> _Lazy:
+            m = method[i]
+
+            def fill(s: int) -> int:
+                st = state[s]
+                new = apply(m, st)
+                return s if new is st else sid(new)
+            return _Lazy(fill)
+
+        def it_row(j: int) -> _Lazy:
+            m2 = method[j]
+
+            def fill(i: int) -> int:
+                m1 = method[i]
+                new = transform(m1, m2)
+                return i if new is m1 else mid(new)
+            return _Lazy(fill)
+
+        def pair(ids: Tuple[int, int]):
+            i1, i2 = ids
+            t21, t12 = it[i1][i2], it[i2][i1]
+            do1, do2, ok1, ok2 = do[i1], do[i2], poss[t21], poss[t12]
+            return t21, t12, frozenset(s for s in enables[i1] & enables[i2]
+                                       if ok1[do1[s]] and ok2[do2[s]])
+
+        self.it = it = _Lazy(it_row)
+        self.do = do = _Lazy(do_row)
+        self.poss = poss = _Lazy(poss_row)
+        self.enables = enables = _Lazy(
+            lambda i: frozenset(filter(poss[i].__getitem__, t.states)))
+        self.pair = _Lazy(pair)
+
+
+class _Compiled:
+    """A component as one check call sees it: methods and states interned to
+    ids, each method validated as it is, and two `_Tables` over those ids:
+    `tables`, filled from the component for the sweeps, and `kernel`, filled
+    by the public kernel for the replays.  `json[i]` is the report form of
+    method i, shared by every entry that names it.  An enumeration that
+    repeats a value would count its cases twice; it raises InvalidSpec.
     """
 
     def __init__(self, c: Component, b: Bounds):
@@ -137,57 +185,19 @@ class _Compiled:
         self.site: List[Optional[int]] = []
         self._mid: Dict[Method, int] = {}
         self._sid: Dict[StateValue, int] = {}
-        method, state, mid, sid = self.method, self.state, self.mid, self.sid
-
-        # The tables' fill: the component's own functions on interned, so
-        # validated, methods, and the kernel wherever `nop` is involved.  A
-        # result that is its input keeps the input's id.
-        def fill_poss(i: int) -> Callable[[int], bool]:
-            m = method[i]
-            poss = partial(kernel.enabled, c, m) if m.ctor == "nop" else partial(c.poss_fn, m)
-            return lambda s: bool(poss(state[s]))
-
-        def fill_do(i: int) -> Callable[[int], int]:
-            m = method[i]
-            do = partial(kernel.apply, c, m) if m.ctor == "nop" else partial(c.do_fn, m)
-
-            def fill(s: int) -> int:
-                st = state[s]
-                new = do(st)
-                return s if new is st else sid(new)
-            return fill
-
-        def fill_it(j: int) -> Callable[[int], int]:
-            m2, it_fn = method[j], c.it_fn
-            against_nop = m2.ctor == "nop"
-
-            def fill(i: int) -> int:
-                m1 = method[i]
-                new = (kernel.transform(c, m1, m2) if against_nop or m1.ctor == "nop"
-                       else it_fn(m1, m2))
-                return i if new is m1 else mid(new)
-            return fill
-
-        self.it = _Lazy(lambda j: _Lazy(fill_it(j)))
-        self.do = _Lazy(lambda i: _Lazy(fill_do(i)))
-        self.poss = _Lazy(lambda i: _Lazy(fill_poss(i)))
-        self.enables, self.pair = self._legality(
-            lambda i: self.poss[i].__getitem__, lambda i: self.do[i].__getitem__,
-            lambda i, j: self.it[j][i])
-
-        # The replay's view: the public kernel, each call made anew once.
-        def enabled(i: int) -> Callable[[int], bool]:
-            return lambda s: kernel.enabled(c, method[i], state[s])
-
-        def apply(i: int) -> Callable[[int], int]:
-            return lambda s: sid(kernel.apply(c, method[i], state[s]))
-
-        self.kernel_it = _Lazy(lambda ij: mid(kernel.transform(c, method[ij[0]],
-                                                               method[ij[1]])))
-        self.kernel_enables, self.kernel_pair = self._legality(
-            enabled, apply, lambda i, j: self.kernel_it[i, j])
+        method, poss_fn, do_fn, it_fn = self.method, c.poss_fn, c.do_fn, c.it_fn
+        # The component's own functions on interned, so validated, methods,
+        # and the kernel wherever `nop` is involved.
+        self.tables = _Tables(
+            self,
+            lambda m, st: kernel.enabled(c, m, st) if m.ctor == "nop" else poss_fn(m, st),
+            lambda m, st: kernel.apply(c, m, st) if m.ctor == "nop" else do_fn(m, st),
+            lambda m1, m2: (kernel.transform(c, m1, m2)
+                            if m1.ctor == "nop" or m2.ctor == "nop" else it_fn(m1, m2)))
+        self.kernel = _Tables(self, partial(kernel.enabled, c), partial(kernel.apply, c),
+                              partial(kernel.transform, c))
         self.json = _Lazy(lambda i: value_to_json(method[i]))
-        self.methods = self._distinct("method", [mid(m) for m in c.enum_methods(b)])
+        self.methods = self._distinct("method", [self.mid(m) for m in c.enum_methods(b)])
 
     @cached_property
     def states(self) -> List[int]:
@@ -218,22 +228,6 @@ class _Compiled:
         a, b = self.site[i], self.site[j]
         return a is None or b is None or a != b
 
-    def _legality(self, enabled, apply, transform):
-        """The checker's one joint-legality decider, `(enables, pair)`, as
-        decided over ids by the predicate `enabled(i)` and the function
-        `apply(i)` on state ids, and by `transform(i, j)`: `enables[i]` is the
-        set of enumerated states method i is enabled on, and `pair[i1, i2]`
-        holds the pair's two transformed methods, i2 against i1 and i1
-        against i2, and the set of states on which both orders are legal."""
-        def pair(ids: Tuple[int, int]):
-            i1, i2 = ids
-            t21, t12 = transform(i2, i1), transform(i1, i2)
-            do1, do2, ok1, ok2 = apply(i1), apply(i2), enabled(t21), enabled(t12)
-            return t21, t12, frozenset(s for s in enables[i1] & enables[i2]
-                                       if ok1(do1(s)) and ok2(do2(s)))
-        enables = _Lazy(lambda i: frozenset(filter(enabled(i), self.states)))
-        return enables, _Lazy(pair)
-
     def select(self, f: Callable[[Method], bool]) -> List[int]:
         return [i for i in self.methods if f(self.method[i])]
 
@@ -248,7 +242,7 @@ Part = Tuple[str, str, Blocks]
 
 def _cp1_sweep(t: _Compiled, name: str, blocks: Blocks) -> CheckReport:
     t0 = time.perf_counter()
-    do, joint_legal = t.do, t.pair.fill  # uncached: each pair is asked once
+    do, joint_legal = t.tables.do, t.tables.pair.fill  # uncached: each pair is asked once
     pairs = cases = 0
     failing: List[Tuple[int, int, int, int, int]] = []
     for m1s, m2s in blocks:
@@ -275,20 +269,19 @@ def _cp1_sweep(t: _Compiled, name: str, blocks: Blocks) -> CheckReport:
 
 def _replay_cp1(t: _Compiled, s: int, i1: int, i2: int, left: int,
                 right: int) -> dict:
-    """Re-derive a failing pair through the public kernel; its witness."""
-    c, st, m1, m2 = t.c, t.state[s], t.method[i1], t.method[i2]
-    t21, t12, joint = t.kernel_pair[i1, i2]
-    seq1, seq2 = [m1, t.method[t21]], [m2, t.method[t12]]
+    """Re-derive a failing pair from the kernel's tables; its witness."""
+    m1, m2, kdo = t.method[i1], t.method[i2], t.kernel.do
+    t21, t12, joint = t.kernel.pair[i1, i2]
     if s not in joint:
-        _mismatch("CP1", (m1, m2), "a sequence is not legal from " + repr(st))
-    got = (kernel.apply_seq(c, seq1, st), kernel.apply_seq(c, seq2, st))
-    if got != (t.state[left], t.state[right]) or got[0] == got[1]:
-        _mismatch("CP1", (m1, m2), f"final states {got}")
+        _mismatch("CP1", (m1, m2), "a sequence is not legal from " + repr(t.state[s]))
+    got = (kdo[t21][kdo[i1][s]], kdo[t12][kdo[i2][s]])
+    if got != (left, right) or got[0] == got[1]:
+        _mismatch("CP1", (m1, m2), f"final states {tuple(t.state[g] for g in got)}")
     return {
-        "state": value_to_json(st),
+        "state": value_to_json(t.state[s]),
         "methods": [t.json[i1], t.json[i2]],
-        "left": value_to_json(got[0]),
-        "right": value_to_json(got[1]),
+        "left": value_to_json(t.state[left]),
+        "right": value_to_json(t.state[right]),
     }
 
 
@@ -300,7 +293,7 @@ def _mismatch(condition: str, methods: Sequence[Method], what: str) -> None:
 
 def _cp2_sweep(t: _Compiled, name: str, blocks: Blocks) -> CheckReport:
     t0 = time.perf_counter()
-    it = t.it
+    it, pair, enables = t.tables.it, t.tables.pair, t.tables.enables
     cases = 0
     failing: List[Tuple[int, int, int, int, int]] = []
     for g1, g2, g3 in blocks:
@@ -321,8 +314,9 @@ def _cp2_sweep(t: _Compiled, name: str, blocks: Blocks) -> CheckReport:
     witnesses: List[dict] = []
     unrealizable: List[dict] = []
     for i1, i2, i3, left, right in failing:
-        entry = _replay_cp2(t, i1, i2, i3, left, right)
-        (witnesses if entry["realizable"] else unrealizable).append(entry)
+        realizable = not pair[i1, i2][2].isdisjoint(enables[i3])
+        entry = _replay_cp2(t, i1, i2, i3, left, right, realizable)
+        (witnesses if realizable else unrealizable).append(entry)
     return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
                        (time.perf_counter() - t0) * 1000.0, cases,
                        unrealizable=unrealizable)
@@ -336,18 +330,16 @@ def _values_at(keys: List[int]) -> Callable[[dict], tuple]:
 
 
 def _replay_cp2(t: _Compiled, i1: int, i2: int, i3: int, left: int,
-                right: int) -> dict:
-    """Re-derive a failing triple and its realizability through the public
-    kernel; its report entry.  The transformed methods are kernel
-    transforms, each made once per pair and compared as ids."""
+                right: int, realizable: bool) -> dict:
+    """Re-derive a failing triple and its realizability, as the component's
+    tables decided it, from the kernel's tables; its report entry."""
     triple = (t.method[i1], t.method[i2], t.method[i3])
-    t21, t12, joint = t.kernel_pair[i1, i2]
-    kit = t.kernel_it
-    got = (kit[kit[i3, i1], t21], kit[kit[i3, i2], t12])
+    t21, t12, joint = t.kernel.pair[i1, i2]
+    kit = t.kernel.it
+    got = (kit[t21][kit[i1][i3]], kit[t12][kit[i2][i3]])
     if got != (left, right) or got[0] == got[1]:
         _mismatch("CP2", triple, f"transformed methods {tuple(t.method[g] for g in got)}")
-    realizable = not t.pair[i1, i2][2].isdisjoint(t.enables[i3])
-    if realizable != (not joint.isdisjoint(t.kernel_enables[i3])):
+    if realizable != (not joint.isdisjoint(t.kernel.enables[i3])):
         _mismatch("CP2", triple, f"realizable is {realizable} by the tables")
     return {
         "state": None,
@@ -362,21 +354,24 @@ def _check(c: Component, b: Bounds,
            parts_of: Callable[[_Compiled], List[Part]]) -> List[CheckReport]:
     """Compile c once and sweep the parts `parts_of` names over it, once
     every part's estimate is within the case ceiling: the cases its blocks
-    hold, times the states for CP1.  Then free the tables, whose fill
-    functions refer back to t, without a GC pass."""
+    hold, times the states for CP1.  CP2's estimates, which need no states,
+    are read first, so a check its methods alone put over the ceiling builds
+    no state.  Then, refused or not, free the tables, whose fill functions
+    refer back to t, without a GC pass."""
     t = _Compiled(c, b)
-    parts = parts_of(t)
-    for _, condition, blocks in parts:
-        estimate = sum(math.prod(map(len, block)) for block in blocks)
-        if condition == "CP1":
-            estimate *= len(t.states)
-        if estimate > b.max_cases:
-            raise BoundsExceeded(
-                f"estimated {estimate} cases exceeds ceiling {b.max_cases}")
-    sweep = {"CP1": _cp1_sweep, "CP2": _cp2_sweep}
-    reports = [sweep[condition](t, name, blocks) for name, condition, blocks in parts]
-    vars(t).clear()
-    return reports
+    try:
+        parts = parts_of(t)
+        for _, condition, blocks in sorted(parts, key=lambda part: part[1] == "CP1"):
+            estimate = sum(math.prod(map(len, block)) for block in blocks)
+            if condition == "CP1":
+                estimate *= len(t.states)
+            if estimate > b.max_cases:
+                raise BoundsExceeded(
+                    f"estimated {estimate} cases exceeds ceiling {b.max_cases}")
+        sweep = {"CP1": _cp1_sweep, "CP2": _cp2_sweep}
+        return [sweep[condition](t, name, blocks) for name, condition, blocks in parts]
+    finally:
+        vars(t).clear()
 
 
 def check_cp1(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
@@ -389,38 +384,12 @@ def check_cp2(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     return _check(c, b, lambda t: [("CP2", "CP2", [(t.methods,) * 3])])[0]
 
 
-def _split(t: _Compiled, sub1, sub2) -> Tuple[List[int], List[int]]:
-    """The method ids in each subset, given as a filter or a collection."""
-    g1, g2 = (t.select(sub if callable(sub) else set(sub).__contains__)
-              for sub in (sub1, sub2))
-    overlap = set(g1) & set(g2)
-    if overlap:
-        raise InvalidSpec("method subsets overlap: "
-                          f"{sorted(t.method[i].ctor for i in overlap)}")
-    return g1, g2
-
-
 def _cross(g1: List[int], g2: List[int]) -> Blocks:
     """The CP2 blocks drawing (m1, m2, m3) from the two groups in every
     combination except all three from the same one."""
     groups = (g1, g2)
     return [tuple(groups[k] for k in ks)
             for ks in itertools.product((0, 1), repeat=3) if len(set(ks)) > 1]
-
-
-def check_cp1_restricted(c: Component, sub1, sub2,
-                         b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
-    """Pair condition over cross pairs only: one method from each subset."""
-    return _check(c, b, lambda t: [
-        ("CP1-restricted", "CP1", [_split(t, sub1, sub2)])])[0]
-
-
-def check_cp2_restricted(c: Component, sub1, sub2,
-                         b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
-    """Triple condition with (m1, m2, m3) drawn from the two subsets in every
-    combination except all three from the same one."""
-    return _check(c, b, lambda t: [
-        ("CP2-restricted", "CP2", _cross(*_split(t, sub1, sub2)))])[0]
 
 
 def _aggregate(name: str, parts: List[CheckReport]) -> CheckReport:

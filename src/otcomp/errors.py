@@ -19,9 +19,9 @@ class UndefinedObservation(OtcompError):
 
 
 class InvalidSpec(OtcompError):
-    """A component specification violates its algebraic laws at bounds, a
-    component fails a pattern's formal-parameter laws (it is not admissible),
-    or a restricted check was given overlapping method subsets."""
+    """A component specification violates its algebraic laws at bounds, or a
+    component fails a pattern's formal-parameter laws (it is not
+    admissible)."""
 
 
 class BoundsExceeded(OtcompError):

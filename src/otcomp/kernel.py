@@ -63,19 +63,24 @@ def _require_method(c: Component, m: Method) -> None:
 
 
 def validate_method(c: Component, m: Method) -> None:
-    """Raise UnknownMethod unless m is a method of c, down to the methods its
-    arguments carry: a METHOD argument must be a method of c's element,
-    parts[0], as `values.decode_method` reads it.  A static product's method
-    is judged by the factor owning its constructor."""
+    """Raise UnknownMethod unless m is a method of c with as many arguments
+    as its constructor declares, down to the methods its arguments carry: a
+    METHOD argument must be a method of c's element, parts[0], as
+    `values.decode_method` reads it.  A static product's method is judged
+    by the factor owning its constructor."""
     if not (isinstance(m, Method) and m.ctor in c.method_ctors):
         _require_method(c, m)  # raises
+    sorts = c.method_ctors[m.ctor]
+    if len(m.args) != len(sorts):
+        raise UnknownMethod(f"{m.ctor!r} has {len(m.args)} arguments, but "
+                            f"component {c.name!r} declares {len(sorts)}")
     if not c.parts:  # only a component with parts declares METHOD arguments
         return
     if m.ctor in c.owner:
         i, ctor = c.owner[m.ctor]
         validate_method(c.parts[i], Method(ctor, m.args, m.site))
     else:
-        for sort, arg in zip(c.method_ctors[m.ctor], m.args):
+        for sort, arg in zip(sorts, m.args):
             if sort == METHOD:
                 validate_method(c.parts[0], arg)
 

@@ -94,17 +94,6 @@ class RunReport:
         }
 
 
-def integrate(c: Component, base: StateValue, ops: Sequence[Method],
-              order: Sequence[int], use_transform: bool = True
-              ) -> Tuple[StateValue, List[IntegrationTrace]]:
-    """Deliver the ops in the given order, a permutation of their indices,
-    transforming each against the already-executed (transformed) ones
-    before applying it."""
-    [order] = _orders([list(order)], len(ops))
-    finals, traces, _ = _integrate_orders(c, base, ops, [order], use_transform)
-    return finals[0][1], traces[order]
-
-
 def run_scenario(s: Scenario, component: Optional[Component] = None) -> RunReport:
     """Integrate under every requested delivery order and compare finals."""
     c = component if component is not None else s.component

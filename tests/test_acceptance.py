@@ -15,8 +15,7 @@ import pytest
 
 from otcomp import kernel
 from otcomp.bounds import DEFAULT_BOUNDS, Bounds
-from otcomp.checker import (check_consistency, check_cp1, check_cp1_restricted,
-                            check_cp2, check_cp2_restricted)
+from otcomp.checker import check_consistency, check_cp1, check_cp2
 from otcomp.cells import cchar, ccolor, cnat
 from otcomp.cli import main
 from otcomp.composition import (dynamic_compose, is_update, make_update,
@@ -133,14 +132,12 @@ def test_criterion_5_set_of_characters_composition():
         assert not kernel.observe(sc, "iselem", (Cell("a"),), after)
         assert kernel.observe(sc, "iselem", (Cell("c"),), after)
 
-        updates = is_update
-        container = lambda m: not is_update(m)
-        for restricted in (check_cp1_restricted, check_cp2_restricted):
-            rep = restricted(sc, updates, container)
-            assert rep.verdict == "pass" and rep.cases > 0
         rep = check_consistency(sc)
         assert rep.verdict == "pass"
         assert [p.verdict for p in rep.parts] == ["pass"] * 6
+        # the cross parts pair an update with a container method
+        cross = [p for p in rep.parts if p.property in ("CP1-cross", "CP2-cross")]
+        assert len(cross) == 2 and all(p.cases > 0 for p in cross)
 
 
 def _distinct_target_commutation(comp, b):

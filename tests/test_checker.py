@@ -1,24 +1,26 @@
 """The exhaustive convergence checker: verdicts, witnesses, reports."""
 
+import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
 
 import otcomp
-from otcomp import kernel
+from otcomp import checker, kernel
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar
-from otcomp.checker import (check_consistency, check_cp1, check_cp1_restricted,
-                            check_cp2, check_cp2_restricted)
+from otcomp.checker import check_consistency, check_cp1, check_cp2
 from otcomp.errors import BoundsExceeded, InvalidSpec
 from otcomp.patterns import set_pattern
 from otcomp.registry import build
-from otcomp.values import Cell, Method, value_from_json
+from otcomp.values import Cell, value_from_json
 
 B = DEFAULT_BOUNDS
 
@@ -81,19 +83,10 @@ def test_reports_are_deterministic():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
-def test_empty_method_subset_makes_the_check_vacuous():
-    c = cchar()
-    rep = check_cp1_restricted(c, [], lambda m: True)
+def test_empty_method_enumeration_makes_the_check_vacuous():
+    c = dataclasses.replace(cchar(), enum_methods_fn=lambda b: [])
+    rep = check_cp1(c)
     assert rep.verdict == "vacuous" and rep.cases == 0
-
-
-def test_overlapping_subsets_are_rejected():
-    c = cchar()
-    put = Method("putchar", ("a",))
-    with pytest.raises(InvalidSpec):
-        check_cp1_restricted(c, [put], [put])
-    with pytest.raises(InvalidSpec):
-        check_cp2_restricted(c, [put], [put])
 
 
 def test_case_ceiling_is_enforced():
@@ -358,6 +351,15 @@ def test_a_transform_result_that_is_no_method_raises_under_python_o():
             return Method("shove", (0,), 0)
     """))
     assert out.startswith("raised: UnknownMethod 'shove' is not a method"), out
+    # So is a declared constructor with the wrong number of arguments.
+    out = _under_python_o(_plant_it("""
+        def planted(m1, m2):
+            return m2.ctor == "Ins" and m2.args[0] > 3
+
+        def answer(out, call):
+            return Method("Del", (), 0)
+    """))
+    assert out.startswith("raised: UnknownMethod 'Del' has 0 arguments"), out
 
 
 def test_masked_reports_have_zero_elapsed():
@@ -388,6 +390,45 @@ def test_every_ceiling_is_checked_before_the_first_sweep(monkeypatch):
         monkeypatch.setattr(kernel, name, swept)
     with pytest.raises(BoundsExceeded, match="11930688"):
         check_consistency(c, b)
+
+
+def test_a_check_refused_on_its_methods_builds_no_state(monkeypatch):
+    # CP2-updates alone exceeds the ceiling, so CP1's estimates, which count
+    # the states, are never read.
+    c = build("set-guarded[string]")
+
+    def enumerated(b):
+        raise RuntimeError("states built for a check refused on its methods")
+
+    monkeypatch.setattr(c, "enum_states_fn", enumerated)
+    with pytest.raises(BoundsExceeded, match="estimated 41063625 cases"):
+        check_consistency(c)
+
+
+def test_no_compiled_component_outlives_its_check(monkeypatch):
+    # Clearing a compiled component's attributes frees its tables, whose
+    # fills refer back to it, without a GC pass: nothing they hold may refer
+    # to itself.
+    compiled = []
+
+    class Watched(checker._Compiled):
+        def __init__(self, *args):
+            super().__init__(*args)
+            compiled.append(weakref.ref(self))
+
+    monkeypatch.setattr(checker, "_Compiled", Watched)
+    b = B.with_(universe=1)
+    gc.disable()
+    try:
+        # Witnesses and unrealizable triples, so both tables are filled.
+        assert check_consistency(build("set-literal", b), b).witnesses
+        assert check_consistency(build("set-guarded[cchar]")).unrealizable
+        with pytest.raises(BoundsExceeded):  # refused after its states are built
+            check_cp1(cchar(), B.with_(max_cases=10))
+        assert len(compiled) == 3
+        assert [ref() for ref in compiled] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_a_part_is_estimated_by_the_blocks_it_sweeps():

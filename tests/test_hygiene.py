@@ -73,10 +73,10 @@ def test_only_the_runner_compiles_or_sweeps():
 
 
 # The kernel functions that validate on every call, and where the checker may
-# call them: the replay's view and the `nop` fill, built in _Compiled.__init__,
-# and the two replays.
+# name them: _Compiled.__init__, which builds the kernel's tables for the
+# replays and the `nop` fill of the component's.
 _VALIDATING = {"apply", "enabled", "transform", "apply_seq", "transform_seq"}
-_MAY_VALIDATE = {("_Compiled", "__init__"), (None, "_replay_cp1"), (None, "_replay_cp2")}
+_MAY_VALIDATE = {("_Compiled", "__init__")}
 
 
 def _validating_kernel_calls(source: str):

@@ -9,6 +9,7 @@ from otcomp import kernel
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar, cnat
 from otcomp.errors import UnknownAttribute, UnknownMethod
+from otcomp.registry import build
 from otcomp.values import NOP, Cell, Method
 
 
@@ -47,6 +48,13 @@ def test_undeclared_method_rejected(char):
         kernel.enabled(char, Method("shove", ("a",)), Cell(None))
     with pytest.raises(UnknownMethod):
         kernel.transform(char, Method("shove", ("a",)), NOP)
+    # A declared constructor with the wrong number of arguments.
+    with pytest.raises(UnknownMethod, match="has 0 arguments, but"):
+        kernel.transform(char, Method("putchar", ()), NOP)
+    string = build("string[cchar]")
+    for m in (Method("Update", ()), Method("Ins", (0,))):
+        with pytest.raises(UnknownMethod):
+            kernel.validate_method(string, m)
 
 
 def test_unknown_attribute_rejected(char):

@@ -13,8 +13,7 @@ from otcomp.cli import EXIT_USAGE, main
 from otcomp.composition import make_update
 from otcomp.errors import ScenarioError, UnknownMethod
 from otcomp.registry import build
-from otcomp.simulator import (Scenario, integrate, load_scenario,
-                              run_scenario)
+from otcomp.simulator import Scenario, load_scenario, run_scenario
 from otcomp.values import (Cell, Method, SetOf, decode_state, display, set_of,
                            value_to_json)
 
@@ -94,8 +93,8 @@ def test_explicit_delivery_orders():
 
 def test_bad_explicit_permutation_rejected():
     s = _string_scenario()
-    for delivery in ([[0, 0]], 5, [5], [[0, "x"]], [[0, 1.0]], [[0, True]], [],
-                     "all-permutations"):
+    for delivery in ([[0, 0]], [[0]], [[0, 2]], [[0, 1, 1]], 5, [5], [[0, "x"]],
+                     [[0, 1.0]], [[0, True]], [], "all-permutations"):
         s.delivery = delivery
         with pytest.raises(ScenarioError):
             run_scenario(s)
@@ -113,20 +112,13 @@ def test_skipped_ops_mark_the_run_partially_legal():
     assert rep.converged  # the illegal removal is skipped at every site
 
 
-def test_integrate_matches_manual_fold():
-    c = build("cchar")
-    ops = [Method("putchar", ("a",), 1), Method("putchar", ("c",), 2)]
-    st, trace = integrate(c, Cell(None), ops, order=(1, 0))
-    assert st == Cell("c")
-    assert [t.applied for t in trace] == [True, True]
-
-
-def test_integrate_takes_only_a_permutation_of_the_ops():
-    c = build("cchar")
-    ops = [Method("putchar", ("a",), 1), Method("putchar", ("c",), 2)]
-    for order in ((0, 0), (0,), (0, 2), (0, 1, 1)):
-        with pytest.raises(ScenarioError):
-            integrate(c, Cell(None), ops, order)
+def test_one_delivery_order_matches_manual_fold():
+    rep = run_scenario(Scenario(
+        component="cchar", base=None,
+        ops=[(1, Method("putchar", ("a",))), (2, Method("putchar", ("c",)))],
+        delivery=[[1, 0]]))
+    assert rep.finals == [((1, 0), Cell("c"))]
+    assert [t.applied for t in rep.traces[1, 0]] == [True, True]
 
 
 def test_load_scenario_from_dict_and_file(tmp_path):
