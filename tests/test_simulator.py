@@ -93,8 +93,8 @@ def test_explicit_delivery_orders():
 
 def test_bad_explicit_permutation_rejected():
     s = _string_scenario()
-    for delivery in ([[0, 0]], [[0]], [[0, 2]], [[0, 1, 1]], 5, [5], [[0, "x"]],
-                     [[0, 1.0]], [[0, True]], [], "all-permutations"):
+    for delivery in ([[0, 0]], 5, [5], [[0, "x"]], [[0, 1.0]], [[0, True]], [],
+                     "all-permutations"):
         s.delivery = delivery
         with pytest.raises(ScenarioError):
             run_scenario(s)
@@ -119,6 +119,16 @@ def test_one_delivery_order_matches_manual_fold():
         delivery=[[1, 0]]))
     assert rep.finals == [((1, 0), Cell("c"))]
     assert [t.applied for t in rep.traces[1, 0]] == [True, True]
+
+
+def test_integrate_takes_only_a_permutation_of_the_ops():
+    s = Scenario(component="cchar", base=None,
+                 ops=[(1, Method("putchar", ("a",))),
+                      (2, Method("putchar", ("c",)))])
+    for order in ((0, 0), (0,), (0, 2), (0, 1, 1)):
+        s.delivery = [list(order)]
+        with pytest.raises(ScenarioError):
+            run_scenario(s)
 
 
 def test_load_scenario_from_dict_and_file(tmp_path):
