@@ -12,10 +12,12 @@ A check is a list of parts, each plain data: a name, a condition and the
 blocks of method ids its sweep walks.  One runner, `_check`, compiles the
 component once, reads every part's case estimate off its blocks, and raises
 BoundsExceeded before any sweep if one is over `max_cases`.  Compiling
-interns the sorted method and state enumerations to ints.  Each method is
-validated once, by `kernel.validate_method`, when it is interned: an
-enumerated one, or a result outside the enumeration (an insert one past the
-longest state, a longer sequence) when first seen.
+interns the methods it is given (the component's sorted enumeration, or a
+product factor's methods in the product's order) and the sorted state
+enumeration to ints.  Each method is validated once, by
+`kernel.validate_method`, when it is interned: an enumerated one, or a
+result outside the enumeration (an insert one past the longest state, a
+longer sequence) when first seen.
 
 One table type, `_Tables`, holds what a check reads over those ids: IT
 (method, method) -> method, Do (state, method) -> state and Poss (state,
@@ -25,12 +27,20 @@ functions the tables are built with.  A check builds two.  The sweeps read
 the component's, filled by its own `it_fn`, `do_fn` and `poss_fn`, and by
 the kernel's `transform`, `apply` or `enabled` where `nop` is involved, so
 the `nop` rules live only in the kernel.  The replays read the kernel's,
-filled by the public kernel alone.  Nothing outlives the call.
+filled by the public kernel alone, whose `enabled` and `apply` they also
+call on a pair's states.  Nothing outlives the call.
 
-Every failing case is replayed from the kernel's tables before it is
-emitted, which cross-checks the component's: joint legality, both final
-states or transformed methods, and for a triple its realizability verdict.
-A disagreement raises ReplayMismatch.
+Every failing case is replayed through the public kernel before it is
+emitted, which cross-checks the component's tables: a pair's joint legality
+and final states from its state, a triple's transformed methods and its
+realizability verdict from the kernel's tables.  A disagreement raises
+ReplayMismatch.
+
+A static product is checked factor by factor, never over its own states:
+each factor that is not a product sweeps its own pairs and triples, and
+every case across factors or with `nop`, which holds by construction, is
+counted (see `_Product`).  The report is the one a sweep over every product
+state would give.
 """
 
 from __future__ import annotations
@@ -39,21 +49,22 @@ import itertools
 import math
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
-from .composition import ComposedComponent, is_update
+from .composition import ComposedComponent, StaticProduct, is_update
 from .errors import BoundsExceeded, InvalidSpec, ReplayMismatch
 from . import kernel
 from .kernel import Component
-from .values import Method, StateValue, value_to_json
+from .values import NOP, Method, StateValue, value_to_json
 
 
 @dataclass
 class CheckReport:
-    """A verdict over `cases` compared cases, with its failing entries.
+    """A verdict over `cases` decided cases, with its failing entries.
 
     An aggregate's entries carry a `"part"` tag naming the part that found
     them.  Its JSON writes each entry once, at the top level: a part's
@@ -61,7 +72,9 @@ class CheckReport:
     In memory, every report keeps its full lists."""
     property: str
     verdict: str  # "pass" | "fail" | "vacuous"
-    cases: int    # jointly-legal (non-vacuous) cases actually compared
+    # Jointly legal (non-vacuous) cases decided: compared, or, for a static
+    # product, counted where they hold by construction (see _Product).
+    cases: int
     witnesses: List[dict] = field(default_factory=list)
     elapsed_ms: float = 0.0
     examined: int = 0
@@ -121,8 +134,9 @@ class _Tables:
     state s).  `enables[i]` is the set of enumerated states method i is
     enabled on, and `pair[i1, i2]` holds the pair's two transformed methods,
     i2 against i1 and i1 against i2, and the set of states on which both
-    orders are legal.  A result that is its input keeps the input's id.  The
-    fills refer to t and to the tables' dicts, never to this object, so
+    orders are legal.  A result that is its input keeps the input's id.
+    `enabled` and `apply` are kept as given, for states t does not intern.
+    The fills refer to t and to the tables' dicts, never to this object, so
     clearing t's attributes frees them without a GC pass.
     """
 
@@ -158,6 +172,7 @@ class _Tables:
             return t21, t12, frozenset(s for s in enables[i1] & enables[i2]
                                        if ok1[do1[s]] and ok2[do2[s]])
 
+        self.enabled, self.apply = enabled, apply
         self.it = it = _Lazy(it_row)
         self.do = do = _Lazy(do_row)
         self.poss = poss = _Lazy(poss_row)
@@ -167,21 +182,22 @@ class _Tables:
 
 
 class _Compiled:
-    """A component as one check call sees it: methods and states interned to
-    ids, each method validated as it is, and two `_Tables` over those ids:
+    """A component as one check call sees it: the given methods, in order,
+    and its states interned to ids, each method validated as it is, two
+    methods concurrent unless both name the same site (when `site_aware`),
+    and two `_Tables` over those ids:
     `tables`, filled from the component for the sweeps, and `kernel`, filled
     by the public kernel for the replays.  `json[i]` is the report form of
     method i, shared by every entry that names it.  An enumeration that
     repeats a value would count its cases twice; it raises InvalidSpec.
     """
 
-    def __init__(self, c: Component, b: Bounds):
-        self.c, self.b = c, b
+    def __init__(self, c: Component, b: Bounds, site_aware: bool, methods: List[Method]):
+        self.c, self.b, self.site_aware = c, b, site_aware
         self.method: List[Method] = []
         self.state: List[StateValue] = []
         # The issuing site of each method, None where concurrency is not
-        # decided by sites: two methods are concurrent unless both name the
-        # same site.
+        # decided by sites.
         self.site: List[Optional[int]] = []
         self._mid: Dict[Method, int] = {}
         self._sid: Dict[StateValue, int] = {}
@@ -197,7 +213,7 @@ class _Compiled:
         self.kernel = _Tables(self, partial(kernel.enabled, c), partial(kernel.apply, c),
                               partial(kernel.transform, c))
         self.json = _Lazy(lambda i: value_to_json(method[i]))
-        self.methods = self._distinct("method", [self.mid(m) for m in c.enum_methods(b)])
+        self.methods = self._distinct("method", [self.mid(m) for m in methods])
 
     @cached_property
     def states(self) -> List[int]:
@@ -214,7 +230,7 @@ class _Compiled:
             kernel.validate_method(self.c, m)
             i = self._mid[m] = len(self.method)
             self.method.append(m)
-            self.site.append(m.site if self.c.site_aware else None)
+            self.site.append(m.site if self.site_aware else None)
         return i
 
     def sid(self, st: StateValue) -> int:
@@ -240,8 +256,10 @@ Blocks = Sequence[Tuple[List[int], ...]]
 Part = Tuple[str, str, Blocks]
 
 
-def _cp1_sweep(t: _Compiled, name: str, blocks: Blocks) -> CheckReport:
-    t0 = time.perf_counter()
+def _cp1_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
+    """The pair condition over the blocks' concurrent pairs, read off the
+    component's tables: the cases compared, the concurrent pairs, and the
+    failing cases (state, m1, m2, left, right) in id order."""
     do, joint_legal = t.tables.do, t.tables.pair.fill  # uncached: each pair is asked once
     pairs = cases = 0
     failing: List[Tuple[int, int, int, int, int]] = []
@@ -258,41 +276,18 @@ def _cp1_sweep(t: _Compiled, name: str, blocks: Blocks) -> CheckReport:
                     left, right = then1[first1[s]], then2[first2[s]]
                     if left != right:
                         failing.append((s, i1, i2, left, right))
-
-    # Methods and states are interned in their sorted enumeration order
-    # before anything else, so (state, m1, m2) id order is the nesting order
-    # of a sweep over states, then m1, then m2.
-    witnesses = [_replay_cp1(t, *case) for case in sorted(failing)]
-    return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
-                       (time.perf_counter() - t0) * 1000.0, pairs * len(t.states))
+    # Methods and states are interned in their listed order before anything
+    # else, so (state, m1, m2) id order is the nesting order of a sweep over
+    # states, then m1, then m2.
+    return cases, pairs, sorted(failing)
 
 
-def _replay_cp1(t: _Compiled, s: int, i1: int, i2: int, left: int,
-                right: int) -> dict:
-    """Re-derive a failing pair from the kernel's tables; its witness."""
-    m1, m2, kdo = t.method[i1], t.method[i2], t.kernel.do
-    t21, t12, joint = t.kernel.pair[i1, i2]
-    if s not in joint:
-        _mismatch("CP1", (m1, m2), "a sequence is not legal from " + repr(t.state[s]))
-    got = (kdo[t21][kdo[i1][s]], kdo[t12][kdo[i2][s]])
-    if got != (left, right) or got[0] == got[1]:
-        _mismatch("CP1", (m1, m2), f"final states {tuple(t.state[g] for g in got)}")
-    return {
-        "state": value_to_json(t.state[s]),
-        "methods": [t.json[i1], t.json[i2]],
-        "left": value_to_json(t.state[left]),
-        "right": value_to_json(t.state[right]),
-    }
-
-
-def _mismatch(condition: str, methods: Sequence[Method], what: str) -> None:
-    raise ReplayMismatch(
-        f"{condition} case {list(methods)} does not replay through the "
-        f"kernel as it was checked: {what}; is the component deterministic?")
-
-
-def _cp2_sweep(t: _Compiled, name: str, blocks: Blocks) -> CheckReport:
-    t0 = time.perf_counter()
+def _cp2_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, list]:
+    """The triple condition over the blocks' triples whose first two methods
+    are concurrent, read off the component's tables: the cases compared, and
+    the failing triples (m1, m2, m3, left, right, realizable) in sweep
+    order.  A triple is realizable when some enumerated state has both
+    orders of (m1, m2) legal and m3 enabled."""
     it, pair, enables = t.tables.it, t.tables.pair, t.tables.enables
     cases = 0
     failing: List[Tuple[int, int, int, int, int]] = []
@@ -310,16 +305,7 @@ def _cp2_sweep(t: _Compiled, name: str, blocks: Blocks) -> CheckReport:
                 if lefts != rights:
                     failing.extend((i1, i2, i3, left, right) for i3, left, right
                                    in zip(g3, lefts, rights) if left != right)
-
-    witnesses: List[dict] = []
-    unrealizable: List[dict] = []
-    for i1, i2, i3, left, right in failing:
-        realizable = not pair[i1, i2][2].isdisjoint(enables[i3])
-        entry = _replay_cp2(t, i1, i2, i3, left, right, realizable)
-        (witnesses if realizable else unrealizable).append(entry)
-    return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
-                       (time.perf_counter() - t0) * 1000.0, cases,
-                       unrealizable=unrealizable)
+    return cases, [(*f, not pair[f[0], f[1]][2].isdisjoint(enables[f[2]])) for f in failing]
 
 
 def _values_at(keys: List[int]) -> Callable[[dict], tuple]:
@@ -329,18 +315,63 @@ def _values_at(keys: List[int]) -> Callable[[dict], tuple]:
     return lambda d: tuple(d[k] for k in keys)
 
 
-def _replay_cp2(t: _Compiled, i1: int, i2: int, i3: int, left: int,
-                right: int, realizable: bool) -> dict:
-    """Re-derive a failing triple and its realizability, as the component's
-    tables decided it, from the kernel's tables; its report entry."""
-    triple = (t.method[i1], t.method[i2], t.method[i3])
-    t21, t12, joint = t.kernel.pair[i1, i2]
+def _cp1_report(t: _Compiled, name: str, found: Tuple[int, int, list]) -> CheckReport:
+    cases, pairs, failing = found
+    state = t.state
+    witnesses = [_replay_cp1(t, state[s], i1, i2, state[left], state[right])
+                 for s, i1, i2, left, right in failing]
+    return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
+                       examined=pairs * len(t.states))
+
+
+def _cp2_report(t: _Compiled, name: str, found: Tuple[int, list]) -> CheckReport:
+    cases, failing = found
+    entries: Dict[bool, List[dict]] = {True: [], False: []}
+    for i1, i2, i3, left, right, realizable in failing:
+        entries[realizable].append(_replay_cp2(t, i1, i2, i3, left, right, realizable))
+        _replay_realizable(t, i1, i2, i3, realizable)
+    return CheckReport(name, _verdict(cases, entries[True]), cases, entries[True],
+                       examined=cases, unrealizable=entries[False])
+
+
+def _replay_cp1(t: _Compiled, st: StateValue, i1: int, i2: int, left: StateValue,
+                right: StateValue) -> dict:
+    """Re-derive a failing pair from state st through the public kernel;
+    its witness."""
+    m1, m2, kit = t.method[i1], t.method[i2], t.kernel.it
+    got = []
+    for seq in ((i1, kit[i1][i2]), (i2, kit[i2][i1])):
+        s = st
+        for i in seq:
+            if not t.kernel.enabled(t.method[i], s):
+                _mismatch("CP1", (m1, m2), "a sequence is not legal from " + repr(st))
+            s = t.kernel.apply(t.method[i], s)
+        got.append(s)
+    if got != [left, right] or left == right:
+        _mismatch("CP1", (m1, m2), f"final states {tuple(got)}")
+    return {
+        "state": value_to_json(st),
+        "methods": [t.json[i1], t.json[i2]],
+        "left": value_to_json(left),
+        "right": value_to_json(right),
+    }
+
+
+def _mismatch(condition: str, methods: Sequence[Method], what: str) -> None:
+    raise ReplayMismatch(
+        f"{condition} case {list(methods)} does not replay through the "
+        f"kernel as it was checked: {what}; is the component deterministic?")
+
+
+def _replay_cp2(t: _Compiled, i1: int, i2: int, i3: int, left: int, right: int,
+                realizable: bool) -> dict:
+    """Re-derive a failing triple's transformed methods from the kernel's
+    tables; its report entry."""
     kit = t.kernel.it
-    got = (kit[t21][kit[i1][i3]], kit[t12][kit[i2][i3]])
-    if got != (left, right) or got[0] == got[1]:
-        _mismatch("CP2", triple, f"transformed methods {tuple(t.method[g] for g in got)}")
-    if realizable != (not joint.isdisjoint(t.kernel.enables[i3])):
-        _mismatch("CP2", triple, f"realizable is {realizable} by the tables")
+    got = (kit[kit[i1][i2]][kit[i1][i3]], kit[kit[i2][i1]][kit[i2][i3]])
+    if got != (left, right) or left == right:
+        _mismatch("CP2", [t.method[i] for i in (i1, i2, i3)],
+                  f"transformed methods {tuple(t.method[g] for g in got)}")
     return {
         "state": None,
         "methods": [t.json[i1], t.json[i2], t.json[i3]],
@@ -350,6 +381,131 @@ def _replay_cp2(t: _Compiled, i1: int, i2: int, i3: int, left: int,
     }
 
 
+def _replay_realizable(t: _Compiled, i1: int, i2: int, i3: int, realizable: bool) -> None:
+    """Re-decide a failing triple's realizability, as the component's tables
+    decided it, from the kernel's tables."""
+    if realizable == t.kernel.pair[i1, i2][2].isdisjoint(t.kernel.enables[i3]):
+        _mismatch("CP2", [t.method[i] for i in (i1, i2, i3)],
+                  f"realizable is {realizable} by the tables")
+
+
+class _Product:
+    """A static product as its check sees it, factor by factor.  `t` interns
+    the product's methods and never its states.  `leaves` are its factors
+    that are not products themselves (see `StaticProduct.leaves`), each
+    compiled over its own methods, in the product's order and under the
+    product's site rule.  `names` is as `_leaf_methods` gives it.
+
+    Across leaves the product's transform is the identity and its methods
+    act on disjoint items of a state, and IT(m, nop) = m, IT(nop, m) = nop.
+    So every case that draws from two leaves, or has a `nop`, holds by
+    construction: it is counted, not compared.  A case within one leaf is
+    the leaf's own, on every combination of the other leaves' states for
+    the pair condition.  What a brute-force sweep of the product reports
+    follows: the same cases, examined pairs, entries in the same order, and
+    refusals.  Every lifted entry is replayed through the public kernel on
+    the product; a triple's realizability on the leaf it is drawn from."""
+
+    def __init__(self, t: _Compiled, leaves: List[_Compiled],
+                 names: Dict[Tuple[int, str], str]):
+        self.t, self.leaves, self.names = t, leaves, names
+
+    def up(self, k: int, i: int) -> int:
+        """The product's id of method i of leaf k."""
+        m = self.leaves[k].method[i]
+        return self.t.mid(NOP if m.ctor == "nop" else
+                          Method(self.names[k, m.ctor], m.args, m.site))
+
+    def n_states(self) -> int:
+        """How many states the product has, from its leaves' counts."""
+        return self.t.c.count_states(len(f.states) for f in self.leaves)
+
+    def pairs(self) -> int:
+        """The ordered pairs of the product's methods that are concurrent."""
+        t = self.t
+        sites = Counter(t.site[i] for i in t.methods if t.site[i] is not None)
+        return len(t.methods) ** 2 - sum(n * n for n in sites.values())
+
+    def cp1(self, name: str, found: List[Tuple[int, int, list]]) -> CheckReport:
+        t, leaves = self.t, self.leaves
+        ns = [len(f.states) for f in leaves]
+        n = math.prod(ns)
+
+        def others(*ks: int) -> int:  # state combinations of the other leaves
+            return math.prod(m for j, m in enumerate(ns) if j not in ks)
+
+        # The enabled states of each leaf's methods, summed per site (None:
+        # concurrent with every method).
+        by_site = [Counter() for _ in leaves]
+        for f, e in zip(leaves, by_site):
+            for i in f.methods:
+                e[f.site[i]] += len(f.tables.enables[i])
+        total = [sum(e.values()) for e in by_site]
+        cases = n  # (nop, nop)
+        for k, (own, _, _) in enumerate(found):
+            # The leaf's own pairs, and its methods with nop either side.
+            cases += (own + 2 * total[k]) * others(k)
+            for j in range(len(leaves)):
+                if j != k:  # with another leaf's methods, the concurrent pairs
+                    same_site = sum(v * by_site[j][site] for site, v in by_site[k].items()
+                                    if site is not None)
+                    cases += (total[k] * total[j] - same_site) * others(k, j)
+
+        lifted = []
+        for k, (_, _, failing) in enumerate(found):
+            for s, i1, i2, left, right in failing:
+                axes: List[Sequence[int]] = [range(m) for m in ns]
+                axes[k] = (s,)
+                p1, p2 = self.up(k, i1), self.up(k, i2)
+                lifted += [(ids, p1, p2, k, left, right) for ids in itertools.product(*axes)]
+        # A product state's position in the enumeration is its leaves'
+        # positions read as digits, so this is a sweep's order.
+        witnesses = []
+        for ids, p1, p2, k, left, right in sorted(lifted):
+            items = [f.state[s] for f, s in zip(leaves, ids)]
+            st = t.c.assemble(iter(items))
+            items[k] = leaves[k].state[left]
+            left_st = t.c.assemble(iter(items))
+            items[k] = leaves[k].state[right]
+            witnesses.append(_replay_cp1(t, st, p1, p2, left_st, t.c.assemble(iter(items))))
+        return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
+                           examined=self.pairs() * n)
+
+    def cp2(self, name: str, found: List[Tuple[int, list]]) -> CheckReport:
+        t = self.t
+        cases = self.pairs() * len(t.methods)
+        lifted = sorted((self.up(k, i1), self.up(k, i2), self.up(k, i3), k, (i1, i2, i3),
+                         left, right, realizable)
+                        for k, (_, failing) in enumerate(found)
+                        for i1, i2, i3, left, right, realizable in failing)
+        # A triple is realizable on a product state; a brute-force sweep
+        # builds them here, so the product is refused here past the ceiling.
+        has_states = bool(lifted) and self.n_states() > 0
+        entries: Dict[bool, List[dict]] = {True: [], False: []}
+        for p1, p2, p3, k, ids, left, right, realizable in lifted:
+            _replay_realizable(self.leaves[k], *ids, realizable)
+            realizable = realizable and has_states
+            entries[realizable].append(_replay_cp2(t, p1, p2, p3, self.up(k, left),
+                                                   self.up(k, right), realizable))
+        return CheckReport(name, _verdict(cases, entries[True]), cases, entries[True],
+                           examined=cases, unrealizable=entries[False])
+
+
+def _leaf_methods(t: _Compiled) -> Tuple[List[Tuple[Component, List[Method]]],
+                                          Dict[Tuple[int, str], str]]:
+    """Static product t.c's leaves, each with its own methods in the
+    product's order; and names[k, ctor], the product's constructor for
+    constructor ctor of leaf k."""
+    factors, owner = t.c.leaves()
+    own: List[List[Method]] = [[] for _ in factors]
+    for i in t.methods:
+        m = t.method[i]
+        if m.ctor != "nop":
+            k, ctor = owner[m.ctor]
+            own[k].append(Method(ctor, m.args, m.site))
+    return list(zip(factors, own)), {v: k for k, v in owner.items()}
+
+
 def _check(c: Component, b: Bounds,
            parts_of: Callable[[_Compiled], List[Part]]) -> List[CheckReport]:
     """Compile c once and sweep the parts `parts_of` names over it, once
@@ -357,21 +513,43 @@ def _check(c: Component, b: Bounds,
     hold, times the states for CP1.  CP2's estimates, which need no states,
     are read first, so a check its methods alone put over the ceiling builds
     no state.  Then, refused or not, free the tables, whose fill functions
-    refer back to t, without a GC pass."""
-    t = _Compiled(c, b)
+    refer back to their compiled component, without a GC pass.
+
+    A static product is swept factor by factor (see `_Product`): every part
+    of its checks sweeps all of its methods, so each part is its leaves' own
+    pairs or triples, lifted.  Its states are counted, never built."""
+    t = _Compiled(c, b, c.site_aware, c.enum_methods(b))
+    product: Optional[_Product] = None
     try:
+        if isinstance(c, StaticProduct):
+            leaves, names = _leaf_methods(t)
+            product = _Product(t, [_Compiled(f, b, c.site_aware, ms) for f, ms in leaves],
+                               names)
         parts = parts_of(t)
         for _, condition, blocks in sorted(parts, key=lambda part: part[1] == "CP1"):
             estimate = sum(math.prod(map(len, block)) for block in blocks)
             if condition == "CP1":
-                estimate *= len(t.states)
+                estimate *= product.n_states() if product else len(t.states)
             if estimate > b.max_cases:
                 raise BoundsExceeded(
                     f"estimated {estimate} cases exceeds ceiling {b.max_cases}")
         sweep = {"CP1": _cp1_sweep, "CP2": _cp2_sweep}
-        return [sweep[condition](t, name, blocks) for name, condition, blocks in parts]
+        reports = []
+        for name, condition, blocks in parts:
+            t0 = time.perf_counter()
+            if product:
+                width = 2 if condition == "CP1" else 3
+                found = [sweep[condition](f, [(f.methods,) * width]) for f in product.leaves]
+                rep = (product.cp1 if condition == "CP1" else product.cp2)(name, found)
+            else:
+                report = _cp1_report if condition == "CP1" else _cp2_report
+                rep = report(t, name, sweep[condition](t, blocks))
+            rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+            reports.append(rep)
+        return reports
     finally:
-        vars(t).clear()
+        for compiled in (t, *(product.leaves if product else ())):
+            vars(compiled).clear()
 
 
 def check_cp1(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:

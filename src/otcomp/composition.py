@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .bounds import MAX_STATES, Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UnknownMethod
@@ -29,7 +29,52 @@ from .values import METHOD, NOP, POSITION, STATE, Method, Product, StateValue, p
 # Static composition
 # ---------------------------------------------------------------------------
 
-def static_compose(*factors: Component) -> Component:
+class StaticProduct(Component):
+    """A non-interacting product of its factors, `parts`; `owner` names the
+    factor owning each constructor but `nop` (see static_compose)."""
+
+    def enum_states(self, b: Bounds = DEFAULT_BOUNDS) -> List[Product]:
+        # The factors' lists are in canonical order, and so is their product
+        # (a product state's key is its items' keys in order): no sort.
+        return self.enum_states_fn(b)
+
+    def leaves(self) -> Tuple[List[Component], Dict[str, Tuple[int, str]]]:
+        """The factors that are not products themselves, found through those
+        that are, in the order their states appear in a product state; and
+        for each constructor but `nop`, the index of the leaf owning it and
+        the leaf's name for it."""
+        leaves: List[Component] = []
+        owner: Dict[str, Tuple[int, str]] = {}
+        for i, f in enumerate(self.parts):
+            sub, sub_owner = f.leaves() if isinstance(f, StaticProduct) else ([f], None)
+            for ctor, (j, inner) in self.owner.items():
+                if j == i:
+                    k, inner = sub_owner[inner] if sub_owner else (0, inner)
+                    owner[ctor] = (len(leaves) + k, inner)
+            leaves += sub
+        return leaves, owner
+
+    def count_states(self, counts: Iterator[int]) -> int:
+        """How many states `enum_states` gives, from its leaves' counts in
+        leaf order, never built: refused past MAX_STATES at every level, as
+        `enum_states` refuses."""
+        return _within_ceiling(self, math.prod(
+            f.count_states(counts) if isinstance(f, StaticProduct) else next(counts)
+            for f in self.parts))
+
+    def assemble(self, items: Iterator[StateValue]) -> Product:
+        """The product state whose leaves' states are the items, in leaf order."""
+        return Product(tuple(f.assemble(items) if isinstance(f, StaticProduct) else next(items)
+                             for f in self.parts))
+
+
+def _within_ceiling(c: Component, n: int) -> int:
+    if n > MAX_STATES:
+        raise BoundsExceeded(f"{c.name}: {n} product states exceed the ceiling {MAX_STATES}")
+    return n
+
+
+def static_compose(*factors: Component) -> StaticProduct:
     """Non-interacting product of two or more components.
 
     Clashing constructor and attribute names are prefixed with the owning
@@ -47,7 +92,6 @@ def static_compose(*factors: Component) -> Component:
         for aname, observer in f.attributes.items():
             attr_owner[_claim(attr_owner, aname, f)] = (i, observer)
     renamed = {v: k for k, v in owner.items()}  # inverse of owner
-    comp_name = " (+) ".join(f.name for f in factors)
 
     def _unpack(m: Method) -> Tuple[int, Method]:
         i, ctor = owner[m.ctor]
@@ -87,14 +131,12 @@ def static_compose(*factors: Component) -> Component:
 
     def enum_states(b: Bounds) -> List[Product]:
         per = [f.enum_states(b) for f in factors]
-        n = math.prod(map(len, per))
-        if n > MAX_STATES:
-            raise BoundsExceeded(f"{comp_name}: {n} product states exceed "
-                                 f"the ceiling {MAX_STATES}")
+        _within_ceiling(comp, math.prod(map(len, per)))
         return [product(t) for t in itertools.product(*per)]
 
-    return Component(
-        name=comp_name,
+    # The closures read `comp`, which is bound before any of them runs.
+    comp = StaticProduct(
+        name=" (+) ".join(f.name for f in factors),
         method_ctors={"nop": (), **{name: factors[i].method_ctors[ctor]
                                     for name, (i, ctor) in owner.items()}},
         attributes={name: (lambda i, obs: lambda args, st: obs(args, st.items[i]))(i, obs)
@@ -109,6 +151,7 @@ def static_compose(*factors: Component) -> Component:
         parts=tuple(factors),
         owner=owner,
     )
+    return comp
 
 
 def _claim(taken: dict, name: str, factor: Component) -> str:

@@ -56,10 +56,20 @@ class Component:
         return sorted(self.enum_states_fn(b), key=partial(canon_key, memo={}))
 
 
-def _require_method(c: Component, m: Method) -> None:
-    if not isinstance(m, Method) or m.ctor not in c.method_ctors:
+def _require_method(c: Component, m: Method) -> Tuple[Any, ...]:
+    """The argument sorts of m's constructor, if m is a method of c with as
+    many arguments as they are; UnknownMethod otherwise.  It reads no
+    argument, so it takes the same time for every method.  `apply`,
+    `enabled` and `transform` make the same test in line on every call, and
+    call this only to raise: a call costs as much as the test."""
+    sorts = c.method_ctors.get(m.ctor) if isinstance(m, Method) else None
+    if sorts is None:
         ctor = getattr(m, "ctor", m)
         raise UnknownMethod(f"{ctor!r} is not a method of component {c.name!r}")
+    if len(m.args) != len(sorts):
+        raise UnknownMethod(f"{m.ctor!r} has {len(m.args)} arguments, but "
+                            f"component {c.name!r} declares {len(sorts)}")
+    return sorts
 
 
 def validate_method(c: Component, m: Method) -> None:
@@ -68,12 +78,7 @@ def validate_method(c: Component, m: Method) -> None:
     METHOD argument must be a method of c's element, parts[0], as
     `values.decode_method` reads it.  A static product's method is judged
     by the factor owning its constructor."""
-    if not (isinstance(m, Method) and m.ctor in c.method_ctors):
-        _require_method(c, m)  # raises
-    sorts = c.method_ctors[m.ctor]
-    if len(m.args) != len(sorts):
-        raise UnknownMethod(f"{m.ctor!r} has {len(m.args)} arguments, but "
-                            f"component {c.name!r} declares {len(sorts)}")
+    sorts = _require_method(c, m)
     if not c.parts:  # only a component with parts declares METHOD arguments
         return
     if m.ctor in c.owner:
@@ -87,7 +92,9 @@ def validate_method(c: Component, m: Method) -> None:
 
 def apply(c: Component, m: Method, st: StateValue) -> StateValue:
     """Execute one method on a state.  `nop` is the identity."""
-    _require_method(c, m)
+    sorts = c.method_ctors.get(m.ctor) if isinstance(m, Method) else None
+    if sorts is None or len(sorts) != len(m.args):
+        _require_method(c, m)  # raises
     if m.ctor == "nop":
         return st
     return c.do_fn(m, st)
@@ -95,7 +102,9 @@ def apply(c: Component, m: Method, st: StateValue) -> StateValue:
 
 def enabled(c: Component, m: Method, st: StateValue) -> bool:
     """Whether the method may execute on the state.  `nop` is always enabled."""
-    _require_method(c, m)
+    sorts = c.method_ctors.get(m.ctor) if isinstance(m, Method) else None
+    if sorts is None or len(sorts) != len(m.args):
+        _require_method(c, m)  # raises
     if m.ctor == "nop":
         return True
     return bool(c.poss_fn(m, st))
@@ -108,8 +117,12 @@ def transform(c: Component, m1: Method, m2: Method) -> Method:
     `nop`; component tables only cover proper method pairs.  Those answers
     read no component function, so the other method is validated in full.
     """
-    _require_method(c, m1)
-    _require_method(c, m2)
+    sorts1 = c.method_ctors.get(m1.ctor) if isinstance(m1, Method) else None
+    sorts2 = c.method_ctors.get(m2.ctor) if isinstance(m2, Method) else None
+    if (sorts1 is None or sorts2 is None
+            or len(sorts1) != len(m1.args) or len(sorts2) != len(m2.args)):
+        _require_method(c, m1)
+        _require_method(c, m2)  # one of them raises
     if m2.ctor == "nop":
         validate_method(c, m1)
         return m1

@@ -289,3 +289,15 @@ def test_criterion_10_string_of_characters_check_is_fast_and_replayable():
             realizable = any(kernel.enabled(comp, m3, st) for st in joint[m1, m2])
             assert w["realizable"] is realizable
         assert all(w["realizable"] for w in rep.witnesses)
+
+
+def test_criterion_11_a_product_is_checked_factor_by_factor():
+    with criterion(11, "string[cchar] (+) cnat consistency check", limit_s=2.0):
+        rep = check_consistency(build("string[cchar] (+) cnat"))
+        # The verdict and counts of a sweep over all 425 product states,
+        # which takes 3.6 to 3.9 s (tests/test_product_check.py compares
+        # the two on smaller products, byte for byte).
+        assert (rep.verdict, rep.cases, rep.examined) == ("fail", 2_386_902, 5_833_452)
+        assert (len(rep.witnesses), len(rep.unrealizable)) == (384, 2_952)
+        assert [(p.property, p.cases, p.examined) for p in rep.parts] == [
+            ("CP1", 949_225, 4_395_775), ("CP2", 1_437_677, 1_437_677)]

@@ -32,18 +32,26 @@ def gate(monkeypatch):
 
 @pytest.mark.parametrize("expr, overrides", [("string", {}),
                                              ("set-literal", {"universe": 1}),
-                                             ("set-guarded[cchar]", {})])
+                                             ("set-guarded[cchar]", {}),
+                                             ("cchar (+) cnat (+) ccolor", {}),
+                                             ("set-literal (+) cnat", {"universe": 1}),
+                                             ("string (+) cnat", {})])
 def test_gate_finds_no_problem_in_a_consistency_report(gate, expr, overrides):
     b = DEFAULT_BOUNDS.with_(**overrides)
     c = build(expr, b)
     data = json.loads(json.dumps(check_consistency(c, b).to_json()))
     assert gate.check_report_problems(c, b, data) == []
 
-    # The gate is not vacuous: a part that drops one of its entries is caught.
-    key = "witnesses" if data["witnesses"] else "unrealizable"
-    next(p for p in data["parts"] if p.get(key))[key].pop()
-    assert gate.check_report_problems(c, b, data) == [
-        f"aggregate {key} differ from the parts'"]
+    # The gate is not vacuous: a part that drops one of its entries, or
+    # miscounts its cases where it has none, is caught.
+    key = next((k for k in ("witnesses", "unrealizable") if data.get(k)), None)
+    if key is None:
+        data["parts"][0]["cases"] += 1
+        problem = "aggregate cases differ from the parts'"
+    else:
+        next(p for p in data["parts"] if p.get(key))[key].pop()
+        problem = f"aggregate {key} differ from the parts'"
+    assert gate.check_report_problems(c, b, data) == [problem]
 
 
 def test_gate_finds_no_problem_in_a_simulated_batch(gate):

@@ -1,6 +1,7 @@
 """Static products and dynamic (in-place edit) composition."""
 
 import dataclasses
+import functools
 import time
 
 import pytest
@@ -16,7 +17,8 @@ from otcomp.errors import BoundsExceeded, UnknownMethod
 from otcomp.patterns import set_pattern, string_pattern
 from otcomp.registry import build
 from otcomp.tower import TOWER_BOUNDS, build_document_tower
-from otcomp.values import NOP, Cell, Method, Product, SetOf, product, seq_of, set_of
+from otcomp.values import (NOP, Cell, Method, Product, SetOf, canon_key, product, seq_of,
+                           set_of)
 
 B = DEFAULT_BOUNDS
 
@@ -166,6 +168,28 @@ def test_a_product_past_the_state_ceiling_is_refused_before_it_is_built():
     assert time.perf_counter() - t0 < 0.5
     # fpage, the tower's top, is a product under the ceiling.
     assert len(build_document_tower()["fpage"].enum_states(TOWER_BOUNDS)) == 184_527
+
+
+@pytest.mark.parametrize("name", ["cchar (+) cnat (+) ccolor", "string (+) cnat",
+                                  "set-guarded[cchar] (+) cnat", "string[cchar] (+) cnat",
+                                  "fchar", "fword", "fsentence"])
+def test_a_product_enumerates_its_states_in_canonical_order_unsorted(monkeypatch, name):
+    # The product of the factors' canonical lists is canonical as built, so
+    # enum_states returns it unsorted: no product state is keyed for a sort.
+    if name.startswith("f"):
+        c, b = build_document_tower()[name], TOWER_BOUNDS
+    else:
+        c, b = build(name), B
+    states = c.enum_states_fn(b)
+    assert states == sorted(states, key=functools.partial(canon_key, memo={}))
+
+    def key(v, memo=None):
+        if isinstance(v, Product):
+            raise AssertionError("a product state was sorted")
+        return canon_key(v, memo)
+
+    monkeypatch.setattr(kernel, "canon_key", key)
+    assert c.enum_states(b) == states
 
 
 # --- dynamic composition: sequence of characters ----------------------------

@@ -10,7 +10,7 @@ from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar, cnat
 from otcomp.errors import UnknownAttribute, UnknownMethod
 from otcomp.registry import build
-from otcomp.values import NOP, Cell, Method
+from otcomp.values import NOP, VALUE, Cell, Method
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +48,20 @@ def test_undeclared_method_rejected(char):
         kernel.enabled(char, Method("shove", ("a",)), Cell(None))
     with pytest.raises(UnknownMethod):
         kernel.transform(char, Method("shove", ("a",)), NOP)
-    # A declared constructor with the wrong number of arguments.
+    # A declared constructor with the wrong number of arguments, before any
+    # component function reads one: a cell's do_fn would die on args[0].
     with pytest.raises(UnknownMethod, match="has 0 arguments, but"):
         kernel.transform(char, Method("putchar", ()), NOP)
+    put = Method("putchar", ("a",))
+    for bad in (Method("putchar", ()), Method("putchar", ("a", "b")), Method("nop", (0,))):
+        n = len(bad.args)
+        with pytest.raises(UnknownMethod, match=f"has {n} arguments, but .* declares"):
+            kernel.apply(char, bad, Cell(None))
+        with pytest.raises(UnknownMethod, match=f"has {n} arguments"):
+            kernel.enabled(char, bad, Cell(None))
+        for m1, m2 in ((bad, put), (put, bad)):
+            with pytest.raises(UnknownMethod, match=f"has {n} arguments"):
+                kernel.transform(char, m1, m2)
     string = build("string[cchar]")
     for m in (Method("Update", ()), Method("Ins", (0,))):
         with pytest.raises(UnknownMethod):
@@ -95,7 +106,7 @@ def test_legal_checks_intermediate_states():
     # A one-shot component: the method is enabled only on the empty cell.
     from otcomp.kernel import Component
     c = Component(
-        name="once", method_ctors=frozenset({"nop", "set"}), attributes={},
+        name="once", method_ctors={"nop": (), "set": (VALUE,)}, attributes={},
         initial_state=Cell(None),
         do_fn=lambda m, s: Cell(m.args[0]),
         poss_fn=lambda m, s: s.value is None,
