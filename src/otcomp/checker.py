@@ -34,7 +34,8 @@ Every failing case is replayed through the public kernel before it is
 emitted, which cross-checks the component's tables: a pair's joint legality
 and final states from its state, a triple's transformed methods and its
 realizability verdict from the kernel's tables.  A disagreement raises
-ReplayMismatch.
+ReplayMismatch.  A sweep decides each unordered pair once: its mirrored
+case, counted and replayed too, is read off the same entries.
 
 A static product is checked factor by factor, never over its own states:
 each factor that is not a product sweeps its own pairs and triples, and
@@ -251,31 +252,38 @@ class _Compiled:
 # A part of a check as data: its name, its condition ("CP1" or "CP2"), and the
 # blocks of method ids its sweep walks: (m1s, m2s) for CP1, (g1, g2, g3) for
 # CP2, each drawing m1 from the first, m2 from the second and so on, in that
-# nesting order.
+# nesting order.  Lists hold ascending ids (methods are interned first, in
+# order), so id order is sweep order; mirrors are found by list equality.
 Blocks = Sequence[Tuple[List[int], ...]]
 Part = Tuple[str, str, Blocks]
 
 
 def _cp1_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
     """The pair condition over the blocks' concurrent pairs, read off the
-    component's tables: the cases compared, the concurrent pairs, and the
-    failing cases (state, m1, m2, left, right) in id order."""
+    component's tables: the cases decided, the concurrent pairs, and the
+    failing cases (state, m1, m2, left, right) in id order.  A block whose
+    two lists are equal walks m2 from m1 on: (m2, m1) reads (m1, m2)'s
+    entries, left and right swapped, and is counted and listed as if swept."""
     do, joint_legal = t.tables.do, t.tables.pair.fill  # uncached: each pair is asked once
     pairs = cases = 0
     failing: List[Tuple[int, int, int, int, int]] = []
     for m1s, m2s in blocks:
-        for i1 in m1s:
-            for i2 in m2s:
+        mirrored = m1s == m2s
+        for k, i1 in enumerate(m1s):
+            for i2 in m2s[k:] if mirrored else m2s:
                 if not t.concurrent(i1, i2):
                     continue
-                pairs += 1
+                twice = mirrored and i1 != i2
+                pairs += 1 + twice
                 t21, t12, joint = joint_legal((i1, i2))
-                cases += len(joint)
+                cases += len(joint) * (1 + twice)
                 first1, then1, first2, then2 = do[i1], do[t21], do[i2], do[t12]
                 for s in joint:
                     left, right = then1[first1[s]], then2[first2[s]]
                     if left != right:
                         failing.append((s, i1, i2, left, right))
+                        if twice:
+                            failing.append((s, i2, i1, right, left))
     # Methods and states are interned in their listed order before anything
     # else, so (state, m1, m2) id order is the nesting order of a sweep over
     # states, then m1, then m2.
@@ -284,28 +292,44 @@ def _cp1_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
 
 def _cp2_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, list]:
     """The triple condition over the blocks' triples whose first two methods
-    are concurrent, read off the component's tables: the cases compared, and
+    are concurrent, read off the component's tables: the cases decided, and
     the failing triples (m1, m2, m3, left, right, realizable) in sweep
     order.  A triple is realizable when some enumerated state has both
-    orders of (m1, m2) legal and m3 enabled."""
+    orders of (m1, m2) legal and m3 enabled.  The mirror of block (g1, g2,
+    g3) is (g2, g1, g3), whose (m2, m1, m3) reads (m1, m2, m3)'s entries,
+    left and right swapped.  A block that is its own mirror walks m2 from m1
+    on, and of a block and a later mirror only the first is walked; mirrored
+    triples are counted, and listed in their block's id order: sweep order."""
     it, pair, enables = t.tables.it, t.tables.pair, t.tables.enables
     cases = 0
-    failing: List[Tuple[int, int, int, int, int]] = []
-    for g1, g2, g3 in blocks:
+    found: List[List[Tuple[int, int, int, int, int]]] = [[] for _ in blocks]
+    claimed = set()  # the blocks walked as mirrors of earlier ones
+    for b, (g1, g2, g3) in enumerate(blocks):
+        if b in claimed:
+            continue
+        mirror = b if g1 == g2 else next((k for k in range(b + 1, len(blocks))
+                                          if k not in claimed and blocks[k] == (g2, g1, g3)), None)
+        claimed.add(mirror)
         # via[i] takes the IT column of a method m to the tuple, over m3 in
         # g3, of m3 transformed against method i and then against m.
         via = _Lazy(lambda i: _values_at([it[i][i3] for i3 in g3]))
-        for i1 in g1:
-            for i2 in g2:
+        for k, i1 in enumerate(g1):
+            for i2 in g2[k:] if mirror == b else g2:
                 if not t.concurrent(i1, i2):
                     continue
-                cases += len(g3)
+                twice = mirror is not None and (mirror != b or i1 != i2)
+                cases += len(g3) * (1 + twice)
                 lefts = via[i1](it[it[i1][i2]])
                 rights = via[i2](it[it[i2][i1]])
                 if lefts != rights:
-                    failing.extend((i1, i2, i3, left, right) for i3, left, right
-                                   in zip(g3, lefts, rights) if left != right)
-    return cases, [(*f, not pair[f[0], f[1]][2].isdisjoint(enables[f[2]])) for f in failing]
+                    for i3, left, right in zip(g3, lefts, rights):
+                        if left != right:
+                            found[b].append((i1, i2, i3, left, right))
+                            if twice:
+                                found[mirror].append((i2, i1, i3, right, left))
+    # (m1, m2) and (m2, m1) are jointly legal on the same states: read one.
+    return cases, [(*f, not pair[min(f[:2]), max(f[:2])][2].isdisjoint(enables[f[2]]))
+                   for bucket in found for f in sorted(bucket)]
 
 
 def _values_at(keys: List[int]) -> Callable[[dict], tuple]:

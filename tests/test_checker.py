@@ -4,10 +4,12 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,10 +19,11 @@ from otcomp import checker, kernel
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar
 from otcomp.checker import check_consistency, check_cp1, check_cp2
-from otcomp.errors import BoundsExceeded, InvalidSpec
+from otcomp.composition import is_update
+from otcomp.errors import BoundsExceeded, InvalidSpec, ReplayMismatch
 from otcomp.patterns import set_pattern
 from otcomp.registry import build
-from otcomp.values import Cell, value_from_json
+from otcomp.values import Cell, Method, value_from_json
 
 B = DEFAULT_BOUNDS
 
@@ -439,3 +442,173 @@ def test_a_part_is_estimated_by_the_blocks_it_sweeps():
     assert rep.parts[-1].property == "CP2-cross" and rep.parts[-1].cases > 0
     with pytest.raises(BoundsExceeded, match="estimated 1516320 cases"):
         check_consistency(c, B.with_(max_cases=1_516_319))
+
+
+def _reference_cp1(t, blocks):
+    """The pair condition over every ordered concurrent pair of every block,
+    each decided from its own table reads."""
+    do = t.tables.do
+    pairs = cases = 0
+    failing = []
+    for m1s, m2s in blocks:
+        for i1 in m1s:
+            for i2 in m2s:
+                if t.concurrent(i1, i2):
+                    pairs += 1
+                    t21, t12, joint = t.tables.pair.fill((i1, i2))
+                    cases += len(joint)
+                    failing += [(s, i1, i2, do[t21][do[i1][s]], do[t12][do[i2][s]])
+                                for s in joint if do[t21][do[i1][s]] != do[t12][do[i2][s]]]
+    return cases, pairs, sorted(failing)
+
+
+def _reference_cp2(t, blocks):
+    """The triple condition over every triple of every block whose first two
+    methods are concurrent, in sweep order, each from its own table reads."""
+    it, pair, enables = t.tables.it, t.tables.pair, t.tables.enables
+    cases = 0
+    failing = []
+    for g1, g2, g3 in blocks:
+        for i1 in g1:
+            for i2 in g2:
+                if t.concurrent(i1, i2):
+                    cases += len(g3)
+                    for i3 in g3:
+                        left = it[it[i1][i2]][it[i1][i3]]
+                        right = it[it[i2][i1]][it[i2][i3]]
+                        if left != right:
+                            realizable = not pair[i1, i2][2].isdisjoint(enables[i3])
+                            failing.append((i1, i2, i3, left, right, realizable))
+    return cases, failing
+
+
+def _parts(rep):
+    return [(p.property, p.cases, p.examined, p.witnesses, p.unrealizable)
+            for p in rep.parts or [rep]]
+
+
+def _by_reference(monkeypatch, check, c, b=B):
+    """check(c, b) with every ordered pair and triple swept on its own."""
+    with monkeypatch.context() as patched:
+        patched.setattr(checker, "_cp1_sweep", _reference_cp1)
+        patched.setattr(checker, "_cp2_sweep", _reference_cp2)
+        return check(c, b)
+
+
+@pytest.mark.parametrize("expr, overrides", [
+    ("cchar", {}),
+    ("set-guarded", {}),  # not site-aware: its diagonal pairs are concurrent
+    ("set-literal", {"universe": 1}),  # fails the pair condition
+    ("string", {"sites": 2}),
+    ("string", {"sites": 3}),
+    ("set-guarded[cchar]", {}),
+    ("string[cchar]", {}),  # CP2-cross walks two of its mirrored blocks for four
+    ("cchar (+) cnat (+) ccolor", {}),
+])
+def test_mirrored_cases_are_reported_as_a_sweep_of_every_ordered_case(monkeypatch, expr,
+                                                                      overrides):
+    # The sweeps decide (m2, m1) and (m2, m1, m3) from (m1, m2)'s and (m1, m2,
+    # m3)'s reads; every part must count, examine and list what a sweep of
+    # each ordered case on its own does, CP1-cross, which has no mirror, too.
+    b = B.with_(**overrides)
+    rep = check_consistency(build(expr, b), b)
+    assert _parts(rep) == _parts(_by_reference(monkeypatch, check_consistency,
+                                               build(expr, b), b))
+
+
+def _one_sided(c, m1, m2, answer):
+    """c whose transform of m1 against m2, and of no other pair, is answer."""
+    return dataclasses.replace(c, it_fn=lambda a, b: answer if (a, b) == (m1, m2)
+                               else c.it_fn(a, b))
+
+
+def test_a_one_sided_transform_fault_is_reported_both_ways(monkeypatch):
+    # IT(put a, put b) is put c, IT(put b, put a) is put b as it should be:
+    # each state fails the pair both ways round, and some triples do too.
+    a, b, c3 = (Method("putchar", (x,)) for x in "abc")
+    c = _one_sided(cchar(), a, b, c3)
+    replayed = []
+
+    def recorded(replay):
+        def replay_and_record(t, *args):
+            replayed.append(args)
+            return replay(t, *args)
+        return replay_and_record
+
+    for name in ("_replay_cp1", "_replay_cp2"):
+        monkeypatch.setattr(checker, name, recorded(getattr(checker, name)))
+    rep = check_consistency(c)
+    assert rep.verdict == "fail" and len(replayed) == len(rep.witnesses)
+    cp1 = rep.parts[0]
+    methods = [tuple(value_from_json(m) for m in w["methods"]) for w in cp1.witnesses]
+    assert methods == [(a, b), (b, a)] * len(c.enum_states(B))
+    for w in cp1.witnesses:  # each replays through the public kernel
+        st, (m1, m2) = value_from_json(w["state"]), map(value_from_json, w["methods"])
+        assert kernel.apply_seq(c, [m1, kernel.transform(c, m2, m1)], st) == \
+            value_from_json(w["left"])
+        assert kernel.apply_seq(c, [m2, kernel.transform(c, m1, m2)], st) == \
+            value_from_json(w["right"])
+    assert {tuple(map(value_from_json, w["methods"][:2])) for w in rep.parts[1].witnesses} \
+        == {(a, b), (b, a)}
+    monkeypatch.undo()
+    assert _parts(rep) == _parts(_by_reference(monkeypatch, check_consistency, c))
+
+
+def test_a_mirrored_entry_that_does_not_replay_raises():
+    # The one-sided fault fails (put a, put b) and (put b, put a) on the
+    # initial cell, in that order.  The sweep asks whether put a is enabled
+    # there once, and each replay once more; from the third call on poss_fn
+    # answers no, so only the mirrored entry's replay disagrees with the
+    # tables it was decided from.
+    a, b, c3 = (Method("putchar", (x,)) for x in "abc")
+    base = _one_sided(cchar(), a, b, c3)
+    calls = []
+
+    def poss_fn(m, st):
+        if (m, st) == (a, base.initial_state):
+            calls.append(m)
+            return len(calls) < 3
+        return base.poss_fn(m, st)
+
+    with pytest.raises(ReplayMismatch, match=re.escape(f"CP1 case {[b, a]}")):
+        check_cp1(dataclasses.replace(base, poss_fn=poss_fn))
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("expr, overrides, fails", [("set-literal", {"universe": 1}, "CP1"),
+                                                    ("string", {"sites": 2}, "CP2")])
+def test_sweeps_match_every_ordered_case_on_overlapping_blocks(expr, overrides, fails):
+    # Blocks that share methods, mirror each other, repeat, or have no
+    # mirror: a pair on the shared diagonal of two mirrored blocks is two
+    # cases, one in each.
+    b = B.with_(**overrides)
+    c = build(expr, b)
+    t = checker._Compiled(c, b, c.site_aware, c.enum_methods(b))
+    n = len(t.methods)
+    g1, g2, g3 = t.methods[: 2 * n // 3], t.methods[n // 3:], t.methods[::2]
+    cp1 = [(g1, g1), (g1, g2), (g2, g1), (g2, g2), (g1, g1)]
+    cp2 = [(g1, g2, g3), (g1, g1, g2), (g1, g2, g3), (g2, g1, g3), (g2, g1, g3),
+           (g3, g1, g2), (g2, g2, g2)]
+    found = {"CP1": checker._cp1_sweep(t, cp1), "CP2": checker._cp2_sweep(t, cp2)}
+    assert found["CP1"] == _reference_cp1(t, cp1)
+    assert found["CP2"] == _reference_cp2(t, cp2)
+    assert found[fails][-1]
+
+
+def test_each_unordered_pair_is_decided_once(monkeypatch):
+    # CP1 over all methods, and CP2-cross's six blocks, of which four are
+    # two mirrored pairs: a pair of updates or of container methods is
+    # asked once, a pair of one of each once for each mirrored pair.
+    c = build("set-guarded[cchar]")
+    t = checker._Compiled(c, B, c.site_aware, c.enum_methods(B))
+    asked = Counter()
+    monkeypatch.setattr(t, "concurrent", lambda i, j: not asked.update([frozenset((i, j))]))
+    checker._cp1_sweep(t, [(t.methods, t.methods)])
+    n = len(t.methods)
+    assert len(asked) == n * (n + 1) // 2 and set(asked.values()) == {1}
+    asked.clear()
+    updates = t.select(is_update)
+    container = t.select(lambda m: not is_update(m))
+    checker._cp2_sweep(t, checker._cross(updates, container))
+    assert asked == Counter({frozenset((i, j)): 1 + ((i in updates) != (j in updates))
+                             for i in t.methods for j in t.methods})
