@@ -2,39 +2,41 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from .values import Frozen
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Frozen):
     """Finite enumeration limits.
 
-    At these defaults `check_consistency` took about 0.56 s on `string[cchar]`
-    (1,362,998 cases) and 1.45 s on `string[cnat]` (4,184,053 cases, the
+    At these defaults `check_consistency` took about 0.3 s on `string[cchar]`
+    (1,362,998 cases) and 0.8 s on `string[cnat]` (4,184,053 cases, the
     largest bundled check that fits) on a 2-vCPU Xeon VM; on each bundled
     cell and pattern, and on `set-guarded[cchar]`, it took under 0.1 s.  CP2
     is cubic in the method count, so raising a bound that grows the methods
     grows it fast.
     """
 
-    alphabet: int = 3      # characters drawn from 'a', 'b', 'c', ...
-    nat_max: int = 3       # naturals 0..nat_max
-    colors: int = 3        # colors from the fixed enumeration
-    universe: int = 2      # opaque set-element tokens
-    max_len: int = 3       # sequence states up to this length
-    sites: int = 2         # site ids 0..sites-1
-    max_methods: int = 100_000   # refuse enumerations past this many methods
-    max_cases: int = 10_000_000  # refuse sweeps past this many cases
+    __slots__ = _fields = ("alphabet", "nat_max", "colors", "universe", "max_len", "sites",
+                           "max_methods", "max_cases")
 
-    def __post_init__(self):
-        for name in ("alphabet", "nat_max", "colors", "universe", "max_len",
-                     "sites", "max_methods", "max_cases"):
-            if getattr(self, name) < 0 or (getattr(self, name) == 0 and name != "nat_max"):
+    def __init__(self,
+                 alphabet: int = 3,           # characters drawn from 'a', 'b', 'c', ...
+                 nat_max: int = 3,            # naturals 0..nat_max
+                 colors: int = 3,             # colors from the fixed enumeration
+                 universe: int = 2,           # opaque set-element tokens
+                 max_len: int = 3,            # sequence states up to this length
+                 sites: int = 2,              # site ids 0..sites-1
+                 max_methods: int = 100_000,  # refuse enumerations past this many methods
+                 max_cases: int = 10_000_000):  # refuse sweeps past this many cases
+        values = (alphabet, nat_max, colors, universe, max_len, sites, max_methods, max_cases)
+        for name, value in zip(self._fields, values):
+            if value < 0 or (value == 0 and name != "nat_max"):
                 sign = "non-negative" if name == "nat_max" else "strictly positive"
                 raise ValueError(f"bound {name} must be {sign}")
+            object.__setattr__(self, name, value)
 
     def with_(self, **kwargs) -> "Bounds":
-        return replace(self, **kwargs)
+        return Bounds(**{**{f: getattr(self, f) for f in self._fields}, **kwargs})
 
 
 DEFAULT_BOUNDS = Bounds()

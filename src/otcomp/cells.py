@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import string
-from dataclasses import dataclass
 from typing import Any, Callable, List
 
 from .bounds import Bounds, DEFAULT_BOUNDS
@@ -21,13 +20,13 @@ from .values import NOP, VALUE, Cell, Method
 COLOR_ORDER = ("red", "green", "blue")
 
 
-@dataclass(frozen=True)
 class CellComponentSpec:
-    name: str
-    put_name: str
-    get_name: str
-    values: Callable[[Bounds], List[Any]]
-    merge_fn: Callable[[Any, Any], Any]
+    def __init__(self, name, put_name, get_name, values, merge_fn):
+        self.name: str = name
+        self.put_name: str = put_name
+        self.get_name: str = get_name
+        self.values: Callable[[Bounds], List[Any]] = values
+        self.merge_fn: Callable[[Any, Any], Any] = merge_fn
 
 
 def _validate_merge(spec: CellComponentSpec, b: Bounds) -> None:

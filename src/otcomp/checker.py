@@ -51,7 +51,6 @@ import math
 import operator
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -63,7 +62,6 @@ from .kernel import Component
 from .values import NOP, Method, StateValue, value_to_json
 
 
-@dataclass
 class CheckReport:
     """A verdict over `cases` decided cases, with its failing entries.
 
@@ -71,18 +69,21 @@ class CheckReport:
     them.  Its JSON writes each entry once, at the top level: a part's
     `witnesses` / `unrealizable` are the indices of its own entries there.
     In memory, every report keeps its full lists."""
-    property: str
-    verdict: str  # "pass" | "fail" | "vacuous"
-    # Jointly legal (non-vacuous) cases decided: compared, or, for a static
-    # product, counted where they hold by construction (see _Product).
-    cases: int
-    witnesses: List[dict] = field(default_factory=list)
-    elapsed_ms: float = 0.0
-    examined: int = 0
-    parts: List["CheckReport"] = field(default_factory=list)
-    # Triple-condition violations with no jointly-legal realizing state; kept
-    # for audit but they do not flip the verdict.
-    unrealizable: List[dict] = field(default_factory=list)
+
+    def __init__(self, property, verdict, cases, witnesses, elapsed_ms=0.0, examined=0,
+                 parts=None, unrealizable=None):
+        self.property: str = property
+        self.verdict: str = verdict  # "pass" | "fail" | "vacuous"
+        # Jointly legal (non-vacuous) cases decided: compared, or, for a static
+        # product, counted where they hold by construction (see _Product).
+        self.cases: int = cases
+        self.witnesses: List[dict] = witnesses
+        self.elapsed_ms: float = elapsed_ms
+        self.examined: int = examined
+        self.parts: List[CheckReport] = [] if parts is None else parts
+        # Triple-condition violations with no jointly-legal realizing state;
+        # kept for audit but they do not flip the verdict.
+        self.unrealizable: List[dict] = [] if unrealizable is None else unrealizable
 
     def to_json(self, mask_elapsed: bool = False) -> dict:
         out = {

@@ -197,9 +197,9 @@ class ComposedComponent(Component):
 
         It is derived through `kernel.apply`, which validates the child
         method, once per Update object and child: the object keeps the state
-        it derived and the child it derived it under, outside its fields, so
-        its equality, hash, repr and JSON are unchanged.  Under a different
-        child the state is derived, and the child method validated, again."""
+        it derived and the child it derived it under in its `_new` slot,
+        outside its fields, so its equality, hash, repr and JSON are
+        unchanged.  Under another child both happen again."""
         child = self.parts[0]
         derived = getattr(u, "_new", None)
         if derived is not None and derived[0] is child:

@@ -9,7 +9,6 @@ immutable and every operation here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -18,31 +17,32 @@ from .errors import BoundsExceeded, UnknownAttribute, UnknownMethod
 from .values import METHOD, NOP, Method, StateValue, canon_key
 
 
-@dataclass(eq=False)
 class Component:
-    name: str
-    # Constructor -> argument sorts (values.VALUE / POSITION / STATE / METHOD,
-    # or a tuple of POSITIONs for an address), with `nop` declared as taking
-    # none.
-    method_ctors: Dict[str, Tuple[Any, ...]]
-    # Attribute name -> observer (data args, state) -> data value; it may
-    # raise UndefinedObservation where no value has been established yet.
-    attributes: Dict[str, Callable[[Tuple[Any, ...], StateValue], Any]]
-    initial_state: StateValue
-    do_fn: Callable[[Method, StateValue], StateValue]
-    poss_fn: Callable[[Method, StateValue], bool]
-    it_fn: Callable[[Method, Method], Method]
-    enum_methods_fn: Callable[[Bounds], List[Method]]
-    enum_states_fn: Callable[[Bounds], List[StateValue]]
-    site_aware: bool = False
-    # The element component of a pattern instance or dynamic composition, or
-    # the factors of a static product.
-    parts: Tuple["Component", ...] = ()
-    # Static product: constructor -> (factor index, the factor's constructor).
-    owner: Dict[str, Tuple[int, str]] = field(default_factory=dict)
-    # Cells and atoms: the type of the value held, and of a VALUE argument;
-    # None leaves them unchecked when read from JSON.
-    value_type: Optional[type] = None
+    def __init__(self, name, method_ctors, attributes, initial_state, do_fn, poss_fn, it_fn,
+                 enum_methods_fn, enum_states_fn, site_aware=False, parts=(), owner=None,
+                 value_type=None):
+        self.name: str = name
+        # Constructor -> argument sorts (values.VALUE / POSITION / STATE / METHOD, or
+        # a tuple of POSITIONs for an address), with `nop` declared as taking none.
+        self.method_ctors: Dict[str, Tuple[Any, ...]] = method_ctors
+        # Attribute name -> observer (data args, state) -> data value; it may
+        # raise UndefinedObservation where no value has been established yet.
+        self.attributes: Dict[str, Callable[[Tuple[Any, ...], StateValue], Any]] = attributes
+        self.initial_state: StateValue = initial_state
+        self.do_fn: Callable[[Method, StateValue], StateValue] = do_fn
+        self.poss_fn: Callable[[Method, StateValue], bool] = poss_fn
+        self.it_fn: Callable[[Method, Method], Method] = it_fn
+        self.enum_methods_fn: Callable[[Bounds], List[Method]] = enum_methods_fn
+        self.enum_states_fn: Callable[[Bounds], List[StateValue]] = enum_states_fn
+        self.site_aware: bool = site_aware
+        # The element component of a pattern instance or dynamic composition, or
+        # the factors of a static product.
+        self.parts: Tuple[Component, ...] = parts
+        # Static product: constructor -> (factor index, the factor's constructor).
+        self.owner: Dict[str, Tuple[int, str]] = {} if owner is None else owner
+        # Cells and atoms: the type of the value held, and of a VALUE argument;
+        # None leaves them unchecked when read from JSON.
+        self.value_type: Optional[type] = value_type
 
     # Each sort keys its list with one memo, whose ids the list keeps alive.
     def enum_methods(self, b: Bounds = DEFAULT_BOUNDS) -> List[Method]:

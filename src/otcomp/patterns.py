@@ -15,7 +15,6 @@ breaks insert ties by site id.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from .bounds import MAX_STATES, Bounds, DEFAULT_BOUNDS
@@ -27,7 +26,6 @@ from .values import (NOP, POSITION, STATE, Method, Opaque, SeqOf, SetOf, StateVa
 _ADMISSIBILITY_SWEEP_LIMIT = 1_000_000  # pairs a custom eq may be swept over
 
 
-@dataclass(frozen=True)
 class Morphism:
     """Binding of the pattern's element sort to a target component's states.
 
@@ -35,37 +33,38 @@ class Morphism:
     equivalence by construction; a custom predicate is swept on instantiation.
     """
 
-    eq: Optional[Callable[[StateValue, StateValue], bool]] = None
+    def __init__(self, eq=None):
+        self.eq: Optional[Callable[[StateValue, StateValue], bool]] = eq
 
 
-@dataclass
 class CompositionPattern:
     """A container whose formal element parameter must come with an
     equivalence (the axioms eq-symmetric and eq-transitive)."""
 
-    name: str
-    build_body: Callable[[Component], Component]
-    # In-place element-edit semantics used by dynamic composition.
-    # update_do / update_poss take (addr, old child, new child, container state).
-    update_addrs: Callable[[Bounds], List[Tuple[Any, ...]]]
-    update_do: Callable[[Tuple[Any, ...], StateValue, StateValue, StateValue], StateValue]
-    update_poss: Callable[[Tuple[Any, ...], StateValue, StateValue, StateValue], bool]
-    # Cross transforms against a concurrent edit (addr, old child, new child),
-    # whose Update only composition builds: (edit, container method m) -> the
-    # edit's address after m, or None where m removed the edited element;
-    # (m, edit) -> m transformed against the edit.
-    it_update_vs_method: Callable[[Tuple[Any, ...], StateValue, StateValue, Method],
-                                  Optional[Tuple[Any, ...]]]
-    it_method_vs_update: Callable[[Method, Tuple[Any, ...], StateValue, StateValue], Method]
-    update_site_aware: bool = False
+    def __init__(self, name, build_body, update_addrs, update_do, update_poss,
+                 it_update_vs_method, it_method_vs_update, update_site_aware=False):
+        self.name: str = name
+        self.build_body: Callable[[Component], Component] = build_body
+        # In-place element-edit semantics used by dynamic composition.
+        # update_do / update_poss take (addr, old child, new child, container state).
+        self.update_addrs: Callable[[Bounds], List[Tuple[Any, ...]]] = update_addrs
+        self.update_do = update_do
+        self.update_poss = update_poss
+        # Cross transforms against a concurrent edit (addr, old child, new child),
+        # whose Update only composition builds: (edit, container method m) -> the
+        # edit's address after m, or None where m removed the edited element;
+        # (m, edit) -> m transformed against the edit.
+        self.it_update_vs_method = it_update_vs_method
+        self.it_method_vs_update = it_method_vs_update
+        self.update_site_aware: bool = update_site_aware
 
 
-@dataclass
 class AdmissibilityReport:
-    ok: bool
-    states_checked: int
-    failed_axiom: Optional[str] = None
-    witness: Optional[tuple] = None
+    def __init__(self, ok, states_checked, failed_axiom=None, witness=None):
+        self.ok: bool = ok
+        self.states_checked: int = states_checked
+        self.failed_axiom: Optional[str] = failed_axiom
+        self.witness: Optional[tuple] = witness
 
 
 def check_admissible(pattern: CompositionPattern, child: Component,

@@ -18,46 +18,45 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from .errors import ScenarioError
 from . import kernel
 from .kernel import Component
-from .values import (Method, StateValue, decode_method, decode_state, display,
+from .values import (Frozen, Method, StateValue, decode_method, decode_state, display,
                      value_to_json)
 
 MAX_ALL_PERMUTATION_OPS = 6
 
 
-@dataclass
 class Scenario:
-    component: Union[str, Component]
-    base: Any                       # raw literal, parsed against the component
-    ops: List[Tuple[int, Any]]      # (site, raw method literal or Method)
-    delivery: Union[str, List[List[int]]] = "all"
-    use_transform: bool = True
-
-    def __post_init__(self):
-        sites = [s for s, _ in self.ops]
+    def __init__(self, component, base, ops, delivery="all", use_transform=True):
+        sites = [s for s, _ in ops]
         if len(set(sites)) != len(sites):
             raise ScenarioError("sites issuing ops must be pairwise distinct")
+        self.component: Union[str, Component] = component
+        self.base: Any = base                   # raw literal, parsed against the component
+        self.ops: List[Tuple[int, Any]] = ops   # (site, raw method literal or Method)
+        self.delivery: Union[str, List[List[int]]] = delivery
+        self.use_transform: bool = use_transform
 
 
-@dataclass(frozen=True)
-class IntegrationTrace:
-    delivered: Method
-    transformed: Method
-    applied: bool
+class IntegrationTrace(Frozen):
+    __slots__ = _fields = ("delivered", "transformed", "applied")
+
+    def __init__(self, delivered: Method, transformed: Method, applied: bool):
+        object.__setattr__(self, "delivered", delivered)
+        object.__setattr__(self, "transformed", transformed)
+        object.__setattr__(self, "applied", applied)
 
 
-@dataclass
 class RunReport:
-    finals: List[Tuple[Tuple[int, ...], StateValue]]
-    converged: bool
-    diverging: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
-    traces: dict
-    fully_legal: bool
+    def __init__(self, finals, converged, diverging, traces, fully_legal):
+        self.finals: List[Tuple[Tuple[int, ...], StateValue]] = finals
+        self.converged: bool = converged
+        self.diverging: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = diverging
+        self.traces: dict = traces
+        self.fully_legal: bool = fully_legal
 
     def final_state(self) -> StateValue:
         return self.finals[0][1]

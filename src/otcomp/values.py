@@ -1,8 +1,8 @@
 """Immutable state and method values with canonical forms and JSON codecs.
 
 States are one of Cell, SetOf, SeqOf, Product, Opaque.  Sets are backed by
-frozenset so canonical (structural) equality is the dataclass equality;
-ordering for display/serialization is restored by `canon_key`.
+frozenset so canonical (structural) equality is the classes' own field
+equality; ordering for display/serialization is restored by `canon_key`.
 
 This module owns the JSON literal format: `value_to_json` writes it, and
 `decode_state` / `decode_method` read it back against a component's declared
@@ -11,33 +11,101 @@ structure; `display` gives the human-facing form of a state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class Cell:
-    value: Any = None
+class Frozen:
+    """Base of the immutable values: `__init__` sets each of `_fields` once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
-@dataclass(frozen=True)
-class SetOf:
-    items: frozenset = frozenset()
+class Cell(Frozen):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Any = None):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class SeqOf:
-    items: Tuple[Any, ...] = ()
+class SetOf(Frozen):
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: frozenset = frozenset()):
+        object.__setattr__(self, "items", items)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.items,) == (other.items,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.items,))
 
 
-@dataclass(frozen=True)
-class Product:
-    items: Tuple[Any, ...] = ()
+class SeqOf(Frozen):
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: Tuple[Any, ...] = ()):
+        object.__setattr__(self, "items", items)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.items,) == (other.items,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.items,))
 
 
-@dataclass(frozen=True)
-class Opaque:
-    value: Any = None
+class Product(Frozen):
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: Tuple[Any, ...] = ()):
+        object.__setattr__(self, "items", items)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.items,) == (other.items,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.items,))
+
+
+class Opaque(Frozen):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Any = None):
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
 StateValue = Any  # Cell | SetOf | SeqOf | Product | Opaque
@@ -55,13 +123,24 @@ def product(items: Iterable[StateValue]) -> Product:
     return Product(tuple(items))
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(Frozen):
     """A symbolic operation: constructor name, data arguments, optional site id."""
 
-    ctor: str
-    args: Tuple[Any, ...] = ()
-    site: Optional[int] = None
+    __slots__ = ("ctor", "args", "site", "_new")  # _new: see ComposedComponent.update_new
+    _fields = ("ctor", "args", "site")
+
+    def __init__(self, ctor: str, args: Tuple[Any, ...] = (), site: Optional[int] = None):
+        object.__setattr__(self, "ctor", ctor)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "site", site)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ctor, self.args, self.site) == (other.ctor, other.args, other.site)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ctor, self.args, self.site))
 
 
 NOP = Method("nop")

@@ -9,7 +9,7 @@ the gate rejects fail the tests, instead of failing every benchmark
 operation.
 """
 
-import dataclasses
+import copy
 import importlib
 import json
 from pathlib import Path
@@ -68,6 +68,7 @@ def test_gate_finds_no_problem_in_a_simulated_batch(gate):
 
     # The gate is not vacuous: a run whose verdict is flipped is caught.
     c, base, ops, rep, data = runs[0]
-    flipped = dataclasses.replace(rep, converged=not rep.converged)
+    flipped = copy.copy(rep)
+    flipped.converged = not rep.converged
     assert "converged flag disagrees with the finals" in gate.scenario_problems(
         c, base, ops, flipped, data)

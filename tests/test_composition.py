@@ -1,6 +1,6 @@
 """Static products and dynamic (in-place edit) composition."""
 
-import dataclasses
+import copy
 import functools
 import time
 
@@ -286,7 +286,9 @@ def test_an_update_derives_its_new_child_state_once():
         derived.append((m, st))
         return base.do_fn(m, st)
 
-    word = dynamic_compose(string_pattern(), dataclasses.replace(base, do_fn=do_fn), b=B)
+    counted = copy.copy(base)
+    counted.do_fn = do_fn
+    word = dynamic_compose(string_pattern(), counted, b=B)
     put = Method("putchar", ("b",))
     u = make_update((0,), Cell("a"), put, 0)
     same = make_update((0,), Cell("a"), Method("putchar", ("c",)), 1)

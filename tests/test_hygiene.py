@@ -1,11 +1,17 @@
 """Source hygiene: every name a module imports is used in that module, no
 check rests on an `assert`, which `python -O` removes, only composition
 knows how an Update method is laid out, only the checker's runner
-compiles a component or sweeps it, and the checker's sweeps read tables
-filled from the component, not the validating kernel."""
+compiles a component or sweeps it, the checker's sweeps read tables
+filled from the component, not the validating kernel, and importing
+otcomp loads neither `dataclasses` nor `inspect`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import otcomp
 
@@ -116,3 +122,16 @@ def test_sweeps_do_not_call_the_validating_kernel():
     lines.insert(sweep.body[0].lineno - 1,
                  "    kernel.apply(t.c, t.method[0], t.state[0])\n")
     assert _validating_kernel_calls("".join(lines)) == [sweep.body[0].lineno]
+
+
+@pytest.mark.parametrize("module", ["otcomp", "otcomp.cli"])
+def test_importing_otcomp_loads_neither_dataclasses_nor_inspect(module):
+    # `dataclasses` imports `inspect` and `ast`, and each class it makes
+    # execs its generated methods: together about 25 ms of every fresh
+    # process.  -S keeps modules that site may load out of the count.
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -6,7 +6,7 @@ reports must be the same bytes under `mask_elapsed`, examine as many cases
 in every part, and refuse the same products with the same message.
 """
 
-import dataclasses
+import copy
 import json
 
 import pytest
@@ -28,10 +28,18 @@ SHORT3 = SHORT.with_(sites=3)
 CHECKS = (check_cp1, check_cp2, check_consistency)
 
 
+def _replaced(c, **changes):
+    """A shallow copy of c with the given attributes replaced."""
+    c = copy.copy(c)
+    for name, value in changes.items():
+        setattr(c, name, value)
+    return c
+
+
 def brute_force(p):
     """The product's functions as a plain component, with no factors."""
-    return Component(**{f.name: getattr(p, f.name) for f in dataclasses.fields(Component)
-                        if f.name not in ("parts", "owner")})
+    return Component(**{name: value for name, value in vars(p).items()
+                        if name not in ("parts", "owner")})
 
 
 def outcome(check, c, b):
@@ -45,7 +53,7 @@ def outcome(check, c, b):
 
 def _broken_it(c):
     """c with a transform that ignores the concurrent method: CP1 fails."""
-    return dataclasses.replace(c, it_fn=lambda m1, m2: m1)
+    return _replaced(c, it_fn=lambda m1, m2: m1)
 
 
 # Every bundled product whose brute-force check fits, both orders of a
@@ -147,7 +155,7 @@ def _flaky(c):
         seen.add((m1, m2))
         return out
 
-    return dataclasses.replace(c, it_fn=it_fn)
+    return _replaced(c, it_fn=it_fn)
 
 
 @pytest.mark.parametrize("check, condition, factor, b", [

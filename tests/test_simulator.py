@@ -1,6 +1,5 @@
 """The replicated-sites harness: delivery orders, traces, scenario files."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -285,7 +284,7 @@ def test_orders_sharing_a_prefix_share_its_integration(monkeypatch):
 
 def test_trace_entries_are_frozen():
     trace = run_scenario(_string_scenario()).traces[(0, 1)]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         trace[0].applied = False
 
 
