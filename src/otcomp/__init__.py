@@ -5,8 +5,7 @@ from .bounds import Bounds, DEFAULT_BOUNDS
 from .cells import CellComponentSpec, cchar, ccolor, cnat, make_cell_component
 from .checker import CheckReport, check_consistency, check_cp1, check_cp2
 from .composition import (ComposedComponent, dynamic_compose, is_update,
-                          make_update, static_compose, transform_update,
-                          update_addr, update_child_method, update_old)
+                          make_update, static_compose, transform_update, update_addr)
 from .kernel import (Component, apply, apply_seq, enabled, legal, observe,
                      transform, transform_seq)
 from .patterns import (AdmissibilityReport, CompositionPattern, Morphism,

@@ -11,7 +11,9 @@ component as its six-part decomposition.
 A check is a list of parts, each plain data: a name, a condition and the
 blocks of method ids its sweep walks.  One runner, `_check`, compiles the
 component once, reads every part's case estimate off its blocks, and raises
-BoundsExceeded before any sweep if one is over `max_cases`.  Compiling
+BoundsExceeded before any sweep if one is over `max_cases`.  A large check
+runs its CP2 parts, which build no state, beside its CP1 parts in a forked
+child, with the same report (see `_split`).  Compiling
 interns the methods it is given (the component's sorted enumeration, or a
 product factor's methods in the product's order) and the sorted state
 enumeration to ints.  Each method is validated once, by
@@ -49,6 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 import time
 from collections import Counter
 from functools import cached_property, partial
@@ -257,6 +260,8 @@ class _Compiled:
 # order), so id order is sweep order; mirrors are found by list equality.
 Blocks = Sequence[Tuple[List[int], ...]]
 Part = Tuple[str, str, Blocks]
+
+_SPLIT_CASES = 200_000  # the case estimate from which a check splits (see `_split`)
 
 
 def _cp1_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
@@ -551,6 +556,7 @@ def _check(c: Component, b: Bounds,
             product = _Product(t, [_Compiled(f, b, c.site_aware, ms) for f, ms in leaves],
                                names)
         parts = parts_of(t)
+        total = 0
         for _, condition, blocks in sorted(parts, key=lambda part: part[1] == "CP1"):
             estimate = sum(math.prod(map(len, block)) for block in blocks)
             if condition == "CP1":
@@ -558,9 +564,10 @@ def _check(c: Component, b: Bounds,
             if estimate > b.max_cases:
                 raise BoundsExceeded(
                     f"estimated {estimate} cases exceeds ceiling {b.max_cases}")
+            total += estimate
         sweep = {"CP1": _cp1_sweep, "CP2": _cp2_sweep}
-        reports = []
-        for name, condition, blocks in parts:
+
+        def run(name: str, condition: str, blocks: Blocks) -> CheckReport:
             t0 = time.perf_counter()
             if product:
                 width = 2 if condition == "CP1" else 3
@@ -570,11 +577,51 @@ def _check(c: Component, b: Bounds,
                 report = _cp1_report if condition == "CP1" else _cp2_report
                 rep = report(t, name, sweep[condition](t, blocks))
             rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-            reports.append(rep)
-        return reports
+            return rep
+
+        kinds = [part[1] for part in parts]  # CP1 parts first, then CP2 parts
+        if (total >= _SPLIT_CASES and kinds[0] < kinds[-1] and kinds == sorted(kinds)
+                and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
+            return _split(run, parts)
+        return [run(*part) for part in parts]
     finally:
         for compiled in (t, *(product.leaves if product else ())):
             vars(compiled).clear()
+
+
+def _split(run: Callable[..., CheckReport], parts: List[Part]) -> List[CheckReport]:
+    """`run` over the parts: the CP1 ones, which come first, here and the CP2
+    ones in a forked child that pickles their reports, or its exception, back
+    over a pipe.  Checks of 240,000 cases or more ran 0-35 % faster; of 80,000,
+    18 % slower to 16 % faster.  An exception here is raised once the child
+    is killed and reaped.  The child leaves by `os._exit`: it flushes nothing."""
+    import pickle
+    import signal
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            try:
+                got = [run(*part) for part in parts if part[1] == "CP2"]
+            except Exception as e:
+                got = e
+            with open(w, "wb") as out:
+                pickle.dump(got, out, pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            mine = [run(*part) for part in parts if part[1] == "CP1"]
+            got = pickle.load(pipe)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if isinstance(got, Exception):
+        raise got
+    return mine + got
 
 
 def check_cp1(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
@@ -595,14 +642,15 @@ def _cross(g1: List[int], g2: List[int]) -> Blocks:
             for ks in itertools.product((0, 1), repeat=3) if len(set(ks)) > 1]
 
 
-def _aggregate(name: str, parts: List[CheckReport]) -> CheckReport:
-    """The parts' reports as one: their entries in part order, each tagged
-    with its part's name, and a verdict that fails when any part fails."""
+def _aggregate(name: str, t0: float, parts: List[CheckReport]) -> CheckReport:
+    """The parts' reports as one, timed as a whole from t0: their entries in
+    part order, each tagged with its part's name, and a verdict that fails
+    when any part fails."""
     witnesses = [{**w, "part": p.property} for p in parts for w in p.witnesses]
     unrealizable = [{**w, "part": p.property} for p in parts for w in p.unrealizable]
     cases = sum(p.cases for p in parts)
     return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
-                       sum(p.elapsed_ms for p in parts),
+                       (time.perf_counter() - t0) * 1000.0,
                        sum(p.examined for p in parts), parts,
                        unrealizable=unrealizable)
 
@@ -627,4 +675,4 @@ def check_consistency(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
     """Both conditions; for a composed component the three-way decomposition
     (update-only, container-only, cross) is run for each condition.  No part
     is swept unless every part is within the case ceiling."""
-    return _aggregate("consistency", _check(c, b, _consistency_parts))
+    return _aggregate("consistency", time.perf_counter(), _check(c, b, _consistency_parts))

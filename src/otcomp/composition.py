@@ -177,14 +177,6 @@ def update_addr(u: Method) -> Tuple[Any, ...]:
     return u.args[0]
 
 
-def update_old(u: Method) -> StateValue:
-    return u.args[1]
-
-
-def update_child_method(u: Method) -> Method:
-    return u.args[2]
-
-
 def is_update(m: Method) -> bool:
     return m.ctor == "Update"
 

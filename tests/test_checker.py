@@ -3,11 +3,13 @@
 import copy
 import gc
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import textwrap
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -628,3 +630,134 @@ def test_each_unordered_pair_is_decided_once(monkeypatch):
     checker._cp2_sweep(t, checker._cross(updates, container))
     assert asked == Counter({frozenset((i, j)): 1 + ((i in updates) != (j in updates))
                              for i in t.methods for j in t.methods})
+
+
+# The benchmark's check-small-fleet workload: each check runs in one process.
+_FLEET = [("cchar", {}), ("cnat", {}), ("ccolor", {}), ("set-guarded", {}),
+          ("set-literal", {"universe": 1}), ("string", {}), ("set-guarded[cchar]", {}),
+          ("cchar (+) cnat (+) ccolor", {})]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that checks fork, two CPUs being usable."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _masked(rep):
+    return json.dumps(rep.to_json(mask_elapsed=True), indent=2)
+
+
+@pytest.mark.parametrize("expr", ["string[cchar]", "string[cchar] (+) cnat"])
+def test_a_split_check_reports_as_a_serial_one(monkeypatch, forks, expr):
+    # The CP2 parts run in a forked child, the CP1 parts here; the report is
+    # the serial run's byte for byte, and the aggregate is timed as a whole.
+    t0 = time.perf_counter()
+    split = check_consistency(build(expr))
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    assert len(forks) == 1
+    _no_child_left()
+    assert (len(split.witnesses), len(split.unrealizable)) == (384, 2952)
+    assert max(p.elapsed_ms for p in split.parts) <= split.elapsed_ms <= wall_ms
+    monkeypatch.setattr(checker, "_SPLIT_CASES", math.inf)
+    serial = check_consistency(build(expr))
+    assert len(forks) == 1
+    assert _masked(split) == _masked(serial)
+
+
+def test_no_check_of_the_small_fleet_forks(monkeypatch):
+    def fork():
+        raise AssertionError("a small check forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for expr, overrides in _FLEET:
+        b = B.with_(**overrides)
+        check_consistency(build(expr, b), b)
+
+
+def test_a_mismatch_in_the_child_is_raised_as_a_serial_run_raises_it(monkeypatch, forks):
+    # The first CP2-container entry of string[cchar] has its left and right
+    # swapped before it is replayed, in the child of a split run.
+    report = checker._cp2_report
+
+    def planted(t, name, found):
+        cases, failing = found
+        if name == "CP2-container":
+            i1, i2, i3, left, right, realizable = failing[0]
+            failing = [(i1, i2, i3, right, left, realizable), *failing[1:]]
+        return report(t, name, (cases, failing))
+
+    monkeypatch.setattr(checker, "_cp2_report", planted)
+    with pytest.raises(ReplayMismatch) as split:
+        check_consistency(build("string[cchar]"))
+    assert len(forks) == 1
+    _no_child_left()
+    monkeypatch.setattr(checker, "_SPLIT_CASES", math.inf)
+    with pytest.raises(ReplayMismatch) as serial:
+        check_consistency(build("string[cchar]"))
+    assert len(forks) == 1
+    assert type(split.value) is type(serial.value)
+    assert str(split.value) == str(serial.value)
+    assert str(serial.value).startswith("CP2 case")
+
+
+def test_a_failure_in_the_cp1_parts_kills_and_reaps_the_child(monkeypatch, forks):
+    # CP1-cross fails here while the child sleeps in its first CP2 sweep:
+    # the child is killed, not waited for, and reaped.
+    report = checker._cp1_report
+
+    def failing(t, name, found):
+        if name == "CP1-cross":
+            raise RuntimeError(f"{name} failed")
+        return report(t, name, found)
+
+    monkeypatch.setattr(checker, "_cp1_report", failing)
+    monkeypatch.setattr(checker, "_cp2_sweep", lambda *args: time.sleep(60))
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="CP1-cross failed"):
+        check_consistency(build("string[cchar]"))
+    assert time.perf_counter() - t0 < 30
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_a_split_check_never_flushes_this_process_buffers():
+    # stdout to a pipe is block-buffered (PYTHONUNBUFFERED unset), so the
+    # first line is still in the buffer when the check forks; the child
+    # leaves by os._exit, so the line is written once, by this process.
+    script = """
+        import os
+        from otcomp.checker import check_consistency
+        from otcomp.registry import build
+
+        forks = []
+        fork = os.fork
+        os.fork = lambda: forks.append(1) or fork()
+        os.sched_getaffinity = lambda pid: {0, 1}
+        print("written before the check")
+        check_consistency(build("string[cchar]"))
+        print("forks:", len(forks))
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(otcomp.__file__).parent.parent)
+    run = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "written before the check\nforks: 1\n"

@@ -11,8 +11,7 @@ from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar, ccolor, cnat
 from otcomp.checker import check_cp1
 from otcomp.composition import (dynamic_compose, is_update, make_update,
-                                static_compose, transform_update, update_addr,
-                                update_child_method, update_old)
+                                static_compose, transform_update, update_addr)
 from otcomp.errors import BoundsExceeded, UnknownMethod
 from otcomp.patterns import set_pattern, string_pattern
 from otcomp.registry import build
@@ -116,8 +115,9 @@ def test_same_target_updates_rebase_through_the_child(setchar):
     u1, u2 = _upd("a", "b"), _upd("a", "c")
     t = transform_update(setchar, u1, u2)
     # u1 now starts from the element u2 produced, with the merged write.
-    assert update_old(t) == Cell("c")
-    assert update_child_method(t) == Method("putchar", ("c",))
+    # An Update's arguments are (address, old child state, child method).
+    assert t.args[1] == Cell("c")
+    assert t.args[2] == Method("putchar", ("c",))
     assert setchar.update_new(t) == Cell("c")
 
 
@@ -299,7 +299,7 @@ def test_an_update_derives_its_new_child_state_once():
         assert kernel.apply(word, u, st) == seq_of([Cell("b"), Cell("c")])
         assert kernel.transform(word, u, ins) == make_update((1,), Cell("a"), put, 0)
         assert kernel.transform(word, dele, u) == dele
-        assert update_old(kernel.transform(word, same, u)) == Cell("b")
+        assert kernel.transform(word, same, u).args[1] == Cell("b")
     assert derived == [(put, Cell("a"))]
     # An equal Update is another object: it derives its own.
     kernel.apply(word, make_update((0,), Cell("a"), put, 0), st)

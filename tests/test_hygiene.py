@@ -3,7 +3,8 @@ check rests on an `assert`, which `python -O` removes, only composition
 knows how an Update method is laid out, only the checker's runner
 compiles a component or sweeps it, the checker's sweeps read tables
 filled from the component, not the validating kernel, and importing
-otcomp loads neither `dataclasses` nor `inspect`."""
+otcomp loads neither `dataclasses` nor `inspect`, nor the modules only a
+split check needs."""
 
 import ast
 import os
@@ -128,9 +129,12 @@ def test_sweeps_do_not_call_the_validating_kernel():
 def test_importing_otcomp_loads_neither_dataclasses_nor_inspect(module):
     # `dataclasses` imports `inspect` and `ast`, and each class it makes
     # execs its generated methods: together about 25 ms of every fresh
-    # process.  -S keeps modules that site may load out of the count.
+    # process.  `pickle`, about 15 ms uncached, is for a check split in two
+    # processes alone, which imports it; nothing needs a process pool.  -S
+    # keeps modules that site may load out of the count.
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    heavy = {"dataclasses", "inspect", "pickle", "multiprocessing", "concurrent"}
+    code = f"import sys, {module}; print(sorted({heavy!r} & set(sys.modules)))"
     run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
