@@ -13,13 +13,12 @@ blocks of method ids its sweep walks.  One runner, `_check`, compiles the
 component once, reads every part's case estimate off its blocks, and raises
 BoundsExceeded before any sweep if one is over `max_cases`.  A large check
 runs its CP2 parts, which build no state, beside its CP1 parts in a forked
-child, with the same report (see `_split`).  Compiling
-interns the methods it is given (the component's sorted enumeration, or a
-product factor's methods in the product's order) and the sorted state
-enumeration to ints.  Each method is validated once, by
-`kernel.validate_method`, when it is interned: an enumerated one, or a
-result outside the enumeration (an insert one past the longest state, a
-longer sequence) when first seen.
+child, with the same report (see `_split`).  Compiling interns the methods
+it is given (the component's sorted enumeration, or a product factor's
+methods in the product's order) and the sorted state enumeration to ints.
+Each method is validated once, by `kernel.validate_method`, when it is
+interned: an enumerated one, or a result outside the enumeration (an insert
+one past the longest state, a longer sequence) when first seen.
 
 One table type, `_Tables`, holds what a check reads over those ids: IT
 (method, method) -> method, Do (state, method) -> state and Poss (state,
