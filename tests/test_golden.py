@@ -1,0 +1,120 @@
+"""Golden reports: the sha256 of every bundled expression's report.
+
+Each digest is of the report as `otcomp check` prints it, with elapsed times
+masked.  A change that must leave every verdict, count, witness and refusal
+as it is keeps these digests; one that changes a report on purpose updates
+the digest it changes and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from otcomp.bounds import DEFAULT_BOUNDS
+from otcomp.checker import check_consistency, check_cp1, check_cp2
+from otcomp.errors import BoundsExceeded
+from otcomp.registry import build
+from otcomp.tower import TOWER_BOUNDS, build_document_tower
+
+CHECKS = {"consistency": check_consistency, "cp1": check_cp1, "cp2": check_cp2}
+
+# (expression, check) -> sha256 of the masked report at DEFAULT_BOUNDS.  CP1
+# and CP2 alone are left out where the consistency check already takes a
+# second.
+DIGESTS = {
+    ("cchar", "consistency"): "8107e26c5150987b69f8c1fa6f47f0748f91454a97420efa43effc006937e23b",
+    ("cchar", "cp1"): "e4aa9bbaf23d866f493f854b0946e634b76d7378d6a33409b9781c2aa9070f73",
+    ("cchar", "cp2"): "e988633d0c2ab42d5c1d60ca73e6e6b85e6ca0d2816137698001040f0e8b5ad4",
+    ("cnat", "consistency"): "2f2075106bc50e2a0e66bfc99749a441b62012fee77e480ca66ec1ab4868f713",
+    ("cnat", "cp1"): "57297900b636ee9650749fc8a932823ed4cc907e6012c70f8674cbf8af4b01d6",
+    ("cnat", "cp2"): "ac0d3739dc471173424ed9c784db8c045d03f3ac1a1fdc937b604382241de2e6",
+    ("ccolor", "consistency"): "8107e26c5150987b69f8c1fa6f47f0748f91454a97420efa43effc006937e23b",
+    ("ccolor", "cp1"): "e4aa9bbaf23d866f493f854b0946e634b76d7378d6a33409b9781c2aa9070f73",
+    ("ccolor", "cp2"): "e988633d0c2ab42d5c1d60ca73e6e6b85e6ca0d2816137698001040f0e8b5ad4",
+    ("set-literal", "consistency"):
+        "cb77b193e0a30502faf65590aaf03e0b24c5a3a81293a6a70c47593872958c38",
+    ("set-literal", "cp1"): "623b89829cd2eeed6fa60f8bd8545f5dff2f268d211d13029175c29d7f39a5fc",
+    ("set-literal", "cp2"): "ac0d3739dc471173424ed9c784db8c045d03f3ac1a1fdc937b604382241de2e6",
+    ("set-guarded", "consistency"):
+        "2d855af7ebddd7b2bbf97cab0f961b37de7c5dcba7bbcc5f5617807a41a9b399",
+    ("set-guarded", "cp1"): "85ece54721e41c8be1096178799a69a348c68b22248cd9bc9fdb4eeb6fe9ad21",
+    ("set-guarded", "cp2"): "ac0d3739dc471173424ed9c784db8c045d03f3ac1a1fdc937b604382241de2e6",
+    ("string", "consistency"): "f6d59c545bc0604ca70aef95d41c500c91bf60b90daf439aa3fdc160d3900215",
+    ("string", "cp1"): "95012d2eb30e8b64f550ae225ebbf2e6ebacc4400403ffbe3f10cdd8aa1b9023",
+    ("string", "cp2"): "6f147adb468b55df68504049a6393bdae420d1b666fb329e560f363dbe6d7f6d",
+    ("set-guarded[cchar]", "consistency"):
+        "09b5518d7263af73e0449990f13084c9aee8ad2b132c2de91c709e967695d160",
+    ("set-guarded[cchar]", "cp1"):
+        "9ed23d610e157635959a2fd4924d095a512c9ab90c5573cc2a8f4b085d03820e",
+    ("set-guarded[cchar]", "cp2"):
+        "2b33d9e52bc0a73dba6e3da6c2abaf3e51224ce77665751601a728d7cc10821e",
+    ("set-literal[cchar]", "consistency"):
+        "a2321ca757b1a8e75076e6559f27b63a42b37d946acf0cb37bbe290e22a30cba",
+    ("set-literal[cchar]", "cp1"):
+        "0a88f98462f226ad5dcc08ef6d56b312b794008ab10e496d411edb51d70c1847",
+    ("set-literal[cchar]", "cp2"):
+        "1bd5623b6e06bc56c7fb6c60b77bf8acad470a8e20bf736af962e8a41a975e9d",
+    ("string[cchar]", "consistency"):
+        "9033e0b9b69ec0875ac0a5c9dbda46c55d2a00d1c7387b3dc7af88e1b6e16b89",
+    ("cchar (+) cnat (+) ccolor", "consistency"):
+        "f452f3892bbcc5aa8081f2479a31ca465296f6f0c66938025247b353b00678b2",
+    ("cchar (+) cnat (+) ccolor", "cp1"):
+        "cd4851b83bfdb2a927207a266f5cda0affbd48d75301b6faca3fe06601dddbf1",
+    ("cchar (+) cnat (+) ccolor", "cp2"):
+        "668cb638a915f320e605494ff7b049df5dbf9dd9e3edad0949ccdf72b65d8ac8",
+    ("string[cchar] (+) cnat", "consistency"):
+        "b58e269cff20b39bbe74923f9e1c0d2463f27ff890e42e90c89719828558f30c",
+}
+
+# The document tower's levels at TOWER_BOUNDS.
+TOWER_DIGESTS = {
+    ("fchar", "consistency"): "ffd70706e0b01f12d9accc434f175875dfb71837172e8d307ad6296798fb51bf",
+    ("fchar", "cp1"): "dad965df2e9c996cf287ab2d7ee8b8cd3f26d7abb899f2aa026cf59562e30b30",
+    ("fchar", "cp2"): "4f44679f3be167438211b196a64b22e090bf4bebb69cfe1e266a999675e30d2a",
+}
+
+REFUSALS = {
+    ("string[string]", "consistency"): "estimated 8869743000 cases exceeds ceiling 10000000",
+    ("string[string]", "cp1"): "estimated 17453741344 cases exceeds ceiling 10000000",
+    ("string[string]", "cp2"): "estimated 10604499373 cases exceeds ceiling 10000000",
+}
+
+TOWER_REFUSALS = {
+    ("word", "consistency"): "estimated 54010152 cases exceeds ceiling 10000000",
+    ("word", "cp2"): "estimated 116930169 cases exceeds ceiling 10000000",
+}
+
+
+def _digest(check, c, b):
+    text = json.dumps(CHECKS[check](c, b).to_json(mask_elapsed=True), indent=2)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def tower():
+    return build_document_tower()
+
+
+@pytest.mark.parametrize("expr, check", DIGESTS)
+def test_report_digest(expr, check):
+    assert _digest(check, build(expr), DEFAULT_BOUNDS) == DIGESTS[expr, check]
+
+
+@pytest.mark.parametrize("level, check", TOWER_DIGESTS)
+def test_tower_report_digest(tower, level, check):
+    assert _digest(check, tower[level], TOWER_BOUNDS) == TOWER_DIGESTS[level, check]
+
+
+@pytest.mark.parametrize("expr, check", REFUSALS)
+def test_refusal_text(expr, check):
+    with pytest.raises(BoundsExceeded) as exc:
+        CHECKS[check](build(expr), DEFAULT_BOUNDS)
+    assert str(exc.value) == REFUSALS[expr, check]
+
+
+@pytest.mark.parametrize("level, check", TOWER_REFUSALS)
+def test_tower_refusal_text(tower, level, check):
+    with pytest.raises(BoundsExceeded) as exc:
+        CHECKS[check](tower[level], TOWER_BOUNDS)
+    assert str(exc.value) == TOWER_REFUSALS[level, check]
