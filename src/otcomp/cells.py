@@ -20,57 +20,52 @@ from .values import NOP, VALUE, Cell, Method
 COLOR_ORDER = ("red", "green", "blue")
 
 
-class CellComponentSpec:
-    def __init__(self, name, put_name, get_name, values, merge_fn):
-        self.name: str = name
-        self.put_name: str = put_name
-        self.get_name: str = get_name
-        self.values: Callable[[Bounds], List[Any]] = values
-        self.merge_fn: Callable[[Any, Any], Any] = merge_fn
+class CellComponent(Component):
+    """A cell written by `put` and read by `get`.  `values(b)` lists the
+    values it holds at bounds `b`, and `merge` reconciles two concurrent
+    writes; a merge that breaks one of its laws over the values at
+    DEFAULT_BOUNDS is refused when the cell is built (InvalidSpec)."""
 
+    def __init__(self, name: str, put: str, get: str,
+                 values: Callable[[Bounds], List[Any]], merge: Callable[[Any, Any], Any]):
+        dom = values(DEFAULT_BOUNDS)
+        super().__init__(name, {"nop": (), put: (VALUE,)}, Cell(None), value_type=type(dom[0]))
+        self.put, self.get, self.values, self.merge = put, get, values, merge
+        self.attributes = {get: self.observe}
+        self._validate_merge(dom)
 
-def _validate_merge(spec: CellComponentSpec, b: Bounds) -> None:
-    dom = spec.values(b)
-    f = spec.merge_fn
-    for a in dom:
-        if f(a, a) != a:
-            raise InvalidSpec(f"{spec.name}: merge not idempotent at {a!r}")
-    for a, c in itertools.product(dom, repeat=2):
-        if f(a, c) != f(c, a):
-            raise InvalidSpec(f"{spec.name}: merge not commutative at ({a!r},{c!r})")
-    for a, c, d in itertools.product(dom, repeat=3):
-        if f(f(a, c), d) != f(a, f(c, d)):
-            raise InvalidSpec(f"{spec.name}: merge not associative at ({a!r},{c!r},{d!r})")
+    def _validate_merge(self, dom: List[Any]) -> None:
+        f = self.merge
+        for a in dom:
+            if f(a, a) != a:
+                raise InvalidSpec(f"{self.name}: merge not idempotent at {a!r}")
+        for a, c in itertools.product(dom, repeat=2):
+            if f(a, c) != f(c, a):
+                raise InvalidSpec(f"{self.name}: merge not commutative at ({a!r},{c!r})")
+        for a, c, d in itertools.product(dom, repeat=3):
+            if f(f(a, c), d) != f(a, f(c, d)):
+                raise InvalidSpec(
+                    f"{self.name}: merge not associative at ({a!r},{c!r},{d!r})")
 
-
-def make_cell_component(spec: CellComponentSpec) -> Component:
-    """Build a cell component; rejects merge functions that break their laws."""
-    _validate_merge(spec, DEFAULT_BOUNDS)
-    put, get = spec.put_name, spec.get_name
-
-    def do_fn(m: Method, st: Cell) -> Cell:
+    def do_fn(self, m: Method, st: Cell) -> Cell:
         return Cell(m.args[0])
 
-    def it_fn(m1: Method, m2: Method) -> Method:
-        return Method(put, (spec.merge_fn(m1.args[0], m2.args[0]),))
+    def poss_fn(self, m: Method, st: Cell) -> bool:
+        return True
 
-    def get_fn(args, st: Cell):
+    def it_fn(self, m1: Method, m2: Method) -> Method:
+        return Method(self.put, (self.merge(m1.args[0], m2.args[0]),))
+
+    def enum_methods_fn(self, b: Bounds) -> List[Method]:
+        return [NOP] + [Method(self.put, (v,)) for v in self.values(b)]
+
+    def enum_states_fn(self, b: Bounds) -> List[Cell]:
+        return [Cell(None)] + [Cell(v) for v in self.values(b)]
+
+    def observe(self, args, st: Cell):
         if st.value is None:
-            raise UndefinedObservation(f"{get} on the initial cell")
+            raise UndefinedObservation(f"{self.get} on the initial cell")
         return st.value
-
-    return Component(
-        name=spec.name,
-        method_ctors={"nop": (), put: (VALUE,)},
-        attributes={get: get_fn},
-        initial_state=Cell(None),
-        do_fn=do_fn,
-        poss_fn=lambda m, st: True,
-        it_fn=it_fn,
-        enum_methods_fn=lambda b: [NOP] + [Method(put, (v,)) for v in spec.values(b)],
-        enum_states_fn=lambda b: [Cell(None)] + [Cell(v) for v in spec.values(b)],
-        value_type=type(spec.values(DEFAULT_BOUNDS)[0]),
-    )
 
 
 def _first(values, b: Bounds, bound: str) -> list:
@@ -85,32 +80,25 @@ def _color_min(c1: str, c2: str) -> str:
     return min(c1, c2, key=COLOR_ORDER.index)
 
 
-CHAR_CELL = CellComponentSpec(
-    "cchar", "putchar", "getchar",
-    values=lambda b: _first(string.ascii_lowercase, b, "alphabet"),
-    merge_fn=max,
-)
+def _chars(b: Bounds) -> List[str]:
+    return _first(string.ascii_lowercase, b, "alphabet")
 
-NAT_CELL = CellComponentSpec(
-    "cnat", "putnat", "getnat",
-    values=lambda b: list(range(b.nat_max + 1)),
-    merge_fn=min,
-)
 
-COLOR_CELL = CellComponentSpec(
-    "ccolor", "putcolor", "getcolor",
-    values=lambda b: _first(COLOR_ORDER, b, "colors"),
-    merge_fn=_color_min,
-)
+def _nats(b: Bounds) -> List[int]:
+    return list(range(b.nat_max + 1))
+
+
+def _colors(b: Bounds) -> List[str]:
+    return _first(COLOR_ORDER, b, "colors")
 
 
 def cchar() -> Component:
-    return make_cell_component(CHAR_CELL)
+    return CellComponent("cchar", "putchar", "getchar", _chars, max)
 
 
 def cnat() -> Component:
-    return make_cell_component(NAT_CELL)
+    return CellComponent("cnat", "putnat", "getnat", _nats, min)
 
 
 def ccolor() -> Component:
-    return make_cell_component(COLOR_CELL)
+    return CellComponent("ccolor", "putcolor", "getcolor", _colors, _color_min)

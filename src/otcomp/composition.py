@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bounds import MAX_STATES, Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UnknownMethod
 from .kernel import Component
 from . import kernel
-from .patterns import CompositionPattern, instantiate
+from .patterns import CompositionPattern
 from .values import METHOD, NOP, POSITION, STATE, Method, Product, StateValue, product
 
 
@@ -30,8 +31,74 @@ from .values import METHOD, NOP, POSITION, STATE, Method, Product, StateValue, p
 # ---------------------------------------------------------------------------
 
 class StaticProduct(Component):
-    """A non-interacting product of its factors, `parts`; `owner` names the
-    factor owning each constructor but `nop` (see static_compose)."""
+    """A non-interacting product of two or more factors, `parts`.
+
+    Clashing constructor and attribute names are prefixed with the owning
+    factor's name (`nop` stays shared); `owner` names the factor owning each
+    constructor but `nop`.  The name, unless given, is the factors' names
+    joined by ` (+) `.
+    """
+
+    def __init__(self, factors: Sequence[Component], name: Optional[str] = None):
+        if len(factors) < 2:
+            raise ValueError("static composition needs at least two factors")
+        owner: Dict[str, Tuple[int, str]] = {}  # composed ctor -> (factor index, its ctor)
+        attributes: dict = {}
+        for i, f in enumerate(factors):
+            for ctor in sorted(f.method_ctors):
+                if ctor != "nop":
+                    owner[_claim(owner, ctor, f)] = (i, ctor)
+            for aname, observer in f.attributes.items():
+                attributes[_claim(attributes, aname, f)] = partial(_observe_factor, i, observer)
+        super().__init__(name or " (+) ".join(f.name for f in factors),
+                         {"nop": (), **{c: factors[i].method_ctors[ctor]
+                                        for c, (i, ctor) in owner.items()}},
+                         product(f.initial_state for f in factors),
+                         any(f.site_aware for f in factors), tuple(factors))
+        self.owner = owner
+        self.renamed = {v: k for k, v in owner.items()}  # inverse of owner
+        self.attributes = attributes
+
+    def _unpack(self, m: Method) -> Tuple[int, Method]:
+        i, ctor = self.owner[m.ctor]
+        return i, Method(ctor, m.args, m.site)
+
+    def _pack(self, i: int, m: Method) -> Method:
+        if m.ctor == "nop":
+            return NOP
+        return Method(self.renamed[i, m.ctor], m.args, m.site)
+
+    # The kernel has checked m's ctor against the product's method_ctors and
+    # answered `nop` itself, so a factor's own functions are called directly.
+    def do_fn(self, m: Method, st: Product) -> Product:
+        i, inner = self._unpack(m)
+        items = list(st.items)
+        items[i] = self.parts[i].do_fn(inner, items[i])
+        return Product(tuple(items))
+
+    def poss_fn(self, m: Method, st: Product) -> bool:
+        i, inner = self._unpack(m)
+        return self.parts[i].poss_fn(inner, st.items[i])
+
+    def it_fn(self, m1: Method, m2: Method) -> Method:
+        i1, inner1 = self._unpack(m1)
+        i2, inner2 = self._unpack(m2)
+        if i1 != i2:  # factors do not interact, so no factor reads either method
+            kernel.validate_method(self.parts[i1], inner1)
+            kernel.validate_method(self.parts[i2], inner2)
+            return m1
+        return self._pack(i1, self.parts[i1].it_fn(inner1, inner2))
+
+    def enum_methods_fn(self, b: Bounds) -> List[Method]:
+        out = [NOP]
+        for i, f in enumerate(self.parts):
+            out.extend(self._pack(i, m) for m in f.enum_methods(b) if m.ctor != "nop")
+        return out
+
+    def enum_states_fn(self, b: Bounds) -> List[Product]:
+        per = [f.enum_states(b) for f in self.parts]
+        _within_ceiling(self, math.prod(map(len, per)))
+        return [product(t) for t in itertools.product(*per)]
 
     def enum_states(self, b: Bounds = DEFAULT_BOUNDS) -> List[Product]:
         # The factors' lists are in canonical order, and so is their product
@@ -74,84 +141,13 @@ def _within_ceiling(c: Component, n: int) -> int:
     return n
 
 
+def _observe_factor(i: int, observer, args, st: Product) -> Any:
+    return observer(args, st.items[i])
+
+
 def static_compose(*factors: Component) -> StaticProduct:
-    """Non-interacting product of two or more components.
-
-    Clashing constructor and attribute names are prefixed with the owning
-    factor's name (`nop` stays shared).
-    """
-    if len(factors) < 2:
-        raise ValueError("static composition needs at least two factors")
-
-    owner: dict = {}       # composed ctor -> (factor index, original ctor)
-    attr_owner: dict = {}  # composed attribute -> (factor index, observer)
-    for i, f in enumerate(factors):
-        for ctor in sorted(f.method_ctors):
-            if ctor != "nop":
-                owner[_claim(owner, ctor, f)] = (i, ctor)
-        for aname, observer in f.attributes.items():
-            attr_owner[_claim(attr_owner, aname, f)] = (i, observer)
-    renamed = {v: k for k, v in owner.items()}  # inverse of owner
-
-    def _unpack(m: Method) -> Tuple[int, Method]:
-        i, ctor = owner[m.ctor]
-        return i, Method(ctor, m.args, m.site)
-
-    def _pack(i: int, m: Method) -> Method:
-        if m.ctor == "nop":
-            return NOP
-        return Method(renamed[i, m.ctor], m.args, m.site)
-
-    # The kernel has checked m's ctor against the product's method_ctors and
-    # answered `nop` itself, so a factor's own functions are called directly.
-    def do_fn(m: Method, st: Product) -> Product:
-        i, inner = _unpack(m)
-        items = list(st.items)
-        items[i] = factors[i].do_fn(inner, items[i])
-        return Product(tuple(items))
-
-    def poss_fn(m: Method, st: Product) -> bool:
-        i, inner = _unpack(m)
-        return factors[i].poss_fn(inner, st.items[i])
-
-    def it_fn(m1: Method, m2: Method) -> Method:
-        i1, inner1 = _unpack(m1)
-        i2, inner2 = _unpack(m2)
-        if i1 != i2:  # factors do not interact, so no factor reads either method
-            kernel.validate_method(factors[i1], inner1)
-            kernel.validate_method(factors[i2], inner2)
-            return m1
-        return _pack(i1, factors[i1].it_fn(inner1, inner2))
-
-    def enum_methods(b: Bounds) -> List[Method]:
-        out = [NOP]
-        for i, f in enumerate(factors):
-            out.extend(_pack(i, m) for m in f.enum_methods(b) if m.ctor != "nop")
-        return out
-
-    def enum_states(b: Bounds) -> List[Product]:
-        per = [f.enum_states(b) for f in factors]
-        _within_ceiling(comp, math.prod(map(len, per)))
-        return [product(t) for t in itertools.product(*per)]
-
-    # The closures read `comp`, which is bound before any of them runs.
-    comp = StaticProduct(
-        name=" (+) ".join(f.name for f in factors),
-        method_ctors={"nop": (), **{name: factors[i].method_ctors[ctor]
-                                    for name, (i, ctor) in owner.items()}},
-        attributes={name: (lambda i, obs: lambda args, st: obs(args, st.items[i]))(i, obs)
-                    for name, (i, obs) in attr_owner.items()},
-        initial_state=product(f.initial_state for f in factors),
-        do_fn=do_fn,
-        poss_fn=poss_fn,
-        it_fn=it_fn,
-        enum_methods_fn=enum_methods,
-        enum_states_fn=enum_states,
-        site_aware=any(f.site_aware for f in factors),
-        parts=tuple(factors),
-        owner=owner,
-    )
-    return comp
+    """Non-interacting product of two or more components (see StaticProduct)."""
+    return StaticProduct(factors)
 
 
 def _claim(taken: dict, name: str, factor: Component) -> str:
@@ -182,7 +178,64 @@ def is_update(m: Method) -> bool:
 
 
 class ComposedComponent(Component):
-    """A pattern instantiated over its child, parts[0], with Update grafted on."""
+    """A pattern instantiated over its child, parts[0], with Update grafted
+    on: the pattern's body, `body`, answers every other method.  Update
+    declares its address as a tuple of as many positions as the pattern's
+    addresses have at `b`.  The name, `pattern[child]` unless given, is the
+    body's too, so the body's refusals name this component."""
+
+    def __init__(self, pattern: CompositionPattern, child: Component,
+                 b: Bounds = DEFAULT_BOUNDS, name: Optional[str] = None):
+        name = name or f"{pattern.name}[{child.name}]"
+        body = pattern.build_body(child, name)
+        address = tuple(POSITION for _ in pattern.update_addrs(b)[0])
+        super().__init__(name, {**body.method_ctors, "Update": (address, STATE, METHOD)},
+                         body.initial_state, body.site_aware or pattern.update_site_aware,
+                         (child,))
+        self.pattern, self.body = pattern, body
+        self.attributes = body.attributes  # updates add no attributes
+
+    # The kernel has checked each method's ctor and answered `nop`, so the
+    # body's own functions are called directly; an Update's child method is
+    # checked by `update_new`, or by `transform_update` where none runs.
+    # Each unpacks an Update's arguments in line (see make_update).
+    def do_fn(self, m: Method, st: StateValue) -> StateValue:
+        if m.ctor == "Update":
+            addr, old, _ = m.args
+            return self.pattern.update_do(addr, old, self.update_new(m), st)
+        return self.body.do_fn(m, st)
+
+    def poss_fn(self, m: Method, st: StateValue) -> bool:
+        if m.ctor == "Update":
+            addr, old, _ = m.args
+            return self.pattern.update_poss(addr, old, self.update_new(m), st)
+        return self.body.poss_fn(m, st)
+
+    def it_fn(self, m1: Method, m2: Method) -> Method:
+        if m1.ctor == "Update":
+            if m2.ctor == "Update":
+                return transform_update(self, m1, m2)
+            addr, old, child_method = m1.args
+            addr = self.pattern.it_update_vs_method(addr, old, self.update_new(m1), m2)
+            return NOP if addr is None else make_update(addr, old, child_method, m1.site)
+        if m2.ctor == "Update":
+            addr, old, _ = m2.args
+            return self.pattern.it_method_vs_update(m1, addr, old, self.update_new(m2))
+        return self.body.it_fn(m1, m2)
+
+    def enum_methods_fn(self, b: Bounds) -> List[Method]:
+        # addresses x old child states x child methods x sites
+        child, pattern = self.parts[0], self.pattern
+        axes = (pattern.update_addrs(b), child.enum_states(b), child.enum_methods(b),
+                range(b.sites) if pattern.update_site_aware else [None])
+        n = math.prod(map(len, axes))
+        if n > b.max_methods:
+            raise BoundsExceeded(f"{self.name}: {n} Update methods "
+                                 f"exceed the ceiling {b.max_methods}")
+        return self.body.enum_methods(b) + [make_update(*t) for t in itertools.product(*axes)]
+
+    def enum_states_fn(self, b: Bounds) -> List[StateValue]:
+        return self.body.enum_states_fn(b)
 
     def update_new(self, u: Method) -> StateValue:
         """The new child state carried implicitly by an update method.
@@ -224,61 +277,5 @@ def transform_update(comp: ComposedComponent, u1: Method, u2: Method) -> Method:
 def dynamic_compose(pattern: CompositionPattern, child: Component,
                     b: Bounds = DEFAULT_BOUNDS) -> ComposedComponent:
     """Instantiate the pattern over the child, under structural equality,
-    and graft on the update method.  Update declares its address as a tuple
-    of as many positions as the pattern's addresses have at `b`.
-    """
-    base = instantiate(pattern, child)
-    address = tuple(POSITION for _ in pattern.update_addrs(b)[0])
-
-    # The closures read `comp`, which is bound below before any of them runs.
-    # The kernel has checked each method's ctor and answered `nop`, so the
-    # base's own functions are called directly; an Update's child method is
-    # checked by `update_new`, or by `transform_update` where none runs.
-    # Each unpacks an Update's arguments in line (see make_update).
-    def do_fn(m: Method, st: StateValue) -> StateValue:
-        if m.ctor == "Update":
-            addr, old, _ = m.args
-            return pattern.update_do(addr, old, comp.update_new(m), st)
-        return base.do_fn(m, st)
-
-    def poss_fn(m: Method, st: StateValue) -> bool:
-        if m.ctor == "Update":
-            addr, old, _ = m.args
-            return pattern.update_poss(addr, old, comp.update_new(m), st)
-        return base.poss_fn(m, st)
-
-    def it_fn(m1: Method, m2: Method) -> Method:
-        if m1.ctor == "Update":
-            if m2.ctor == "Update":
-                return transform_update(comp, m1, m2)
-            addr, old, child_method = m1.args
-            addr = pattern.it_update_vs_method(addr, old, comp.update_new(m1), m2)
-            return NOP if addr is None else make_update(addr, old, child_method, m1.site)
-        if m2.ctor == "Update":
-            addr, old, _ = m2.args
-            return pattern.it_method_vs_update(m1, addr, old, comp.update_new(m2))
-        return base.it_fn(m1, m2)
-
-    def enum_methods(b2: Bounds) -> List[Method]:
-        # addresses x old child states x child methods x sites
-        axes = (pattern.update_addrs(b2), child.enum_states(b2), child.enum_methods(b2),
-                range(b2.sites) if pattern.update_site_aware else [None])
-        n = math.prod(map(len, axes))
-        if n > b2.max_methods:
-            raise BoundsExceeded(f"{comp.name}: {n} Update methods "
-                                 f"exceed the ceiling {b2.max_methods}")
-        return base.enum_methods(b2) + [make_update(*t) for t in itertools.product(*axes)]
-
-    comp = ComposedComponent(
-        name=f"{pattern.name}[{child.name}]",
-        method_ctors={**base.method_ctors, "Update": (address, STATE, METHOD)},
-        attributes=base.attributes,  # updates add no attributes
-        initial_state=base.initial_state,
-        do_fn=do_fn,
-        poss_fn=poss_fn,
-        it_fn=it_fn,
-        enum_methods_fn=enum_methods,
-        enum_states_fn=base.enum_states_fn,
-        site_aware=base.site_aware or pattern.update_site_aware,
-        parts=(child,))
-    return comp
+    and graft on the update method (see ComposedComponent)."""
+    return ComposedComponent(pattern, child, b)

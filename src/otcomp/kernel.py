@@ -1,10 +1,11 @@
 """The component abstraction and the sequence machinery built on top of it.
 
-A Component bundles a hidden-state data type: a transition function (`do_fn`),
+A Component is a hidden-state data type.  Each kind of component is a
+subclass whose methods are its functions: a transition function (`do_fn`),
 an enabledness predicate (`poss_fn`), a transform function (`it_fn`) that
-adjusts one concurrent method to include the effect of another, attribute
-observers, and bounded enumerators for states and methods.  All values are
-immutable and every operation here is a pure function.
+adjusts one concurrent method to include the effect of another, and bounded
+enumerators for methods and states (`enum_methods_fn`, `enum_states_fn`).
+All values are immutable and every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -18,31 +19,33 @@ from .values import METHOD, NOP, Method, StateValue, canon_key
 
 
 class Component:
-    def __init__(self, name, method_ctors, attributes, initial_state, do_fn, poss_fn, it_fn,
-                 enum_methods_fn, enum_states_fn, site_aware=False, parts=(), owner=None,
-                 value_type=None):
-        self.name: str = name
+    """The base of every kind of component.  A subclass defines
+    `do_fn(m, st)`, `poss_fn(m, st)` and `it_fn(m1, m2)`, which the kernel
+    calls on proper methods only (it answers `nop` itself), and
+    `enum_methods_fn(b)` and `enum_states_fn(b)`, which list the methods and
+    states at bounds `b` in any order; and it sets `attributes`."""
+
+    # Attribute name -> observer (data args, state) -> data value; it may
+    # raise UndefinedObservation where no value has been established yet.
+    attributes: Dict[str, Callable[[Tuple[Any, ...], StateValue], Any]]
+    # Static product: constructor -> (factor index, the factor's constructor).
+    owner: Dict[str, Tuple[int, str]] = {}
+
+    def __init__(self, name: str, method_ctors: Dict[str, Tuple[Any, ...]],
+                 initial_state: StateValue, site_aware: bool = False,
+                 parts: Tuple[Component, ...] = (), value_type: Optional[type] = None):
+        self.name = name
         # Constructor -> argument sorts (values.VALUE / POSITION / STATE / METHOD, or
         # a tuple of POSITIONs for an address), with `nop` declared as taking none.
-        self.method_ctors: Dict[str, Tuple[Any, ...]] = method_ctors
-        # Attribute name -> observer (data args, state) -> data value; it may
-        # raise UndefinedObservation where no value has been established yet.
-        self.attributes: Dict[str, Callable[[Tuple[Any, ...], StateValue], Any]] = attributes
-        self.initial_state: StateValue = initial_state
-        self.do_fn: Callable[[Method, StateValue], StateValue] = do_fn
-        self.poss_fn: Callable[[Method, StateValue], bool] = poss_fn
-        self.it_fn: Callable[[Method, Method], Method] = it_fn
-        self.enum_methods_fn: Callable[[Bounds], List[Method]] = enum_methods_fn
-        self.enum_states_fn: Callable[[Bounds], List[StateValue]] = enum_states_fn
-        self.site_aware: bool = site_aware
+        self.method_ctors = method_ctors
+        self.initial_state = initial_state
+        self.site_aware = site_aware
         # The element component of a pattern instance or dynamic composition, or
         # the factors of a static product.
-        self.parts: Tuple[Component, ...] = parts
-        # Static product: constructor -> (factor index, the factor's constructor).
-        self.owner: Dict[str, Tuple[int, str]] = {} if owner is None else owner
+        self.parts = parts
         # Cells and atoms: the type of the value held, and of a VALUE argument;
         # None leaves them unchecked when read from JSON.
-        self.value_type: Optional[type] = value_type
+        self.value_type = value_type
 
     # Each sort keys its list with one memo, whose ids the list keeps alive.
     def enum_methods(self, b: Bounds = DEFAULT_BOUNDS) -> List[Method]:

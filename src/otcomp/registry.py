@@ -20,7 +20,7 @@ from .cells import cchar, ccolor, cnat
 from .composition import dynamic_compose, static_compose
 from .errors import ExprError
 from .kernel import Component
-from .patterns import instantiate, set_pattern, string_pattern, token_component
+from .patterns import set_pattern, string_pattern, token_component
 
 COMPONENTS = {
     "cchar": cchar,
@@ -104,7 +104,7 @@ class _Builder:
         if tok in COMPONENTS:
             return COMPONENTS[tok]()
         if tok in PATTERNS:  # a bare pattern holds opaque tokens
-            return instantiate(PATTERNS[tok](), token_component())
+            return PATTERNS[tok]().build_body(token_component())
         raise ExprError(f"unknown name {tok!r}", pos)
 
 

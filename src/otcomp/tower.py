@@ -8,7 +8,7 @@ from typing import Dict, Tuple
 
 from .bounds import Bounds
 from .cells import cchar, ccolor, cnat
-from .composition import dynamic_compose, make_update, static_compose
+from .composition import ComposedComponent, StaticProduct, make_update
 from .kernel import Component
 from .patterns import string_pattern
 from .simulator import RunReport, Scenario, run_scenario
@@ -18,20 +18,14 @@ from .values import Cell, Method, product, seq_of
 TOWER_BOUNDS = Bounds(alphabet=2, nat_max=1, colors=2, max_len=1, sites=2)
 
 
-def _named(c: Component, name: str) -> Component:
-    c.name = name
-    return c
-
-
 def build_document_tower() -> Dict[str, Component]:
     """Build the nine components of the document hierarchy in order: each
     level a string of the formatted level below, formatted in turn."""
     tower: Dict[str, Component] = {}
-    below = tower["fchar"] = _named(static_compose(cchar(), cnat(), ccolor()), "fchar")
+    below = tower["fchar"] = StaticProduct((cchar(), cnat(), ccolor()), "fchar")
     for level in ("word", "sentence", "paragraph", "page"):
-        seq = tower[level] = _named(dynamic_compose(string_pattern(), below), level)
-        below = tower["f" + level] = _named(static_compose(seq, cnat(), ccolor()),
-                                            "f" + level)
+        seq = tower[level] = ComposedComponent(string_pattern(), below, name=level)
+        below = tower["f" + level] = StaticProduct((seq, cnat(), ccolor()), "f" + level)
     return tower
 
 

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from otcomp import kernel
 from otcomp.bounds import DEFAULT_BOUNDS
-from otcomp.cells import (CellComponentSpec, cchar, ccolor, cnat,
-                          make_cell_component)
+from otcomp.cells import CellComponent, cchar, ccolor, cnat
 from otcomp.errors import BoundsExceeded, InvalidSpec, UndefinedObservation
 from otcomp.values import Cell, Method
 
@@ -76,19 +75,18 @@ def test_char_merge_is_order_insensitive(v1, v2):
 
 # --- merge-law validation at build time -------------------------------------
 
-def _spec(merge):
-    return CellComponentSpec("cbad", "put", "get",
-                             values=lambda b: [0, 1, 2, 3], merge_fn=merge)
+def _cell(merge):
+    return CellComponent("cbad", "put", "get", lambda b: [0, 1, 2, 3], merge)
 
 
 def test_non_idempotent_merge_rejected():
     with pytest.raises(InvalidSpec, match="idempotent"):
-        make_cell_component(_spec(lambda a, b: a + b))
+        _cell(lambda a, b: a + b)
 
 
 def test_non_commutative_merge_rejected():
     with pytest.raises(InvalidSpec, match="commutative"):
-        make_cell_component(_spec(lambda a, b: a))
+        _cell(lambda a, b: a)
 
 
 def test_non_associative_merge_rejected():
@@ -96,7 +94,7 @@ def test_non_associative_merge_rejected():
     def merge(a, b):
         return min(a, b) if abs(a - b) > 1 else max(a, b)
     with pytest.raises(InvalidSpec, match="associative"):
-        make_cell_component(_spec(merge))
+        _cell(merge)
 
 
 def test_value_domains_follow_bounds():

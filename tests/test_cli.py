@@ -42,6 +42,13 @@ def test_check_case_ceiling_exits_3(capsys):
     assert "exceeds ceiling" in capsys.readouterr().err
 
 
+def test_check_refusal_names_the_composed_component(capsys):
+    assert main(["check", "set-guarded[cchar (+) cnat]",
+                 "--property", "consistency"]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: set-guarded[cchar (+) cnat]: 1048576 subset states\n"
+
+
 def test_check_alphabet_past_the_letters_exits_3(capsys):
     assert main(["check", "cchar", "--property", "cp1",
                  "--alphabet", "100"]) == EXIT_USAGE

@@ -192,6 +192,19 @@ def test_a_product_enumerates_its_states_in_canonical_order_unsorted(monkeypatch
     assert c.enum_states(b) == states
 
 
+@pytest.mark.parametrize("expr, b, refusal", [
+    ("set-guarded[cchar (+) cnat]", B, "set-guarded[cchar (+) cnat]: 1048576 subset states"),
+    ("string[cnat]", B.with_(max_len=9), "string[cnat]: 2441406 sequence states"),
+    ("word", TOWER_BOUNDS.with_(max_len=4), "word: 551881 sequence states"),
+    ("string", B.with_(universe=5, max_len=9), "string: 2441406 sequence states"),
+])
+def test_a_pattern_body_refusal_names_the_component(expr, b, refusal):
+    c = build_document_tower()[expr] if expr == "word" else build(expr, b)
+    with pytest.raises(BoundsExceeded) as exc:
+        c.enum_states(b)
+    assert str(exc.value) == refusal
+
+
 # --- dynamic composition: sequence of characters ----------------------------
 
 def test_sequence_updates_shift_like_their_position(tmp_path):

@@ -2,9 +2,10 @@
 check rests on an `assert`, which `python -O` removes, only composition
 knows how an Update method is laid out, only the checker's runner
 compiles a component or sweeps it, the checker's sweeps read tables
-filled from the component, not the validating kernel, and importing
-otcomp loads neither `dataclasses` nor `inspect`, nor the modules only a
-split check needs."""
+filled from the component, not the validating kernel, no component or
+pattern is built from functions made for it, and importing otcomp loads
+neither `dataclasses` nor `inspect`, nor the modules only a split check
+needs."""
 
 import ast
 import os
@@ -123,6 +124,82 @@ def test_sweeps_do_not_call_the_validating_kernel():
     lines.insert(sweep.body[0].lineno - 1,
                  "    kernel.apply(t.c, t.method[0], t.state[0])\n")
     assert _validating_kernel_calls("".join(lines)) == [sweep.body[0].lineno]
+
+
+def _component_classes(trees) -> set:
+    """The names of Component, CompositionPattern and the classes derived
+    from them."""
+    names = {"Component", "CompositionPattern"}
+    classes = [n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    grew = True
+    while grew:
+        grew = False
+        for c in classes:
+            if c.name not in names and any(getattr(b, "id", getattr(b, "attr", None)) in names
+                                           for b in c.bases):
+                names.add(c.name)
+                grew = True
+    return names
+
+
+def _functions_passed_to_constructors(tree, classes: set):
+    """Lines where a call to a component or pattern constructor, or a
+    `super().__init__` in such a class, passes a lambda or a function
+    defined inside a function (a nested def or a local lambda) in an
+    argument."""
+    found = []
+
+    def constructs(call, cls):
+        f = call.func
+        if isinstance(f, ast.Attribute) and f.attr == "__init__":
+            return (isinstance(f.value, ast.Call) and getattr(f.value.func, "id", None) == "super"
+                    and cls in classes)
+        return getattr(f, "id", getattr(f, "attr", None)) in classes
+
+    def visit(node, local, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            local = local | {n.name for n in ast.walk(node) if n is not node
+                             and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+            local |= {t.id for n in ast.walk(node) if isinstance(n, ast.Assign)
+                      and isinstance(n.value, ast.Lambda)
+                      for t in n.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.Call) and constructs(node, cls):
+            for arg in [*node.args, *(k.value for k in node.keywords)]:
+                found.extend(n.lineno for n in ast.walk(arg) if isinstance(n, ast.Lambda)
+                             or isinstance(n, ast.Name) and n.id in local)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local, cls)
+
+    visit(tree, frozenset(), None)
+    return sorted(set(found))
+
+
+def test_no_component_or_pattern_is_built_from_functions_made_for_it():
+    # A component's and a pattern's functions are its class's methods.
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    classes = _component_classes(trees.values())
+    assert {"CellComponent", "SetBody", "StaticProduct", "ComposedComponent",
+            "StringPattern"} <= classes
+    found = [f"{name}:{line}" for name, tree in trees.items()
+             for line in _functions_passed_to_constructors(tree, classes)]
+    assert not found, "functions passed to a constructor:\n" + "\n".join(found)
+    # The rule catches a lambda, a nested def and a local lambda, also in a
+    # dict or through super().__init__, and passes a module function.
+    planted = ast.parse(
+        "def build(child):\n"
+        "    def do_fn(m, st):\n"
+        "        return st\n"
+        "    ident = lambda args, st: st\n"
+        "    Component('x', poss_fn=lambda m, st: True)\n"
+        "    Component('x', do_fn=do_fn)\n"
+        "    Component('x', {'ident': ident}, max, _module_function)\n"
+        "class Cell(Component):\n"
+        "    def __init__(self):\n"
+        "        super().__init__('c', lambda b: [])\n")
+    assert _functions_passed_to_constructors(planted, {"Component", "Cell"}) == [5, 6, 7, 10]
 
 
 @pytest.mark.parametrize("module", ["otcomp", "otcomp.cli"])

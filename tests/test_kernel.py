@@ -102,17 +102,21 @@ def test_empty_sequence_is_legal_and_inert(char):
     assert kernel.apply_seq(char, [], Cell("a")) == Cell("a")
 
 
+class _Once(kernel.Component):
+    """A one-shot component: the method is enabled only on the empty cell."""
+
+    def __init__(self):
+        super().__init__("once", {"nop": (), "set": (VALUE,)}, Cell(None))
+
+    def do_fn(self, m, st_):
+        return Cell(m.args[0])
+
+    def poss_fn(self, m, st_):
+        return st_.value is None
+
+
 def test_legal_checks_intermediate_states():
-    # A one-shot component: the method is enabled only on the empty cell.
-    from otcomp.kernel import Component
-    c = Component(
-        name="once", method_ctors={"nop": (), "set": (VALUE,)}, attributes={},
-        initial_state=Cell(None),
-        do_fn=lambda m, s: Cell(m.args[0]),
-        poss_fn=lambda m, s: s.value is None,
-        it_fn=lambda m1, m2: m1,
-        enum_methods_fn=lambda b: [NOP],
-        enum_states_fn=lambda b: [Cell(None)])
+    c = _Once()
     m = Method("set", (1,))
     assert kernel.legal(c, [m], Cell(None))
     assert not kernel.legal(c, [m, m], Cell(None))

@@ -1,13 +1,17 @@
-"""Container patterns: the finite set, the sequence, and admissibility."""
+"""Container patterns: the finite set, the sequence, admissibility, and the
+element contract."""
+
+import itertools
 
 import pytest
 
-from otcomp import kernel
+from otcomp import kernel, values
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar
-from otcomp.errors import BoundsExceeded, InvalidSpec, UndefinedObservation
-from otcomp.patterns import (Morphism, check_admissible, instantiate,
-                             set_pattern, string_pattern, token_component)
+from otcomp.composition import dynamic_compose, is_update
+from otcomp.errors import BoundsExceeded, UndefinedObservation
+from otcomp.patterns import (Token, check_admissible, set_pattern, string_pattern,
+                             token_component)
 from otcomp.values import NOP, Cell, Method, Opaque, SeqOf, SetOf, set_of, seq_of
 
 B = DEFAULT_BOUNDS
@@ -29,47 +33,21 @@ def test_admissibility_needs_two_states():
         check_admissible(set_pattern(), token_component(), b=_tokens(1))
 
 
-def test_asymmetric_equality_rejected_with_witness():
-    eq = lambda a, b: a.value <= b.value
-    rep = check_admissible(set_pattern(), token_component(),
-                           Morphism(eq=eq), b=_tokens(2))
-    assert not rep.ok
-    assert rep.failed_axiom == "eq-symmetric"
-    x, y = rep.witness
-    assert eq(x, y) != eq(y, x)
-
-
-def test_intransitive_equality_rejected_with_witness():
-    # Relate only adjacent tokens: symmetric, but x~y~z without x~z.
-    order = {"x": 0, "y": 1, "z": 2}
-
-    def eq(a, b):
-        return abs(order[a.value] - order[b.value]) <= 1
-
-    rep = check_admissible(set_pattern(), token_component(),
-                           Morphism(eq=eq), b=_tokens(3))
-    assert not rep.ok
-    assert rep.failed_axiom == "eq-transitive"
-    x, y, z = rep.witness
-    assert eq(x, y) and eq(y, z) and not eq(x, z)
-
-
-def test_instantiate_refuses_inadmissible_binding():
-    with pytest.raises(InvalidSpec):
-        instantiate(set_pattern(), token_component(),
-                    Morphism(eq=lambda a, b: a.value <= b.value), b=_tokens(2))
+def test_admissibility_takes_no_other_equality():
+    with pytest.raises(TypeError, match="phi must be None"):
+        check_admissible(set_pattern(), token_component(), lambda a, b: a == b, _tokens(2))
 
 
 # --- finite set bodies ------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def sguard():
-    return instantiate(set_pattern("guarded"), token_component(), b=_tokens(2))
+    return set_pattern("guarded").build_body(token_component())
 
 
 @pytest.fixture(scope="module")
 def sliteral():
-    return instantiate(set_pattern("literal"), token_component(), b=_tokens(2))
+    return set_pattern("literal").build_body(token_component())
 
 
 def _add(e):
@@ -113,7 +91,7 @@ def test_set_transform_table(sguard):
 
 
 def test_set_instantiation_ranges_over_child_states():
-    c = instantiate(set_pattern("guarded"), cchar(), b=B)
+    c = set_pattern("guarded").build_body(cchar())
     elems = {m.args[0] for m in c.enum_methods(B) if m.ctor == "add"}
     assert elems == set(cchar().enum_states(B))
     s = kernel.apply(c, Method("add", (Cell("a"),)), SetOf())
@@ -124,7 +102,7 @@ def test_set_instantiation_ranges_over_child_states():
 
 @pytest.fixture(scope="module")
 def seq():
-    return instantiate(string_pattern(), token_component(), b=_tokens(2))
+    return string_pattern().build_body(token_component())
 
 
 def _ins(p, e, site=0):
@@ -190,3 +168,94 @@ def test_token_states_follow_universe_bound():
     t = token_component()
     assert t.enum_states(_tokens(2)) == [Opaque("x"), Opaque("y")]
     assert len(t.enum_states(_tokens(8))) == 8
+
+
+# --- the element contract ---------------------------------------------------
+# A pattern uses its elements only through ==, hash and canon_key.  Sentinel
+# elements allow those and repr, and raise on anything else a pattern could
+# read: ordering, arithmetic, truth, an attribute (isinstance included).
+
+class ElementUsed(Exception):
+    pass
+
+
+def _refuse(*args):
+    raise ElementUsed("an element was used beyond ==, hash and canon_key")
+
+
+def _tag(e):
+    return object.__getattribute__(e, "_tag")
+
+
+class Sentinel:
+    __slots__ = ("_tag",)
+
+    def __init__(self, tag):
+        object.__setattr__(self, "_tag", tag)
+
+    def __eq__(self, other):
+        return type(other) is Sentinel and _tag(self) == _tag(other)
+
+    def __hash__(self):
+        return hash(_tag(self))
+
+    def __repr__(self):
+        return f"Sentinel({_tag(self)})"
+
+    __getattribute__ = __setattr__ = __bool__ = __len__ = __iter__ = _refuse
+    __lt__ = __le__ = __gt__ = __ge__ = __index__ = __int__ = __float__ = _refuse
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __neg__ = _refuse
+
+
+class SentinelElements(Token):
+    def enum_states_fn(self, b):
+        return [Sentinel(i) for i in range(b.universe)]
+
+
+@pytest.fixture
+def sentinel_keys(monkeypatch):
+    """canon_key, which the kernel sorts enumerations by, keys a sentinel by
+    its tag."""
+    key = values.canon_key
+
+    def canon_key(v, memo=None):
+        return ("sentinel", _tag(v)) if type(v) is Sentinel else key(v, memo)
+
+    monkeypatch.setattr(values, "canon_key", canon_key)
+    monkeypatch.setattr(kernel, "canon_key", canon_key)
+
+
+def test_a_sentinel_refuses_what_the_contract_excludes():
+    x, y = Sentinel(0), Sentinel(1)
+    assert x == Sentinel(0) and x != y and len({x, y, Sentinel(1)}) == 2
+    for use in (lambda: x < y, lambda: x + y, lambda: bool(x), lambda: x.value,
+                lambda: isinstance(x, Opaque)):
+        with pytest.raises(ElementUsed):
+            use()
+
+
+@pytest.mark.parametrize("make", [lambda: set_pattern("literal"), lambda: set_pattern("guarded"),
+                                  string_pattern], ids=["set-literal", "set-guarded", "string"])
+def test_a_pattern_reads_its_elements_through_equality_and_hash_alone(sentinel_keys, make):
+    # Every method and state of the pattern over three sentinel elements,
+    # through the body's functions and the pattern's Update semantics.
+    b = B.with_(universe=3)
+    pattern, elements = make(), SentinelElements()
+    c = dynamic_compose(pattern, elements, b)
+    methods = [m for m in c.enum_methods(b) if m.ctor != "nop"]
+    states = c.enum_states(b)
+    assert {is_update(m) for m in methods} == {True, False} and len(states) > 3
+    for m, st in itertools.product(methods, states):
+        c.poss_fn(m, st)
+        c.do_fn(m, st)
+    for m1, m2 in itertools.product(methods, repeat=2):
+        c.it_fn(m1, m2)
+    elems = elements.enum_states(b)
+    container = [m for m in methods if not is_update(m)]
+    for addr, old, new in itertools.product(pattern.update_addrs(b), elems, elems):
+        for st in states:
+            pattern.update_poss(addr, old, new, st)
+            pattern.update_do(addr, old, new, st)
+        for m in container:
+            pattern.it_update_vs_method(addr, old, new, m)
+            pattern.it_method_vs_update(m, addr, old, new)

@@ -36,10 +36,34 @@ def _replaced(c, **changes):
     return c
 
 
+class _Flat(Component):
+    """A product's own functions as a plain component, with no factors, so
+    the checker sweeps it over every product state."""
+
+    def __init__(self, p):
+        super().__init__(p.name, p.method_ctors, p.initial_state, p.site_aware,
+                         value_type=p.value_type)
+        self.product, self.attributes = p, p.attributes
+
+    def do_fn(self, m, st):
+        return self.product.do_fn(m, st)
+
+    def poss_fn(self, m, st):
+        return self.product.poss_fn(m, st)
+
+    def it_fn(self, m1, m2):
+        return self.product.it_fn(m1, m2)
+
+    def enum_methods_fn(self, b):
+        return self.product.enum_methods_fn(b)
+
+    def enum_states_fn(self, b):
+        return self.product.enum_states_fn(b)
+
+
 def brute_force(p):
     """The product's functions as a plain component, with no factors."""
-    return Component(**{name: value for name, value in vars(p).items()
-                        if name not in ("parts", "owner")})
+    return _Flat(p)
 
 
 def outcome(check, c, b):
