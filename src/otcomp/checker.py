@@ -14,8 +14,8 @@ component once, reads every part's case estimate off its blocks, and raises
 BoundsExceeded before any sweep if one is over `max_cases`.  A large check
 runs its CP2 parts, which build no state, beside its CP1 parts in a forked
 child, with the same report (see `_split`).  Compiling interns the methods
-it is given (the component's sorted enumeration, or a product factor's
-methods in the product's order) and the sorted state enumeration to ints.
+it is given (the component's sorted enumeration, or a leaf's own methods in
+the component's order) and the sorted state enumeration to ints.
 Each method is validated once, by `kernel.validate_method`, when it is
 interned: an enumerated one, or a result outside the enumeration (an insert
 one past the longest state, a longer sequence) when first seen.
@@ -24,12 +24,13 @@ One table type, `_Tables`, holds what a check reads over those ids: IT
 (method, method) -> method, Do (state, method) -> state and Poss (state,
 method) -> bool, and from them each method's enabled states and each pair's
 jointly legal states.  An entry is filled on first use by one call of the
-functions the tables are built with.  A check builds two.  The sweeps read
-the component's, filled by its own `it_fn`, `do_fn` and `poss_fn`, and by
-the kernel's `transform`, `apply` or `enabled` where `nop` is involved, so
-the `nop` rules live only in the kernel.  The replays read the kernel's,
-filled by the public kernel alone, whose `enabled` and `apply` they also
-call on a pair's states.  Nothing outlives the call.
+functions the tables are built with.  A compiled component has two, each
+built on first use.  The sweeps read the component's, filled by its own
+`it_fn`, `do_fn` and `poss_fn`, and by the kernel's `transform`, `apply`
+or `enabled` where `nop` is involved, so the `nop` rules live only in the
+kernel.  The replays read the kernel's, filled by the public kernel alone,
+whose `enabled` and `apply` they also call on a pair's states.  Nothing
+outlives the call.
 
 Every failing case is replayed through the public kernel before it is
 emitted, which cross-checks the component's tables: a pair's joint legality
@@ -38,30 +39,32 @@ realizability verdict from the kernel's tables.  A disagreement raises
 ReplayMismatch.  A sweep decides each unordered pair once: its mirrored
 case, counted and replayed too, is read off the same entries.
 
-A static product is checked factor by factor, never over its own states:
-each factor that is not a product sweeps its own pairs and triples, and
-every case across factors or with `nop`, which holds by construction, is
-counted (see `_Product`).  The report is the one a sweep over every product
-state would give.
+Every check sweeps the component's leaves and lifts what they find (see
+`_lift`).  A component is its own only leaf, unless it is a static product,
+whose leaves are its factors that are not products.  A case across leaves
+or with `nop` holds by construction, and is counted: the product's
+transform is the identity across leaves, whose methods act on disjoint
+items of a state, and IT(m, nop) = m, IT(nop, m) = nop.  The report is a
+sweep over every product state's, and no product state is built.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
 import os
 import time
-from collections import Counter
 from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
-from .composition import ComposedComponent, StaticProduct, is_update
+from .composition import ComposedComponent, is_update
 from .errors import BoundsExceeded, InvalidSpec, ReplayMismatch
 from . import kernel
 from .kernel import Component
-from .values import NOP, Method, StateValue, value_to_json
+from .values import Method, StateValue, value_to_json
 
 
 class CheckReport:
@@ -76,8 +79,8 @@ class CheckReport:
                  parts=None, unrealizable=None):
         self.property: str = property
         self.verdict: str = verdict  # "pass" | "fail" | "vacuous"
-        # Jointly legal (non-vacuous) cases decided: compared, or, for a static
-        # product, counted where they hold by construction (see _Product).
+        # Jointly legal (non-vacuous) cases decided: compared, or counted
+        # where they hold by construction (see _lift).
         self.cases: int = cases
         self.witnesses: List[dict] = witnesses
         self.elapsed_ms: float = elapsed_ms
@@ -189,11 +192,12 @@ class _Compiled:
     """A component as one check call sees it: the given methods, in order,
     and its states interned to ids, each method validated as it is, two
     methods concurrent unless both name the same site (when `site_aware`),
-    and two `_Tables` over those ids:
-    `tables`, filled from the component for the sweeps, and `kernel`, filled
-    by the public kernel for the replays.  `json[i]` is the report form of
-    method i, shared by every entry that names it.  An enumeration that
-    repeats a value would count its cases twice; it raises InvalidSpec.
+    and two `_Tables` over those ids, each built on first use: `tables`,
+    filled from the component for the sweeps, and `kernel`, filled by the
+    public kernel for the replays.  `json[i]` is the report form of method
+    i, shared by every entry that names it.  An enumeration that repeats a
+    value would count its cases twice; it raises InvalidSpec.  A check's
+    leaves also have `own` and `up` (see `_check`).
     """
 
     def __init__(self, c: Component, b: Bounds, site_aware: bool, methods: List[Method]):
@@ -206,18 +210,27 @@ class _Compiled:
         self._mid: Dict[Method, int] = {}
         self._sid: Dict[StateValue, int] = {}
         method, poss_fn, do_fn, it_fn = self.method, c.poss_fn, c.do_fn, c.it_fn
-        # The component's own functions on interned, so validated, methods,
-        # and the kernel wherever `nop` is involved.
-        self.tables = _Tables(
-            self,
-            lambda m, st: kernel.enabled(c, m, st) if m.ctor == "nop" else poss_fn(m, st),
-            lambda m, st: kernel.apply(c, m, st) if m.ctor == "nop" else do_fn(m, st),
-            lambda m1, m2: (kernel.transform(c, m1, m2)
-                            if m1.ctor == "nop" or m2.ctor == "nop" else it_fn(m1, m2)))
-        self.kernel = _Tables(self, partial(kernel.enabled, c), partial(kernel.apply, c),
-                              partial(kernel.transform, c))
+        # What each table is filled by, built on first use: the component's
+        # own functions on interned, so validated, methods, and the kernel
+        # wherever `nop` is involved; and the public kernel.
+        self._fills = {
+            "tables": (
+                lambda m, st: kernel.enabled(c, m, st) if m.ctor == "nop" else poss_fn(m, st),
+                lambda m, st: kernel.apply(c, m, st) if m.ctor == "nop" else do_fn(m, st),
+                lambda m1, m2: (kernel.transform(c, m1, m2)
+                                if m1.ctor == "nop" or m2.ctor == "nop" else it_fn(m1, m2))),
+            "kernel": (partial(kernel.enabled, c), partial(kernel.apply, c),
+                       partial(kernel.transform, c))}
         self.json = _Lazy(lambda i: value_to_json(method[i]))
         self.methods = self._distinct("method", [self.mid(m) for m in methods])
+
+    @cached_property
+    def tables(self) -> _Tables:
+        return _Tables(self, *self._fills["tables"])
+
+    @cached_property
+    def kernel(self) -> _Tables:
+        return _Tables(self, *self._fills["kernel"])
 
     @cached_property
     def states(self) -> List[int]:
@@ -295,18 +308,19 @@ def _cp1_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
     return cases, pairs, sorted(failing)
 
 
-def _cp2_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, list]:
+def _cp2_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
     """The triple condition over the blocks' triples whose first two methods
-    are concurrent, read off the component's tables: the cases decided, and
-    the failing triples (m1, m2, m3, left, right, realizable) in sweep
-    order.  A triple is realizable when some enumerated state has both
-    orders of (m1, m2) legal and m3 enabled.  The mirror of block (g1, g2,
-    g3) is (g2, g1, g3), whose (m2, m1, m3) reads (m1, m2, m3)'s entries,
-    left and right swapped.  A block that is its own mirror walks m2 from m1
-    on, and of a block and a later mirror only the first is walked; mirrored
-    triples are counted, and listed in their block's id order: sweep order."""
+    are concurrent, read off the component's tables: the cases decided, the
+    concurrent pairs, and the failing triples (m1, m2, m3, left, right,
+    realizable) in sweep order.  A triple is realizable when some enumerated
+    state has both orders of (m1, m2) legal and m3 enabled.  The mirror of
+    block (g1, g2, g3) is (g2, g1, g3), whose (m2, m1, m3) reads (m1, m2,
+    m3)'s entries, left and right swapped.  A block that is its own mirror
+    walks m2 from m1 on, and of a block and a later mirror only the first is
+    walked; mirrored triples are counted, and listed in their block's id
+    order: sweep order."""
     it, pair, enables = t.tables.it, t.tables.pair, t.tables.enables
-    cases = 0
+    pairs = cases = 0
     found: List[List[Tuple[int, int, int, int, int]]] = [[] for _ in blocks]
     claimed = set()  # the blocks walked as mirrors of earlier ones
     for b, (g1, g2, g3) in enumerate(blocks):
@@ -323,6 +337,7 @@ def _cp2_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, list]:
                 if not t.concurrent(i1, i2):
                     continue
                 twice = mirror is not None and (mirror != b or i1 != i2)
+                pairs += 1 + twice
                 cases += len(g3) * (1 + twice)
                 lefts = via[i1](it[it[i1][i2]])
                 rights = via[i2](it[it[i2][i1]])
@@ -333,8 +348,8 @@ def _cp2_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, list]:
                             if twice:
                                 found[mirror].append((i2, i1, i3, right, left))
     # (m1, m2) and (m2, m1) are jointly legal on the same states: read one.
-    return cases, [(*f, not pair[min(f[:2]), max(f[:2])][2].isdisjoint(enables[f[2]]))
-                   for bucket in found for f in sorted(bucket)]
+    return cases, pairs, [(*f, not pair[min(f[:2]), max(f[:2])][2].isdisjoint(enables[f[2]]))
+                          for bucket in found for f in sorted(bucket)]
 
 
 def _values_at(keys: List[int]) -> Callable[[dict], tuple]:
@@ -342,25 +357,6 @@ def _values_at(keys: List[int]) -> Callable[[dict], tuple]:
     if len(keys) > 1:
         return operator.itemgetter(*keys)
     return lambda d: tuple(d[k] for k in keys)
-
-
-def _cp1_report(t: _Compiled, name: str, found: Tuple[int, int, list]) -> CheckReport:
-    cases, pairs, failing = found
-    state = t.state
-    witnesses = [_replay_cp1(t, state[s], i1, i2, state[left], state[right])
-                 for s, i1, i2, left, right in failing]
-    return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
-                       examined=pairs * len(t.states))
-
-
-def _cp2_report(t: _Compiled, name: str, found: Tuple[int, list]) -> CheckReport:
-    cases, failing = found
-    entries: Dict[bool, List[dict]] = {True: [], False: []}
-    for i1, i2, i3, left, right, realizable in failing:
-        entries[realizable].append(_replay_cp2(t, i1, i2, i3, left, right, realizable))
-        _replay_realizable(t, i1, i2, i3, realizable)
-    return CheckReport(name, _verdict(cases, entries[True]), cases, entries[True],
-                       examined=cases, unrealizable=entries[False])
 
 
 def _replay_cp1(t: _Compiled, st: StateValue, i1: int, i2: int, left: StateValue,
@@ -418,148 +414,155 @@ def _replay_realizable(t: _Compiled, i1: int, i2: int, i3: int, realizable: bool
                   f"realizable is {realizable} by the tables")
 
 
-class _Product:
-    """A static product as its check sees it, factor by factor.  `t` interns
-    the product's methods and never its states.  `leaves` are its factors
-    that are not products themselves (see `StaticProduct.leaves`), each
-    compiled over its own methods, in the product's order and under the
-    product's site rule.  `names` is as `_leaf_methods` gives it.
+def _concurrent(a: Dict[Optional[int], int], b: Dict[Optional[int], int]) -> int:
+    """The sum of wa * wb over the concurrent pairs of a method of weight wa
+    from a and one of weight wb from b, each given as its weights summed per
+    site (None: concurrent with every method)."""
+    return (sum(a.values()) * sum(b.values())
+            - sum(w * b.get(site, 0) for site, w in a.items() if site is not None))
 
-    Across leaves the product's transform is the identity and its methods
-    act on disjoint items of a state, and IT(m, nop) = m, IT(nop, m) = nop.
-    So every case that draws from two leaves, or has a `nop`, holds by
-    construction: it is counted, not compared.  A case within one leaf is
-    the leaf's own, on every combination of the other leaves' states for
-    the pair condition.  What a brute-force sweep of the product reports
-    follows: the same cases, examined pairs, entries in the same order, and
-    refusals.  Every lifted entry is replayed through the public kernel on
-    the product; a triple's realizability on the leaf it is drawn from."""
 
-    def __init__(self, t: _Compiled, leaves: List[_Compiled],
-                 names: Dict[Tuple[int, str], str]):
-        self.t, self.leaves, self.names = t, leaves, names
+def _per_site(site: List[Optional[int]], x: List[int]) -> Dict[Optional[int], int]:
+    """How many of x's methods each site issues."""
+    out: Dict[Optional[int], int] = {}
+    for i in x:
+        out[site[i]] = out.get(site[i], 0) + 1
+    return out
 
-    def up(self, k: int, i: int) -> int:
-        """The product's id of method i of leaf k."""
-        m = self.leaves[k].method[i]
-        return self.t.mid(NOP if m.ctor == "nop" else
-                          Method(self.names[k, m.ctor], m.args, m.site))
 
-    def n_states(self) -> int:
-        """How many states the product has, from its leaves' counts."""
-        return self.t.c.count_states(len(f.states) for f in self.leaves)
+def _weighed(leaves: List[_Compiled], x: List[int], ys: Sequence[List[int]],
+             others: List[int], n: int) -> List[Dict[Optional[int], int]]:
+    """For each leaf, then for all of them, x's methods weighed by the
+    states of t they are enabled on, summed per site, `ys[k]` being x cut
+    to leaf k's methods: leaf k's enabled states of a method times
+    `others[k]`, and n for a method no leaf sweeps (`nop`)."""
+    every = {None: (len(x) - sum(map(len, ys))) * n}
+    out: List[Dict[Optional[int], int]] = []
+    for f, y, m in zip(leaves, ys, others):
+        own: Dict[Optional[int], int] = {}
+        for j in y:
+            site, w = f.site[j], len(f.tables.enables[j]) * m
+            own[site] = own.get(site, 0) + w
+            every[site] = every.get(site, 0) + w
+        out.append(own)
+    return out + [every]
 
-    def pairs(self) -> int:
-        """The ordered pairs of the product's methods that are concurrent."""
-        t = self.t
-        sites = Counter(t.site[i] for i in t.methods if t.site[i] is not None)
-        return len(t.methods) ** 2 - sum(n * n for n in sites.values())
 
-    def cp1(self, name: str, found: List[Tuple[int, int, list]]) -> CheckReport:
-        t, leaves = self.t, self.leaves
-        ns = [len(f.states) for f in leaves]
-        n = math.prod(ns)
+def _lift(t: _Compiled, leaves: List[_Compiled], part: Part, cut: List[Blocks],
+          found: list) -> CheckReport:
+    """The part's report on t from what each leaf k `found` sweeping
+    `cut[k]`, the part's blocks cut to its methods.
 
-        def others(*ks: int) -> int:  # state combinations of the other leaves
-            return math.prod(m for j, m in enumerate(ns) if j not in ks)
+    A leaf's CP1 case holds on every combination of the other leaves'
+    states.  A case no leaf sweeps holds by construction (see the module
+    docstring), so it is counted, not compared, across groups: the leaves,
+    and `nop` where no leaf sweeps it (one method on one state, concurrent
+    with all).  A pair across groups is jointly legal on its methods'
+    enabled states times the other groups' states.  So, each method weighed
+    by the states of t it is enabled on, all the weighed pairs less each
+    leaf's own, over t's state count, are the CP1 cases across groups.
 
-        # The enabled states of each leaf's methods, summed per site (None:
-        # concurrent with every method).
-        by_site = [Counter() for _ in leaves]
-        for f, e in zip(leaves, by_site):
-            for i in f.methods:
-                e[f.site[i]] += len(f.tables.enables[i])
-        total = [sum(e.values()) for e in by_site]
-        cases = n  # (nop, nop)
-        for k, (own, _, _) in enumerate(found):
-            # The leaf's own pairs, and its methods with nop either side.
-            cases += (own + 2 * total[k]) * others(k)
-            for j in range(len(leaves)):
-                if j != k:  # with another leaf's methods, the concurrent pairs
-                    same_site = sum(v * by_site[j][site] for site, v in by_site[k].items()
-                                    if site is not None)
-                    cases += (total[k] * total[j] - same_site) * others(k, j)
+    Each lifted entry is replayed through the public kernel on t; a
+    triple's realizability on its leaf.  CP1 witnesses are in sweep order,
+    a state of t's id being its leaves' ids in turn.  CP2 entries are the
+    leaves' merged by t's method ids, so one leaf's keep block order."""
+    name, condition, blocks = part
+    ns = [len(f.states) for f in leaves] if condition == "CP1" else [1] * len(leaves)
+    n = math.prod(ns)
+    others = [math.prod(ns[:k] + ns[k + 1:]) for k in range(len(ns))]
+    cases = pairs = 0
+    for (own_cases, own_pairs, _), m in zip(found, others):
+        cases, pairs = cases + own_cases * m, pairs + own_pairs
+    if len(leaves) > 1 or len(t.methods) > len(leaves[0].own):  # more than one group
+        # t's concurrent pairs, and each one's CP2 cases, counted on its
+        # sites: the leaves' own are among them.
+        concurrent = [_concurrent(_per_site(t.site, block[0]), _per_site(t.site, block[1]))
+                      for block in blocks]
+        pairs = sum(concurrent)
+        if condition == "CP2":
+            cases = sum(p * len(block[2]) for p, block in zip(concurrent, blocks))
+        else:
+            for b, (x1, x2) in enumerate(blocks):
+                y1, y2 = zip(*(f_blocks[b] for f_blocks in cut))  # x1, x2 cut to each leaf
+                w1 = _weighed(leaves, x1, y1, others, n)
+                w2 = w1 if x2 is x1 else _weighed(leaves, x2, y2, others, n)
+                cases += (_concurrent(w1[-1], w2[-1])
+                          - sum(map(_concurrent, w1[:-1], w2[:-1]))) // (n or 1)
 
-        lifted = []
-        for k, (_, _, failing) in enumerate(found):
-            for s, i1, i2, left, right in failing:
-                axes: List[Sequence[int]] = [range(m) for m in ns]
-                axes[k] = (s,)
-                p1, p2 = self.up(k, i1), self.up(k, i2)
-                lifted += [(ids, p1, p2, k, left, right) for ids in itertools.product(*axes)]
-        # A product state's position in the enumeration is its leaves'
-        # positions read as digits, so this is a sweep's order.
-        witnesses = []
-        for ids, p1, p2, k, left, right in sorted(lifted):
-            items = [f.state[s] for f, s in zip(leaves, ids)]
-            st = t.c.assemble(iter(items))
-            items[k] = leaves[k].state[left]
-            left_st = t.c.assemble(iter(items))
-            items[k] = leaves[k].state[right]
-            witnesses.append(_replay_cp1(t, st, p1, p2, left_st, t.c.assemble(iter(items))))
-        return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
-                           examined=self.pairs() * n)
-
-    def cp2(self, name: str, found: List[Tuple[int, list]]) -> CheckReport:
-        t = self.t
-        cases = self.pairs() * len(t.methods)
-        lifted = sorted((self.up(k, i1), self.up(k, i2), self.up(k, i3), k, (i1, i2, i3),
-                         left, right, realizable)
-                        for k, (_, failing) in enumerate(found)
-                        for i1, i2, i3, left, right, realizable in failing)
-        # A triple is realizable on a product state; a brute-force sweep
-        # builds them here, so the product is refused here past the ceiling.
-        has_states = bool(lifted) and self.n_states() > 0
+    if condition == "CP2":
         entries: Dict[bool, List[dict]] = {True: [], False: []}
-        for p1, p2, p3, k, ids, left, right, realizable in lifted:
-            _replay_realizable(self.leaves[k], *ids, realizable)
-            realizable = realizable and has_states
-            entries[realizable].append(_replay_cp2(t, p1, p2, p3, self.up(k, left),
-                                                   self.up(k, right), realizable))
+        if any(failing for _, _, failing in found):
+            lifted = []
+            for k, (f, (_, _, failing)) in enumerate(zip(leaves, found)):
+                up = f.up
+                lifted.append([(up[i1], up[i2], up[i3], k, i1, i2, i3, up[left], up[right],
+                                realizable) for i1, i2, i3, left, right, realizable in failing])
+            # A triple is realizable on a state of t, which a brute-force
+            # sweep builds: t is refused here past the state ceiling.
+            has_states = t.c.count_states(len(f.states) for f in leaves) > 0
+            for p1, p2, p3, k, i1, i2, i3, left, right, realizable in heapq.merge(*lifted):
+                _replay_realizable(leaves[k], i1, i2, i3, realizable)
+                realizable = realizable and has_states
+                entries[realizable].append(_replay_cp2(t, p1, p2, p3, left, right, realizable))
         return CheckReport(name, _verdict(cases, entries[True]), cases, entries[True],
                            examined=cases, unrealizable=entries[False])
 
-
-def _leaf_methods(t: _Compiled) -> Tuple[List[Tuple[Component, List[Method]]],
-                                          Dict[Tuple[int, str], str]]:
-    """Static product t.c's leaves, each with its own methods in the
-    product's order; and names[k, ctor], the product's constructor for
-    constructor ctor of leaf k."""
-    factors, owner = t.c.leaves()
-    own: List[List[Method]] = [[] for _ in factors]
-    for i in t.methods:
-        m = t.method[i]
-        if m.ctor != "nop":
-            k, ctor = owner[m.ctor]
-            own[k].append(Method(ctor, m.args, m.site))
-    return list(zip(factors, own)), {v: k for k, v in owner.items()}
+    lifted = []
+    for k, (f, (_, _, failing)) in enumerate(zip(leaves, found)):
+        axes: List[Sequence[int]] = list(map(range, ns))
+        for s, i1, i2, left, right in failing:
+            axes[k] = (s,)
+            p1, p2 = f.up[i1], f.up[i2]
+            lifted += [(ids, p1, p2, k, left, right) for ids in itertools.product(*axes)]
+    witnesses = []
+    for ids, p1, p2, k, left, right in sorted(lifted):
+        items = [f.state[s] for f, s in zip(leaves, ids)]
+        st = t.c.assemble(iter(items))
+        items[k] = leaves[k].state[left]
+        left_st = t.c.assemble(iter(items))
+        items[k] = leaves[k].state[right]
+        witnesses.append(_replay_cp1(t, st, p1, p2, left_st, t.c.assemble(iter(items))))
+    return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
+                       examined=pairs * n)
 
 
 def _check(c: Component, b: Bounds,
            parts_of: Callable[[_Compiled], List[Part]]) -> List[CheckReport]:
-    """Compile c once and sweep the parts `parts_of` names over it, once
-    every part's estimate is within the case ceiling: the cases its blocks
-    hold, times the states for CP1.  CP2's estimates, which need no states,
+    """Compile c once as t, and its leaves (see `Component.leaves`): t
+    itself, or each over its own methods, in t's order and under t's site
+    rule.  A leaf's `own` maps t's id of each method it sweeps to its own,
+    and `up` maps back.  Once every part's estimate is within the case
+    ceiling (the cases its blocks hold, times the states for CP1), each part
+    sweeps every leaf over its blocks cut to the leaf's methods, and lifts
+    what they found (see `_lift`).  CP2's estimates, which need no states,
     are read first, so a check its methods alone put over the ceiling builds
     no state.  Then, refused or not, free the tables, whose fill functions
-    refer back to their compiled component, without a GC pass.
-
-    A static product is swept factor by factor (see `_Product`): every part
-    of its checks sweeps all of its methods, so each part is its leaves' own
-    pairs or triples, lifted.  Its states are counted, never built."""
+    refer back to their compiled component, without a GC pass."""
     t = _Compiled(c, b, c.site_aware, c.enum_methods(b))
-    product: Optional[_Product] = None
+    leaves = [t]
     try:
-        if isinstance(c, StaticProduct):
-            leaves, names = _leaf_methods(t)
-            product = _Product(t, [_Compiled(f, b, c.site_aware, ms) for f, ms in leaves],
-                               names)
+        factors, owner = c.leaves()
+        own: List[Dict[int, Method]] = [{} for _ in factors]  # t's id -> the leaf's method
+        for i in t.methods:
+            m = t.method[i]
+            if m.ctor in owner:
+                k, ctor = owner[m.ctor]
+                own[k][i] = m if ctor == m.ctor else Method(ctor, m.args, m.site)
+        leaves = [t if f is c else _Compiled(f, b, c.site_aware, list(ms.values()))
+                  for f, ms in zip(factors, own)]
+        # (leaf, its constructor) -> t's; a leaf's `nop` is t's, owned or not.
+        names = {v: k for k, v in owner.items()}
+        for k, (f, ms) in enumerate(zip(leaves, own)):
+            f.own = dict(zip(ms, f.methods))
+            f.up = _Lazy(lambda j, k=k, m=f.method: t.mid(Method(
+                names.get((k, m[j].ctor), "nop"), m[j].args, m[j].site)))
+            f.up.update(zip(f.methods, ms))
         parts = parts_of(t)
         total = 0
         for _, condition, blocks in sorted(parts, key=lambda part: part[1] == "CP1"):
             estimate = sum(math.prod(map(len, block)) for block in blocks)
             if condition == "CP1":
-                estimate *= product.n_states() if product else len(t.states)
+                estimate *= c.count_states(len(f.states) for f in leaves)
             if estimate > b.max_cases:
                 raise BoundsExceeded(
                     f"estimated {estimate} cases exceeds ceiling {b.max_cases}")
@@ -568,13 +571,12 @@ def _check(c: Component, b: Bounds,
 
         def run(name: str, condition: str, blocks: Blocks) -> CheckReport:
             t0 = time.perf_counter()
-            if product:
-                width = 2 if condition == "CP1" else 3
-                found = [sweep[condition](f, [(f.methods,) * width]) for f in product.leaves]
-                rep = (product.cp1 if condition == "CP1" else product.cp2)(name, found)
-            else:
-                report = _cp1_report if condition == "CP1" else _cp2_report
-                rep = report(t, name, sweep[condition](t, blocks))
+            # A leaf that is t itself sweeps the blocks as they are.
+            cut = [blocks if f is t else
+                   [tuple([f.own[i] for i in x if i in f.own] for x in block) for block in blocks]
+                   for f in leaves]
+            found = [sweep[condition](f, f_blocks) for f, f_blocks in zip(leaves, cut)]
+            rep = _lift(t, leaves, (name, condition, blocks), cut, found)
             rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
             return rep
 
@@ -584,7 +586,7 @@ def _check(c: Component, b: Bounds,
             return _split(run, parts)
         return [run(*part) for part in parts]
     finally:
-        for compiled in (t, *(product.leaves if product else ())):
+        for compiled in (t, *leaves):
             vars(compiled).clear()
 
 

@@ -106,33 +106,26 @@ class StaticProduct(Component):
         return self.enum_states_fn(b)
 
     def leaves(self) -> Tuple[List[Component], Dict[str, Tuple[int, str]]]:
-        """The factors that are not products themselves, found through those
-        that are, in the order their states appear in a product state; and
-        for each constructor but `nop`, the index of the leaf owning it and
-        the leaf's name for it."""
+        """The factors' leaves, in the order their states appear in a
+        product state; and for each constructor but `nop`, which no leaf
+        sweeps, the index of the leaf owning it and the leaf's name for it."""
         leaves: List[Component] = []
         owner: Dict[str, Tuple[int, str]] = {}
         for i, f in enumerate(self.parts):
-            sub, sub_owner = f.leaves() if isinstance(f, StaticProduct) else ([f], None)
+            sub, sub_owner = f.leaves()
             for ctor, (j, inner) in self.owner.items():
                 if j == i:
-                    k, inner = sub_owner[inner] if sub_owner else (0, inner)
+                    k, inner = sub_owner[inner]
                     owner[ctor] = (len(leaves) + k, inner)
             leaves += sub
         return leaves, owner
 
     def count_states(self, counts: Iterator[int]) -> int:
-        """How many states `enum_states` gives, from its leaves' counts in
-        leaf order, never built: refused past MAX_STATES at every level, as
-        `enum_states` refuses."""
-        return _within_ceiling(self, math.prod(
-            f.count_states(counts) if isinstance(f, StaticProduct) else next(counts)
-            for f in self.parts))
+        """Refused past MAX_STATES at every level, as `enum_states` refuses."""
+        return _within_ceiling(self, math.prod(f.count_states(counts) for f in self.parts))
 
     def assemble(self, items: Iterator[StateValue]) -> Product:
-        """The product state whose leaves' states are the items, in leaf order."""
-        return Product(tuple(f.assemble(items) if isinstance(f, StaticProduct) else next(items)
-                             for f in self.parts))
+        return Product(tuple(f.assemble(items) for f in self.parts))
 
 
 def _within_ceiling(c: Component, n: int) -> int:

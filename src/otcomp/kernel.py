@@ -11,7 +11,7 @@ All values are immutable and every operation here is a pure function.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UnknownAttribute, UnknownMethod
@@ -57,6 +57,22 @@ class Component:
 
     def enum_states(self, b: Bounds = DEFAULT_BOUNDS) -> List[StateValue]:
         return sorted(self.enum_states_fn(b), key=partial(canon_key, memo={}))
+
+    # A check sweeps a component's leaves (see `checker._check`): the
+    # component itself, unless it is a static product.
+    def leaves(self) -> Tuple[List[Component], Dict[str, Tuple[int, str]]]:
+        """The leaves, in the order their states make up a state; and for
+        each constructor a leaf sweeps, the leaf's index and its name for
+        it: here every constructor, `nop` included."""
+        return [self], {ctor: (0, ctor) for ctor in self.method_ctors}
+
+    def count_states(self, counts: Iterator[int]) -> int:
+        """How many states `enum_states` gives, from its leaves' counts."""
+        return next(counts)
+
+    def assemble(self, items: Iterator[StateValue]) -> StateValue:
+        """The state whose leaves' states are the items, in leaf order."""
+        return next(items)
 
 
 def _require_method(c: Component, m: Method) -> Tuple[Any, ...]:

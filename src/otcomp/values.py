@@ -33,7 +33,9 @@ class Frozen:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
-class Cell(Frozen):
+class _Value(Frozen):
+    """Base of the states that hold one value: cells and atoms."""
+
     __slots__ = _fields = ("value",)
 
     def __init__(self, value: Any = None):
@@ -48,64 +50,44 @@ class Cell(Frozen):
         return hash((self.value,))
 
 
-class SetOf(Frozen):
+class _Items(Frozen):
+    """Base of the states that hold items: sets, sequences and products."""
+
     __slots__ = _fields = ("items",)
+
+    def __init__(self, items: Tuple[Any, ...] = ()):
+        object.__setattr__(self, "items", items)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.items,) == (other.items,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.items,))
+
+
+class Cell(_Value):
+    __slots__ = ()
+
+
+class Opaque(_Value):
+    __slots__ = ()
+
+
+class SetOf(_Items):
+    __slots__ = ()
 
     def __init__(self, items: frozenset = frozenset()):
         object.__setattr__(self, "items", items)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.items,) == (other.items,)
-        return NotImplemented
 
-    def __hash__(self):
-        return hash((self.items,))
+class SeqOf(_Items):
+    __slots__ = ()
 
 
-class SeqOf(Frozen):
-    __slots__ = _fields = ("items",)
-
-    def __init__(self, items: Tuple[Any, ...] = ()):
-        object.__setattr__(self, "items", items)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.items,) == (other.items,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.items,))
-
-
-class Product(Frozen):
-    __slots__ = _fields = ("items",)
-
-    def __init__(self, items: Tuple[Any, ...] = ()):
-        object.__setattr__(self, "items", items)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.items,) == (other.items,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.items,))
-
-
-class Opaque(Frozen):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: Any = None):
-        object.__setattr__(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value,) == (other.value,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
+class Product(_Items):
+    __slots__ = ()
 
 
 StateValue = Any  # Cell | SetOf | SeqOf | Product | Opaque

@@ -484,12 +484,13 @@ def _reference_cp2(t, blocks):
     """The triple condition over every triple of every block whose first two
     methods are concurrent, in sweep order, each from its own table reads."""
     it, pair, enables = t.tables.it, t.tables.pair, t.tables.enables
-    cases = 0
+    pairs = cases = 0
     failing = []
     for g1, g2, g3 in blocks:
         for i1 in g1:
             for i2 in g2:
                 if t.concurrent(i1, i2):
+                    pairs += 1
                     cases += len(g3)
                     for i3 in g3:
                         left = it[it[i1][i2]][it[i1][i3]]
@@ -497,7 +498,7 @@ def _reference_cp2(t, blocks):
                         if left != right:
                             realizable = not pair[i1, i2][2].isdisjoint(enables[i3])
                             failing.append((i1, i2, i3, left, right, realizable))
-    return cases, failing
+    return cases, pairs, failing
 
 
 def _parts(rep):
@@ -695,16 +696,16 @@ def test_no_check_of_the_small_fleet_forks(monkeypatch):
 def test_a_mismatch_in_the_child_is_raised_as_a_serial_run_raises_it(monkeypatch, forks):
     # The first CP2-container entry of string[cchar] has its left and right
     # swapped before it is replayed, in the child of a split run.
-    report = checker._cp2_report
+    lift = checker._lift
 
-    def planted(t, name, found):
-        cases, failing = found
-        if name == "CP2-container":
+    def planted(t, leaves, part, cut, found):
+        if part[0] == "CP2-container":
+            (cases, pairs, failing), = found
             i1, i2, i3, left, right, realizable = failing[0]
-            failing = [(i1, i2, i3, right, left, realizable), *failing[1:]]
-        return report(t, name, (cases, failing))
+            found = [(cases, pairs, [(i1, i2, i3, right, left, realizable), *failing[1:]])]
+        return lift(t, leaves, part, cut, found)
 
-    monkeypatch.setattr(checker, "_cp2_report", planted)
+    monkeypatch.setattr(checker, "_lift", planted)
     with pytest.raises(ReplayMismatch) as split:
         check_consistency(build("string[cchar]"))
     assert len(forks) == 1
@@ -721,14 +722,14 @@ def test_a_mismatch_in_the_child_is_raised_as_a_serial_run_raises_it(monkeypatch
 def test_a_failure_in_the_cp1_parts_kills_and_reaps_the_child(monkeypatch, forks):
     # CP1-cross fails here while the child sleeps in its first CP2 sweep:
     # the child is killed, not waited for, and reaped.
-    report = checker._cp1_report
+    lift = checker._lift
 
-    def failing(t, name, found):
-        if name == "CP1-cross":
-            raise RuntimeError(f"{name} failed")
-        return report(t, name, found)
+    def failing(t, leaves, part, cut, found):
+        if part[0] == "CP1-cross":
+            raise RuntimeError(f"{part[0]} failed")
+        return lift(t, leaves, part, cut, found)
 
-    monkeypatch.setattr(checker, "_cp1_report", failing)
+    monkeypatch.setattr(checker, "_lift", failing)
     monkeypatch.setattr(checker, "_cp2_sweep", lambda *args: time.sleep(60))
     t0 = time.perf_counter()
     with pytest.raises(RuntimeError, match="CP1-cross failed"):

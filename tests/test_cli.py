@@ -1,9 +1,14 @@
 """Command-line front end: exit codes, output formats, bundled data."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import otcomp
 from otcomp.checker import check_consistency
 from otcomp.cli import (EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main)
 from otcomp.registry import build
@@ -15,6 +20,14 @@ def test_list_names_registry(capsys):
     for name in ("cchar", "cnat", "ccolor", "set-guarded", "set-literal",
                  "string"):
         assert name in out
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(otcomp.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-m", "otcomp", "list"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == EXIT_PASS, run.stderr
+    assert "string" in run.stdout.split()
 
 
 def test_check_pass_exit_code(capsys):

@@ -1,11 +1,11 @@
 """Source hygiene: every name a module imports is used in that module, no
 check rests on an `assert`, which `python -O` removes, only composition
 knows how an Update method is laid out, only the checker's runner
-compiles a component or sweeps it, the checker's sweeps read tables
-filled from the component, not the validating kernel, no component or
-pattern is built from functions made for it, and importing otcomp loads
-neither `dataclasses` nor `inspect`, nor the modules only a split check
-needs."""
+compiles a component or sweeps it, the checker never names the static
+product, the checker's sweeps read tables filled from the component, not
+the validating kernel, no component or pattern is built from functions
+made for it, and importing otcomp loads neither `dataclasses` nor
+`inspect`, nor the modules only a split check needs."""
 
 import ast
 import os
@@ -80,9 +80,17 @@ def test_only_the_runner_compiles_or_sweeps():
     assert not found, "compiled or swept outside checker._check:\n" + "\n".join(found)
 
 
+def test_the_checker_never_names_the_static_product():
+    # Every check reports through its component's leaves and one lift: a
+    # product differs only in what `Component.leaves` and its kin return.
+    lines = (SRC / "checker.py").read_text().splitlines()
+    found = [n for n, line in enumerate(lines, 1) if "StaticProduct" in line]
+    assert not found, f"checker.py lines naming StaticProduct: {found}"
+
+
 # The kernel functions that validate on every call, and where the checker may
-# name them: _Compiled.__init__, which builds the kernel's tables for the
-# replays and the `nop` fill of the component's.
+# name them: _Compiled.__init__, which makes the fill functions of the
+# kernel's tables for the replays and the `nop` fill of the component's.
 _VALIDATING = {"apply", "enabled", "transform", "apply_seq", "transform_seq"}
 _MAY_VALIDATE = {("_Compiled", "__init__")}
 

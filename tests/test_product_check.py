@@ -82,7 +82,8 @@ def _broken_it(c):
 
 # Every bundled product whose brute-force check fits, both orders of a
 # failing one, two site-aware factors, one factor twice (its constructors
-# renamed), products nested either side, and a planted fault.
+# renamed), products nested either side, a planted fault, and four leaves,
+# two of them site-aware, failing both conditions.
 PRODUCTS = {
     "fchar": lambda: (build_document_tower()["fchar"], TOWER_BOUNDS),
     "cchar (+) cnat (+) ccolor": lambda: (build("cchar (+) cnat (+) ccolor"), B),
@@ -98,6 +99,8 @@ PRODUCTS = {
                                             static_compose(cnat(), build("set-literal", U1))),
                              SHORT),
     "broken cnat": lambda: (static_compose(cchar(), _broken_it(cnat())), B),
+    "cnat (+) string (+) set-literal (+) string":
+        lambda: (build("cnat (+) string (+) set-literal (+) string", SHORT), SHORT),
 }
 
 
