@@ -22,22 +22,25 @@ one past the longest state, a longer sequence) when first seen.
 
 One table type, `_Tables`, holds what a check reads over those ids: IT
 (method, method) -> method, Do (state, method) -> state and Poss (state,
-method) -> bool, and from them each method's enabled states and each pair's
-jointly legal states.  An entry is filled on first use by one call of the
-functions the tables are built with.  A compiled component has two, each
-built on first use.  The sweeps read the component's, filled by its own
-`it_fn`, `do_fn` and `poss_fn`, and by the kernel's `transform`, `apply`
-or `enabled` where `nop` is involved, so the `nop` rules live only in the
-kernel.  The replays read the kernel's, filled by the public kernel alone,
-whose `enabled` and `apply` they also call on a pair's states.  Nothing
-outlives the call.
+method) -> bool, and from them each method's enabled states and each
+failing triple's realizability.  An entry is filled on first use by one
+call of the functions the tables are built with.  A compiled component has
+two, each built on first use.  The sweeps read the component's, filled by
+its own `it_fn`, `do_fn` and `poss_fn`, and by the kernel's `transform`,
+`apply` or `enabled` where `nop` is involved, so the `nop` rules live only
+in the kernel.  The replays read the kernel's, filled by the public kernel
+alone, whose `enabled` and `apply` they also call on a pair's states.
+Nothing outlives the call.
 
-Every failing case is replayed through the public kernel before it is
-emitted, which cross-checks the component's tables: a pair's joint legality
-and final states from its state, a triple's transformed methods and its
-realizability verdict from the kernel's tables.  A disagreement raises
-ReplayMismatch.  A sweep decides each unordered pair once: its mirrored
-case, counted and replayed too, is read off the same entries.
+Joint legality is decided where it is read: by a CP1 sweep over the states
+both methods are enabled on, and for a failing triple's realizability over
+the states all three are enabled on.  Every failing case is replayed
+through the public kernel before it is emitted, which cross-checks the
+component's tables: a pair's joint legality and final states from its
+state, a triple's transformed methods and its realizability from the
+kernel's tables.  A disagreement raises ReplayMismatch.  A sweep decides
+each unordered pair once: its mirrored case, counted and replayed too, is
+read off the same entries.
 
 Every check sweeps the component's leaves and lifts what they find (see
 `_lift`).  A component is its own only leaf, unless it is a static product,
@@ -139,9 +142,10 @@ class _Tables:
     `it[j][i]` is the id of transform(method i, method j), `do[i][s]` the id
     of apply(method i, state s), and `poss[i][s]` is enabled(method i,
     state s).  `enables[i]` is the set of enumerated states method i is
-    enabled on, and `pair[i1, i2]` holds the pair's two transformed methods,
-    i2 against i1 and i1 against i2, and the set of states on which both
-    orders are legal.  A result that is its input keeps the input's id.
+    enabled on, and `realizable[i1, i2, i3]`, for i1 <= i2, whether some
+    such state has m1, m2 and m3 enabled and both orders of (m1, m2) legal:
+    m2 transformed against m1 enabled after m1, and m1 against m2 after m2.
+    A result that is its input keeps the input's id.
     `enabled` and `apply` are kept as given, for states t does not intern.
     The fills refer to t and to the tables' dicts, never to this object, so
     clearing t's attributes frees them without a GC pass.
@@ -172,12 +176,11 @@ class _Tables:
                 return i if new is m1 else mid(new)
             return _Lazy(fill)
 
-        def pair(ids: Tuple[int, int]):
-            i1, i2 = ids
-            t21, t12 = it[i1][i2], it[i2][i1]
-            do1, do2, ok1, ok2 = do[i1], do[i2], poss[t21], poss[t12]
-            return t21, t12, frozenset(s for s in enables[i1] & enables[i2]
-                                       if ok1[do1[s]] and ok2[do2[s]])
+        def realizable(ids: Tuple[int, int, int]) -> bool:
+            i1, i2, i3 = ids
+            first1, first2, ok1, ok2 = do[i1], do[i2], poss[it[i1][i2]], poss[it[i2][i1]]
+            return any(ok1[first1[s]] and ok2[first2[s]]
+                       for s in enables[i1] & enables[i2] & enables[i3])
 
         self.enabled, self.apply = enabled, apply
         self.it = it = _Lazy(it_row)
@@ -185,7 +188,7 @@ class _Tables:
         self.poss = poss = _Lazy(poss_row)
         self.enables = enables = _Lazy(
             lambda i: frozenset(filter(poss[i].__getitem__, t.states)))
-        self.pair = _Lazy(pair)
+        self.realizable = _Lazy(realizable)
 
 
 class _Compiled:
@@ -281,8 +284,10 @@ def _cp1_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
     component's tables: the cases decided, the concurrent pairs, and the
     failing cases (state, m1, m2, left, right) in id order.  A block whose
     two lists are equal walks m2 from m1 on: (m2, m1) reads (m1, m2)'s
-    entries, left and right swapped, and is counted and listed as if swept."""
-    do, joint_legal = t.tables.do, t.tables.pair.fill  # uncached: each pair is asked once
+    entries, left and right swapped, and is counted and listed as if swept.
+    A state is a case when both methods are enabled on it and each, once
+    transformed, is enabled after the other."""
+    it, do, poss, enables = t.tables.it, t.tables.do, t.tables.poss, t.tables.enables
     pairs = cases = 0
     failing: List[Tuple[int, int, int, int, int]] = []
     for m1s, m2s in blocks:
@@ -293,15 +298,20 @@ def _cp1_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
                     continue
                 twice = mirrored and i1 != i2
                 pairs += 1 + twice
-                t21, t12, joint = joint_legal((i1, i2))
-                cases += len(joint) * (1 + twice)
-                first1, then1, first2, then2 = do[i1], do[t21], do[i2], do[t12]
-                for s in joint:
-                    left, right = then1[first1[s]], then2[first2[s]]
-                    if left != right:
-                        failing.append((s, i1, i2, left, right))
-                        if twice:
-                            failing.append((s, i2, i1, right, left))
+                t21, t12 = it[i1][i2], it[i2][i1]
+                first1, then1, ok1 = do[i1], do[t21], poss[t21]
+                first2, then2, ok2 = do[i2], do[t12], poss[t12]
+                joint = 0
+                for s in enables[i1] & enables[i2]:
+                    s1, s2 = first1[s], first2[s]
+                    if ok1[s1] and ok2[s2]:
+                        joint += 1
+                        left, right = then1[s1], then2[s2]
+                        if left != right:
+                            failing.append((s, i1, i2, left, right))
+                            if twice:
+                                failing.append((s, i2, i1, right, left))
+                cases += joint * (1 + twice)
     # Methods and states are interned in their listed order before anything
     # else, so (state, m1, m2) id order is the nesting order of a sweep over
     # states, then m1, then m2.
@@ -312,14 +322,12 @@ def _cp2_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
     """The triple condition over the blocks' triples whose first two methods
     are concurrent, read off the component's tables: the cases decided, the
     concurrent pairs, and the failing triples (m1, m2, m3, left, right,
-    realizable) in sweep order.  A triple is realizable when some enumerated
-    state has both orders of (m1, m2) legal and m3 enabled.  The mirror of
-    block (g1, g2, g3) is (g2, g1, g3), whose (m2, m1, m3) reads (m1, m2,
-    m3)'s entries, left and right swapped.  A block that is its own mirror
-    walks m2 from m1 on, and of a block and a later mirror only the first is
-    walked; mirrored triples are counted, and listed in their block's id
-    order: sweep order."""
-    it, pair, enables = t.tables.it, t.tables.pair, t.tables.enables
+    realizable) in sweep order.  The mirror of block (g1, g2, g3) is (g2,
+    g1, g3), whose (m2, m1, m3) reads (m1, m2, m3)'s entries, left and right
+    swapped.  A block that is its own mirror walks m2 from m1 on, and of a
+    block and a later mirror only the first is walked; mirrored triples are
+    counted, and listed in their block's id order: sweep order."""
+    it = t.tables.it
     pairs = cases = 0
     found: List[List[Tuple[int, int, int, int, int]]] = [[] for _ in blocks]
     claimed = set()  # the blocks walked as mirrors of earlier ones
@@ -347,8 +355,9 @@ def _cp2_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
                             found[b].append((i1, i2, i3, left, right))
                             if twice:
                                 found[mirror].append((i2, i1, i3, right, left))
-    # (m1, m2) and (m2, m1) are jointly legal on the same states: read one.
-    return cases, pairs, [(*f, not pair[min(f[:2]), max(f[:2])][2].isdisjoint(enables[f[2]]))
+    # (m1, m2, m3) and (m2, m1, m3) are realizable on the same states: read one.
+    realizable = t.tables.realizable
+    return cases, pairs, [(*f, realizable[min(f[:2]), max(f[:2]), f[2]])
                           for bucket in found for f in sorted(bucket)]
 
 
@@ -409,7 +418,7 @@ def _replay_cp2(t: _Compiled, i1: int, i2: int, i3: int, left: int, right: int,
 def _replay_realizable(t: _Compiled, i1: int, i2: int, i3: int, realizable: bool) -> None:
     """Re-decide a failing triple's realizability, as the component's tables
     decided it, from the kernel's tables."""
-    if realizable == t.kernel.pair[i1, i2][2].isdisjoint(t.kernel.enables[i3]):
+    if realizable != t.kernel.realizable[min(i1, i2), max(i1, i2), i3]:
         _mismatch("CP2", [t.method[i] for i in (i1, i2, i3)],
                   f"realizable is {realizable} by the tables")
 

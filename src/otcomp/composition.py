@@ -209,8 +209,10 @@ class ComposedComponent(Component):
             if m2.ctor == "Update":
                 return transform_update(self, m1, m2)
             addr, old, child_method = m1.args
-            addr = self.pattern.it_update_vs_method(addr, old, self.update_new(m1), m2)
-            return NOP if addr is None else make_update(addr, old, child_method, m1.site)
+            moved = self.pattern.it_update_vs_method(addr, old, self.update_new(m1), m2)
+            if moved is None:
+                return NOP
+            return m1 if moved == addr else make_update(moved, old, child_method, m1.site)
         if m2.ctor == "Update":
             addr, old, _ = m2.args
             return self.pattern.it_method_vs_update(m1, addr, old, self.update_new(m2))
@@ -235,16 +237,16 @@ class ComposedComponent(Component):
 
         It is derived through `kernel.apply`, which validates the child
         method, once per Update object and child: the object keeps the state
-        it derived and the child it derived it under in its `_new` slot,
-        outside its fields, so its equality, hash, repr and JSON are
-        unchanged.  Under another child both happen again."""
+        it derived and the child it derived it under as `_new` in its
+        instance dict, outside its fields, so its equality, hash, repr and
+        JSON are unchanged.  Under another child both happen again."""
         child = self.parts[0]
         derived = getattr(u, "_new", None)
         if derived is not None and derived[0] is child:
             return derived[1]
         _, old, child_method = u.args  # see make_update
         new = kernel.apply(child, child_method, old)
-        object.__setattr__(u, "_new", (child, new))  # Method is frozen
+        vars(u)["_new"] = (child, new)  # past Method's frozen __setattr__
         return new
 
 

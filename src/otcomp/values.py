@@ -1,8 +1,11 @@
 """Immutable state and method values with canonical forms and JSON codecs.
 
-States are one of Cell, SetOf, SeqOf, Product, Opaque.  Sets are backed by
-frozenset so canonical (structural) equality is the classes' own field
-equality; ordering for display/serialization is restored by `canon_key`.
+States are one of Cell, SetOf, SeqOf, Product, Opaque.  A value is a tuple
+whose first item is its class, its tag, followed by its fields, so equality
+and hashing are the tuple's own: two values are equal when they are of one
+class with equal fields, and a value equals no tuple of plain data.  Sets
+are backed by frozenset, so their equality is structural.  Values are
+ordered only through `canon_key`, which enumeration and serialization use.
 
 This module owns the JSON literal format: `value_to_json` writes it, and
 `decode_state` / `decode_method` read it back against a component's declared
@@ -11,11 +14,13 @@ structure; `display` gives the human-facing form of a state.
 
 from __future__ import annotations
 
+from collections import _tuplegetter  # namedtuple's field accessor, in C
 from typing import Any, Iterable, Optional, Tuple
 
 
 class Frozen:
-    """Base of the immutable values: `__init__` sets each of `_fields` once."""
+    """Base of the immutable records: a value, or a class whose `__init__`
+    sets each of `_fields` once."""
 
     __slots__ = ()
 
@@ -33,38 +38,26 @@ class Frozen:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
-class _Value(Frozen):
+class _Value(Frozen, tuple):
     """Base of the states that hold one value: cells and atoms."""
 
-    __slots__ = _fields = ("value",)
+    __slots__ = ()
+    _fields = ("value",)
+    value = _tuplegetter(1, None)
 
-    def __init__(self, value: Any = None):
-        object.__setattr__(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value,) == (other.value,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
+    def __new__(cls, value: Any = None):
+        return tuple.__new__(cls, (cls, value))
 
 
-class _Items(Frozen):
+class _Items(Frozen, tuple):
     """Base of the states that hold items: sets, sequences and products."""
 
-    __slots__ = _fields = ("items",)
+    __slots__ = ()
+    _fields = ("items",)
+    items = _tuplegetter(1, None)
 
-    def __init__(self, items: Tuple[Any, ...] = ()):
-        object.__setattr__(self, "items", items)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.items,) == (other.items,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.items,))
+    def __new__(cls, items: Tuple[Any, ...] = ()):
+        return tuple.__new__(cls, (cls, items))
 
 
 class Cell(_Value):
@@ -78,8 +71,8 @@ class Opaque(_Value):
 class SetOf(_Items):
     __slots__ = ()
 
-    def __init__(self, items: frozenset = frozenset()):
-        object.__setattr__(self, "items", items)
+    def __new__(cls, items: frozenset = frozenset()):
+        return tuple.__new__(cls, (cls, items))
 
 
 class SeqOf(_Items):
@@ -105,24 +98,16 @@ def product(items: Iterable[StateValue]) -> Product:
     return Product(tuple(items))
 
 
-class Method(Frozen):
-    """A symbolic operation: constructor name, data arguments, optional site id."""
+class Method(Frozen, tuple):
+    """A symbolic operation: constructor name, data arguments, optional site
+    id.  It has an instance dict, outside its fields, for `_new` (see
+    ComposedComponent.update_new)."""
 
-    __slots__ = ("ctor", "args", "site", "_new")  # _new: see ComposedComponent.update_new
     _fields = ("ctor", "args", "site")
+    ctor, args, site = (_tuplegetter(i, None) for i in (1, 2, 3))
 
-    def __init__(self, ctor: str, args: Tuple[Any, ...] = (), site: Optional[int] = None):
-        object.__setattr__(self, "ctor", ctor)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "site", site)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ctor, self.args, self.site) == (other.ctor, other.args, other.site)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ctor, self.args, self.site))
+    def __new__(cls, ctor: str, args: Tuple[Any, ...] = (), site: Optional[int] = None):
+        return tuple.__new__(cls, (cls, ctor, args, site))
 
 
 NOP = Method("nop")
@@ -170,28 +155,30 @@ def canon_key(v: Any, memo: Optional[dict] = None):
     return key
 
 
+# The canonical form's key for each kind of state.
+_KEYS = {Cell: "cell", Opaque: "atom", SetOf: "set", SeqOf: "seq", Product: "prod"}
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
 def value_to_json(v: Any) -> Any:
     """Encode a state, method, or data value into plain JSON structures."""
-    if v is None or isinstance(v, (bool, int, float, str)):
+    cls = v.__class__
+    if cls in _SCALARS:
         return v
-    if isinstance(v, Cell):
-        return {"cell": value_to_json(v.value)}
-    if isinstance(v, Opaque):
-        return {"atom": value_to_json(v.value)}
-    if isinstance(v, SetOf):
-        return {"set": [value_to_json(x) for x in sorted(v.items, key=canon_key)]}
-    if isinstance(v, SeqOf):
-        return {"seq": [value_to_json(x) for x in v.items]}
-    if isinstance(v, Product):
-        return {"prod": [value_to_json(x) for x in v.items]}
-    if isinstance(v, Method):
-        out = {"ctor": v.ctor, "args": [value_to_json(a) for a in v.args]}
-        if v.site is not None:
-            out["site"] = v.site
+    if cls is Method:
+        _, ctor, args, site = v
+        out = {"ctor": ctor, "args": [value_to_json(a) for a in args]}
+        if site is not None:
+            out["site"] = site
         return out
-    if isinstance(v, tuple):
+    if cls is Cell or cls is Opaque:
+        return {_KEYS[cls]: value_to_json(v[1])}
+    if cls in _KEYS:
+        items = sorted(v[1], key=canon_key) if cls is SetOf else v[1]
+        return {_KEYS[cls]: [value_to_json(x) for x in items]}
+    if cls is tuple:
         return {"tuple": [value_to_json(x) for x in v]}
-    raise TypeError(f"cannot serialize {type(v).__name__}")
+    raise TypeError(f"cannot serialize {cls.__name__}")
 
 
 def value_from_json(obj: Any) -> Any:
@@ -227,10 +214,6 @@ def value_from_json(obj: Any) -> Any:
 # one of the element component (the component's only part).
 VALUE, POSITION = "value", "position"
 STATE, METHOD = "state", "method"
-
-# The canonical form's key for each kind of state.
-_KEYS = {Cell: "cell", Opaque: "atom", SetOf: "set", SeqOf: "seq", Product: "prod"}
-
 
 def decode_state(c, obj: Any) -> StateValue:
     """Read a state of component c from a JSON literal shaped like c's states.

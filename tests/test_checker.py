@@ -462,10 +462,18 @@ def test_a_part_is_estimated_by_the_blocks_it_sweeps():
         check_consistency(c, B.with_(max_cases=1_516_319))
 
 
+def _jointly_legal(t, i1, i2, s):
+    """Whether both orders of (m1, m2) are legal from state s, read off the
+    IT, Do and Poss tables alone."""
+    it, do, poss = t.tables.it, t.tables.do, t.tables.poss
+    return (poss[i1][s] and poss[i2][s]
+            and poss[it[i1][i2]][do[i1][s]] and poss[it[i2][i1]][do[i2][s]])
+
+
 def _reference_cp1(t, blocks):
     """The pair condition over every ordered concurrent pair of every block,
-    each decided from its own table reads."""
-    do = t.tables.do
+    on every state, each decided from its own table reads."""
+    it, do = t.tables.it, t.tables.do
     pairs = cases = 0
     failing = []
     for m1s, m2s in blocks:
@@ -473,17 +481,22 @@ def _reference_cp1(t, blocks):
             for i2 in m2s:
                 if t.concurrent(i1, i2):
                     pairs += 1
-                    t21, t12, joint = t.tables.pair.fill((i1, i2))
-                    cases += len(joint)
-                    failing += [(s, i1, i2, do[t21][do[i1][s]], do[t12][do[i2][s]])
-                                for s in joint if do[t21][do[i1][s]] != do[t12][do[i2][s]]]
+                    for s in t.states:
+                        if _jointly_legal(t, i1, i2, s):
+                            cases += 1
+                            left = do[it[i1][i2]][do[i1][s]]
+                            right = do[it[i2][i1]][do[i2][s]]
+                            if left != right:
+                                failing.append((s, i1, i2, left, right))
     return cases, pairs, sorted(failing)
 
 
 def _reference_cp2(t, blocks):
     """The triple condition over every triple of every block whose first two
-    methods are concurrent, in sweep order, each from its own table reads."""
-    it, pair, enables = t.tables.it, t.tables.pair, t.tables.enables
+    methods are concurrent, in sweep order, each from its own table reads; a
+    failing triple is realizable on a state where (m1, m2) are jointly legal
+    and m3 is enabled, searched over every state."""
+    it, poss = t.tables.it, t.tables.poss
     pairs = cases = 0
     failing = []
     for g1, g2, g3 in blocks:
@@ -496,7 +509,8 @@ def _reference_cp2(t, blocks):
                         left = it[it[i1][i2]][it[i1][i3]]
                         right = it[it[i2][i1]][it[i2][i3]]
                         if left != right:
-                            realizable = not pair[i1, i2][2].isdisjoint(enables[i3])
+                            realizable = any(_jointly_legal(t, i1, i2, s) and poss[i3][s]
+                                             for s in t.states)
                             failing.append((i1, i2, i3, left, right, realizable))
     return cases, pairs, failing
 

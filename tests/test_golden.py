@@ -8,14 +8,20 @@ the digest it changes and says why.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import otcomp
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.checker import check_consistency, check_cp1, check_cp2
 from otcomp.errors import BoundsExceeded
 from otcomp.registry import build
 from otcomp.tower import TOWER_BOUNDS, build_document_tower
+
 
 CHECKS = {"consistency": check_consistency, "cp1": check_cp1, "cp2": check_cp2}
 
@@ -118,3 +124,24 @@ def test_tower_refusal_text(tower, level, check):
     with pytest.raises(BoundsExceeded) as exc:
         CHECKS[check](tower[level], TOWER_BOUNDS)
     assert str(exc.value) == TOWER_REFUSALS[level, check]
+
+
+# Checks whose reports hold sets of values, whose iteration order follows
+# their hashes.
+SEEDED = [("set-guarded[cchar]", "consistency"), ("set-literal[cchar]", "consistency"),
+          ("cchar (+) cnat (+) ccolor", "cp1")]
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_report_digests_hold_under_any_hash_seed(seed):
+    # A value hashes as its tuple: its class's id and its fields, whose str
+    # hashes change with PYTHONHASHSEED.  No report may follow that order.
+    path = os.pathsep.join([str(Path(otcomp.__file__).parent.parent), str(Path(__file__).parent)])
+    code = ("import test_golden as g; "
+            "print([k for k in g.SEEDED if g._digest(k[1], g.build(k[0]), g.DEFAULT_BOUNDS)"
+            " != g.DIGESTS[k]])")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

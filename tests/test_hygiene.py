@@ -4,8 +4,9 @@ knows how an Update method is laid out, only the checker's runner
 compiles a component or sweeps it, the checker never names the static
 product, the checker's sweeps read tables filled from the component, not
 the validating kernel, no component or pattern is built from functions
-made for it, and importing otcomp loads neither `dataclasses` nor
-`inspect`, nor the modules only a split check needs."""
+made for it, no value class compares or hashes in Python, and importing
+otcomp loads neither `dataclasses` nor `inspect`, nor the modules only a
+split check needs."""
 
 import ast
 import os
@@ -208,6 +209,15 @@ def test_no_component_or_pattern_is_built_from_functions_made_for_it():
         "    def __init__(self):\n"
         "        super().__init__('c', lambda b: [])\n")
     assert _functions_passed_to_constructors(planted, {"Component", "Cell"}) == [5, 6, 7, 10]
+
+
+def test_values_compare_and_hash_as_tuples():
+    # Every table fill interns a value by hash and equality: the tuple's own
+    # run in C, where a Python `__eq__` or `__hash__` costs a call per item.
+    from otcomp.values import Cell, Method, Opaque, Product, SeqOf, SetOf
+    found = [cls.__name__ for cls in (Cell, Opaque, SetOf, SeqOf, Product, Method)
+             if cls.__eq__ is not tuple.__eq__ or cls.__hash__ is not tuple.__hash__]
+    assert not found, f"value classes that compare or hash in Python: {found}"
 
 
 @pytest.mark.parametrize("module", ["otcomp", "otcomp.cli"])
