@@ -190,8 +190,8 @@ class ComposedComponent(Component):
 
     # The kernel has checked each method's ctor and answered `nop`, so the
     # body's own functions are called directly; an Update's child method is
-    # checked by `update_new`, or by `transform_update` where none runs.
-    # Each unpacks an Update's arguments in line (see make_update).
+    # checked by `update_new`.  Each unpacks an Update's arguments in line
+    # (see make_update).
     def do_fn(self, m: Method, st: StateValue) -> StateValue:
         if m.ctor == "Update":
             addr, old, _ = m.args
@@ -256,7 +256,8 @@ def transform_update(comp: ComposedComponent, u1: Method, u2: Method) -> Method:
     Same target (equal address and equal old child state): rebase u1's child
     method through the child's transform onto the state u2 produced.  Distinct
     targets never interfere, so u1 passes through unchanged, once both child
-    methods are known to be the child's.
+    methods are known to be the child's: each is checked once per Update
+    object, when `update_new` derives the new child state it carries.
     """
     if not (is_update(u1) and is_update(u2)):
         raise UnknownMethod("transform_update expects two update methods")
@@ -264,8 +265,8 @@ def transform_update(comp: ComposedComponent, u1: Method, u2: Method) -> Method:
     if addr1 == addr2 and old1 == old2:
         rebased = kernel.transform(comp.parts[0], child1, child2)
         return make_update(addr1, comp.update_new(u2), rebased, u1.site)
-    kernel.validate_method(comp.parts[0], child1)
-    kernel.validate_method(comp.parts[0], child2)
+    comp.update_new(u1)
+    comp.update_new(u2)
     return u1
 
 

@@ -9,15 +9,19 @@ marked partially legal rather than aborted.
 Orders that share a prefix share its integration: the orders are walked in
 their given sequence, each resuming from the longest prefix it shares with
 the one before, so that with every order requested each node of the
-delivery-order tree is integrated once.  Traces of such orders share their
-entries; the JSON form writes each distinct entry once per call and is the
-same as if every order had been integrated on its own.
+delivery-order tree is integrated once.  Where transforms converge, paths
+meet again at equal states with equal transformed ops, so a run asks the
+kernel each question once, through one memo per run keyed by value.  Traces
+of orders sharing a prefix share their entries; the JSON form writes each
+distinct entry and final state once per call and is the same as if every
+order had been integrated on its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import _tuplegetter  # namedtuple's field accessor, in C
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from .errors import ScenarioError
@@ -41,13 +45,13 @@ class Scenario:
         self.use_transform: bool = use_transform
 
 
-class IntegrationTrace(Frozen):
-    __slots__ = _fields = ("delivered", "transformed", "applied")
+class IntegrationTrace(Frozen, tuple):  # a tuple tagged by its class, as values are
+    __slots__ = ()
+    _fields = ("delivered", "transformed", "applied")
+    delivered, transformed, applied = (_tuplegetter(i, None) for i in (1, 2, 3))
 
-    def __init__(self, delivered: Method, transformed: Method, applied: bool):
-        object.__setattr__(self, "delivered", delivered)
-        object.__setattr__(self, "transformed", transformed)
-        object.__setattr__(self, "applied", applied)
+    def __new__(cls, delivered: Method, transformed: Method, applied: bool):
+        return tuple.__new__(cls, (cls, delivered, transformed, applied))
 
 
 class RunReport:
@@ -65,27 +69,27 @@ class RunReport:
         """JSON form of the run; states in their display form, which depends
         on the state alone (`component` is accepted but not needed).
 
-        Each distinct trace entry and method is encoded once, through a memo
-        from its id to its JSON form, so orders sharing a prefix share those
-        dicts; the memo lives only as long as this call."""
+        Each distinct trace entry, method and final state object is encoded
+        once, through a memo from its id to its JSON form, so orders sharing
+        it share those dicts; the memos live only as long as this call."""
         memo: dict = {}
 
+        # A method or entry encodes to a non-empty dict, never false.
         def method(m: Method) -> Any:
-            if id(m) not in memo:
-                memo[id(m)] = value_to_json(m)
-            return memo[id(m)]
+            return memo.get(id(m)) or memo.setdefault(id(m), value_to_json(m))
 
         def entry(t: IntegrationTrace) -> dict:
-            if id(t) not in memo:
-                memo[id(t)] = {"delivered": method(t.delivered),
-                               "transformed": method(t.transformed),
-                               "applied": t.applied}
-            return memo[id(t)]
+            return memo.get(id(t)) or memo.setdefault(id(t), {
+                "delivered": method(t.delivered), "transformed": method(t.transformed),
+                "applied": t.applied})
 
+        # A state may display as None, so its memo is filled beforehand.
+        shown = {id(st): st for _, st in self.finals}
+        shown = {k: display(st) for k, st in shown.items()}
         return {
             "converged": self.converged,
             "fully_legal": self.fully_legal,
-            "finals": [{"order": list(order), "state": display(st)}
+            "finals": [{"order": list(order), "state": shown[id(st)]}
                        for order, st in self.finals],
             "diverging": [list(o) for o in self.diverging] if self.diverging else None,
             "traces": {",".join(map(str, order)): [entry(t) for t in trace]
@@ -128,7 +132,14 @@ def _integrate_orders(c: Component, base: StateValue, ops: Sequence[Method],
     transformed against the ops applied so far, and the trace.  An order
     resumes from the longest prefix it shares with the order before it, and
     applying an op transforms only the ops still to come against it.
+
+    Paths that differ may still ask equal questions, so each distinct one is
+    asked of the public kernel once, validation included, and its answer
+    kept for this call only.  A malformed op raises as it would without the
+    memo, which holds only answers the kernel gave without raising.
     """
+    after: dict = {}  # (op, state) -> (enabled, state after the op, if it is)
+    moved: dict = {}  # (op, against) -> the op transformed against `against`
     stack = [(base, dict(enumerate(ops)), [])]
     finals: List[Tuple[Tuple[int, ...], StateValue]] = []
     traces: dict = {}
@@ -142,11 +153,14 @@ def _integrate_orders(c: Component, base: StateValue, ops: Sequence[Method],
         for idx in order[k:]:
             st, pending, trace = stack[-1]
             t = pending[idx]
-            ok = kernel.enabled(c, t, st)
-            if ok:
-                st = kernel.apply(c, t, st)
-            rest = {j: kernel.transform(c, m, t) if ok and use_transform else m
-                    for j, m in pending.items() if j != idx}
+            answer = after.get((t, st))
+            if answer is None:
+                ok = kernel.enabled(c, t, st)
+                answer = after[t, st] = (ok, kernel.apply(c, t, st) if ok else st)
+            ok, st = answer
+            # A transformed op is a non-empty tuple, never false.
+            rest = {j: moved.get((m, t)) or moved.setdefault((m, t), kernel.transform(c, m, t))
+                    if ok and use_transform else m for j, m in pending.items() if j != idx}
             fully_legal = fully_legal and ok
             stack.append((st, rest, trace + [IntegrationTrace(ops[idx], t, ok)]))
         st, _, trace = stack[-1]

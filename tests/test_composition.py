@@ -261,9 +261,9 @@ def test_an_update_whose_child_method_is_not_the_childs_is_rejected(expr, addr, 
 ])
 def test_an_invalid_update_is_rejected_against_nop_and_other_occurrences(expr, addr,
                                                                           other):
-    # Neither path reads the child: the kernel answers `nop` itself, and an
-    # Update of another occurrence (another address, or another old child
-    # state) passes through unchanged.
+    # Neither path transforms through the child: the kernel answers `nop`
+    # itself, and an Update of another occurrence (another address, or
+    # another old child state) passes through unchanged.
     c = build(expr)
     bad = make_update(addr, Cell("a"), Method("shove", ("b",)), 0)
     good = make_update(addr, Cell("a"), Method("putchar", ("b",)), 0)
@@ -275,6 +275,36 @@ def test_an_invalid_update_is_rejected_against_nop_and_other_occurrences(expr, a
     assert kernel.transform(c, NOP, good) == NOP
     assert kernel.transform(c, good, elsewhere) == good
     assert kernel.transform(c, elsewhere, good) == elsewhere
+
+
+@pytest.mark.parametrize("pattern, addr, other", [
+    (string_pattern(), (0,), (1,)),
+    (set_pattern(), (), ()),
+])
+def test_a_distinct_target_transform_checks_each_child_method_once(pattern, addr,
+                                                                   other):
+    # Against an Update of another occurrence, each child method is checked
+    # as `update_new` derives the Update's new child state, once per object.
+    base = cchar()
+    derived = []
+
+    def do_fn(m, st):
+        derived.append(m)
+        return base.do_fn(m, st)
+
+    counted = copy.copy(base)
+    counted.do_fn = do_fn
+    c = dynamic_compose(pattern, counted, b=B)
+    bad = make_update(addr, Cell("a"), Method("shove", ("b",)), 0)
+    good = make_update(addr, Cell("a"), Method("putchar", ("b",)), 0)
+    elsewhere = make_update(other, Cell("c"), Method("putchar", ("d",)), 1)
+    for m1, m2 in ((bad, elsewhere), (elsewhere, bad)):
+        with pytest.raises(UnknownMethod):
+            kernel.transform(c, m1, m2)
+    for _ in range(3):
+        assert kernel.transform(c, good, elsewhere) is good
+        assert kernel.transform(c, elsewhere, good) is elsewhere
+    assert sorted(m.args[0] for m in derived) == ["b", "d"]
 
 
 def test_an_invalid_update_is_rejected_against_another_factor():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from otcomp.cli import EXIT_USAGE, main
 from otcomp.composition import make_update
 from otcomp.errors import ScenarioError, UnknownMethod
 from otcomp.registry import build
-from otcomp.simulator import Scenario, load_scenario, run_scenario
+from otcomp.simulator import IntegrationTrace, Scenario, load_scenario, run_scenario
 from otcomp.values import (Cell, Method, SetOf, decode_state, display, set_of,
                            value_to_json)
 
@@ -241,6 +242,31 @@ def test_the_walk_matches_a_per_order_fold(live_ops, seed):
                                               use_transform)
 
 
+@pytest.mark.parametrize("seed", range(100, 103))
+def test_the_walk_matches_a_per_order_fold_on_a_mixed_batch(live_ops, seed):
+    # A batch like the benchmark's simulate-mix pass, except that half the
+    # scenarios draw their ops from every method enabled on some state, not
+    # only on the base, so that runs which skip an op are common.
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(48):
+        c, states, live = rng.choice(live_ops)
+        si = rng.randrange(len(states))
+        pool = live[si] if rng.random() < 0.5 else list(
+            dict.fromkeys(itertools.chain.from_iterable(live)))
+        sites = rng.sample(range(1, 5), rng.randint(2, 4))
+        ops = [(s, Method(m.ctor, m.args, s))
+               for s, m in zip(sites, (rng.choice(pool) for _ in sites))]
+        orders = list(itertools.permutations(range(len(ops))))
+        delivery = rng.choice(["all", [list(rng.choice(orders)) for _ in range(3)]])
+        rep = _assert_matches_reference(c, states[si], ops, delivery,
+                                        use_transform=rng.random() < 0.75)
+        seen.add((c.name, rep.fully_legal, rep.converged))
+    assert {(legal, converged) for _, legal, converged in seen} == {
+        (True, True), (True, False), (False, True), (False, False)}
+    assert {name for name, _, _ in seen} == {c.name for c, _, _ in live_ops}
+
+
 def test_the_walk_matches_explicit_unsorted_and_repeated_orders():
     c = build("string[cchar]")
     ops = [(1, Method("Ins", (0, Cell("x")), 1)), (2, Method("Del", (1,), 2)),
@@ -263,29 +289,65 @@ def test_the_walk_matches_a_diverging_untransformed_run():
 
 
 def test_orders_sharing_a_prefix_share_its_integration(monkeypatch):
-    # Four always-enabled ops: each node of the order tree is integrated
-    # once, 4 + 12 + 24 + 24 applications and 12 + 24 + 24 transforms,
-    # where integrating each of the 24 orders alone takes 96 and 144.
+    # Four always-enabled ops.  Walking each node of the order tree once
+    # would ask 4 + 12 + 24 + 24 = 64 enabled / apply and 12 + 24 + 24 = 60
+    # transform questions, and integrating each of the 24 orders alone 96
+    # and 144.  But each distinct question is asked once: 28 distinct
+    # (op, state) pairs over the 12 states the orders reach (the char cell
+    # unset, "a" or "b"; the nat and colour cells unset or set), and 16
+    # distinct (op, against) pairs: the 12 ordered pairs of the ops, and
+    # the siteless putchar b that either putchar becomes against the other,
+    # against putnat and putcolor and they against it.
     c = build("cchar (+) cnat (+) ccolor")
-    ops = [(1, Method("putchar", ("a",), 1)), (2, Method("putnat", (1,), 2)),
-           (3, Method("putchar", ("b",), 3)), (4, Method("putcolor", ("red",), 4))]
+    calls = _count_kernel_calls(monkeypatch)
+    rep = run_scenario(_four_cells(c), component=c)
+    assert rep.fully_legal and len(rep.finals) == 24
+    assert calls == {"enabled": 28, "apply": 28, "transform": 16}
+    assert rep.traces[(0, 1, 2, 3)][:2] == rep.traces[(0, 1, 3, 2)][:2]
+    assert rep.traces[(0, 1, 2, 3)][1] is rep.traces[(0, 1, 3, 2)][1]
+
+
+def test_the_kernel_answers_do_not_outlive_a_run(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    c = build("cchar (+) cnat (+) ccolor")
+    counts = []
+    for s in (_four_cells(c), _four_cells(c), _string_scenario(), _string_scenario()):
+        before = dict(calls)
+        run_scenario(s)
+        counts.append({k: calls[k] - before[k] for k in calls})
+    assert counts[0] == counts[1] == {"enabled": 28, "apply": 28, "transform": 16}
+    assert counts[2] == counts[3] and counts[2]["transform"] > 0
+
+
+def _four_cells(c) -> Scenario:
+    return Scenario(component=c, base=c.initial_state, ops=[
+        (1, Method("putchar", ("a",), 1)), (2, Method("putnat", (1,), 2)),
+        (3, Method("putchar", ("b",), 3)), (4, Method("putcolor", ("red",), 4))])
+
+
+def _count_kernel_calls(monkeypatch) -> dict:
+    """Count the simulator's calls of each kernel function from now on."""
     calls = {"enabled": 0, "apply": 0, "transform": 0}
     for name in calls:
         def counted(*args, _f=getattr(kernel, name), _name=name):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(kernel, name, counted)
-    rep = run_scenario(Scenario(component=c, base=c.initial_state, ops=ops), component=c)
-    assert rep.fully_legal and len(rep.finals) == 24
-    assert calls == {"enabled": 64, "apply": 64, "transform": 60}
-    assert rep.traces[(0, 1, 2, 3)][:2] == rep.traces[(0, 1, 3, 2)][:2]
-    assert rep.traces[(0, 1, 2, 3)][1] is rep.traces[(0, 1, 3, 2)][1]
+    return calls
 
 
 def test_trace_entries_are_frozen():
     trace = run_scenario(_string_scenario()).traces[(0, 1)]
     with pytest.raises(AttributeError):
         trace[0].applied = False
+    assert repr(trace[1]) == (
+        "IntegrationTrace(delivered=Method(ctor='Del', args=(5,), site=2), "
+        "transformed=Method(ctor='Del', args=(6,), site=2), applied=True)")
+    for entry in trace:
+        copy = pickle.loads(pickle.dumps(entry))
+        assert type(copy) is IntegrationTrace and copy == entry
+        assert (copy.delivered, copy.transformed, copy.applied) == (
+            entry.delivered, entry.transformed, entry.applied)
 
 
 def test_a_malformed_op_raises_what_a_per_order_fold_raises():
