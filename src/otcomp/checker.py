@@ -179,8 +179,9 @@ class _Tables:
         def realizable(ids: Tuple[int, int, int]) -> bool:
             i1, i2, i3 = ids
             first1, first2, ok1, ok2 = do[i1], do[i2], poss[it[i1][i2]], poss[it[i2][i1]]
-            return any(ok1[first1[s]] and ok2[first2[s]]
-                       for s in enables[i1] & enables[i2] & enables[i3])
+            on2, on3 = poss[i2], poss[i3]
+            return any(on2[s] and on3[s] and ok1[first1[s]] and ok2[first2[s]]
+                       for s in enables[i1])
 
         self.enabled, self.apply = enabled, apply
         self.it = it = _Lazy(it_row)
@@ -654,12 +655,12 @@ def _cross(g1: List[int], g2: List[int]) -> Blocks:
 
 def _aggregate(name: str, t0: float, parts: List[CheckReport]) -> CheckReport:
     """The parts' reports as one, timed as a whole from t0: their entries in
-    part order, each tagged with its part's name, and a verdict that fails
-    when any part fails."""
+    part order, each tagged with its part's name, and the worst of their
+    verdicts: fail, then vacuous, then pass."""
     witnesses = [{**w, "part": p.property} for p in parts for w in p.witnesses]
     unrealizable = [{**w, "part": p.property} for p in parts for w in p.unrealizable]
-    cases = sum(p.cases for p in parts)
-    return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
+    verdict = min((p.verdict for p in parts), key=("fail", "vacuous", "pass").index)
+    return CheckReport(name, verdict, sum(p.cases for p in parts), witnesses,
                        (time.perf_counter() - t0) * 1000.0,
                        sum(p.examined for p in parts), parts,
                        unrealizable=unrealizable)

@@ -11,10 +11,10 @@ their given sequence, each resuming from the longest prefix it shares with
 the one before, so that with every order requested each node of the
 delivery-order tree is integrated once.  Where transforms converge, paths
 meet again at equal states with equal transformed ops, so a run asks the
-kernel each question once, through one memo per run keyed by value.  Traces
-of orders sharing a prefix share their entries; the JSON form writes each
-distinct entry and final state once per call and is the same as if every
-order had been integrated on its own.
+kernel each question once, through one memo per run keyed by value, and
+equal trace entries are one object.  The JSON form writes each distinct
+entry and final state once per call and is the same as if every order had
+been integrated on its own.
 """
 
 from __future__ import annotations
@@ -69,30 +69,25 @@ class RunReport:
         """JSON form of the run; states in their display form, which depends
         on the state alone (`component` is accepted but not needed).
 
-        Each distinct trace entry, method and final state object is encoded
-        once, through a memo from its id to its JSON form, so orders sharing
-        it share those dicts; the memos live only as long as this call."""
-        memo: dict = {}
+        Each distinct trace entry and method object, and each distinct final
+        state, is encoded once into a table of JSON forms, so orders sharing
+        it share those; the tables live only as long as this call."""
+        entries = {id(t): t for trace in self.traces.values() for t in trace}
+        methods = {id(m): m for t in entries.values() for m in (t.delivered, t.transformed)}
+        methods = {k: value_to_json(m) for k, m in methods.items()}
+        entries = {k: {"delivered": methods[id(t.delivered)],
+                       "transformed": methods[id(t.transformed)], "applied": t.applied}
+                   for k, t in entries.items()}
 
-        # A method or entry encodes to a non-empty dict, never false.
-        def method(m: Method) -> Any:
-            return memo.get(id(m)) or memo.setdefault(id(m), value_to_json(m))
-
-        def entry(t: IntegrationTrace) -> dict:
-            return memo.get(id(t)) or memo.setdefault(id(t), {
-                "delivered": method(t.delivered), "transformed": method(t.transformed),
-                "applied": t.applied})
-
-        # A state may display as None, so its memo is filled beforehand.
-        shown = {id(st): st for _, st in self.finals}
-        shown = {k: display(st) for k, st in shown.items()}
+        # A state may display as None, so its table is filled beforehand.
+        shown = {st: display(st) for st in {st for _, st in self.finals}}
         return {
             "converged": self.converged,
             "fully_legal": self.fully_legal,
-            "finals": [{"order": list(order), "state": shown[id(st)]}
+            "finals": [{"order": list(order), "state": shown[st]}
                        for order, st in self.finals],
             "diverging": [list(o) for o in self.diverging] if self.diverging else None,
-            "traces": {",".join(map(str, order)): [entry(t) for t in trace]
+            "traces": {",".join(map(str, order)): [entries[id(t)] for t in trace]
                        for order, trace in self.traces.items()},
         }
 
@@ -136,10 +131,13 @@ def _integrate_orders(c: Component, base: StateValue, ops: Sequence[Method],
     Paths that differ may still ask equal questions, so each distinct one is
     asked of the public kernel once, validation included, and its answer
     kept for this call only.  A malformed op raises as it would without the
-    memo, which holds only answers the kernel gave without raising.
+    memo, which holds only answers the kernel gave without raising.  Paths
+    that meet record equal trace entries, and each is made once, so the
+    orders share it.
     """
     after: dict = {}  # (op, state) -> (enabled, state after the op, if it is)
     moved: dict = {}  # (op, against) -> the op transformed against `against`
+    entries: dict = {}  # (delivered index, transformed op, applied) -> trace entry
     stack = [(base, dict(enumerate(ops)), [])]
     finals: List[Tuple[Tuple[int, ...], StateValue]] = []
     traces: dict = {}
@@ -162,7 +160,9 @@ def _integrate_orders(c: Component, base: StateValue, ops: Sequence[Method],
             rest = {j: moved.get((m, t)) or moved.setdefault((m, t), kernel.transform(c, m, t))
                     if ok and use_transform else m for j, m in pending.items() if j != idx}
             fully_legal = fully_legal and ok
-            stack.append((st, rest, trace + [IntegrationTrace(ops[idx], t, ok)]))
+            e = entries.get((idx, t, ok)) or entries.setdefault(
+                (idx, t, ok), IntegrationTrace(ops[idx], t, ok))
+            stack.append((st, rest, trace + [e]))
         st, _, trace = stack[-1]
         finals.append((order, st))
         traces[order] = trace

@@ -165,6 +165,35 @@ def test_aggregate_fails_when_any_part_fails():
     assert all(w["part"] for w in rep.witnesses)
 
 
+def test_aggregate_is_as_good_as_its_worst_part():
+    # A part that decided no case proves nothing, whatever the others
+    # decided; a failing part fails the whole, vacuous parts or not.
+    def part(name, cases, witnesses=()):
+        return checker.CheckReport(name, checker._verdict(cases, list(witnesses)), cases,
+                                   list(witnesses))
+
+    passing, vacuous = part("CP1", 4), part("CP2", 0)
+    failing = part("CP2", 3, [{"state": None}])
+    for parts, verdict in (([passing, passing], "pass"), ([passing, vacuous], "vacuous"),
+                           ([vacuous, passing], "vacuous"), ([vacuous, failing], "fail"),
+                           ([failing, passing, vacuous], "fail")):
+        rep = checker._aggregate("consistency", time.perf_counter(), parts)
+        assert (rep.verdict, rep.cases) == (verdict, sum(p.cases for p in parts))
+
+
+def test_realizability_asks_the_kernel_only_on_states_the_first_method_enables(
+        monkeypatch):
+    # The replay of a failing CP2 triple fills the enabled states of its
+    # first method, then asks of the second and third only on those:
+    # intersecting all three methods' full rows would take 336 calls here.
+    calls = []
+    monkeypatch.setattr(kernel, "enabled",
+                        lambda *args, _f=kernel.enabled: calls.append(args) or _f(*args))
+    monkeypatch.setattr(checker, "_SPLIT_CASES", math.inf)
+    rep = check_consistency(build("set-guarded[cchar]"))
+    assert rep.unrealizable and len(calls) == 272
+
+
 @pytest.mark.parametrize("expr, overrides", [("set-literal", {"universe": 1}),
                                              ("set-guarded[cchar]", {})])
 def test_a_part_lists_the_indices_of_its_own_top_level_entries(expr, overrides):

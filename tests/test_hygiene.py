@@ -3,7 +3,8 @@ check rests on an `assert`, which `python -O` removes, only composition
 knows how an Update method is laid out, only the checker's runner
 compiles a component or sweeps it, the checker never names the static
 product, the checker's sweeps read tables filled from the component, not
-the validating kernel, no component or pattern is built from functions
+the validating kernel, the simulator asks nothing but the validating
+kernel, no component or pattern is built from functions
 made for it, no value class compares or hashes in Python, and importing
 otcomp loads neither `dataclasses` nor `inspect`, nor the modules only a
 split check needs."""
@@ -12,6 +13,7 @@ import ast
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -133,6 +135,37 @@ def test_sweeps_do_not_call_the_validating_kernel():
     lines.insert(sweep.body[0].lineno - 1,
                  "    kernel.apply(t.c, t.method[0], t.state[0])\n")
     assert _validating_kernel_calls("".join(lines)) == [sweep.body[0].lineno]
+
+
+# A component's own functions, which the checker's tables are filled from.
+_COMPONENT_FUNCTIONS = {"do_fn", "poss_fn", "it_fn"}
+
+
+def _component_function_names(source: str):
+    """Lines that name a component's own function: as an attribute, a
+    variable or a string (for getattr)."""
+    return sorted({n.lineno for n in ast.walk(ast.parse(source))
+                   if (n.attr if isinstance(n, ast.Attribute) else
+                       n.id if isinstance(n, ast.Name) else
+                       n.value if isinstance(n, ast.Constant) else None)
+                   in _COMPONENT_FUNCTIONS})
+
+
+def test_the_simulator_asks_only_the_validating_kernel():
+    # The simulator is the checker's independent oracle: every answer it
+    # records comes through kernel.enabled / apply / transform, which
+    # validate, never from the functions the checker's tables read.
+    source = (SRC / "simulator.py").read_text()
+    found = _component_function_names(source)
+    assert not found, f"simulator.py lines naming a component's functions: {found}"
+    # The rule catches an attribute, a variable and a getattr string.
+    planted = source + textwrap.dedent("""
+        def _peek(c, m, st):
+            do_fn = getattr(c, "do_fn")
+            return c.poss_fn(m, st) and do_fn(m, st)
+        """)
+    end = len(source.splitlines())
+    assert _component_function_names(planted) == [end + 3, end + 4]
 
 
 def _component_classes(trees) -> set:

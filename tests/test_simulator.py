@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from otcomp import kernel
+from otcomp import kernel, simulator
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cli import EXIT_USAGE, main
 from otcomp.composition import make_update
@@ -203,6 +203,9 @@ def _assert_matches_reference(c, base, ops, delivery="all", use_transform=True):
     assert {o: [(t.delivered, t.transformed, t.applied) for t in trace]
             for o, trace in rep.traces.items()} == traces
     assert list(rep.traces) == list(traces)
+    # Equal entries are one object, so the report encodes each once.
+    entries = [t for trace in rep.traces.values() for t in trace]
+    assert len({id(t) for t in entries}) == len(set(entries))
     assert (rep.fully_legal, rep.converged, rep.diverging) == (
         fully_legal, diverging is None, diverging)
     for indent in (None, 2):
@@ -317,6 +320,24 @@ def test_the_kernel_answers_do_not_outlive_a_run(monkeypatch):
         counts.append({k: calls[k] - before[k] for k in calls})
     assert counts[0] == counts[1] == {"enabled": 28, "apply": 28, "transform": 16}
     assert counts[2] == counts[3] and counts[2]["transform"] > 0
+
+
+def test_the_report_encodes_each_distinct_method_once(monkeypatch):
+    # The 24 orders' 96 trace entries are 6 distinct ones: each op
+    # delivered as issued, and either putchar as the siteless putchar b it
+    # becomes against the other.  Those two are equal methods made by two
+    # transforms, so the entries hold 6 distinct method objects.
+    c = build("cchar (+) cnat (+) ccolor")
+    s = _four_cells(c)
+    rep = _assert_matches_reference(c, s.base, s.ops)
+    entries = [t for trace in rep.traces.values() for t in trace]
+    methods = {id(m) for t in entries for m in (t.delivered, t.transformed)}
+    assert (len(entries), len(set(map(id, entries))), len(methods)) == (96, 6, 6)
+    encoded = []
+    monkeypatch.setattr(simulator, "value_to_json",
+                        lambda v, _f=value_to_json: encoded.append(v) or _f(v))
+    rep.to_json()
+    assert len(encoded) == len(methods)
 
 
 def _four_cells(c) -> Scenario:
