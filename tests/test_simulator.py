@@ -326,7 +326,7 @@ def test_the_report_encodes_each_distinct_method_once(monkeypatch):
     # The 24 orders' 96 trace entries are 6 distinct ones: each op
     # delivered as issued, and either putchar as the siteless putchar b it
     # becomes against the other.  Those two are equal methods made by two
-    # transforms, so the entries hold 6 distinct method objects.
+    # transforms, so with the 4 ops the entries hold 6 method objects.
     c = build("cchar (+) cnat (+) ccolor")
     s = _four_cells(c)
     rep = _assert_matches_reference(c, s.base, s.ops)
