@@ -8,12 +8,11 @@ from .values import Frozen
 class Bounds(Frozen):
     """Finite enumeration limits.
 
-    At these defaults `check_consistency` took about 0.3 s on `string[cchar]`
-    (1,362,998 cases) and 0.8 s on `string[cnat]` (4,184,053 cases, the
-    largest bundled check that fits) on a 2-vCPU Xeon VM; on each bundled
-    cell and pattern, and on `set-guarded[cchar]`, it took under 0.1 s.  CP2
-    is cubic in the method count, so raising a bound that grows the methods
-    grows it fast.
+    At these defaults `check_consistency` decides 1,362,998 cases on
+    `string[cchar]` and 4,184,053 on `string[cnat]`, the largest bundled
+    check that fits.  `BENCH_21.json` records how long the first, and the
+    small bundled checks, take.  CP2 is cubic in the method count, so
+    raising a bound that grows the methods grows it fast.
     """
 
     __slots__ = _fields = ("alphabet", "nat_max", "colors", "universe", "max_len", "sites",

@@ -43,12 +43,14 @@ each unordered pair once: its mirrored case, counted and replayed too, is
 read off the same entries.
 
 Every check sweeps the component's leaves and lifts what they find (see
-`_lift`).  A component is its own only leaf, unless it is a static product,
-whose leaves are its factors that are not products.  A case across leaves
-or with `nop` holds by construction, and is counted: the product's
-transform is the identity across leaves, whose methods act on disjoint
-items of a state, and IT(m, nop) = m, IT(nop, m) = nop.  The report is a
-sweep over every product state's, and no product state is built.
+`_lift`), by the same steps for one leaf as for many.  A component is its
+own only leaf, unless it is a static product, whose leaves are its factors
+that are not products.  No leaf sweeps `nop`.  A case across leaves or with
+`nop` holds by construction, so the lift counts it off the component's
+blocks and compares nothing: the product's transform is the identity across
+leaves, whose methods act on disjoint items of a state, and IT(m, nop) = m,
+IT(nop, m) = nop.  The report is a sweep over every product state's, and no
+product state is built.
 """
 
 from __future__ import annotations
@@ -213,16 +215,16 @@ class _Compiled:
         self.site: List[Optional[int]] = []
         self._mid: Dict[Method, int] = {}
         self._sid: Dict[StateValue, int] = {}
-        method, poss_fn, do_fn, it_fn = self.method, c.poss_fn, c.do_fn, c.it_fn
+        method = self.method
         # What each table is filled by, built on first use: the component's
-        # own functions on interned, so validated, methods, and the kernel
-        # wherever `nop` is involved; and the public kernel.
+        # own functions on interned, so validated, methods (a Token has none),
+        # and the kernel wherever `nop` is involved; and the public kernel.
         self._fills = {
             "tables": (
-                lambda m, st: kernel.enabled(c, m, st) if m.ctor == "nop" else poss_fn(m, st),
-                lambda m, st: kernel.apply(c, m, st) if m.ctor == "nop" else do_fn(m, st),
+                lambda m, st: kernel.enabled(c, m, st) if m.ctor == "nop" else c.poss_fn(m, st),
+                lambda m, st: kernel.apply(c, m, st) if m.ctor == "nop" else c.do_fn(m, st),
                 lambda m1, m2: (kernel.transform(c, m1, m2)
-                                if m1.ctor == "nop" or m2.ctor == "nop" else it_fn(m1, m2))),
+                                if m1.ctor == "nop" or m2.ctor == "nop" else c.it_fn(m1, m2))),
             "kernel": (partial(kernel.enabled, c), partial(kernel.apply, c),
                        partial(kernel.transform, c))}
         self.json = _Lazy(lambda i: value_to_json(method[i]))
@@ -280,16 +282,16 @@ Part = Tuple[str, str, Blocks]
 _SPLIT_CASES = 200_000  # the case estimate from which a check splits (see `_split`)
 
 
-def _cp1_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
+def _cp1_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, list]:
     """The pair condition over the blocks' concurrent pairs, read off the
-    component's tables: the cases decided, the concurrent pairs, and the
-    failing cases (state, m1, m2, left, right) in id order.  A block whose
-    two lists are equal walks m2 from m1 on: (m2, m1) reads (m1, m2)'s
-    entries, left and right swapped, and is counted and listed as if swept.
-    A state is a case when both methods are enabled on it and each, once
-    transformed, is enabled after the other."""
+    component's tables: the cases decided, and the failing cases (state, m1,
+    m2, left, right) in id order.  A block whose two lists are equal walks
+    m2 from m1 on: (m2, m1) reads (m1, m2)'s entries, left and right
+    swapped, and is counted and listed as if swept.  A state is a case when
+    both methods are enabled on it and each, once transformed, is enabled
+    after the other."""
     it, do, poss, enables = t.tables.it, t.tables.do, t.tables.poss, t.tables.enables
-    pairs = cases = 0
+    cases = 0
     failing: List[Tuple[int, int, int, int, int]] = []
     for m1s, m2s in blocks:
         mirrored = m1s == m2s
@@ -298,7 +300,6 @@ def _cp1_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
                 if not t.concurrent(i1, i2):
                     continue
                 twice = mirrored and i1 != i2
-                pairs += 1 + twice
                 t21, t12 = it[i1][i2], it[i2][i1]
                 first1, then1, ok1 = do[i1], do[t21], poss[t21]
                 first2, then2, ok2 = do[i2], do[t12], poss[t12]
@@ -316,20 +317,19 @@ def _cp1_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
     # Methods and states are interned in their listed order before anything
     # else, so (state, m1, m2) id order is the nesting order of a sweep over
     # states, then m1, then m2.
-    return cases, pairs, sorted(failing)
+    return cases, sorted(failing)
 
 
-def _cp2_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
+def _cp2_sweep(t: _Compiled, blocks: Blocks) -> list:
     """The triple condition over the blocks' triples whose first two methods
-    are concurrent, read off the component's tables: the cases decided, the
-    concurrent pairs, and the failing triples (m1, m2, m3, left, right,
-    realizable) in sweep order.  The mirror of block (g1, g2, g3) is (g2,
-    g1, g3), whose (m2, m1, m3) reads (m1, m2, m3)'s entries, left and right
-    swapped.  A block that is its own mirror walks m2 from m1 on, and of a
-    block and a later mirror only the first is walked; mirrored triples are
-    counted, and listed in their block's id order: sweep order."""
+    are concurrent, read off the component's tables: the failing triples
+    (m1, m2, m3, left, right, realizable) in sweep order.  The mirror of
+    block (g1, g2, g3) is (g2, g1, g3), whose (m2, m1, m3) reads (m1, m2,
+    m3)'s entries, left and right swapped.  A block that is its own mirror
+    walks m2 from m1 on, and of a block and a later mirror only the first is
+    walked; mirrored triples are listed in their block's id order: sweep
+    order.  Every triple is a case, so `_lift` counts them."""
     it = t.tables.it
-    pairs = cases = 0
     found: List[List[Tuple[int, int, int, int, int]]] = [[] for _ in blocks]
     claimed = set()  # the blocks walked as mirrors of earlier ones
     for b, (g1, g2, g3) in enumerate(blocks):
@@ -346,8 +346,6 @@ def _cp2_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
                 if not t.concurrent(i1, i2):
                     continue
                 twice = mirror is not None and (mirror != b or i1 != i2)
-                pairs += 1 + twice
-                cases += len(g3) * (1 + twice)
                 lefts = via[i1](it[it[i1][i2]])
                 rights = via[i2](it[it[i2][i1]])
                 if lefts != rights:
@@ -358,8 +356,8 @@ def _cp2_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, int, list]:
                                 found[mirror].append((i2, i1, i3, right, left))
     # (m1, m2, m3) and (m2, m1, m3) are realizable on the same states: read one.
     realizable = t.tables.realizable
-    return cases, pairs, [(*f, realizable[min(f[:2]), max(f[:2]), f[2]])
-                          for bucket in found for f in sorted(bucket)]
+    return [(*f, realizable[min(f[:2]), max(f[:2]), f[2]])
+            for bucket in found for f in sorted(bucket)]
 
 
 def _values_at(keys: List[int]) -> Callable[[dict], tuple]:
@@ -461,49 +459,34 @@ def _weighed(leaves: List[_Compiled], x: List[int], ys: Sequence[List[int]],
 def _lift(t: _Compiled, leaves: List[_Compiled], part: Part, cut: List[Blocks],
           found: list) -> CheckReport:
     """The part's report on t from what each leaf k `found` sweeping
-    `cut[k]`, the part's blocks cut to its methods.
+    `cut[k]`, the part's blocks cut to its methods: for CP1 its cases and
+    failing cases, for CP2 its failing triples.
 
-    A leaf's CP1 case holds on every combination of the other leaves'
-    states.  A case no leaf sweeps holds by construction (see the module
-    docstring), so it is counted, not compared, across groups: the leaves,
-    and `nop` where no leaf sweeps it (one method on one state, concurrent
-    with all).  A pair across groups is jointly legal on its methods'
-    enabled states times the other groups' states.  So, each method weighed
-    by the states of t it is enabled on, all the weighed pairs less each
-    leaf's own, over t's state count, are the CP1 cases across groups.
+    Every count is read off t's blocks, for one leaf as for many: the
+    concurrent pairs, counted on their sites, and so the CP2 cases, each
+    pair's m3 count.  A leaf's CP1 case holds on every combination of the
+    other leaves' states.  A case no leaf sweeps holds by construction (see
+    the module docstring), so it is counted, not compared, across groups:
+    the leaves, and `nop`, which no leaf sweeps (one method on one state,
+    concurrent with all).  A pair across groups is jointly legal on its
+    methods' enabled states times the other groups' states.  So, each
+    method weighed by the states of t it is enabled on, all the weighed
+    pairs less each leaf's own, over t's state count, are the CP1 cases
+    across groups.
 
     Each lifted entry is replayed through the public kernel on t; a
     triple's realizability on its leaf.  CP1 witnesses are in sweep order,
     a state of t's id being its leaves' ids in turn.  CP2 entries are the
     leaves' merged by t's method ids, so one leaf's keep block order."""
     name, condition, blocks = part
-    ns = [len(f.states) for f in leaves] if condition == "CP1" else [1] * len(leaves)
-    n = math.prod(ns)
-    others = [math.prod(ns[:k] + ns[k + 1:]) for k in range(len(ns))]
-    cases = pairs = 0
-    for (own_cases, own_pairs, _), m in zip(found, others):
-        cases, pairs = cases + own_cases * m, pairs + own_pairs
-    if len(leaves) > 1 or len(t.methods) > len(leaves[0].own):  # more than one group
-        # t's concurrent pairs, and each one's CP2 cases, counted on its
-        # sites: the leaves' own are among them.
-        concurrent = [_concurrent(_per_site(t.site, block[0]), _per_site(t.site, block[1]))
-                      for block in blocks]
-        pairs = sum(concurrent)
-        if condition == "CP2":
-            cases = sum(p * len(block[2]) for p, block in zip(concurrent, blocks))
-        else:
-            for b, (x1, x2) in enumerate(blocks):
-                y1, y2 = zip(*(f_blocks[b] for f_blocks in cut))  # x1, x2 cut to each leaf
-                w1 = _weighed(leaves, x1, y1, others, n)
-                w2 = w1 if x2 is x1 else _weighed(leaves, x2, y2, others, n)
-                cases += (_concurrent(w1[-1], w2[-1])
-                          - sum(map(_concurrent, w1[:-1], w2[:-1]))) // (n or 1)
-
+    concurrent = [_concurrent(_per_site(t.site, block[0]), _per_site(t.site, block[1]))
+                  for block in blocks]
     if condition == "CP2":
+        cases = sum(p * len(block[2]) for p, block in zip(concurrent, blocks))
         entries: Dict[bool, List[dict]] = {True: [], False: []}
-        if any(failing for _, _, failing in found):
+        if any(found):
             lifted = []
-            for k, (f, (_, _, failing)) in enumerate(zip(leaves, found)):
+            for k, (f, failing) in enumerate(zip(leaves, found)):
                 up = f.up
                 lifted.append([(up[i1], up[i2], up[i3], k, i1, i2, i3, up[left], up[right],
                                 realizable) for i1, i2, i3, left, right, realizable in failing])
@@ -517,8 +500,18 @@ def _lift(t: _Compiled, leaves: List[_Compiled], part: Part, cut: List[Blocks],
         return CheckReport(name, _verdict(cases, entries[True]), cases, entries[True],
                            examined=cases, unrealizable=entries[False])
 
+    ns = [len(f.states) for f in leaves]
+    n = math.prod(ns)
+    others = [math.prod(ns[:k] + ns[k + 1:]) for k in range(len(ns))]
+    cases = sum(own_cases * m for (own_cases, _), m in zip(found, others))
+    for b, (x1, x2) in enumerate(blocks):
+        y1, y2 = zip(*(f_blocks[b] for f_blocks in cut))  # x1, x2 cut to each leaf
+        w1 = _weighed(leaves, x1, y1, others, n)
+        w2 = w1 if x2 is x1 else _weighed(leaves, x2, y2, others, n)
+        cases += (_concurrent(w1[-1], w2[-1])
+                  - sum(map(_concurrent, w1[:-1], w2[:-1]))) // (n or 1)
     lifted = []
-    for k, (f, (_, _, failing)) in enumerate(zip(leaves, found)):
+    for k, (f, (_, failing)) in enumerate(zip(leaves, found)):
         axes: List[Sequence[int]] = list(map(range, ns))
         for s, i1, i2, left, right in failing:
             axes[k] = (s,)
@@ -533,21 +526,22 @@ def _lift(t: _Compiled, leaves: List[_Compiled], part: Part, cut: List[Blocks],
         items[k] = leaves[k].state[right]
         witnesses.append(_replay_cp1(t, st, p1, p2, left_st, t.c.assemble(iter(items))))
     return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
-                       examined=pairs * n)
+                       examined=sum(concurrent) * n)
 
 
 def _check(c: Component, b: Bounds,
            parts_of: Callable[[_Compiled], List[Part]]) -> List[CheckReport]:
     """Compile c once as t, and its leaves (see `Component.leaves`): t
     itself, or each over its own methods, in t's order and under t's site
-    rule.  A leaf's `own` maps t's id of each method it sweeps to its own,
-    and `up` maps back.  Once every part's estimate is within the case
-    ceiling (the cases its blocks hold, times the states for CP1), each part
-    sweeps every leaf over its blocks cut to the leaf's methods, and lifts
-    what they found (see `_lift`).  CP2's estimates, which need no states,
-    are read first, so a check its methods alone put over the ceiling builds
-    no state.  Then, refused or not, free the tables, whose fill functions
-    refer back to their compiled component, without a GC pass."""
+    rule.  A leaf's `own` maps t's id of each method it sweeps (never `nop`)
+    to its own, and `up` maps back.  Once every part's estimate is within
+    the case ceiling (the cases its blocks hold, `nop` included, times the
+    states for CP1), each part sweeps every leaf over its blocks cut to the
+    leaf's methods, and lifts what they found (see `_lift`).  CP2's
+    estimates, which need no states, are read first, so a check its methods
+    alone put over the ceiling builds no state.  Then, refused or not, free
+    the tables, whose fill functions refer back to their compiled
+    component, without a GC pass."""
     t = _Compiled(c, b, c.site_aware, c.enum_methods(b))
     leaves = [t]
     try:
@@ -560,13 +554,13 @@ def _check(c: Component, b: Bounds,
                 own[k][i] = m if ctor == m.ctor else Method(ctor, m.args, m.site)
         leaves = [t if f is c else _Compiled(f, b, c.site_aware, list(ms.values()))
                   for f, ms in zip(factors, own)]
-        # (leaf, its constructor) -> t's; a leaf's `nop` is t's, owned or not.
+        # (leaf, its constructor) -> t's; a `nop` a leaf's transform gives is t's.
         names = {v: k for k, v in owner.items()}
         for k, (f, ms) in enumerate(zip(leaves, own)):
-            f.own = dict(zip(ms, f.methods))
+            f.own = {i: f.mid(m) for i, m in ms.items()}
             f.up = _Lazy(lambda j, k=k, m=f.method: t.mid(Method(
                 names.get((k, m[j].ctor), "nop"), m[j].args, m[j].site)))
-            f.up.update(zip(f.methods, ms))
+            f.up.update(zip(f.own.values(), f.own))
         parts = parts_of(t)
         total = 0
         for _, condition, blocks in sorted(parts, key=lambda part: part[1] == "CP1"):
@@ -581,9 +575,7 @@ def _check(c: Component, b: Bounds,
 
         def run(name: str, condition: str, blocks: Blocks) -> CheckReport:
             t0 = time.perf_counter()
-            # A leaf that is t itself sweeps the blocks as they are.
-            cut = [blocks if f is t else
-                   [tuple([f.own[i] for i in x if i in f.own] for x in block) for block in blocks]
+            cut = [[tuple([f.own[i] for i in x if i in f.own] for x in block) for block in blocks]
                    for f in leaves]
             found = [sweep[condition](f, f_blocks) for f, f_blocks in zip(leaves, cut)]
             rep = _lift(t, leaves, (name, condition, blocks), cut, found)

@@ -107,8 +107,9 @@ class StaticProduct(Component):
 
     def leaves(self) -> Tuple[List[Component], Dict[str, Tuple[int, str]]]:
         """The factors' leaves, in the order their states appear in a
-        product state; and for each constructor but `nop`, which no leaf
-        sweeps, the index of the leaf owning it and the leaf's name for it."""
+        product state; and, as for every component, for each constructor
+        but `nop`, which no leaf sweeps, the index of the leaf owning it and
+        the leaf's name for it."""
         leaves: List[Component] = []
         owner: Dict[str, Tuple[int, str]] = {}
         for i, f in enumerate(self.parts):

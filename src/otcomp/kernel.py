@@ -21,9 +21,10 @@ from .values import METHOD, NOP, Method, StateValue, canon_key
 class Component:
     """The base of every kind of component.  A subclass defines
     `do_fn(m, st)`, `poss_fn(m, st)` and `it_fn(m1, m2)`, which the kernel
-    calls on proper methods only (it answers `nop` itself), and
-    `enum_methods_fn(b)` and `enum_states_fn(b)`, which list the methods and
-    states at bounds `b` in any order; and it sets `attributes`."""
+    calls on proper methods only (it answers `nop` itself, so a component
+    with no other method defines none), and `enum_methods_fn(b)` and
+    `enum_states_fn(b)`, which list the methods and states at bounds `b` in
+    any order; and it sets `attributes`."""
 
     # Attribute name -> observer (data args, state) -> data value; it may
     # raise UndefinedObservation where no value has been established yet.
@@ -62,9 +63,9 @@ class Component:
     # component itself, unless it is a static product.
     def leaves(self) -> Tuple[List[Component], Dict[str, Tuple[int, str]]]:
         """The leaves, in the order their states make up a state; and for
-        each constructor a leaf sweeps, the leaf's index and its name for
-        it: here every constructor, `nop` included."""
-        return [self], {ctor: (0, ctor) for ctor in self.method_ctors}
+        each constructor but `nop`, which no leaf sweeps, the leaf's index
+        and its name for it: here every other constructor, unrenamed."""
+        return [self], {ctor: (0, ctor) for ctor in self.method_ctors if ctor != "nop"}
 
     def count_states(self, counts: Iterator[int]) -> int:
         """How many states `enum_states` gives, from its leaves' counts."""

@@ -322,15 +322,6 @@ class Token(Component):
         super().__init__("token", {"nop": ()}, Opaque("x"), value_type=str)
         self.attributes = {"ident": self.ident}
 
-    def do_fn(self, m: Method, st: Opaque) -> Opaque:
-        return st
-
-    def poss_fn(self, m: Method, st: Opaque) -> bool:
-        return True
-
-    def it_fn(self, m1: Method, m2: Method) -> Method:
-        return m1
-
     def enum_methods_fn(self, b: Bounds) -> List[Method]:
         return [NOP]
 

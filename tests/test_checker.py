@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import json
 import math
 import os
@@ -21,10 +22,11 @@ from otcomp import checker, kernel
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar
 from otcomp.checker import check_consistency, check_cp1, check_cp2
-from otcomp.composition import is_update
+from otcomp.composition import ComposedComponent, is_update
 from otcomp.errors import BoundsExceeded, InvalidSpec, ReplayMismatch
 from otcomp.patterns import set_pattern
-from otcomp.registry import build
+from otcomp.registry import build, registry_names
+from otcomp.tower import build_document_tower
 from otcomp.values import Cell, Method, value_from_json
 
 B = DEFAULT_BOUNDS
@@ -501,15 +503,15 @@ def _jointly_legal(t, i1, i2, s):
 
 def _reference_cp1(t, blocks):
     """The pair condition over every ordered concurrent pair of every block,
-    on every state, each decided from its own table reads."""
+    on every state, each decided from its own table reads: the cases and
+    the failing cases."""
     it, do = t.tables.it, t.tables.do
-    pairs = cases = 0
+    cases = 0
     failing = []
     for m1s, m2s in blocks:
         for i1 in m1s:
             for i2 in m2s:
                 if t.concurrent(i1, i2):
-                    pairs += 1
                     for s in t.states:
                         if _jointly_legal(t, i1, i2, s):
                             cases += 1
@@ -517,7 +519,7 @@ def _reference_cp1(t, blocks):
                             right = do[it[i2][i1]][do[i2][s]]
                             if left != right:
                                 failing.append((s, i1, i2, left, right))
-    return cases, pairs, sorted(failing)
+    return cases, sorted(failing)
 
 
 def _reference_cp2(t, blocks):
@@ -526,14 +528,11 @@ def _reference_cp2(t, blocks):
     failing triple is realizable on a state where (m1, m2) are jointly legal
     and m3 is enabled, searched over every state."""
     it, poss = t.tables.it, t.tables.poss
-    pairs = cases = 0
     failing = []
     for g1, g2, g3 in blocks:
         for i1 in g1:
             for i2 in g2:
                 if t.concurrent(i1, i2):
-                    pairs += 1
-                    cases += len(g3)
                     for i3 in g3:
                         left = it[it[i1][i2]][it[i1][i3]]
                         right = it[it[i2][i1]][it[i2][i3]]
@@ -541,7 +540,7 @@ def _reference_cp2(t, blocks):
                             realizable = any(_jointly_legal(t, i1, i2, s) and poss[i3][s]
                                              for s in t.states)
                             failing.append((i1, i2, i3, left, right, realizable))
-    return cases, pairs, failing
+    return failing
 
 
 def _parts(rep):
@@ -651,10 +650,11 @@ def test_sweeps_match_every_ordered_case_on_overlapping_blocks(expr, overrides, 
     cp1 = [(g1, g1), (g1, g2), (g2, g1), (g2, g2), (g1, g1)]
     cp2 = [(g1, g2, g3), (g1, g1, g2), (g1, g2, g3), (g2, g1, g3), (g2, g1, g3),
            (g3, g1, g2), (g2, g2, g2)]
-    found = {"CP1": checker._cp1_sweep(t, cp1), "CP2": checker._cp2_sweep(t, cp2)}
-    assert found["CP1"] == _reference_cp1(t, cp1)
-    assert found["CP2"] == _reference_cp2(t, cp2)
-    assert found[fails][-1]
+    cp1_found, cp2_found = checker._cp1_sweep(t, cp1), checker._cp2_sweep(t, cp2)
+    assert cp1_found == _reference_cp1(t, cp1)
+    assert cp2_found == _reference_cp2(t, cp2)
+    failing = {"CP1": cp1_found[1], "CP2": cp2_found}
+    assert failing[fails], f"{expr} finds no failing {fails} case to compare"
 
 
 def test_each_unordered_pair_is_decided_once(monkeypatch):
@@ -674,6 +674,92 @@ def test_each_unordered_pair_is_decided_once(monkeypatch):
     checker._cp2_sweep(t, checker._cross(updates, container))
     assert asked == Counter({frozenset((i, j)): 1 + ((i in updates) != (j in updates))
                              for i in t.methods for j in t.methods})
+
+
+def _counted_by_the_kernel(c, b):
+    """Each part's (cases, examined) of `check_consistency(c, b)`, counted
+    over the part's own blocks through the public kernel alone: for CP1 the
+    states on which both sequences of a concurrent ordered pair are legal,
+    and the concurrent ordered pairs times the states; for CP2 the
+    concurrent pairs times the m3s, as both."""
+    methods, states = c.enum_methods(b), c.enum_states(b)
+
+    def concurrent(m1, m2):
+        return not c.site_aware or None in (m1.site, m2.site) or m1.site != m2.site
+
+    def cp1(m1s, m2s):
+        pairs = [(m1, m2) for m1 in m1s for m2 in m2s if concurrent(m1, m2)]
+        cases = sum(kernel.legal(c, [m1, kernel.transform(c, m2, m1)], st)
+                    and kernel.legal(c, [m2, kernel.transform(c, m1, m2)], st)
+                    for m1, m2 in pairs for st in states)
+        return cases, len(pairs) * len(states)
+
+    def cp2(*blocks):
+        cases = sum(len(g3) for g1, g2, g3 in blocks
+                    for m1 in g1 for m2 in g2 if concurrent(m1, m2))
+        return cases, cases
+
+    if not isinstance(c, ComposedComponent):
+        return [cp1(methods, methods), cp2((methods,) * 3)]
+    groups = updates, container = ([m for m in methods if is_update(m)],
+                                   [m for m in methods if not is_update(m)])
+    cross = [tuple(groups[k] for k in ks)
+             for ks in itertools.product((0, 1), repeat=3) if len(set(ks)) > 1]
+    return [cp1(updates, updates), cp1(container, container), cp1(updates, container),
+            cp2((updates,) * 3), cp2((container,) * 3), cp2(*cross)]
+
+
+@pytest.mark.parametrize("expr, overrides", [
+    ("cchar", {}),
+    ("set-literal", {"universe": 1}),
+    ("string", {"sites": 1, "max_len": 2}),
+    ("string", {"sites": 2, "max_len": 2}),
+    ("cchar (+) cnat", {}),
+    ("set-guarded[cchar]", {"alphabet": 2}),
+    ("string[cchar]", {"alphabet": 1, "max_len": 2}),
+])
+def test_every_part_counts_its_cases_as_the_public_kernel_does(expr, overrides):
+    # No leaf sweeps `nop`, and a product's brute-force reference counts its
+    # cases through the same lift: this count shares no step with the checker.
+    b = B.with_(**overrides)
+    c = build(expr, b)
+    rep = check_consistency(c, b)
+    assert [(p.cases, p.examined) for p in rep.parts] == _counted_by_the_kernel(c, b)
+
+
+# Every bundled cell and pattern, each pattern over each of them, and the
+# products the report digests pin.
+_CELLS, _PATTERNS = registry_names()["components"], registry_names()["patterns"]
+_BUNDLED = [*_CELLS, *_PATTERNS, *(f"{p}[{e}]" for p in _PATTERNS for e in _CELLS + _PATTERNS),
+            "cchar (+) cnat (+) ccolor", "string[cchar] (+) cnat"]
+
+
+def test_no_leaf_owns_nop():
+    # IT(m, nop) = m and IT(nop, m) = nop, so no case with `nop` can fail:
+    # the lift counts them, and no leaf sweeps one.
+    found = []
+    for c in [*map(build, _BUNDLED), *build_document_tower().values()]:
+        leaves, owner = c.leaves()
+        found += [(c.name, ctor, leaves[k].name, inner)
+                  for ctor, (k, inner) in owner.items() if "nop" in (ctor, inner)]
+    assert not found, f"leaves owning nop: {found}"
+
+
+@pytest.mark.parametrize("expr", ["string[cchar]", "cchar (+) cnat (+) ccolor"])
+def test_no_sweep_is_handed_nop(monkeypatch, expr):
+    handed = set()
+
+    def spied(sweep):
+        def spy(t, blocks):
+            handed.update(t.method[i].ctor for block in blocks for x in block for i in x)
+            return sweep(t, blocks)
+        return spy
+
+    for name in ("_cp1_sweep", "_cp2_sweep"):
+        monkeypatch.setattr(checker, name, spied(getattr(checker, name)))
+    monkeypatch.setattr(checker, "_SPLIT_CASES", math.inf)  # no sweep in a child
+    assert check_consistency(build(expr)).cases > 0
+    assert handed and "nop" not in handed
 
 
 # The benchmark's check-small-fleet workload: each check runs in one process.
@@ -743,9 +829,9 @@ def test_a_mismatch_in_the_child_is_raised_as_a_serial_run_raises_it(monkeypatch
 
     def planted(t, leaves, part, cut, found):
         if part[0] == "CP2-container":
-            (cases, pairs, failing), = found
+            failing, = found
             i1, i2, i3, left, right, realizable = failing[0]
-            found = [(cases, pairs, [(i1, i2, i3, right, left, realizable), *failing[1:]])]
+            found = [[(i1, i2, i3, right, left, realizable), *failing[1:]]]
         return lift(t, leaves, part, cut, found)
 
     monkeypatch.setattr(checker, "_lift", planted)

@@ -3,7 +3,8 @@ check rests on an `assert`, which `python -O` removes, only composition
 knows how an Update method is laid out, only the checker's runner
 compiles a component or sweeps it, the checker never names the static
 product, the checker's sweeps read tables filled from the component, not
-the validating kernel, the simulator asks nothing but the validating
+the validating kernel, only the checker's table fills and runner name
+`nop`, the simulator asks nothing but the validating
 kernel, no component or pattern is built from functions
 made for it, no value class compares or hashes in Python, and importing
 otcomp loads neither `dataclasses` nor `inspect`, nor the modules only a
@@ -98,18 +99,25 @@ _VALIDATING = {"apply", "enabled", "transform", "apply_seq", "transform_seq"}
 _MAY_VALIDATE = {("_Compiled", "__init__")}
 
 
-def _validating_kernel_calls(source: str):
-    """Lines that name a validating kernel function outside the places
-    allowed to: `kernel.apply` and its kind, called or passed on, or
-    imported from the kernel."""
-    tree = ast.parse(source)
+def _within(tree, places) -> set:
+    """The ids of the nodes inside the places, each a (class or None,
+    function) pair."""
     allowed = set()
     for top in tree.body:
         scopes = ([(top.name, d) for d in top.body] if isinstance(top, ast.ClassDef)
                   else [(None, top)])
         for owner, d in scopes:
-            if (owner, getattr(d, "name", None)) in _MAY_VALIDATE:
+            if (owner, getattr(d, "name", None)) in places:
                 allowed.update(map(id, ast.walk(d)))
+    return allowed
+
+
+def _validating_kernel_calls(source: str):
+    """Lines that name a validating kernel function outside the places
+    allowed to: `kernel.apply` and its kind, called or passed on, or
+    imported from the kernel."""
+    tree = ast.parse(source)
+    allowed = _within(tree, _MAY_VALIDATE)
     found = []
     for node in ast.walk(tree):
         named = (isinstance(node, ast.Attribute) and node.attr in _VALIDATING
@@ -135,6 +143,31 @@ def test_sweeps_do_not_call_the_validating_kernel():
     lines.insert(sweep.body[0].lineno - 1,
                  "    kernel.apply(t.c, t.method[0], t.state[0])\n")
     assert _validating_kernel_calls("".join(lines)) == [sweep.body[0].lineno]
+
+
+# Where the checker may name `nop`: the component's table fills, which hand a
+# `nop` to the kernel, and the runner, which maps a leaf's `nop` to t's.
+_MAY_NAME_NOP = {("_Compiled", "__init__"), (None, "_check")}
+
+
+def _nop_constants(source: str):
+    """Lines with the string "nop" outside the places allowed to name it."""
+    tree = ast.parse(source)
+    allowed = _within(tree, _MAY_NAME_NOP)
+    return sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                  and n.value == "nop" and id(n) not in allowed)
+
+
+def test_only_the_table_fills_and_the_runner_name_nop():
+    # No leaf sweeps `nop` (see `Component.leaves`), and the lift counts its
+    # cases off t's blocks; a sweep or lift that tested for `nop` would be a
+    # second path.  A docstring is not a Constant equal to "nop".
+    source = (SRC / "checker.py").read_text()
+    found = _nop_constants(source)
+    assert not found, f"checker.py lines naming nop: {found}"
+    # The rule catches a function that tests for `nop` elsewhere.
+    planted = source + '\n\ndef _skip(t, i):\n    return t.method[i].ctor == "nop"\n'
+    assert _nop_constants(planted) == [len(source.splitlines()) + 4]
 
 
 # A component's own functions, which the checker's tables are filled from.

@@ -8,6 +8,7 @@ import pytest
 from otcomp import kernel, values
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar
+from otcomp.checker import check_consistency
 from otcomp.composition import dynamic_compose, is_update
 from otcomp.errors import BoundsExceeded, UndefinedObservation
 from otcomp.patterns import (Token, check_admissible, set_pattern, string_pattern,
@@ -168,6 +169,16 @@ def test_token_states_follow_universe_bound():
     t = token_component()
     assert t.enum_states(_tokens(2)) == [Opaque("x"), Opaque("y")]
     assert len(t.enum_states(_tokens(8))) == 8
+
+
+def test_a_token_checks_on_nop_alone_with_no_functions_of_its_own():
+    # The kernel answers `nop` itself and no leaf sweeps it, so nothing calls
+    # a token's do_fn, poss_fn or it_fn: it has none.
+    t = token_component()
+    assert not [f for f in ("do_fn", "poss_fn", "it_fn") if hasattr(t, f)]
+    rep = check_consistency(t, _tokens(2))
+    assert [(p.property, p.verdict, p.cases) for p in rep.parts] == [("CP1", "pass", 2),
+                                                                     ("CP2", "pass", 1)]
 
 
 # --- the element contract ---------------------------------------------------
