@@ -10,8 +10,10 @@ component as its six-part decomposition.
 
 A check is a list of parts, each plain data: a name, a condition and the
 blocks of method ids its sweep walks.  One runner, `_check`, compiles the
-component once, reads every part's case estimate off its blocks, and raises
-BoundsExceeded before any sweep if one is over `max_cases`.  A large check
+component once, cuts every part's blocks by site so that every pair they
+draw is concurrent (see `_by_site`), reads every part's case estimate off
+them, exactly the cases it sweeps, and raises BoundsExceeded before any
+sweep if one is over `max_cases`.  A large check
 runs its CP2 parts, which build no state, beside its CP1 parts in a forked
 child, with the same report (see `_split`).  Compiling interns the methods
 it is given (the component's sorted enumeration, or a leaf's own methods in
@@ -39,15 +41,15 @@ through the public kernel before it is emitted, which cross-checks the
 component's tables: a pair's joint legality and final states from its
 state, a triple's transformed methods and its realizability from the
 kernel's tables.  A disagreement raises ReplayMismatch.  A sweep decides
-each unordered pair once: its mirrored case, counted and replayed too, is
-read off the same entries.
+each unordered pair once (see `_walk`): its mirrored case, counted and
+replayed too, is read off the same entries.
 
 Every check sweeps the component's leaves and lifts what they find (see
 `_lift`), by the same steps for one leaf as for many.  A component is its
 own only leaf, unless it is a static product, whose leaves are its factors
 that are not products.  No leaf sweeps `nop`.  A case across leaves or with
-`nop` holds by construction, so the lift counts it off the component's
-blocks and compares nothing: the product's transform is the identity across
+`nop` holds by construction, so the lift counts it off the sizes of the
+component's blocks and compares nothing: the product's transform is the identity across
 leaves, whose methods act on disjoint items of a state, and IT(m, nop) = m,
 IT(nop, m) = nop.  The report is a sweep over every product state's, and no
 product state is built.
@@ -62,7 +64,7 @@ import operator
 import os
 import time
 from functools import cached_property, partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .composition import ComposedComponent, is_update
@@ -196,23 +198,19 @@ class _Tables:
 
 class _Compiled:
     """A component as one check call sees it: the given methods, in order,
-    and its states interned to ids, each method validated as it is, two
-    methods concurrent unless both name the same site (when `site_aware`),
-    and two `_Tables` over those ids, each built on first use: `tables`,
-    filled from the component for the sweeps, and `kernel`, filled by the
-    public kernel for the replays.  `json[i]` is the report form of method
-    i, shared by every entry that names it.  An enumeration that repeats a
-    value would count its cases twice; it raises InvalidSpec.  A check's
-    leaves also have `own` and `up` (see `_check`).
+    and its states interned to ids, each method validated as it is, and two
+    `_Tables` over those ids, each built on first use: `tables`, filled from
+    the component for the sweeps, and `kernel`, filled by the public kernel
+    for the replays.  `json[i]` is the report form of method i, shared by
+    every entry that names it.  An enumeration that repeats a value would
+    count its cases twice; it raises InvalidSpec.  A check's leaves also
+    have `own` and `up` (see `_check`).
     """
 
-    def __init__(self, c: Component, b: Bounds, site_aware: bool, methods: List[Method]):
-        self.c, self.b, self.site_aware = c, b, site_aware
+    def __init__(self, c: Component, b: Bounds, methods: List[Method]):
+        self.c, self.b = c, b
         self.method: List[Method] = []
         self.state: List[StateValue] = []
-        # The issuing site of each method, None where concurrency is not
-        # decided by sites.
-        self.site: List[Optional[int]] = []
         self._mid: Dict[Method, int] = {}
         self._sid: Dict[StateValue, int] = {}
         method = self.method
@@ -253,7 +251,6 @@ class _Compiled:
             kernel.validate_method(self.c, m)
             i = self._mid[m] = len(self.method)
             self.method.append(m)
-            self.site.append(m.site if self.site_aware else None)
         return i
 
     def sid(self, st: StateValue) -> int:
@@ -263,10 +260,6 @@ class _Compiled:
             self.state.append(st)
         return s
 
-    def concurrent(self, i: int, j: int) -> bool:
-        a, b = self.site[i], self.site[j]
-        return a is None or b is None or a != b
-
     def select(self, f: Callable[[Method], bool]) -> List[int]:
         return [i for i in self.methods if f(self.method[i])]
 
@@ -275,89 +268,115 @@ class _Compiled:
 # blocks of method ids its sweep walks: (m1s, m2s) for CP1, (g1, g2, g3) for
 # CP2, each drawing m1 from the first, m2 from the second and so on, in that
 # nesting order.  Lists hold ascending ids (methods are interned first, in
-# order), so id order is sweep order; mirrors are found by list equality.
+# order), so id order is sweep order.  A cut block (see `_by_site`) is (index
+# of the block it was cut from, block); mirrors are found by list equality.
 Blocks = Sequence[Tuple[List[int], ...]]
+Cut = List[Tuple[int, Tuple[List[int], ...]]]
 Part = Tuple[str, str, Blocks]
 
 _SPLIT_CASES = 200_000  # the case estimate from which a check splits (see `_split`)
 
 
-def _cp1_sweep(t: _Compiled, blocks: Blocks) -> Tuple[int, list]:
-    """The pair condition over the blocks' concurrent pairs, read off the
-    component's tables: the cases decided, and the failing cases (state, m1,
-    m2, left, right) in id order.  A block whose two lists are equal walks
-    m2 from m1 on: (m2, m1) reads (m1, m2)'s entries, left and right
-    swapped, and is counted and listed as if swept.  A state is a case when
-    both methods are enabled on it and each, once transformed, is enabled
-    after the other."""
+def _by_site(t: _Compiled, blocks: Blocks) -> Cut:
+    """The blocks cut so that every (m1, m2) pair a cut block draws is
+    concurrent: two methods are, unless one site issues both.  A block's
+    first two lists are split by issuing site (None: no site, or a component
+    that is not site-aware), and the combinations of two different sites or
+    of None are kept.  The third list stays whole; lists keep id order."""
+    def split(x: List[int]) -> Dict[Optional[int], List[int]]:
+        if not t.c.site_aware:
+            return {None: x}
+        groups: Dict[Optional[int], List[int]] = {}
+        for i in x:
+            groups.setdefault(t.method[i].site, []).append(i)
+        return groups
+
+    cut: Cut = []
+    for b, (x1, x2, *rest) in enumerate(blocks):
+        by1 = split(x1)
+        by2 = by1 if x2 is x1 else split(x2)
+        cut += [(b, (y1, y2, *rest)) for s1, y1 in by1.items() for s2, y2 in by2.items()
+                if s1 != s2 or s1 is None]
+    return cut
+
+
+def _walk(blocks: Cut) -> Iterator[Tuple[int, Optional[int], List[Tuple[int, int, bool]]]]:
+    """Each block a sweep walks, by index, with its mirror's (None: it has
+    none) and its pairs (m1, m2, twice) in sweep order: twice when (m2, m1)
+    is a case of the mirror, which reads (m1, m2)'s entries, left and right
+    swapped.  The mirror of (x1, x2, ...) is the block itself when x1 == x2,
+    which then walks m2 from m1 on; else the first later unclaimed block
+    equal to (x2, x1, ...), which is claimed and not walked."""
+    claimed = set()
+    for b, (_, (x1, x2, *rest)) in enumerate(blocks):
+        if b in claimed:
+            continue
+        if x1 == x2:
+            yield b, b, [(i1, i2, i1 != i2) for k, i1 in enumerate(x1) for i2 in x1[k:]]
+            continue
+        mirror = next((k for k in range(b + 1, len(blocks))
+                       if k not in claimed and blocks[k][1] == (x2, x1, *rest)), None)
+        claimed.add(mirror)
+        yield b, mirror, [(i1, i2, mirror is not None) for i1 in x1 for i2 in x2]
+
+
+def _cp1_sweep(t: _Compiled, blocks: Cut) -> Tuple[int, list]:
+    """The pair condition over the blocks' pairs, read off the component's
+    tables: the cases decided, and the failing cases (state, m1, m2, left,
+    right) in id order.  A mirrored pair (see `_walk`) is counted and listed
+    as if swept.  A state is a case when both methods are enabled on it and
+    each, once transformed, is enabled after the other."""
     it, do, poss, enables = t.tables.it, t.tables.do, t.tables.poss, t.tables.enables
     cases = 0
     failing: List[Tuple[int, int, int, int, int]] = []
-    for m1s, m2s in blocks:
-        mirrored = m1s == m2s
-        for k, i1 in enumerate(m1s):
-            for i2 in m2s[k:] if mirrored else m2s:
-                if not t.concurrent(i1, i2):
-                    continue
-                twice = mirrored and i1 != i2
-                t21, t12 = it[i1][i2], it[i2][i1]
-                first1, then1, ok1 = do[i1], do[t21], poss[t21]
-                first2, then2, ok2 = do[i2], do[t12], poss[t12]
-                joint = 0
-                for s in enables[i1] & enables[i2]:
-                    s1, s2 = first1[s], first2[s]
-                    if ok1[s1] and ok2[s2]:
-                        joint += 1
-                        left, right = then1[s1], then2[s2]
-                        if left != right:
-                            failing.append((s, i1, i2, left, right))
-                            if twice:
-                                failing.append((s, i2, i1, right, left))
-                cases += joint * (1 + twice)
+    for _, _, pairs in _walk(blocks):
+        for i1, i2, twice in pairs:
+            t21, t12 = it[i1][i2], it[i2][i1]
+            first1, then1, ok1 = do[i1], do[t21], poss[t21]
+            first2, then2, ok2 = do[i2], do[t12], poss[t12]
+            joint = 0
+            for s in enables[i1] & enables[i2]:
+                s1, s2 = first1[s], first2[s]
+                if ok1[s1] and ok2[s2]:
+                    joint += 1
+                    left, right = then1[s1], then2[s2]
+                    if left != right:
+                        failing.append((s, i1, i2, left, right))
+                        if twice:
+                            failing.append((s, i2, i1, right, left))
+            cases += joint * (1 + twice)
     # Methods and states are interned in their listed order before anything
     # else, so (state, m1, m2) id order is the nesting order of a sweep over
     # states, then m1, then m2.
     return cases, sorted(failing)
 
 
-def _cp2_sweep(t: _Compiled, blocks: Blocks) -> list:
-    """The triple condition over the blocks' triples whose first two methods
-    are concurrent, read off the component's tables: the failing triples
-    (m1, m2, m3, left, right, realizable) in sweep order.  The mirror of
-    block (g1, g2, g3) is (g2, g1, g3), whose (m2, m1, m3) reads (m1, m2,
-    m3)'s entries, left and right swapped.  A block that is its own mirror
-    walks m2 from m1 on, and of a block and a later mirror only the first is
-    walked; mirrored triples are listed in their block's id order: sweep
-    order.  Every triple is a case, so `_lift` counts them."""
+def _cp2_sweep(t: _Compiled, blocks: Cut) -> list:
+    """The triple condition over the blocks' triples, read off the
+    component's tables: the failing triples (m1, m2, m3, left, right,
+    realizable) in sweep order: those of each block the cut blocks came
+    from in turn, in id order, a mirrored triple (see `_walk`) as if swept.
+    Every triple is a case, so `_lift` counts them."""
     it = t.tables.it
-    found: List[List[Tuple[int, int, int, int, int]]] = [[] for _ in blocks]
-    claimed = set()  # the blocks walked as mirrors of earlier ones
-    for b, (g1, g2, g3) in enumerate(blocks):
-        if b in claimed:
-            continue
-        mirror = b if g1 == g2 else next((k for k in range(b + 1, len(blocks))
-                                          if k not in claimed and blocks[k] == (g2, g1, g3)), None)
-        claimed.add(mirror)
+    found: Dict[int, List[Tuple[int, int, int, int, int]]] = {b: [] for b, _ in blocks}
+    for b, mirror, pairs in _walk(blocks):
+        g3 = blocks[b][1][2]
         # via[i] takes the IT column of a method m to the tuple, over m3 in
         # g3, of m3 transformed against method i and then against m.
         via = _Lazy(lambda i: _values_at([it[i][i3] for i3 in g3]))
-        for k, i1 in enumerate(g1):
-            for i2 in g2[k:] if mirror == b else g2:
-                if not t.concurrent(i1, i2):
-                    continue
-                twice = mirror is not None and (mirror != b or i1 != i2)
-                lefts = via[i1](it[it[i1][i2]])
-                rights = via[i2](it[it[i2][i1]])
-                if lefts != rights:
-                    for i3, left, right in zip(g3, lefts, rights):
-                        if left != right:
-                            found[b].append((i1, i2, i3, left, right))
-                            if twice:
-                                found[mirror].append((i2, i1, i3, right, left))
+        for i1, i2, twice in pairs:
+            lefts = via[i1](it[it[i1][i2]])
+            rights = via[i2](it[it[i2][i1]])
+            if lefts != rights:
+                for i3, left, right in zip(g3, lefts, rights):
+                    if left != right:
+                        found[blocks[b][0]].append((i1, i2, i3, left, right))
+                        if twice:
+                            found[blocks[mirror][0]].append((i2, i1, i3, right, left))
     # (m1, m2, m3) and (m2, m1, m3) are realizable on the same states: read one.
     realizable = t.tables.realizable
     return [(*f, realizable[min(f[:2]), max(f[:2]), f[2]])
-            for bucket in found for f in sorted(bucket)]
+            for bucket in found.values() for f in sorted(bucket)]
 
 
 def _values_at(keys: List[int]) -> Callable[[dict], tuple]:
@@ -422,67 +441,41 @@ def _replay_realizable(t: _Compiled, i1: int, i2: int, i3: int, realizable: bool
                   f"realizable is {realizable} by the tables")
 
 
-def _concurrent(a: Dict[Optional[int], int], b: Dict[Optional[int], int]) -> int:
-    """The sum of wa * wb over the concurrent pairs of a method of weight wa
-    from a and one of weight wb from b, each given as its weights summed per
-    site (None: concurrent with every method)."""
-    return (sum(a.values()) * sum(b.values())
-            - sum(w * b.get(site, 0) for site, w in a.items() if site is not None))
-
-
-def _per_site(site: List[Optional[int]], x: List[int]) -> Dict[Optional[int], int]:
-    """How many of x's methods each site issues."""
-    out: Dict[Optional[int], int] = {}
-    for i in x:
-        out[site[i]] = out.get(site[i], 0) + 1
-    return out
-
-
 def _weighed(leaves: List[_Compiled], x: List[int], ys: Sequence[List[int]],
-             others: List[int], n: int) -> List[Dict[Optional[int], int]]:
-    """For each leaf, then for all of them, x's methods weighed by the
-    states of t they are enabled on, summed per site, `ys[k]` being x cut
-    to leaf k's methods: leaf k's enabled states of a method times
-    `others[k]`, and n for a method no leaf sweeps (`nop`)."""
-    every = {None: (len(x) - sum(map(len, ys))) * n}
-    out: List[Dict[Optional[int], int]] = []
-    for f, y, m in zip(leaves, ys, others):
-        own: Dict[Optional[int], int] = {}
-        for j in y:
-            site, w = f.site[j], len(f.tables.enables[j]) * m
-            own[site] = own.get(site, 0) + w
-            every[site] = every.get(site, 0) + w
-        out.append(own)
-    return out + [every]
+             others: List[int], n: int) -> List[int]:
+    """For each leaf, then for all of them, the sum of x's methods weighed
+    by the states of t they are enabled on, `ys[k]` being x cut to leaf k's
+    methods: leaf k's enabled states of a method times `others[k]`, and n
+    for a method no leaf sweeps (`nop`)."""
+    own = [sum(len(f.tables.enables[j]) for j in y) * m for f, y, m in zip(leaves, ys, others)]
+    return own + [sum(own) + (len(x) - sum(map(len, ys))) * n]
 
 
-def _lift(t: _Compiled, leaves: List[_Compiled], part: Part, cut: List[Blocks],
+def _lift(t: _Compiled, leaves: List[_Compiled], part: Part, cut: List[Cut],
           found: list) -> CheckReport:
-    """The part's report on t from what each leaf k `found` sweeping
-    `cut[k]`, the part's blocks cut to its methods: for CP1 its cases and
-    failing cases, for CP2 its failing triples.
+    """The part's report on t, whose blocks are cut by site, from what each
+    leaf k `found` sweeping `cut[k]`, those blocks cut to its methods: for
+    CP1 its cases and failing cases, for CP2 its failing triples.
 
-    Every count is read off t's blocks, for one leaf as for many: the
-    concurrent pairs, counted on their sites, and so the CP2 cases, each
-    pair's m3 count.  A leaf's CP1 case holds on every combination of the
-    other leaves' states.  A case no leaf sweeps holds by construction (see
-    the module docstring), so it is counted, not compared, across groups:
-    the leaves, and `nop`, which no leaf sweeps (one method on one state,
-    concurrent with all).  A pair across groups is jointly legal on its
-    methods' enabled states times the other groups' states.  So, each
-    method weighed by the states of t it is enabled on, all the weighed
-    pairs less each leaf's own, over t's state count, are the CP1 cases
-    across groups.
+    Every count is read off t's blocks, for one leaf as for many.  Every
+    pair a block draws is concurrent, so a block's pairs are its first two
+    lists' sizes multiplied, and its CP2 cases its three.  A leaf's CP1 case
+    holds on every combination of the other leaves' states.  A case no leaf
+    sweeps holds by construction (see the module docstring), so it is
+    counted, not compared, across groups: the leaves, and `nop`, which no
+    leaf sweeps (one method on one state).  A pair across groups is jointly
+    legal on its methods' enabled states times the other groups' states.
+    So, each method weighed by the states of t it is enabled on, the
+    product of a block's two weighed sums less each leaf's own, over t's
+    state count, are its CP1 cases across groups.
 
     Each lifted entry is replayed through the public kernel on t; a
     triple's realizability on its leaf.  CP1 witnesses are in sweep order,
     a state of t's id being its leaves' ids in turn.  CP2 entries are the
     leaves' merged by t's method ids, so one leaf's keep block order."""
     name, condition, blocks = part
-    concurrent = [_concurrent(_per_site(t.site, block[0]), _per_site(t.site, block[1]))
-                  for block in blocks]
     if condition == "CP2":
-        cases = sum(p * len(block[2]) for p, block in zip(concurrent, blocks))
+        cases = sum(math.prod(map(len, block)) for _, block in blocks)
         entries: Dict[bool, List[dict]] = {True: [], False: []}
         if any(found):
             lifted = []
@@ -504,12 +497,11 @@ def _lift(t: _Compiled, leaves: List[_Compiled], part: Part, cut: List[Blocks],
     n = math.prod(ns)
     others = [math.prod(ns[:k] + ns[k + 1:]) for k in range(len(ns))]
     cases = sum(own_cases * m for (own_cases, _), m in zip(found, others))
-    for b, (x1, x2) in enumerate(blocks):
-        y1, y2 = zip(*(f_blocks[b] for f_blocks in cut))  # x1, x2 cut to each leaf
+    for b, (_, (x1, x2)) in enumerate(blocks):
+        y1, y2 = zip(*(f_blocks[b][1] for f_blocks in cut))  # x1, x2 cut to each leaf
         w1 = _weighed(leaves, x1, y1, others, n)
         w2 = w1 if x2 is x1 else _weighed(leaves, x2, y2, others, n)
-        cases += (_concurrent(w1[-1], w2[-1])
-                  - sum(map(_concurrent, w1[:-1], w2[:-1]))) // (n or 1)
+        cases += (w1[-1] * w2[-1] - sum(map(operator.mul, w1[:-1], w2[:-1]))) // (n or 1)
     lifted = []
     for k, (f, (_, failing)) in enumerate(zip(leaves, found)):
         axes: List[Sequence[int]] = list(map(range, ns))
@@ -526,23 +518,24 @@ def _lift(t: _Compiled, leaves: List[_Compiled], part: Part, cut: List[Blocks],
         items[k] = leaves[k].state[right]
         witnesses.append(_replay_cp1(t, st, p1, p2, left_st, t.c.assemble(iter(items))))
     return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
-                       examined=sum(concurrent) * n)
+                       examined=sum(len(x1) * len(x2) for _, (x1, x2) in blocks) * n)
 
 
 def _check(c: Component, b: Bounds,
            parts_of: Callable[[_Compiled], List[Part]]) -> List[CheckReport]:
     """Compile c once as t, and its leaves (see `Component.leaves`): t
-    itself, or each over its own methods, in t's order and under t's site
-    rule.  A leaf's `own` maps t's id of each method it sweeps (never `nop`)
-    to its own, and `up` maps back.  Once every part's estimate is within
-    the case ceiling (the cases its blocks hold, `nop` included, times the
-    states for CP1), each part sweeps every leaf over its blocks cut to the
-    leaf's methods, and lifts what they found (see `_lift`).  CP2's
+    itself, or each over its own methods, in t's order.  A leaf's `own`
+    maps t's id of each method it sweeps (never `nop`) to its own, and `up`
+    maps back.  Each part's blocks are cut by site once (see `_by_site`).
+    Once every part's estimate is within the case ceiling (the cases its
+    cut blocks hold, `nop` included, times the states for CP1), each part
+    sweeps every leaf over its cut blocks cut to the leaf's methods, and
+    lifts what they found (see `_lift`).  CP2's
     estimates, which need no states, are read first, so a check its methods
     alone put over the ceiling builds no state.  Then, refused or not, free
     the tables, whose fill functions refer back to their compiled
     component, without a GC pass."""
-    t = _Compiled(c, b, c.site_aware, c.enum_methods(b))
+    t = _Compiled(c, b, c.enum_methods(b))
     leaves = [t]
     try:
         factors, owner = c.leaves()
@@ -551,20 +544,20 @@ def _check(c: Component, b: Bounds,
             m = t.method[i]
             if m.ctor in owner:
                 k, ctor = owner[m.ctor]
-                own[k][i] = m if ctor == m.ctor else Method(ctor, m.args, m.site)
-        leaves = [t if f is c else _Compiled(f, b, c.site_aware, list(ms.values()))
+                own[k][i] = m if ctor == m.ctor else m.renamed(ctor)
+        leaves = [t if f is c else _Compiled(f, b, list(ms.values()))
                   for f, ms in zip(factors, own)]
         # (leaf, its constructor) -> t's; a `nop` a leaf's transform gives is t's.
         names = {v: k for k, v in owner.items()}
         for k, (f, ms) in enumerate(zip(leaves, own)):
             f.own = {i: f.mid(m) for i, m in ms.items()}
-            f.up = _Lazy(lambda j, k=k, m=f.method: t.mid(Method(
-                names.get((k, m[j].ctor), "nop"), m[j].args, m[j].site)))
+            f.up = _Lazy(lambda j, k=k, m=f.method: t.mid(
+                m[j].renamed(names.get((k, m[j].ctor), "nop"))))
             f.up.update(zip(f.own.values(), f.own))
-        parts = parts_of(t)
+        parts = [(name, condition, _by_site(t, blocks)) for name, condition, blocks in parts_of(t)]
         total = 0
         for _, condition, blocks in sorted(parts, key=lambda part: part[1] == "CP1"):
-            estimate = sum(math.prod(map(len, block)) for block in blocks)
+            estimate = sum(math.prod(map(len, block)) for _, block in blocks)
             if condition == "CP1":
                 estimate *= c.count_states(len(f.states) for f in leaves)
             if estimate > b.max_cases:
@@ -573,10 +566,10 @@ def _check(c: Component, b: Bounds,
             total += estimate
         sweep = {"CP1": _cp1_sweep, "CP2": _cp2_sweep}
 
-        def run(name: str, condition: str, blocks: Blocks) -> CheckReport:
+        def run(name: str, condition: str, blocks: Cut) -> CheckReport:
             t0 = time.perf_counter()
-            cut = [[tuple([f.own[i] for i in x if i in f.own] for x in block) for block in blocks]
-                   for f in leaves]
+            cut = [[(o, tuple([f.own[i] for i in x if i in f.own] for x in block))
+                    for o, block in blocks] for f in leaves]
             found = [sweep[condition](f, f_blocks) for f, f_blocks in zip(leaves, cut)]
             rep = _lift(t, leaves, (name, condition, blocks), cut, found)
             rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0

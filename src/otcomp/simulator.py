@@ -103,6 +103,8 @@ def run_scenario(s: Scenario, component: Optional[Component] = None) -> RunRepor
 
     base = decode_state(c, s.base)
     ops = [_on_site(decode_method(c, m), site) for site, m in s.ops]
+    if len({m.site for m in ops}) != len(ops):  # a method may name its own site
+        raise ScenarioError("sites issuing ops must be pairwise distinct")
     orders = _orders(s.delivery, len(ops))
     if type(s.use_transform) is not bool:
         raise ScenarioError(f"transform {s.use_transform!r} is not a bool")

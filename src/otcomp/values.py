@@ -109,6 +109,10 @@ class Method(Frozen, tuple):
     def __new__(cls, ctor: str, args: Tuple[Any, ...] = (), site: Optional[int] = None):
         return tuple.__new__(cls, (cls, ctor, args, site))
 
+    def renamed(self, ctor: str) -> "Method":
+        """This method under another constructor name."""
+        return Method(ctor, self.args, self.site)
+
 
 NOP = Method("nop")
 

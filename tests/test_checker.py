@@ -431,8 +431,9 @@ def test_an_enumeration_that_repeats_a_value_is_rejected():
 
 
 def test_every_ceiling_is_checked_before_the_first_sweep(monkeypatch):
-    # The CP2-cross part alone exceeds the ceiling; nothing may be swept.
-    b = B.with_(sites=4)
+    # The CP2-cross part alone exceeds the ceiling, which is CP2-updates'
+    # estimate, the next largest; nothing may be swept.
+    b = B.with_(sites=4, max_cases=5_308_416)
     c = build("string[cchar]", b)
 
     def swept(*args):
@@ -440,7 +441,7 @@ def test_every_ceiling_is_checked_before_the_first_sweep(monkeypatch):
 
     for name in ("apply", "enabled", "transform"):
         monkeypatch.setattr(kernel, name, swept)
-    with pytest.raises(BoundsExceeded, match="11930688"):
+    with pytest.raises(BoundsExceeded, match="estimated 8981184 cases exceeds ceiling 5308416"):
         check_consistency(c, b)
 
 
@@ -485,12 +486,13 @@ def test_no_compiled_component_outlives_its_check(monkeypatch):
 
 def test_a_part_is_estimated_by_the_blocks_it_sweeps():
     # CP2-cross sweeps the six mixed blocks of updates and container methods,
-    # 1,516,320 triples, not the (|U| + |C|)^3 cube that holds them.
+    # cut to their concurrent (m1, m2) pairs: 774,816 triples, not the
+    # (|U| + |C|)^3 cube that holds them.
     c = build("string[cchar]")
-    rep = check_consistency(c, B.with_(max_cases=1_516_320))
-    assert rep.parts[-1].property == "CP2-cross" and rep.parts[-1].cases > 0
-    with pytest.raises(BoundsExceeded, match="estimated 1516320 cases"):
-        check_consistency(c, B.with_(max_cases=1_516_319))
+    rep = check_consistency(c, B.with_(max_cases=774_816))
+    assert rep.parts[-1].property == "CP2-cross" and rep.parts[-1].cases == 774_816
+    with pytest.raises(BoundsExceeded, match="estimated 774816 cases"):
+        check_consistency(c, B.with_(max_cases=774_815))
 
 
 def _jointly_legal(t, i1, i2, s):
@@ -501,17 +503,24 @@ def _jointly_legal(t, i1, i2, s):
             and poss[it[i1][i2]][do[i1][s]] and poss[it[i2][i1]][do[i2][s]])
 
 
+def _concurrent(t, i1, i2):
+    """Whether two methods are concurrent: unless one site issues both."""
+    s1, s2 = t.method[i1].site, t.method[i2].site
+    return not t.c.site_aware or None in (s1, s2) or s1 != s2
+
+
 def _reference_cp1(t, blocks):
     """The pair condition over every ordered concurrent pair of every block,
     on every state, each decided from its own table reads: the cases and
-    the failing cases."""
+    the failing cases.  Blocks are (index, block) pairs, as the sweeps take
+    them."""
     it, do = t.tables.it, t.tables.do
     cases = 0
     failing = []
-    for m1s, m2s in blocks:
+    for _, (m1s, m2s) in blocks:
         for i1 in m1s:
             for i2 in m2s:
-                if t.concurrent(i1, i2):
+                if _concurrent(t, i1, i2):
                     for s in t.states:
                         if _jointly_legal(t, i1, i2, s):
                             cases += 1
@@ -524,23 +533,26 @@ def _reference_cp1(t, blocks):
 
 def _reference_cp2(t, blocks):
     """The triple condition over every triple of every block whose first two
-    methods are concurrent, in sweep order, each from its own table reads; a
-    failing triple is realizable on a state where (m1, m2) are jointly legal
-    and m3 is enabled, searched over every state."""
+    methods are concurrent, each from its own table reads, in sweep order:
+    those of each block index in turn, in id order.  Blocks are (index,
+    block) pairs, as the sweeps take them.  A failing triple is realizable
+    on a state where (m1, m2) are jointly legal and m3 is enabled, searched
+    over every state."""
     it, poss = t.tables.it, t.tables.poss
-    failing = []
-    for g1, g2, g3 in blocks:
+    failing = {}
+    for b, (g1, g2, g3) in blocks:
         for i1 in g1:
             for i2 in g2:
-                if t.concurrent(i1, i2):
+                if _concurrent(t, i1, i2):
                     for i3 in g3:
                         left = it[it[i1][i2]][it[i1][i3]]
                         right = it[it[i2][i1]][it[i2][i3]]
                         if left != right:
                             realizable = any(_jointly_legal(t, i1, i2, s) and poss[i3][s]
                                              for s in t.states)
-                            failing.append((i1, i2, i3, left, right, realizable))
-    return failing
+                            failing.setdefault(b, []).append(
+                                (i1, i2, i3, left, right, realizable))
+    return [f for b in sorted(failing) for f in sorted(failing[b])]
 
 
 def _parts(rep):
@@ -570,7 +582,8 @@ def test_mirrored_cases_are_reported_as_a_sweep_of_every_ordered_case(monkeypatc
                                                                       overrides):
     # The sweeps decide (m2, m1) and (m2, m1, m3) from (m1, m2)'s and (m1, m2,
     # m3)'s reads; every part must count, examine and list what a sweep of
-    # each ordered case on its own does, CP1-cross, which has no mirror, too.
+    # each ordered case on its own does, CP1-cross, which has no mirror, too
+    # (its cut blocks draw m1 from the updates and m2 from the container).
     b = B.with_(**overrides)
     rep = check_consistency(build(expr, b), b)
     assert _parts(rep) == _parts(_by_reference(monkeypatch, check_consistency,
@@ -641,39 +654,67 @@ def test_a_mirrored_entry_that_does_not_replay_raises():
 def test_sweeps_match_every_ordered_case_on_overlapping_blocks(expr, overrides, fails):
     # Blocks that share methods, mirror each other, repeat, or have no
     # mirror: a pair on the shared diagonal of two mirrored blocks is two
-    # cases, one in each.
+    # cases, one in each.  The sweeps walk the blocks as `_by_site` cuts
+    # them; the reference walks them whole, with its own site test.
     b = B.with_(**overrides)
     c = build(expr, b)
-    t = checker._Compiled(c, b, c.site_aware, c.enum_methods(b))
+    t = checker._Compiled(c, b, c.enum_methods(b))
     n = len(t.methods)
     g1, g2, g3 = t.methods[: 2 * n // 3], t.methods[n // 3:], t.methods[::2]
     cp1 = [(g1, g1), (g1, g2), (g2, g1), (g2, g2), (g1, g1)]
     cp2 = [(g1, g2, g3), (g1, g1, g2), (g1, g2, g3), (g2, g1, g3), (g2, g1, g3),
            (g3, g1, g2), (g2, g2, g2)]
-    cp1_found, cp2_found = checker._cp1_sweep(t, cp1), checker._cp2_sweep(t, cp2)
-    assert cp1_found == _reference_cp1(t, cp1)
-    assert cp2_found == _reference_cp2(t, cp2)
+    cp1_found = checker._cp1_sweep(t, checker._by_site(t, cp1))
+    cp2_found = checker._cp2_sweep(t, checker._by_site(t, cp2))
+    assert cp1_found == _reference_cp1(t, list(enumerate(cp1)))
+    assert cp2_found == _reference_cp2(t, list(enumerate(cp2)))
     failing = {"CP1": cp1_found[1], "CP2": cp2_found}
     assert failing[fails], f"{expr} finds no failing {fails} case to compare"
+
+
+def _walked(monkeypatch):
+    """The unordered pairs every walk of the blocks decides, counted."""
+    asked = Counter()
+    walk = checker._walk
+
+    def spied(blocks):
+        for b, mirror, pairs in walk(blocks):
+            asked.update(frozenset(pair[:2]) for pair in pairs)
+            yield b, mirror, pairs
+
+    monkeypatch.setattr(checker, "_walk", spied)
+    return asked
 
 
 def test_each_unordered_pair_is_decided_once(monkeypatch):
     # CP1 over all methods, and CP2-cross's six blocks, of which four are
     # two mirrored pairs: a pair of updates or of container methods is
-    # asked once, a pair of one of each once for each mirrored pair.
+    # decided once, a pair of one of each once for each mirrored pair.
+    asked = _walked(monkeypatch)
     c = build("set-guarded[cchar]")
-    t = checker._Compiled(c, B, c.site_aware, c.enum_methods(B))
-    asked = Counter()
-    monkeypatch.setattr(t, "concurrent", lambda i, j: not asked.update([frozenset((i, j))]))
-    checker._cp1_sweep(t, [(t.methods, t.methods)])
+    t = checker._Compiled(c, B, c.enum_methods(B))
+    checker._cp1_sweep(t, checker._by_site(t, [(t.methods, t.methods)]))
     n = len(t.methods)
     assert len(asked) == n * (n + 1) // 2 and set(asked.values()) == {1}
     asked.clear()
     updates = t.select(is_update)
     container = t.select(lambda m: not is_update(m))
-    checker._cp2_sweep(t, checker._cross(updates, container))
+    checker._cp2_sweep(t, checker._by_site(t, checker._cross(updates, container)))
     assert asked == Counter({frozenset((i, j)): 1 + ((i in updates) != (j in updates))
                              for i in t.methods for j in t.methods})
+
+
+def test_each_concurrent_unordered_pair_is_decided_once_across_sites(monkeypatch):
+    # A site-aware CP1 block is cut into mirrored blocks, (m1s at site 0, m2s
+    # at site 1) and back: each concurrent pair is decided once, and a pair
+    # that one site issues never.
+    asked = _walked(monkeypatch)
+    b = B.with_(sites=3)
+    c = build("string", b)
+    t = checker._Compiled(c, b, c.enum_methods(b))
+    checker._cp1_sweep(t, checker._by_site(t, [(t.methods, t.methods)]))
+    assert asked == Counter({frozenset((i, j)): 1 for i in t.methods for j in t.methods
+                             if _concurrent(t, i, j)})
 
 
 def _counted_by_the_kernel(c, b):
@@ -751,7 +792,7 @@ def test_no_sweep_is_handed_nop(monkeypatch, expr):
 
     def spied(sweep):
         def spy(t, blocks):
-            handed.update(t.method[i].ctor for block in blocks for x in block for i in x)
+            handed.update(t.method[i].ctor for _, block in blocks for x in block for i in x)
             return sweep(t, blocks)
         return spy
 

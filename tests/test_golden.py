@@ -81,14 +81,14 @@ TOWER_DIGESTS = {
 }
 
 REFUSALS = {
-    ("string[string]", "consistency"): "estimated 8869743000 cases exceeds ceiling 10000000",
-    ("string[string]", "cp1"): "estimated 17453741344 cases exceeds ceiling 10000000",
-    ("string[string]", "cp2"): "estimated 10604499373 cases exceeds ceiling 10000000",
+    ("string[string]", "consistency"): "estimated 4434871500 cases exceeds ceiling 10000000",
+    ("string[string]", "cp1"): "estimated 8734813216 cases exceeds ceiling 10000000",
+    ("string[string]", "cp2"): "estimated 5307075397 cases exceeds ceiling 10000000",
 }
 
 TOWER_REFUSALS = {
-    ("word", "consistency"): "estimated 54010152 cases exceeds ceiling 10000000",
-    ("word", "cp2"): "estimated 116930169 cases exceeds ceiling 10000000",
+    ("word", "consistency"): "estimated 27005076 cases exceeds ceiling 10000000",
+    ("word", "cp2"): "estimated 58703961 cases exceeds ceiling 10000000",
 }
 
 
@@ -124,6 +124,27 @@ def test_tower_refusal_text(tower, level, check):
     with pytest.raises(BoundsExceeded) as exc:
         CHECKS[check](tower[level], TOWER_BOUNDS)
     assert str(exc.value) == TOWER_REFUSALS[level, check]
+
+
+def _largest_part(rep):
+    """The most cases a part of a consistency report sweeps: its CP2 cases,
+    or its CP1 examined pairs and states."""
+    return max(p.cases if p.property.startswith("CP2") else p.examined for p in rep.parts)
+
+
+@pytest.mark.parametrize("expr", [e for e, check in DIGESTS if check == "consistency"]
+                         + ["tower fchar"])
+def test_each_estimate_is_the_count_it_guards(tower, expr):
+    # A check runs at a ceiling of its largest part's count, and is refused,
+    # naming that count, at one less: no estimate counts a case, such as a
+    # pair that one site issues, that its part does not sweep.
+    c, b = ((tower["fchar"], TOWER_BOUNDS) if expr == "tower fchar"
+            else (build(expr), DEFAULT_BOUNDS))
+    largest = _largest_part(check_consistency(c, b))
+    assert _largest_part(check_consistency(c, b.with_(max_cases=largest))) == largest
+    with pytest.raises(BoundsExceeded) as exc:
+        check_consistency(c, b.with_(max_cases=largest - 1))
+    assert str(exc.value) == f"estimated {largest} cases exceeds ceiling {largest - 1}"
 
 
 # Checks whose reports hold sets of values, whose iteration order follows

@@ -4,7 +4,8 @@ knows how an Update method is laid out, only the checker's runner
 compiles a component or sweeps it, the checker never names the static
 product, the checker's sweeps read tables filled from the component, not
 the validating kernel, only the checker's table fills and runner name
-`nop`, the simulator asks nothing but the validating
+`nop`, only the checker's cutter reads sites and only its walk finds
+mirrors, the simulator asks nothing but the validating
 kernel, no component or pattern is built from functions
 made for it, no value class compares or hashes in Python, and importing
 otcomp loads neither `dataclasses` nor `inspect`, nor the modules only a
@@ -168,6 +169,51 @@ def test_only_the_table_fills_and_the_runner_name_nop():
     # The rule catches a function that tests for `nop` elsewhere.
     planted = source + '\n\ndef _skip(t, i):\n    return t.method[i].ctor == "nop"\n'
     assert _nop_constants(planted) == [len(source.splitlines()) + 4]
+
+
+# Where the checker may read the site rule: the cutter alone, which cuts a
+# part's blocks so that every pair they draw is concurrent; and where it may
+# search for a mirror, compare a block to one built from another's lists:
+# the walk alone, which both sweeps share.
+_SITE_RULE = {"site", "site_aware"}
+
+
+def _site_rule_breaches(source: str):
+    """Lines that read `.site` or `.site_aware` outside `_by_site`, name
+    anything `concurrent`, or compare with `==` to a tuple display outside
+    `_walk`."""
+    tree = ast.parse(source)
+    cutter, walk = _within(tree, {(None, "_by_site")}), _within(tree, {(None, "_walk")})
+    found = set()
+    for n in ast.walk(tree):
+        name = (n.attr if isinstance(n, ast.Attribute) else n.id if isinstance(n, ast.Name)
+                else n.arg if isinstance(n, ast.arg) else getattr(n, "name", None))
+        reads_site = isinstance(n, ast.Attribute) and n.attr in _SITE_RULE and id(n) not in cutter
+        mirror = (isinstance(n, ast.Compare) and any(isinstance(op, ast.Eq) for op in n.ops)
+                  and any(isinstance(x, ast.Tuple) for x in (n.left, *n.comparators))
+                  and id(n) not in walk)
+        if reads_site or mirror or "concurrent" in (name or ""):
+            found.add(n.lineno)
+    return sorted(found)
+
+
+def test_only_the_cutter_reads_sites_and_only_the_walk_finds_mirrors():
+    # Two methods are concurrent unless one site issues both: `_by_site`
+    # cuts each part's blocks by that rule once, so the sweeps, the lift and
+    # the estimates read only ids and list sizes.
+    source = (SRC / "checker.py").read_text()
+    found = _site_rule_breaches(source)
+    assert not found, f"checker.py lines reading sites or finding mirrors: {found}"
+    # The rule catches a site read, a concurrency test and a mirror search.
+    planted = source + textwrap.dedent("""
+
+        def _planted(t, blocks, b, i, j):
+            aware = t.c.site_aware
+            concurrent = t.method[i] != t.method[j]
+            return [k for k in range(len(blocks)) if blocks[k] == (blocks[b][1], blocks[b][0])]
+        """)
+    end = len(source.splitlines())
+    assert _site_rule_breaches(planted) == [end + 4, end + 5, end + 6]
 
 
 # A component's own functions, which the checker's tables are filled from.

@@ -71,6 +71,21 @@ def test_duplicate_issuing_sites_rejected():
                       (1, {"ctor": "putchar", "args": ["b"]})])
 
 
+def test_a_method_naming_another_ops_site_is_rejected(tmp_path, capsys):
+    # The ops' sites differ, but the first op's method names the second's
+    # site: both would be issued by site 1, and no transform makes that
+    # converge ("xy" against "yx").
+    data = {"component": "string", "base": "", "ops": [
+        {"site": 0, "method": {"ctor": "Ins", "args": [0, {"atom": "x"}], "site": 1}},
+        {"site": 1, "method": {"ctor": "Ins", "args": [0, {"atom": "y"}]}}]}
+    with pytest.raises(ScenarioError, match="pairwise distinct"):
+        run_scenario(load_scenario(data))
+    path = tmp_path / "one_site.scenario"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_permutation_explosion_rejected():
     ops = [(i, {"ctor": "putnat", "args": [0]}) for i in range(7)]
     with pytest.raises(ScenarioError):
