@@ -280,12 +280,10 @@ _SPLIT_CASES = 200_000  # the case estimate from which a check splits (see `_spl
 def _by_site(t: _Compiled, blocks: Blocks) -> Cut:
     """The blocks cut so that every (m1, m2) pair a cut block draws is
     concurrent: two methods are, unless one site issues both.  A block's
-    first two lists are split by issuing site (None: no site, or a component
-    that is not site-aware), and the combinations of two different sites or
-    of None are kept.  The third list stays whole; lists keep id order."""
+    first two lists are split by issuing site (None: no site), and the
+    combinations of two different sites or of None are kept.  The third
+    list stays whole; lists keep id order."""
     def split(x: List[int]) -> Dict[Optional[int], List[int]]:
-        if not t.c.site_aware:
-            return {None: x}
         groups: Dict[Optional[int], List[int]] = {}
         for i in x:
             groups.setdefault(t.method[i].site, []).append(i)

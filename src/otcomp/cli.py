@@ -7,8 +7,7 @@
     otcomp demo document [--check]
     otcomp list
 
-SCENARIO is a scenario file, or the name of one bundled with otcomp;
-`simulate` builds its component at the default bounds.
+SCENARIO is a scenario file, or the name of one bundled with otcomp.
 
 Exit codes for `check`: 0 pass, 1 fail, 2 vacuous, 3 usage error.
 `simulate`: 0 converged, 1 diverged, 3 malformed scenario.  A usage error
@@ -75,7 +74,7 @@ def cmd_check(args) -> int:
     b = _bounds_from(args)
     runner = {"cp1": check_cp1, "cp2": check_cp2,
               "consistency": check_consistency}[args.property]
-    rep = runner(build(args.expr, b), b)
+    rep = runner(build(args.expr), b)
     _emit(json.dumps(rep.to_json(), indent=2) if args.format == "json"
           else _render_report(rep), args)
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "vacuous": EXIT_VACUOUS}[rep.verdict]

@@ -23,7 +23,7 @@ from .errors import BoundsExceeded, UnknownMethod
 from .kernel import Component
 from . import kernel
 from .patterns import CompositionPattern
-from .values import METHOD, NOP, POSITION, STATE, Method, Product, StateValue, product
+from .values import METHOD, NOP, STATE, Method, Product, StateValue, product
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +53,7 @@ class StaticProduct(Component):
         super().__init__(name or " (+) ".join(f.name for f in factors),
                          {"nop": (), **{c: factors[i].method_ctors[ctor]
                                         for c, (i, ctor) in owner.items()}},
-                         product(f.initial_state for f in factors),
-                         any(f.site_aware for f in factors), tuple(factors))
+                         product(f.initial_state for f in factors), tuple(factors))
         self.owner = owner
         self.renamed = {v: k for k, v in owner.items()}  # inverse of owner
         self.attributes = attributes
@@ -174,18 +173,17 @@ def is_update(m: Method) -> bool:
 class ComposedComponent(Component):
     """A pattern instantiated over its child, parts[0], with Update grafted
     on: the pattern's body, `body`, answers every other method.  Update
-    declares its address as a tuple of as many positions as the pattern's
-    addresses have at `b`.  The name, `pattern[child]` unless given, is the
-    body's too, so the body's refusals name this component."""
+    declares its address as the pattern does (`update_address`).  The name,
+    `pattern[child]` unless given, is the body's too, so the body's refusals
+    name this component."""
 
     def __init__(self, pattern: CompositionPattern, child: Component,
-                 b: Bounds = DEFAULT_BOUNDS, name: Optional[str] = None):
+                 name: Optional[str] = None):
         name = name or f"{pattern.name}[{child.name}]"
         body = pattern.build_body(child, name)
-        address = tuple(POSITION for _ in pattern.update_addrs(b)[0])
-        super().__init__(name, {**body.method_ctors, "Update": (address, STATE, METHOD)},
-                         body.initial_state, body.site_aware or pattern.update_site_aware,
-                         (child,))
+        super().__init__(name, {**body.method_ctors,
+                                "Update": (pattern.update_address, STATE, METHOD)},
+                         body.initial_state, (child,))
         self.pattern, self.body = pattern, body
         self.attributes = body.attributes  # updates add no attributes
 
@@ -271,8 +269,7 @@ def transform_update(comp: ComposedComponent, u1: Method, u2: Method) -> Method:
     return u1
 
 
-def dynamic_compose(pattern: CompositionPattern, child: Component,
-                    b: Bounds = DEFAULT_BOUNDS) -> ComposedComponent:
+def dynamic_compose(pattern: CompositionPattern, child: Component) -> ComposedComponent:
     """Instantiate the pattern over the child, under structural equality,
     and graft on the update method (see ComposedComponent)."""
-    return ComposedComponent(pattern, child, b)
+    return ComposedComponent(pattern, child)

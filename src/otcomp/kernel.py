@@ -24,23 +24,25 @@ class Component:
     calls on proper methods only (it answers `nop` itself, so a component
     with no other method defines none), and `enum_methods_fn(b)` and
     `enum_states_fn(b)`, which list the methods and states at bounds `b` in
-    any order; and it sets `attributes`."""
+    any order; and it sets `attributes`.  A component is built from its
+    parts alone: no bound, and no declaration of how its methods are
+    issued, since two methods are concurrent unless one site issues both."""
 
     # Attribute name -> observer (data args, state) -> data value; it may
     # raise UndefinedObservation where no value has been established yet.
     attributes: Dict[str, Callable[[Tuple[Any, ...], StateValue], Any]]
     # Static product: constructor -> (factor index, the factor's constructor).
     owner: Dict[str, Tuple[int, str]] = {}
+    site_aware = True  # only bench/gate.py reads it: the checker cuts every method by site
 
     def __init__(self, name: str, method_ctors: Dict[str, Tuple[Any, ...]],
-                 initial_state: StateValue, site_aware: bool = False,
-                 parts: Tuple[Component, ...] = (), value_type: Optional[type] = None):
+                 initial_state: StateValue, parts: Tuple[Component, ...] = (),
+                 value_type: Optional[type] = None):
         self.name = name
         # Constructor -> argument sorts (values.VALUE / POSITION / STATE / METHOD, or
         # a tuple of POSITIONs for an address), with `nop` declared as taking none.
         self.method_ctors = method_ctors
         self.initial_state = initial_state
-        self.site_aware = site_aware
         # The element component of a pattern instance or dynamic composition, or
         # the factors of a static product.
         self.parts = parts

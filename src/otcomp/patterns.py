@@ -38,7 +38,9 @@ class CompositionPattern:
     A subclass defines `build_body(child, name)`, its component over the
     child's states, and the in-place element edits that dynamic composition
     grafts on.  An edit carries its address, the old child state and the new
-    one: `update_addrs(b)` lists the addresses at bounds `b`;
+    one.  `update_address` declares an address's sorts, a tuple of one
+    POSITION per coordinate, and `update_addrs(b)` lists the addresses at
+    bounds `b`;
     `update_do(addr, old, new, st)` and `update_poss(addr, old, new, st)`
     apply it and say whether it is enabled; `it_update_vs_method(addr, old,
     new, m)` is its address after a concurrent container method m, or None
@@ -46,7 +48,10 @@ class CompositionPattern:
     old, new)` is m transformed against it.
     """
 
-    update_site_aware = False  # whether an edit's transform reads its site
+    update_address: Tuple[Any, ...]
+    # Whether edits are enumerated once per issuing site, so that the
+    # checker's site cut applies to them; no transform reads an edit's site.
+    update_site_aware = False
 
     def __init__(self, name: str):
         self.name = name
@@ -86,7 +91,7 @@ class SetBody(Component):
 
     def __init__(self, child: Component, guarded: bool, name: str):
         super().__init__(name, {"nop": (), "add": (STATE,), "remove": (STATE,)}, SetOf(),
-                         child.site_aware, (child,))
+                         (child,))
         self.guarded = guarded
         self.attributes = {"iselem": self.iselem}
 
@@ -103,12 +108,8 @@ class SetBody(Component):
         return e in st.items
 
     def it_fn(self, m1: Method, m2: Method) -> Method:
-        e1, e2 = m1.args[0], m2.args[0]
-        if m1.ctor == "add" and m2.ctor == "add":
-            return NOP if e1 == e2 else m1
-        if m1.ctor == "remove" and m2.ctor == "remove":
-            return NOP if e1 == e2 else m1
-        return m1  # add-vs-remove and remove-vs-add leave m1 unchanged
+        # Two equal methods do their work once; any other pair leaves m1 as it is.
+        return NOP if m1.ctor == m2.ctor and m1.args[0] == m2.args[0] else m1
 
     def enum_methods_fn(self, b: Bounds) -> List[Method]:
         elems = self.parts[0].enum_states(b)
@@ -116,7 +117,7 @@ class SetBody(Component):
 
     def enum_states_fn(self, b: Bounds) -> List[SetOf]:
         elems = self.parts[0].enum_states(b)
-        if len(elems) > 16:
+        if 2 ** len(elems) > MAX_STATES:
             raise BoundsExceeded(f"{self.name}: {2 ** len(elems)} subset states")
         out = []
         for r in range(len(elems) + 1):
@@ -138,6 +139,8 @@ class SetPattern(CompositionPattern):
     silently merge the two and lose one of them.
     """
 
+    update_address = ()  # the old element itself addresses the target
+
     def __init__(self, variant: str):
         if variant not in ("literal", "guarded"):
             raise ValueError(f"unknown set variant {variant!r}")
@@ -148,7 +151,7 @@ class SetPattern(CompositionPattern):
         return SetBody(child, self.guarded, name or self.name)
 
     def update_addrs(self, b: Bounds) -> List[Tuple[Any, ...]]:
-        return [()]  # the old element itself addresses the target
+        return [()]
 
     def update_do(self, addr, old, new, st: SetOf) -> SetOf:
         return SetOf((st.items - {old}) | {new})
@@ -189,7 +192,7 @@ class StringBody(Component):
 
     def __init__(self, child: Component, name: str):
         super().__init__(name, {"nop": (), "Ins": (POSITION, STATE), "Del": (POSITION,)},
-                         SeqOf(), True, (child,))
+                         SeqOf(), (child,))
         self.attributes = {"elemAt": self.elem_at, "length": self.length}
 
     def do_fn(self, m: Method, st: SeqOf) -> SeqOf:
@@ -263,6 +266,7 @@ class StringBody(Component):
 class StringPattern(CompositionPattern):
     """A sequence of elements with position-addressed insert and delete."""
 
+    update_address = (POSITION,)
     update_site_aware = True
 
     def __init__(self):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from .bounds import Bounds, DEFAULT_BOUNDS
+from .bounds import Bounds
 from .cells import cchar, ccolor, cnat
 from .composition import dynamic_compose, static_compose
 from .errors import ExprError
@@ -60,8 +60,8 @@ class _Builder:
     """Recursive descent over the tokens that builds each component as soon
     as its syntax is complete."""
 
-    def __init__(self, text: str, b: Bounds):
-        self.text, self.b = text, b
+    def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -100,7 +100,7 @@ class _Builder:
             if self.peek() != "]":
                 raise ExprError("missing ']'", pos)
             self.take()
-            return dynamic_compose(PATTERNS[tok](), child, b=self.b)
+            return dynamic_compose(PATTERNS[tok](), child)
         if tok in COMPONENTS:
             return COMPONENTS[tok]()
         if tok in PATTERNS:  # a bare pattern holds opaque tokens
@@ -108,7 +108,8 @@ class _Builder:
         raise ExprError(f"unknown name {tok!r}", pos)
 
 
-def build(expr: str, b: Bounds = DEFAULT_BOUNDS) -> Component:
-    """Build the component denoted by a composition expression; `b` is
-    passed to every dynamic composition."""
-    return _Builder(expr, b).build()
+def build(expr: str, b: Optional[Bounds] = None) -> Component:
+    """Build the component denoted by a composition expression.  A component
+    is built from its parts alone, so `b` is unused: it is accepted because
+    `bench/workloads.py` and `bench/probe.py` still pass it."""
+    return _Builder(expr).build()

@@ -35,9 +35,6 @@ MAX_ALL_PERMUTATION_OPS = 6
 
 class Scenario:
     def __init__(self, component, base, ops, delivery="all", use_transform=True):
-        sites = [s for s, _ in ops]
-        if len(set(sites)) != len(sites):
-            raise ScenarioError("sites issuing ops must be pairwise distinct")
         self.component: Union[str, Component] = component
         self.base: Any = base                   # raw literal, parsed against the component
         self.ops: List[Tuple[int, Any]] = ops   # (site, raw method literal or Method)
@@ -93,7 +90,8 @@ class RunReport:
 
 
 def run_scenario(s: Scenario, component: Optional[Component] = None) -> RunReport:
-    """Integrate under every requested delivery order and compare finals."""
+    """Integrate under every requested delivery order and compare finals; ops
+    need int sites, no two the same (ScenarioError otherwise)."""
     c = component if component is not None else s.component
     if isinstance(c, str):
         from .registry import build  # resolved lazily to avoid a cycle
@@ -103,6 +101,9 @@ def run_scenario(s: Scenario, component: Optional[Component] = None) -> RunRepor
 
     base = decode_state(c, s.base)
     ops = [_on_site(decode_method(c, m), site) for site, m in s.ops]
+    bad = [x for (site, _), m in zip(s.ops, ops) for x in (site, m.site) if type(x) is not int]
+    if bad:
+        raise ScenarioError(f"{bad[0]!r} is not a site")
     if len({m.site for m in ops}) != len(ops):  # a method may name its own site
         raise ScenarioError("sites issuing ops must be pairwise distinct")
     orders = _orders(s.delivery, len(ops))
@@ -196,14 +197,10 @@ def load_scenario(source) -> Scenario:
         with open(source) as f:
             data = json.load(f)
     try:
-        ops = [(op["site"], op["method"]) for op in data["ops"]]
-        for site, _ in ops:
-            if type(site) is not int:
-                raise ScenarioError(f"{site!r} is not a site")
         return Scenario(
             component=data["component"],
             base=data["base"],
-            ops=ops,
+            ops=[(op["site"], op["method"]) for op in data["ops"]],
             delivery=data.get("delivery", "all"),
             use_transform=data.get("transform", True),
         )

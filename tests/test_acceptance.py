@@ -168,7 +168,7 @@ def test_criterion_6_distinct_target_edits_commute():
 
         bw = Bounds(alphabet=2, nat_max=1, colors=2, max_len=2, sites=1)
         fc = static_compose(cchar(), cnat(), ccolor())
-        word = dynamic_compose(string_pattern(), fc, b=bw)
+        word = dynamic_compose(string_pattern(), fc)
         checked, violations = _distinct_target_commutation(word, bw)
         assert checked > 0 and violations == 0
 

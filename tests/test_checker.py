@@ -20,14 +20,14 @@ import pytest
 import otcomp
 from otcomp import checker, kernel
 from otcomp.bounds import DEFAULT_BOUNDS
-from otcomp.cells import cchar
+from otcomp.cells import CellComponent, cchar
 from otcomp.checker import check_consistency, check_cp1, check_cp2
 from otcomp.composition import ComposedComponent, is_update
 from otcomp.errors import BoundsExceeded, InvalidSpec, ReplayMismatch
 from otcomp.patterns import set_pattern
 from otcomp.registry import build, registry_names
 from otcomp.tower import build_document_tower
-from otcomp.values import Cell, Method, value_from_json
+from otcomp.values import NOP, Cell, Method, value_from_json
 
 B = DEFAULT_BOUNDS
 
@@ -130,6 +130,28 @@ def test_same_site_pairs_are_not_counted_as_concurrent():
     proper = [m for m in methods if m.ctor != "nop"]
     surviving = len(methods) ** 2 - len(proper) ** 2
     assert rep.examined == len(c.enum_states(b)) * surviving
+
+
+class _TwoSiteCell(CellComponent):
+    """`cchar` with its puts issued by sites 0 and 1.  It declares nothing
+    about sites: its methods carry them."""
+
+    def __init__(self):
+        super().__init__("cchar", "putchar", "getchar", cchar().values, max)
+
+    def enum_methods_fn(self, b):
+        return [NOP] + [Method("putchar", (v,), s) for s in range(2) for v in self.values(b)]
+
+
+def test_methods_carrying_sites_are_cut_by_site_whatever_the_component():
+    # 5 methods (nop and two puts on each site) and 3 states: of the 25
+    # ordered pairs, the 8 that one site issues are not concurrent, so
+    # CP1 sweeps 17 pairs on 3 states and CP2 17 pairs against 5 m3s.
+    b = B.with_(alphabet=2)
+    c = _TwoSiteCell()
+    rep = check_consistency(c, b)
+    counted = _counted_by_the_kernel(c, b)
+    assert [(p.cases, p.examined) for p in rep.parts] == counted == [(51, 51), (85, 85)]
 
 
 def test_composed_component_report_has_six_parts():
@@ -506,7 +528,7 @@ def _jointly_legal(t, i1, i2, s):
 def _concurrent(t, i1, i2):
     """Whether two methods are concurrent: unless one site issues both."""
     s1, s2 = t.method[i1].site, t.method[i2].site
-    return not t.c.site_aware or None in (s1, s2) or s1 != s2
+    return None in (s1, s2) or s1 != s2
 
 
 def _reference_cp1(t, blocks):
@@ -726,7 +748,7 @@ def _counted_by_the_kernel(c, b):
     methods, states = c.enum_methods(b), c.enum_states(b)
 
     def concurrent(m1, m2):
-        return not c.site_aware or None in (m1.site, m2.site) or m1.site != m2.site
+        return None in (m1.site, m2.site) or m1.site != m2.site
 
     def cp1(m1s, m2s):
         pairs = [(m1, m2) for m1 in m1s for m2 in m2s if concurrent(m1, m2)]

@@ -79,7 +79,7 @@ def test_at_least_two_factors():
 
 @pytest.fixture(scope="module")
 def setchar():
-    return dynamic_compose(set_pattern("guarded"), cchar(), b=B)
+    return dynamic_compose(set_pattern("guarded"), cchar())
 
 
 def _upd(old, val, site=None):
@@ -208,8 +208,7 @@ def test_a_pattern_body_refusal_names_the_component(expr, b, refusal):
 # --- dynamic composition: sequence of characters ----------------------------
 
 def test_sequence_updates_shift_like_their_position(tmp_path):
-    word = dynamic_compose(string_pattern(), cchar(),
-                           b=B.with_(alphabet=2, max_len=2))
+    word = dynamic_compose(string_pattern(), cchar())
     u = make_update((1,), Cell("a"), Method("putchar", ("b",)), 1)
     ins = Method("Ins", (0, Cell("b")), 2)
     t = kernel.transform(word, u, ins)
@@ -294,7 +293,7 @@ def test_a_distinct_target_transform_checks_each_child_method_once(pattern, addr
 
     counted = copy.copy(base)
     counted.do_fn = do_fn
-    c = dynamic_compose(pattern, counted, b=B)
+    c = dynamic_compose(pattern, counted)
     bad = make_update(addr, Cell("a"), Method("shove", ("b",)), 0)
     good = make_update(addr, Cell("a"), Method("putchar", ("b",)), 0)
     elsewhere = make_update(other, Cell("c"), Method("putchar", ("d",)), 1)
@@ -331,7 +330,7 @@ def test_an_update_derives_its_new_child_state_once():
 
     counted = copy.copy(base)
     counted.do_fn = do_fn
-    word = dynamic_compose(string_pattern(), counted, b=B)
+    word = dynamic_compose(string_pattern(), counted)
     put = Method("putchar", ("b",))
     u = make_update((0,), Cell("a"), put, 0)
     same = make_update((0,), Cell("a"), Method("putchar", ("c",)), 1)
@@ -352,11 +351,11 @@ def test_an_update_derives_its_new_child_state_once():
 def test_an_update_derived_under_one_child_is_validated_under_another():
     u = make_update((0,), Cell("a"), Method("putchar", ("b",)), 0)
     st = seq_of([Cell("a")])
-    word = dynamic_compose(string_pattern(), cchar(), b=B)
+    word = dynamic_compose(string_pattern(), cchar())
     assert kernel.apply(word, u, st) == seq_of([Cell("b")])
     # cnat has no putchar: the same Update object is no method of a string
     # of naturals, whatever it derived under the string of characters.
-    nats = dynamic_compose(string_pattern(), cnat(), b=B)
+    nats = dynamic_compose(string_pattern(), cnat())
     with pytest.raises(UnknownMethod):
         kernel.apply(nats, u, st)
     with pytest.raises(UnknownMethod):

@@ -7,7 +7,8 @@ the validating kernel, only the checker's table fills and runner name
 `nop`, only the checker's cutter reads sites and only its walk finds
 mirrors, the simulator asks nothing but the validating
 kernel, no component or pattern is built from functions
-made for it, no value class compares or hashes in Python, and importing
+made for it or takes bounds or a `site_aware`, nothing reads
+`site_aware`, no value class compares or hashes in Python, and importing
 otcomp loads neither `dataclasses` nor `inspect`, nor the modules only a
 split check needs."""
 
@@ -346,3 +347,69 @@ def test_importing_otcomp_loads_neither_dataclasses_nor_inspect(module):
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def _site_aware_reads(tree):
+    """Lines that name an attribute `site_aware`, to read or set it."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr == "site_aware")
+
+
+def test_no_module_reads_site_aware():
+    # Two methods are concurrent unless one site issues both: the cut reads
+    # the methods' sites, never a declaration of the component's.
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _site_aware_reads(ast.parse(path.read_text(), str(path)))]
+    assert not found, "reads of site_aware:\n" + "\n".join(found)
+    # The rule catches a read through any object.
+    planted = ast.parse("def _cut(t, c):\n    return t.c.site_aware or c.site_aware\n")
+    assert _site_aware_reads(planted) == [2, 2]
+
+
+def _construction_inputs(trees, classes: set):
+    """Lines where an `__init__` of a component or pattern class takes a
+    `site_aware`, or a Bounds: annotated as one or defaulting to
+    DEFAULT_BOUNDS."""
+    found = []
+    for tree in trees:
+        for f in ast.walk(tree):
+            if not (isinstance(f, ast.ClassDef) and f.name in classes):
+                continue
+            for init in (n for n in f.body if getattr(n, "name", None) == "__init__"):
+                a = init.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs]
+                annotated = [x for x in params if x.annotation is not None and
+                             ast.unparse(x.annotation) in ("Bounds", "Optional[Bounds]")]
+                defaulted = [d for d in [*a.defaults, *a.kw_defaults]
+                             if getattr(d, "id", None) == "DEFAULT_BOUNDS"]
+                if annotated or defaulted or any(x.arg == "site_aware" for x in params):
+                    found.append(init.lineno)
+    return sorted(found)
+
+
+def test_components_and_patterns_are_built_from_their_parts_alone():
+    # No bound and no declaration of sites reaches a constructor: a dynamic
+    # composition reads its Update address sorts off its pattern, and the
+    # checker cuts by the methods' own sites.
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    classes = _component_classes(trees.values())
+    found = [f"{name}:{line}" for name, tree in trees.items()
+             for line in _construction_inputs([tree], classes)]
+    assert not found, "constructors taking bounds or site_aware:\n" + "\n".join(found)
+    # The rule catches an annotated Bounds, a DEFAULT_BOUNDS default and a
+    # site_aware, and passes a function of bounds.
+    planted = ast.parse(
+        "class A(Component):\n"
+        "    def __init__(self, name, b: Bounds):\n"
+        "        pass\n"
+        "class P(CompositionPattern):\n"
+        "    def __init__(self, name, bounds=DEFAULT_BOUNDS):\n"
+        "        pass\n"
+        "class C(A):\n"
+        "    def __init__(self, name, *, site_aware=False):\n"
+        "        pass\n"
+        "class D(A):\n"
+        "    def __init__(self, values: Callable[[Bounds], list]):\n"
+        "        pass\n")
+    assert _construction_inputs([planted], _component_classes([planted])) == [2, 5, 8]

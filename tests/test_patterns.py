@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from otcomp import kernel, values
+from otcomp import kernel, patterns, values
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar
 from otcomp.checker import check_consistency
@@ -89,6 +89,16 @@ def test_set_transform_table(sguard):
     assert kernel.transform(sguard, _rem("x"), _rem("y")) == _rem("x")
     assert kernel.transform(sguard, _add("x"), _rem("x")) == _add("x")
     assert kernel.transform(sguard, _rem("x"), _add("x")) == _rem("x")
+
+
+def test_a_set_is_refused_past_the_state_ceiling(monkeypatch):
+    # The ceiling sequences and products use, at its boundary: 2**3 subsets
+    # of three tokens fit a ceiling of 8, and 2**4 of four do not.
+    monkeypatch.setattr(patterns, "MAX_STATES", 8)
+    body = set_pattern("guarded").build_body(token_component())
+    assert len(body.enum_states(_tokens(3))) == 8
+    with pytest.raises(BoundsExceeded, match="^set-guarded: 16 subset states$"):
+        body.enum_states(_tokens(4))
 
 
 def test_set_instantiation_ranges_over_child_states():
@@ -245,14 +255,30 @@ def test_a_sentinel_refuses_what_the_contract_excludes():
             use()
 
 
-@pytest.mark.parametrize("make", [lambda: set_pattern("literal"), lambda: set_pattern("guarded"),
-                                  string_pattern], ids=["set-literal", "set-guarded", "string"])
+_PATTERNS = pytest.mark.parametrize(
+    "make", [lambda: set_pattern("literal"), lambda: set_pattern("guarded"), string_pattern],
+    ids=["set-literal", "set-guarded", "string"])
+
+
+@_PATTERNS
+@pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+def test_every_update_address_has_the_declared_arity(make, max_len):
+    # An Update's address sorts are a constant of its pattern, so building
+    # a dynamic composition needs no bounds to learn them.
+    pattern = make()
+    addrs = pattern.update_addrs(B.with_(max_len=max_len))
+    assert addrs and set(pattern.update_address) <= {values.POSITION}
+    assert all(len(a) == len(pattern.update_address) and all(type(p) is int for p in a)
+               for a in addrs)
+
+
+@_PATTERNS
 def test_a_pattern_reads_its_elements_through_equality_and_hash_alone(sentinel_keys, make):
     # Every method and state of the pattern over three sentinel elements,
     # through the body's functions and the pattern's Update semantics.
     b = B.with_(universe=3)
     pattern, elements = make(), SentinelElements()
-    c = dynamic_compose(pattern, elements, b)
+    c = dynamic_compose(pattern, elements)
     methods = [m for m in c.enum_methods(b) if m.ctor != "nop"]
     states = c.enum_states(b)
     assert {is_update(m) for m in methods} == {True, False} and len(states) > 3

@@ -41,7 +41,7 @@ class _Flat(Component):
     the checker sweeps it over every product state."""
 
     def __init__(self, p):
-        super().__init__(p.name, p.method_ctors, p.initial_state, p.site_aware,
+        super().__init__(p.name, p.method_ctors, p.initial_state,
                          value_type=p.value_type)
         self.product, self.attributes = p, p.attributes
 

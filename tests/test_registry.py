@@ -5,6 +5,7 @@ import pytest
 
 from otcomp.errors import ExprError
 from otcomp.kernel import Component
+from otcomp.patterns import CompositionPattern
 from otcomp.registry import build, registry_names
 from otcomp.tower import build_document_tower
 
@@ -41,12 +42,21 @@ def _bundled_expressions():
                "string[set-guarded[cchar]] (+) cnat"])
 
 
-def test_building_enumerates_nothing(monkeypatch):
-    def refuse(self, b=None):
-        raise RuntimeError(f"{self.name} enumerated while being built")
+def _subclasses(cls):
+    return [cls] + [s for sub in cls.__subclasses__() for s in _subclasses(sub)]
 
-    monkeypatch.setattr(Component, "enum_states", refuse)
-    monkeypatch.setattr(Component, "enum_methods", refuse)
+
+def test_building_enumerates_nothing(monkeypatch):
+    # A component is built from its parts alone: no kind enumerates its
+    # methods or states, and no pattern lists its Update addresses.
+    def refuse(self, b=None):
+        raise RuntimeError(f"{type(self).__name__} enumerated while being built")
+
+    spied = {"enum_states", "enum_methods", "enum_states_fn", "enum_methods_fn",
+             "update_addrs"}
+    for cls in _subclasses(Component) + _subclasses(CompositionPattern):
+        for name in spied & set(vars(cls)):
+            monkeypatch.setattr(cls, name, refuse)
     assert len(build_document_tower()) == 9
     for expr in _bundled_expressions():
         assert build(expr).name == expr

@@ -4,6 +4,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ from otcomp.composition import make_update
 from otcomp.errors import ScenarioError, UnknownMethod
 from otcomp.registry import build
 from otcomp.simulator import IntegrationTrace, Scenario, load_scenario, run_scenario
-from otcomp.values import (Cell, Method, SetOf, decode_state, display, set_of,
+from otcomp.values import (Cell, Method, Opaque, SetOf, decode_state, display, set_of,
                            value_to_json)
 
 
@@ -65,10 +66,26 @@ def test_in_place_edits_converge_on_the_merged_element():
 
 
 def test_duplicate_issuing_sites_rejected():
-    with pytest.raises(ScenarioError):
-        Scenario(component="cchar", base=None,
-                 ops=[(1, {"ctor": "putchar", "args": ["a"]}),
-                      (1, {"ctor": "putchar", "args": ["b"]})])
+    with pytest.raises(ScenarioError, match="pairwise distinct"):
+        run_scenario(Scenario(component="cchar", base=None,
+                              ops=[(1, {"ctor": "putchar", "args": ["a"]}),
+                                   (1, {"ctor": "putchar", "args": ["b"]})]))
+
+
+@pytest.mark.parametrize("site", ["x", True, None, 1.0])
+def test_a_scenario_built_in_python_has_its_sites_checked(site):
+    # run_scenario checks the sites, so a Scenario made in Python, not read
+    # by load_scenario, is checked too: a site "x" would otherwise reach the
+    # string transform's tie break and raise a TypeError comparing it to 1.
+    ops = [(site, {"ctor": "Ins", "args": [0, {"atom": "a"}]}),
+           (1, {"ctor": "Ins", "args": [0, {"atom": "b"}]})]
+    with pytest.raises(ScenarioError, match=f"^{re.escape(repr(site))} is not a site$"):
+        run_scenario(Scenario("string", "", ops))
+    if site is not None:  # a method with no site is issued by its op's
+        # A method's own site is checked as the op's is.
+        issued = [(0, Method("Ins", (0, Opaque("a")), site)), ops[1]]
+        with pytest.raises(ScenarioError, match="is not a site"):
+            run_scenario(Scenario("string", "", issued))
 
 
 def test_a_method_naming_another_ops_site_is_rejected(tmp_path, capsys):
