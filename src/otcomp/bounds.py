@@ -8,9 +8,10 @@ from .values import Frozen
 class Bounds(Frozen):
     """Finite enumeration limits.
 
-    At these defaults `check_consistency` decides 1,362,998 cases on
-    `string[cchar]` and 4,184,053 on `string[cnat]`, the largest bundled
-    check that fits.  `BENCH_21.json` records how long the first, and the
+    At these defaults `check_consistency` decides 958,646 cases on
+    `string[cchar]` and 2,675,053 on `string[cnat]`, the largest bundled
+    check that fits; CP2 skips 404,352 and 1,509,000 triples there as not
+    jointly legal.  `BENCH_27.json` records how long the first, and the
     small bundled checks, take.  CP2 is cubic in the method count, so
     raising a bound that grows the methods grows it fast.
     """

@@ -16,7 +16,7 @@ that cannot be written.
 
 A `consistency` report lists each witness once, tagged with its part: in
 JSON, a part lists the indices of its own entries; in text, a part gives
-its counts.
+its counts, and a CP2 part the triples it skipped as not jointly legal.
 """
 
 from __future__ import annotations
@@ -65,9 +65,14 @@ def _render_report(rep: CheckReport) -> str:
 
 
 def _summary(rep: CheckReport) -> str:
-    unrealizable = f", {len(rep.unrealizable)} unrealizable" if rep.unrealizable else ""
-    return (f"{rep.property}: {rep.verdict} ({rep.cases} cases, "
-            f"{len(rep.witnesses)} witnesses{unrealizable}, {rep.elapsed_ms:.1f} ms)")
+    counts = [f"{rep.cases} cases", f"{len(rep.witnesses)} witnesses"]
+    if rep.unrealizable:
+        counts.append(f"{len(rep.unrealizable)} unrealizable")
+    # A CP2 part examines the triples the site rule keeps, and skips those
+    # no state enables (see `checker._by_site`).
+    if rep.property.startswith("CP2") and rep.examined > rep.cases:
+        counts.append(f"{rep.examined - rep.cases} not jointly legal")
+    return f"{rep.property}: {rep.verdict} ({', '.join(counts)}, {rep.elapsed_ms:.1f} ms)"
 
 
 def cmd_check(args) -> int:

@@ -120,6 +120,15 @@ class StaticProduct(Component):
             leaves += sub
         return leaves, owner
 
+    def guard(self, m: Method) -> Optional[Tuple[Any, Any]]:
+        """The owning factor's guard, its slot tagged with the factor's
+        index, since factors' methods act on disjoint items of a state."""
+        if m.ctor not in self.owner:
+            return None
+        i, ctor = self.owner[m.ctor]
+        g = self.parts[i].guard(m if ctor == m.ctor else m.renamed(ctor))
+        return None if g is None else ((i, g[0]), g[1])
+
     def count_states(self, counts: Iterator[int]) -> int:
         """Refused past MAX_STATES at every level, as `enum_states` refuses."""
         return _within_ceiling(self, math.prod(f.count_states(counts) for f in self.parts))
@@ -173,7 +182,8 @@ def is_update(m: Method) -> bool:
 class ComposedComponent(Component):
     """A pattern instantiated over its child, parts[0], with Update grafted
     on: the pattern's body, `body`, answers every other method.  Update
-    declares its address as the pattern does (`update_address`).  The name,
+    declares its address as the pattern does (`update_address`), and its
+    guard too (`update_guard`).  The name,
     `pattern[child]` unless given, is the body's too, so the body's refusals
     name this component."""
 
@@ -230,6 +240,12 @@ class ComposedComponent(Component):
 
     def enum_states_fn(self, b: Bounds) -> List[StateValue]:
         return self.body.enum_states_fn(b)
+
+    def guard(self, m: Method) -> Optional[Tuple[Any, Any]]:
+        if m.ctor == "Update":
+            addr, old, _ = m.args
+            return self.pattern.update_guard(addr, old)
+        return None
 
     def update_new(self, u: Method) -> StateValue:
         """The new child state carried implicitly by an update method.

@@ -73,6 +73,14 @@ class Component:
         """How many states `enum_states` gives, from its leaves' counts."""
         return next(counts)
 
+    def guard(self, m: Method) -> Optional[Tuple[Any, Any]]:
+        """m's exclusive guard, a (slot, value) pair of hashable values, or
+        None: no state enables two methods whose guards have the same slot
+        and different values, so the checker skips them together as not
+        jointly legal.  Here none: a dynamic composition declares its
+        pattern's for an Update, and a static product its factors'."""
+        return None
+
     def assemble(self, items: Iterator[StateValue]) -> StateValue:
         """The state whose leaves' states are the items, in leaf order."""
         return next(items)

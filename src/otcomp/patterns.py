@@ -46,6 +46,12 @@ class CompositionPattern:
     new, m)` is its address after a concurrent container method m, or None
     where m removed the edited element; and `it_method_vs_update(m, addr,
     old, new)` is m transformed against it.
+
+    `update_guard(addr, old)` declares an edit's exclusive guard, a (slot,
+    value) pair, or None: two edits with the same slot and different values
+    are enabled on no state together, so the checker does not sweep them
+    together (see `Component.guard`).  A pattern declares none unless
+    `update_poss` makes it so.
     """
 
     update_address: Tuple[Any, ...]
@@ -55,6 +61,9 @@ class CompositionPattern:
 
     def __init__(self, name: str):
         self.name = name
+
+    def update_guard(self, addr, old) -> Optional[Tuple[Any, Any]]:
+        return None
 
 
 class AdmissibilityReport:
@@ -137,6 +146,9 @@ class SetPattern(CompositionPattern):
     variant guards in-place edits the same way: the new value must not collide
     with another element already present, since a value-addressed set would
     silently merge the two and lose one of them.
+
+    A set holds many elements, so edits of different old elements may be
+    enabled together: it declares no update guard.
     """
 
     update_address = ()  # the old element itself addresses the target
@@ -287,6 +299,9 @@ class StringPattern(CompositionPattern):
     def update_poss(self, addr, old, new, st: SeqOf) -> bool:
         p = addr[0]
         return 0 <= p < len(st.items) and st.items[p] == old
+
+    def update_guard(self, addr, old) -> Tuple[Any, Any]:
+        return addr, old  # one position holds one old element
 
     def it_update_vs_method(self, addr, old, new, m: Method) -> Optional[Tuple[Any, ...]]:
         (p,) = addr

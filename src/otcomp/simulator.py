@@ -91,7 +91,8 @@ class RunReport:
 
 def run_scenario(s: Scenario, component: Optional[Component] = None) -> RunReport:
     """Integrate under every requested delivery order and compare finals; ops
-    need int sites, no two the same (ScenarioError otherwise)."""
+    need int sites, no two the same, and a method an op carries as an
+    argument, at any depth, no site or an int one (ScenarioError otherwise)."""
     c = component if component is not None else s.component
     if isinstance(c, str):
         from .registry import build  # resolved lazily to avoid a cycle
@@ -102,6 +103,10 @@ def run_scenario(s: Scenario, component: Optional[Component] = None) -> RunRepor
     base = decode_state(c, s.base)
     ops = [_on_site(decode_method(c, m), site) for site, m in s.ops]
     bad = [x for (site, _), m in zip(s.ops, ops) for x in (site, m.site) if type(x) is not int]
+    carried = [a for m in ops for a in m.args if type(a) is Method]
+    for a in carried:  # the list grows by the methods those carry in turn
+        carried += [x for x in a.args if type(x) is Method]
+    bad += [a.site for a in carried if a.site is not None and type(a.site) is not int]
     if bad:
         raise ScenarioError(f"{bad[0]!r} is not a site")
     if len({m.site for m in ops}) != len(ops):  # a method may name its own site

@@ -453,9 +453,9 @@ def test_an_enumeration_that_repeats_a_value_is_rejected():
 
 
 def test_every_ceiling_is_checked_before_the_first_sweep(monkeypatch):
-    # The CP2-cross part alone exceeds the ceiling, which is CP2-updates'
+    # The CP2-cross part alone exceeds the ceiling, which is CP1-updates'
     # estimate, the next largest; nothing may be swept.
-    b = B.with_(sites=4, max_cases=5_308_416)
+    b = B.with_(sites=4, max_cases=2_350_080)
     c = build("string[cchar]", b)
 
     def swept(*args):
@@ -463,7 +463,7 @@ def test_every_ceiling_is_checked_before_the_first_sweep(monkeypatch):
 
     for name in ("apply", "enabled", "transform"):
         monkeypatch.setattr(kernel, name, swept)
-    with pytest.raises(BoundsExceeded, match="estimated 8981184 cases exceeds ceiling 5308416"):
+    with pytest.raises(BoundsExceeded, match="estimated 7379904 cases exceeds ceiling 2350080"):
         check_consistency(c, b)
 
 
@@ -508,13 +508,15 @@ def test_no_compiled_component_outlives_its_check(monkeypatch):
 
 def test_a_part_is_estimated_by_the_blocks_it_sweeps():
     # CP2-cross sweeps the six mixed blocks of updates and container methods,
-    # cut to their concurrent (m1, m2) pairs: 774,816 triples, not the
-    # (|U| + |C|)^3 cube that holds them.
+    # cut to their concurrent (m1, m2) pairs and to the triples no two of
+    # whose updates clash: 637,728 triples, not the 774,816 the site cut
+    # alone keeps, nor the (|U| + |C|)^3 cube that holds them.
     c = build("string[cchar]")
-    rep = check_consistency(c, B.with_(max_cases=774_816))
-    assert rep.parts[-1].property == "CP2-cross" and rep.parts[-1].cases == 774_816
-    with pytest.raises(BoundsExceeded, match="estimated 774816 cases"):
-        check_consistency(c, B.with_(max_cases=774_815))
+    rep = check_consistency(c, B.with_(max_cases=637_728))
+    assert rep.parts[-1].property == "CP2-cross"
+    assert (rep.parts[-1].cases, rep.parts[-1].examined) == (637_728, 774_816)
+    with pytest.raises(BoundsExceeded, match="estimated 637728 cases"):
+        check_consistency(c, B.with_(max_cases=637_727))
 
 
 def _jointly_legal(t, i1, i2, s):
@@ -686,8 +688,8 @@ def test_sweeps_match_every_ordered_case_on_overlapping_blocks(expr, overrides, 
     cp1 = [(g1, g1), (g1, g2), (g2, g1), (g2, g2), (g1, g1)]
     cp2 = [(g1, g2, g3), (g1, g1, g2), (g1, g2, g3), (g2, g1, g3), (g2, g1, g3),
            (g3, g1, g2), (g2, g2, g2)]
-    cp1_found = checker._cp1_sweep(t, checker._by_site(t, cp1))
-    cp2_found = checker._cp2_sweep(t, checker._by_site(t, cp2))
+    cp1_found = checker._cp1_sweep(t, checker._by_site(t, cp1)[0])
+    cp2_found = checker._cp2_sweep(t, checker._by_site(t, cp2)[0])
     assert cp1_found == _reference_cp1(t, list(enumerate(cp1)))
     assert cp2_found == _reference_cp2(t, list(enumerate(cp2)))
     failing = {"CP1": cp1_found[1], "CP2": cp2_found}
@@ -715,13 +717,13 @@ def test_each_unordered_pair_is_decided_once(monkeypatch):
     asked = _walked(monkeypatch)
     c = build("set-guarded[cchar]")
     t = checker._Compiled(c, B, c.enum_methods(B))
-    checker._cp1_sweep(t, checker._by_site(t, [(t.methods, t.methods)]))
+    checker._cp1_sweep(t, checker._by_site(t, [(t.methods, t.methods)])[0])
     n = len(t.methods)
     assert len(asked) == n * (n + 1) // 2 and set(asked.values()) == {1}
     asked.clear()
     updates = t.select(is_update)
     container = t.select(lambda m: not is_update(m))
-    checker._cp2_sweep(t, checker._by_site(t, checker._cross(updates, container)))
+    checker._cp2_sweep(t, checker._by_site(t, checker._cross(updates, container))[0])
     assert asked == Counter({frozenset((i, j)): 1 + ((i in updates) != (j in updates))
                              for i in t.methods for j in t.methods})
 
@@ -734,7 +736,7 @@ def test_each_concurrent_unordered_pair_is_decided_once_across_sites(monkeypatch
     b = B.with_(sites=3)
     c = build("string", b)
     t = checker._Compiled(c, b, c.enum_methods(b))
-    checker._cp1_sweep(t, checker._by_site(t, [(t.methods, t.methods)]))
+    checker._cp1_sweep(t, checker._by_site(t, [(t.methods, t.methods)])[0])
     assert asked == Counter({frozenset((i, j)): 1 for i in t.methods for j in t.methods
                              if _concurrent(t, i, j)})
 
@@ -743,12 +745,20 @@ def _counted_by_the_kernel(c, b):
     """Each part's (cases, examined) of `check_consistency(c, b)`, counted
     over the part's own blocks through the public kernel alone: for CP1 the
     states on which both sequences of a concurrent ordered pair are legal,
-    and the concurrent ordered pairs times the states; for CP2 the
-    concurrent pairs times the m3s, as both."""
+    and the concurrent ordered pairs times the states; for CP2 the triples
+    of a concurrent pair and any m3, less those holding two separated
+    methods, and all of them."""
     methods, states = c.enum_methods(b), c.enum_states(b)
 
     def concurrent(m1, m2):
         return None in (m1.site, m2.site) or m1.site != m2.site
+
+    def separated(m1, m2):
+        # Two Updates of one position of a string whose old elements differ:
+        # `tests/test_patterns.py` checks that no state enables both.
+        return (isinstance(c, ComposedComponent) and c.pattern.name == "string"
+                and is_update(m1) and is_update(m2)
+                and m1.args[0] == m2.args[0] and m1.args[1] != m2.args[1])
 
     def cp1(m1s, m2s):
         pairs = [(m1, m2) for m1 in m1s for m2 in m2s if concurrent(m1, m2)]
@@ -758,9 +768,11 @@ def _counted_by_the_kernel(c, b):
         return cases, len(pairs) * len(states)
 
     def cp2(*blocks):
-        cases = sum(len(g3) for g1, g2, g3 in blocks
-                    for m1 in g1 for m2 in g2 if concurrent(m1, m2))
-        return cases, cases
+        triples = [(m1, m2, m3) for g1, g2, g3 in blocks
+                   for m1 in g1 for m2 in g2 if concurrent(m1, m2) for m3 in g3]
+        cases = sum(not (separated(m1, m2) or separated(m1, m3) or separated(m2, m3))
+                    for m1, m2, m3 in triples)
+        return cases, len(triples)
 
     if not isinstance(c, ComposedComponent):
         return [cp1(methods, methods), cp2((methods,) * 3)]
@@ -866,7 +878,7 @@ def test_a_split_check_reports_as_a_serial_one(monkeypatch, forks, expr):
     wall_ms = (time.perf_counter() - t0) * 1000.0
     assert len(forks) == 1
     _no_child_left()
-    assert (len(split.witnesses), len(split.unrealizable)) == (384, 2952)
+    assert (len(split.witnesses), len(split.unrealizable)) == (384, 0)
     assert max(p.elapsed_ms for p in split.parts) <= split.elapsed_ms <= wall_ms
     monkeypatch.setattr(checker, "_SPLIT_CASES", math.inf)
     serial = check_consistency(build(expr))

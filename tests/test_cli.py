@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import otcomp
+from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.checker import check_consistency
 from otcomp.cli import (EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main)
 from otcomp.registry import build
@@ -50,7 +51,7 @@ def test_check_unknown_name_is_a_usage_error(capsys):
 
 
 def test_check_case_ceiling_exits_3(capsys):
-    assert main(["check", "string[cchar]", "--sites", "4",
+    assert main(["check", "string[cchar]", "--sites", "5",
                  "--property", "cp2"]) == EXIT_USAGE
     assert "exceeds ceiling" in capsys.readouterr().err
 
@@ -100,6 +101,27 @@ def test_check_text_format_counts_unrealizable_triples(capsys):
         assert line.startswith(f"  {part.property}: ")
         counted = f", {len(part.unrealizable)} unrealizable, " in line
         assert counted == bool(part.unrealizable), line
+
+
+@pytest.mark.parametrize("expr", ["string[cchar]", "string[cchar] (+) cnat", "set-guarded[cchar]"])
+def test_check_text_format_counts_triples_not_jointly_legal(capsys, expr):
+    # A CP2 part says how many of the triples it examined it skipped because
+    # no state enables two of their methods together; JSON does not.
+    flags = ["--alphabet", "1", "--max-len", "2", "--property", "consistency"]
+    main(["check", expr, *flags, "--format", "text"])
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  CP")]
+    rep = check_consistency(build(expr), DEFAULT_BOUNDS.with_(alphabet=1, max_len=2))
+    for part, line in zip(rep.parts, lines, strict=True):
+        skipped = part.examined - part.cases if part.property.startswith("CP2") else 0
+        assert (f", {skipped} not jointly legal, " in line) == (skipped > 0), line
+        assert ("not jointly legal" in line) == (skipped > 0), line
+    assert (sum(p.examined - p.cases for p in rep.parts if p.property.startswith("CP2")) > 0
+            ) == expr.startswith("string")
+    main(["check", expr, *flags])
+    data = json.loads(capsys.readouterr().out)
+    assert "not jointly legal" not in json.dumps(data)
+    assert {key for p in data["parts"] for key in p} <= {
+        "property", "verdict", "cases", "witnesses", "elapsed_ms", "unrealizable"}
 
 
 def test_check_writes_report_file(tmp_path, capsys):

@@ -2,10 +2,10 @@
 check rests on an `assert`, which `python -O` removes, only composition
 knows how an Update method is laid out, only the checker's runner
 compiles a component or sweeps it, the checker never names the static
-product, the checker's sweeps read tables filled from the component, not
-the validating kernel, only the checker's table fills and runner name
-`nop`, only the checker's cutter reads sites and only its walk finds
-mirrors, the simulator asks nothing but the validating
+product nor reads a pattern, the checker's sweeps read tables filled
+from the component, not the validating kernel, only the checker's table
+fills and runner name `nop`, only the checker's cutter reads sites and
+only its walk finds mirrors, the simulator asks nothing but the validating
 kernel, no component or pattern is built from functions
 made for it or takes bounds or a `site_aware`, nothing reads
 `site_aware`, no value class compares or hashes in Python, and importing
@@ -84,6 +84,24 @@ def test_only_the_runner_compiles_or_sweeps():
                 if (name in sweeps or compiles) and owner != ("checker.py", "_check"):
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, "compiled or swept outside checker._check:\n" + "\n".join(found)
+
+
+def _pattern_reads(source: str):
+    """Lines that read an attribute `pattern`."""
+    return sorted({n.lineno for n in ast.walk(ast.parse(source))
+                   if isinstance(n, ast.Attribute) and n.attr == "pattern"})
+
+
+def test_the_checker_reads_no_pattern():
+    # The checker asks a component for a method's guard (`Component.guard`),
+    # as it asks composition whether a method is an Update: it never reads
+    # the pattern a dynamic composition is built from.
+    source = (SRC / "checker.py").read_text()
+    found = _pattern_reads(source)
+    assert not found, f"checker.py lines reading .pattern: {found}"
+    # The rule catches a read through any object.
+    planted = source + "\n\ndef _guard(t, i):\n    return t.c.pattern.update_guard(i, i)\n"
+    assert _pattern_reads(planted) == [len(source.splitlines()) + 4]
 
 
 def test_the_checker_never_names_the_static_product():

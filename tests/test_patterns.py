@@ -9,7 +9,7 @@ from otcomp import kernel, patterns, values
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar
 from otcomp.checker import check_consistency
-from otcomp.composition import dynamic_compose, is_update
+from otcomp.composition import dynamic_compose, is_update, make_update
 from otcomp.errors import BoundsExceeded, UndefinedObservation
 from otcomp.patterns import (Token, check_admissible, set_pattern, string_pattern,
                              token_component)
@@ -272,6 +272,39 @@ def test_every_update_address_has_the_declared_arity(make, max_len):
                for a in addrs)
 
 
+def _clash(g, h):
+    return g is not None and h is not None and g[0] == h[0] and g[1] != h[1]
+
+
+@_PATTERNS
+@pytest.mark.parametrize("child", [cchar, token_component], ids=["cchar", "token"])
+def test_no_state_enables_two_updates_whose_guards_clash(make, child):
+    # The checker skips a CP2 triple holding two methods whose guards have
+    # one slot and different values as not jointly legal: no enumerated
+    # state may enable both, asked through the public kernel.
+    c = dynamic_compose(make(), child())
+    updates = [m for m in c.enum_methods(B) if is_update(m)]
+    states = c.enum_states(B)
+    on = {m: {i for i, st in enumerate(states) if kernel.enabled(c, m, st)} for m in updates}
+    separated = [(m1, m2) for m1, m2 in itertools.combinations(updates, 2)
+                 if _clash(c.guard(m1), c.guard(m2))]
+    assert bool(separated) == (c.pattern.name == "string")
+    assert all(on[m1] for m1, _ in separated)
+    assert [(m1, m2) for m1, m2 in separated if on[m1] & on[m2]] == []
+
+
+@pytest.mark.parametrize("variant", ["literal", "guarded"])
+def test_the_set_patterns_declare_no_guard(variant):
+    # A set holds many elements, so updates of two different old elements
+    # are enabled together: a guard on the old element would be wrong.
+    c = dynamic_compose(set_pattern(variant), cchar())
+    updates = [m for m in c.enum_methods(B) if is_update(m)]
+    assert updates and [m for m in updates if c.guard(m) is not None] == []
+    a, b = Cell("a"), Cell("b")
+    edits = [make_update((), old, Method("putchar", ("c",))) for old in (a, b)]
+    assert all(kernel.enabled(c, u, set_of([a, b])) for u in edits)
+
+
 @_PATTERNS
 def test_a_pattern_reads_its_elements_through_equality_and_hash_alone(sentinel_keys, make):
     # Every method and state of the pattern over three sentinel elements,
@@ -285,6 +318,7 @@ def test_a_pattern_reads_its_elements_through_equality_and_hash_alone(sentinel_k
     for m, st in itertools.product(methods, states):
         c.poss_fn(m, st)
         c.do_fn(m, st)
+    {c.guard(m) for m in methods}  # the checker hashes and compares guards
     for m1, m2 in itertools.product(methods, repeat=2):
         c.it_fn(m1, m2)
     elems = elements.enum_states(b)

@@ -25,6 +25,7 @@ B = DEFAULT_BOUNDS
 U1 = B.with_(universe=1)
 SHORT = B.with_(universe=1, max_len=2)
 SHORT3 = SHORT.with_(sites=3)
+GUARDED = B.with_(alphabet=1, nat_max=1, max_len=2)
 CHECKS = (check_cp1, check_cp2, check_consistency)
 
 
@@ -60,6 +61,9 @@ class _Flat(Component):
     def enum_states_fn(self, b):
         return self.product.enum_states_fn(b)
 
+    def guard(self, m):
+        return self.product.guard(m)
+
 
 def brute_force(p):
     """The product's functions as a plain component, with no factors."""
@@ -81,9 +85,10 @@ def _broken_it(c):
 
 
 # Every bundled product whose brute-force check fits, both orders of a
-# failing one, two site-aware factors, one factor twice (its constructors
-# renamed), products nested either side, a planted fault, and four leaves,
-# two of them site-aware, failing both conditions.
+# failing one, two site-aware factors, a factor whose updates declare guards,
+# one factor twice (its constructors renamed), products nested either side, a
+# planted fault, and four leaves, two of them site-aware, failing both
+# conditions.
 PRODUCTS = {
     "fchar": lambda: (build_document_tower()["fchar"], TOWER_BOUNDS),
     "cchar (+) cnat (+) ccolor": lambda: (build("cchar (+) cnat (+) ccolor"), B),
@@ -92,6 +97,7 @@ PRODUCTS = {
     "set-literal (+) cnat": lambda: (build("set-literal (+) cnat", U1), U1),
     "cnat (+) set-literal": lambda: (build("cnat (+) set-literal", U1), U1),
     "string (+) string": lambda: (build("string (+) string", SHORT3), SHORT3),
+    "string[cchar] (+) cnat": lambda: (build("string[cchar] (+) cnat", GUARDED), GUARDED),
     "cchar (+) cchar": lambda: (build("cchar (+) cchar"), B),
     "nested left": lambda: (static_compose(static_compose(cchar(), build("set-literal", U1)),
                                            build("string", SHORT)), SHORT),

@@ -88,6 +88,23 @@ def test_a_scenario_built_in_python_has_its_sites_checked(site):
             run_scenario(Scenario("string", "", issued))
 
 
+@pytest.mark.parametrize("site", ["q", True, 1.0])
+def test_a_child_method_an_update_carries_has_its_site_checked(site):
+    # Two Updates of one element of a string of strings rebase their child
+    # inserts through the child string's transform, whose tie break would
+    # compare a site "q" to an int and raise a TypeError.
+    c = build("string[string]")
+    old = decode_state(c.parts[0], "x")
+    u1 = make_update((0,), old, Method("Ins", (0, Opaque("y")), site), 1)
+    u2 = make_update((0,), old, Method("Ins", (0, Opaque("z")), 5), 2)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(repr(site))} is not a site$"):
+        run_scenario(Scenario(c, [old], [(1, u1), (2, u2)]))
+    # A child method with no site, or an int one, runs.
+    for carried in (None, 0):
+        u1 = make_update((0,), old, Method("Ins", (0, Opaque("y")), carried), 1)
+        assert run_scenario(Scenario(c, [old], [(1, u1), (2, u2)])).converged
+
+
 def test_a_method_naming_another_ops_site_is_rejected(tmp_path, capsys):
     # The ops' sites differ, but the first op's method names the second's
     # site: both would be issued by site 1, and no transform makes that
