@@ -42,4 +42,4 @@ def demo_word_scenario(tower: Dict[str, Component]) -> Tuple[Scenario, RunReport
     recolor = make_update((1,), _fchar("b"), Method("putcolor", ("green",)), 2)
     scenario = Scenario(component=fword, base=base,
                         ops=[(1, ins), (2, recolor)], delivery="all")
-    return scenario, run_scenario(scenario, component=fword)
+    return scenario, run_scenario(scenario)

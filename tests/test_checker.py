@@ -533,15 +533,25 @@ def _concurrent(t, i1, i2):
     return None in (s1, s2) or s1 != s2
 
 
+def _stood_for(blocks):
+    """Each kept block (origin, mirror's origin or None, lists), as the
+    sweeps take them, as (origin, lists); and after it, when it stands for
+    its mirror, the mirror: its first two lists swapped, with the mirror's
+    origin."""
+    for b, mirror, (x1, x2, *rest) in blocks:
+        yield b, (x1, x2, *rest)
+        if mirror is not None and x1 is not x2:
+            yield mirror, (x2, x1, *rest)
+
+
 def _reference_cp1(t, blocks):
-    """The pair condition over every ordered concurrent pair of every block,
-    on every state, each decided from its own table reads: the cases and
-    the failing cases.  Blocks are (index, block) pairs, as the sweeps take
-    them."""
+    """The pair condition over every ordered concurrent pair of every kept
+    block and of the mirror it stands for, on every state, each decided
+    from its own table reads: the cases and the failing cases, sorted."""
     it, do = t.tables.it, t.tables.do
     cases = 0
     failing = []
-    for _, (m1s, m2s) in blocks:
+    for _, (m1s, m2s) in _stood_for(blocks):
         for i1 in m1s:
             for i2 in m2s:
                 if _concurrent(t, i1, i2):
@@ -556,15 +566,14 @@ def _reference_cp1(t, blocks):
 
 
 def _reference_cp2(t, blocks):
-    """The triple condition over every triple of every block whose first two
-    methods are concurrent, each from its own table reads, in sweep order:
-    those of each block index in turn, in id order.  Blocks are (index,
-    block) pairs, as the sweeps take them.  A failing triple is realizable
-    on a state where (m1, m2) are jointly legal and m3 is enabled, searched
-    over every state."""
+    """The triple condition over every triple, whose first two methods are
+    concurrent, of every kept block and of the mirror it stands for, each
+    from its own table reads, in sweep order: those of each origin in turn,
+    in id order.  A failing triple is realizable on a state where (m1, m2)
+    are jointly legal and m3 is enabled, searched over every state."""
     it, poss = t.tables.it, t.tables.poss
     failing = {}
-    for b, (g1, g2, g3) in blocks:
+    for b, (g1, g2, g3) in _stood_for(blocks):
         for i1 in g1:
             for i2 in g2:
                 if _concurrent(t, i1, i2):
@@ -673,40 +682,84 @@ def test_a_mirrored_entry_that_does_not_replay_raises():
     assert len(calls) == 3
 
 
+def _overlapping(t):
+    """CP1 and CP2 blocks that share methods, mirror each other, repeat, or
+    have no mirror."""
+    n = len(t.methods)
+    g1, g2, g3 = t.methods[: 2 * n // 3], t.methods[n // 3:], t.methods[::2]
+    return ([(g1, g1), (g1, g2), (g2, g1), (g2, g2), (g1, g1)],
+            [(g1, g2, g3), (g1, g1, g2), (g1, g2, g3), (g2, g1, g3), (g2, g1, g3),
+             (g3, g1, g2), (g2, g2, g2)])
+
+
 @pytest.mark.parametrize("expr, overrides, fails", [("set-literal", {"universe": 1}, "CP1"),
                                                     ("string", {"sites": 2}, "CP2")])
 def test_sweeps_match_every_ordered_case_on_overlapping_blocks(expr, overrides, fails):
-    # Blocks that share methods, mirror each other, repeat, or have no
-    # mirror: a pair on the shared diagonal of two mirrored blocks is two
-    # cases, one in each.  The sweeps walk the blocks as `_by_site` cuts
-    # them; the reference walks them whole, with its own site test.
+    # A pair on the shared diagonal of two mirrored blocks is two cases, one
+    # in each.  The sweeps walk the blocks as `_by_site` cuts them; the
+    # reference walks them whole, with its own site test.
     b = B.with_(**overrides)
     c = build(expr, b)
     t = checker._Compiled(c, b, c.enum_methods(b))
-    n = len(t.methods)
-    g1, g2, g3 = t.methods[: 2 * n // 3], t.methods[n // 3:], t.methods[::2]
-    cp1 = [(g1, g1), (g1, g2), (g2, g1), (g2, g2), (g1, g1)]
-    cp2 = [(g1, g2, g3), (g1, g1, g2), (g1, g2, g3), (g2, g1, g3), (g2, g1, g3),
-           (g3, g1, g2), (g2, g2, g2)]
-    cp1_found = checker._cp1_sweep(t, checker._by_site(t, cp1)[0])
+    cp1, cp2 = _overlapping(t)
+    cases, failing = checker._cp1_sweep(t, checker._by_site(t, cp1)[0])
+    cp1_found = cases, sorted(failing)
     cp2_found = checker._cp2_sweep(t, checker._by_site(t, cp2)[0])
-    assert cp1_found == _reference_cp1(t, list(enumerate(cp1)))
-    assert cp2_found == _reference_cp2(t, list(enumerate(cp2)))
+    assert cp1_found == _reference_cp1(t, [(b, None, block) for b, block in enumerate(cp1)])
+    assert cp2_found == _reference_cp2(t, [(b, None, block) for b, block in enumerate(cp2)])
     failing = {"CP1": cp1_found[1], "CP2": cp2_found}
     assert failing[fails], f"{expr} finds no failing {fails} case to compare"
 
 
+def _clash(t, ids):
+    """Whether two of the methods have guards of one slot and different values."""
+    guards = [t.guard[i] for i in ids if t.guard[i] is not None]
+    return any(g[0] == h[0] and g[1] != h[1] for g, h in itertools.combinations(guards, 2))
+
+
+@pytest.mark.parametrize("expr, overrides, parts_of", [
+    ("string", {"sites": 3}, lambda t: [[(t.methods, t.methods)], [(t.methods,) * 3]]),
+    ("string[cchar]", {"alphabet": 2, "max_len": 2}, lambda t: [checker._cross(  # CP2-cross
+        t.select(is_update), t.select(lambda m: not is_update(m)))]),
+    ("set-literal", {"universe": 1}, _overlapping),
+    ("string", {"sites": 2}, _overlapping),
+])
+def test_kept_blocks_stand_for_every_ordered_case_once(expr, overrides, parts_of):
+    # Each kept block's pairs (see `checker._pairs`), and the mirrored case
+    # of each pair marked twice, credited to the mirror's origin, are every
+    # concurrent ordered case of each block, guard-compatible for CP2, once.
+    b = B.with_(**overrides)
+    c = build(expr, b)
+    t = checker._Compiled(c, b, c.enum_methods(b))
+    for blocks in parts_of(t):
+        kept, examined, cases = checker._by_site(t, blocks)
+        stood = Counter()
+        for o, mirror, (x1, x2, *rest) in kept:
+            for i1, i2, twice in checker._pairs(mirror, x1, x2):
+                for i3 in itertools.product(*rest):
+                    stood[(o, i1, i2, *i3)] += 1
+                    if twice:
+                        stood[(mirror, i2, i1, *i3)] += 1
+        concurrent = [(o, *case) for o, block in enumerate(blocks)
+                      for case in itertools.product(*block) if _concurrent(t, *case[:2])]
+        legal = [case for case in concurrent if len(case) == 3 or not _clash(t, case[1:])]
+        assert stood == Counter(legal) and set(stood.values()) == {1}
+        assert (examined, cases) == (len(concurrent), len(legal))
+    if expr == "string[cchar]":
+        assert len(concurrent) > len(legal), "the guard rule skips no triple"
+
+
 def _walked(monkeypatch):
-    """The unordered pairs every walk of the blocks decides, counted."""
+    """The unordered pairs every kept block's walk decides, counted."""
     asked = Counter()
-    walk = checker._walk
+    pairs_of = checker._pairs
 
-    def spied(blocks):
-        for b, mirror, pairs in walk(blocks):
-            asked.update(frozenset(pair[:2]) for pair in pairs)
-            yield b, mirror, pairs
+    def spied(*args):
+        pairs = pairs_of(*args)
+        asked.update(frozenset(pair[:2]) for pair in pairs)
+        return pairs
 
-    monkeypatch.setattr(checker, "_walk", spied)
+    monkeypatch.setattr(checker, "_pairs", spied)
     return asked
 
 
@@ -826,7 +879,7 @@ def test_no_sweep_is_handed_nop(monkeypatch, expr):
 
     def spied(sweep):
         def spy(t, blocks):
-            handed.update(t.method[i].ctor for _, block in blocks for x in block for i in x)
+            handed.update(t.method[i].ctor for _, _, block in blocks for x in block for i in x)
             return sweep(t, blocks)
         return spy
 

@@ -4,8 +4,8 @@ knows how an Update method is laid out, only the checker's runner
 compiles a component or sweeps it, the checker never names the static
 product nor reads a pattern, the checker's sweeps read tables filled
 from the component, not the validating kernel, only the checker's table
-fills and runner name `nop`, only the checker's cutter reads sites and
-only its walk finds mirrors, the simulator asks nothing but the validating
+fills and runner name `nop`, only the checker's cutter reads sites or
+pairs mirrors, the simulator asks nothing but the validating
 kernel, no component or pattern is built from functions
 made for it or takes bounds or a `site_aware`, nothing reads
 `site_aware`, no value class compares or hashes in Python, and importing
@@ -190,19 +190,18 @@ def test_only_the_table_fills_and_the_runner_name_nop():
     assert _nop_constants(planted) == [len(source.splitlines()) + 4]
 
 
-# Where the checker may read the site rule: the cutter alone, which cuts a
-# part's blocks so that every pair they draw is concurrent; and where it may
-# search for a mirror, compare a block to one built from another's lists:
-# the walk alone, which both sweeps share.
+# Where the checker may read the site rule, or search for a mirror by comparing
+# a block to one built from another's lists: the cutter alone, which cuts a
+# part's blocks so that every pair they draw is concurrent, and pairs each
+# kept block with its mirror.
 _SITE_RULE = {"site", "site_aware"}
 
 
 def _site_rule_breaches(source: str):
-    """Lines that read `.site` or `.site_aware` outside `_by_site`, name
-    anything `concurrent`, or compare with `==` to a tuple display outside
-    `_walk`."""
+    """Lines that read `.site` or `.site_aware`, or compare with `==` to a
+    tuple display, outside `_by_site`, or name anything `concurrent`."""
     tree = ast.parse(source)
-    cutter, walk = _within(tree, {(None, "_by_site")}), _within(tree, {(None, "_walk")})
+    cutter = _within(tree, {(None, "_by_site")})
     found = set()
     for n in ast.walk(tree):
         name = (n.attr if isinstance(n, ast.Attribute) else n.id if isinstance(n, ast.Name)
@@ -210,16 +209,17 @@ def _site_rule_breaches(source: str):
         reads_site = isinstance(n, ast.Attribute) and n.attr in _SITE_RULE and id(n) not in cutter
         mirror = (isinstance(n, ast.Compare) and any(isinstance(op, ast.Eq) for op in n.ops)
                   and any(isinstance(x, ast.Tuple) for x in (n.left, *n.comparators))
-                  and id(n) not in walk)
+                  and id(n) not in cutter)
         if reads_site or mirror or "concurrent" in (name or ""):
             found.add(n.lineno)
     return sorted(found)
 
 
-def test_only_the_cutter_reads_sites_and_only_the_walk_finds_mirrors():
+def test_only_the_cutter_reads_sites_or_pairs_mirrors():
     # Two methods are concurrent unless one site issues both: `_by_site`
-    # cuts each part's blocks by that rule once, so the sweeps, the lift and
-    # the estimates read only ids and list sizes.
+    # cuts each part's blocks by that rule once, and pairs each kept block
+    # with its mirror, so the sweeps, the lift and the estimates read only
+    # ids, list sizes and the mirrors it names.
     source = (SRC / "checker.py").read_text()
     found = _site_rule_breaches(source)
     assert not found, f"checker.py lines reading sites or finding mirrors: {found}"
