@@ -15,7 +15,7 @@ from typing import Any, Callable, List
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, InvalidSpec, UndefinedObservation
 from .kernel import Component
-from .values import NOP, VALUE, Cell, Method
+from .values import VALUE, Cell, Method
 
 COLOR_ORDER = ("red", "green", "blue")
 
@@ -29,7 +29,7 @@ class CellComponent(Component):
     def __init__(self, name: str, put: str, get: str,
                  values: Callable[[Bounds], List[Any]], merge: Callable[[Any, Any], Any]):
         dom = values(DEFAULT_BOUNDS)
-        super().__init__(name, {"nop": (), put: (VALUE,)}, Cell(None), value_type=type(dom[0]))
+        super().__init__(name, {put: (VALUE,)}, Cell(None), value_type=type(dom[0]))
         self.put, self.get, self.values, self.merge = put, get, values, merge
         self.attributes = {get: self.observe}
         self._validate_merge(dom)
@@ -57,7 +57,7 @@ class CellComponent(Component):
         return Method(self.put, (self.merge(m1.args[0], m2.args[0]),))
 
     def enum_methods_fn(self, b: Bounds) -> List[Method]:
-        return [NOP] + [Method(self.put, (v,)) for v in self.values(b)]
+        return [Method(self.put, (v,)) for v in self.values(b)]
 
     def enum_states_fn(self, b: Bounds) -> List[Cell]:
         return [Cell(None)] + [Cell(v) for v in self.values(b)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import partial
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from .bounds import MAX_STATES, Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UnknownMethod
@@ -51,8 +51,7 @@ class StaticProduct(Component):
             for aname, observer in f.attributes.items():
                 attributes[_claim(attributes, aname, f)] = partial(_observe_factor, i, observer)
         super().__init__(name or " (+) ".join(f.name for f in factors),
-                         {"nop": (), **{c: factors[i].method_ctors[ctor]
-                                        for c, (i, ctor) in owner.items()}},
+                         {c: factors[i].method_ctors[ctor] for c, (i, ctor) in owner.items()},
                          product(f.initial_state for f in factors), tuple(factors))
         self.owner = owner
         self.renamed = {v: k for k, v in owner.items()}  # inverse of owner
@@ -89,7 +88,7 @@ class StaticProduct(Component):
         return self._pack(i1, self.parts[i1].it_fn(inner1, inner2))
 
     def enum_methods_fn(self, b: Bounds) -> List[Method]:
-        out = [NOP]
+        out: List[Method] = []
         for i, f in enumerate(self.parts):
             out.extend(self._pack(i, m) for m in f.enum_methods(b) if m.ctor != "nop")
         return out
@@ -180,17 +179,20 @@ def is_update(m: Method) -> bool:
 
 
 class ComposedComponent(Component):
-    """A pattern instantiated over its child, parts[0], with Update grafted
-    on: the pattern's body, `body`, answers every other method.  Update
-    declares its address as the pattern does (`update_address`), and its
-    guard too (`update_guard`).  The name,
+    """A pattern, a CompositionPattern subclass, instantiated over its
+    child, parts[0], with Update grafted on: the instance, `body`, answers
+    every other method and gives Update its meaning.  Update declares its
+    address as the pattern does (`update_address`), and its guard too
+    (`update_guard`).  Its addresses are every tuple of positions below
+    `max_len` of that arity, and it is issued by each site that issues the
+    body's own methods, none if they carry no site.  The name,
     `pattern[child]` unless given, is the body's too, so the body's refusals
     name this component."""
 
-    def __init__(self, pattern: CompositionPattern, child: Component,
+    def __init__(self, pattern: Type[CompositionPattern], child: Component,
                  name: Optional[str] = None):
         name = name or f"{pattern.name}[{child.name}]"
-        body = pattern.build_body(child, name)
+        body = pattern(child, name)
         super().__init__(name, {**body.method_ctors,
                                 "Update": (pattern.update_address, STATE, METHOD)},
                          body.initial_state, (child,))
@@ -204,13 +206,13 @@ class ComposedComponent(Component):
     def do_fn(self, m: Method, st: StateValue) -> StateValue:
         if m.ctor == "Update":
             addr, old, _ = m.args
-            return self.pattern.update_do(addr, old, self.update_new(m), st)
+            return self.body.update_do(addr, old, self.update_new(m), st)
         return self.body.do_fn(m, st)
 
     def poss_fn(self, m: Method, st: StateValue) -> bool:
         if m.ctor == "Update":
             addr, old, _ = m.args
-            return self.pattern.update_poss(addr, old, self.update_new(m), st)
+            return self.body.update_poss(addr, old, self.update_new(m), st)
         return self.body.poss_fn(m, st)
 
     def it_fn(self, m1: Method, m2: Method) -> Method:
@@ -218,25 +220,25 @@ class ComposedComponent(Component):
             if m2.ctor == "Update":
                 return transform_update(self, m1, m2)
             addr, old, child_method = m1.args
-            moved = self.pattern.it_update_vs_method(addr, old, self.update_new(m1), m2)
+            moved = self.body.it_update_vs_method(addr, old, self.update_new(m1), m2)
             if moved is None:
                 return NOP
             return m1 if moved == addr else make_update(moved, old, child_method, m1.site)
         if m2.ctor == "Update":
             addr, old, _ = m2.args
-            return self.pattern.it_method_vs_update(m1, addr, old, self.update_new(m2))
+            return self.body.it_method_vs_update(m1, addr, old, self.update_new(m2))
         return self.body.it_fn(m1, m2)
 
     def enum_methods_fn(self, b: Bounds) -> List[Method]:
         # addresses x old child states x child methods x sites
-        child, pattern = self.parts[0], self.pattern
-        axes = (pattern.update_addrs(b), child.enum_states(b), child.enum_methods(b),
-                range(b.sites) if pattern.update_site_aware else [None])
+        child, own = self.parts[0], self.body.enum_methods_fn(b)
+        axes = (list(itertools.product(range(b.max_len), repeat=len(self.body.update_address))),
+                child.enum_states(b), child.enum_methods(b), {m.site for m in own})
         n = math.prod(map(len, axes))
         if n > b.max_methods:
             raise BoundsExceeded(f"{self.name}: {n} Update methods "
                                  f"exceed the ceiling {b.max_methods}")
-        return self.body.enum_methods(b) + [make_update(*t) for t in itertools.product(*axes)]
+        return own + [make_update(*t) for t in itertools.product(*axes)]
 
     def enum_states_fn(self, b: Bounds) -> List[StateValue]:
         return self.body.enum_states_fn(b)
@@ -244,7 +246,7 @@ class ComposedComponent(Component):
     def guard(self, m: Method) -> Optional[Tuple[Any, Any]]:
         if m.ctor == "Update":
             addr, old, _ = m.args
-            return self.pattern.update_guard(addr, old)
+            return self.body.update_guard(addr, old)
         return None
 
     def update_new(self, u: Method) -> StateValue:
@@ -285,7 +287,7 @@ def transform_update(comp: ComposedComponent, u1: Method, u2: Method) -> Method:
     return u1
 
 
-def dynamic_compose(pattern: CompositionPattern, child: Component) -> ComposedComponent:
+def dynamic_compose(pattern: Type[CompositionPattern], child: Component) -> ComposedComponent:
     """Instantiate the pattern over the child, under structural equality,
     and graft on the update method (see ComposedComponent)."""
     return ComposedComponent(pattern, child)

@@ -21,12 +21,14 @@ from .values import METHOD, NOP, Method, StateValue, canon_key
 class Component:
     """The base of every kind of component.  A subclass defines
     `do_fn(m, st)`, `poss_fn(m, st)` and `it_fn(m1, m2)`, which the kernel
-    calls on proper methods only (it answers `nop` itself, so a component
-    with no other method defines none), and `enum_methods_fn(b)` and
-    `enum_states_fn(b)`, which list the methods and states at bounds `b` in
-    any order; and it sets `attributes`.  A component is built from its
-    parts alone: no bound, and no declaration of how its methods are
-    issued, since two methods are concurrent unless one site issues both."""
+    calls on its own methods only, and `enum_methods_fn(b)` and
+    `enum_states_fn(b)`, which list its own methods and its states at
+    bounds `b` in any order; and it sets `attributes`.  `nop` is every
+    component's: this class declares it and enumerates it, and the kernel
+    answers it, so a component with no other method defines no function
+    of it.  A component is built from its parts alone: no bound, and no
+    declaration of how its methods are issued, since two methods are
+    concurrent unless one site issues both."""
 
     # Attribute name -> observer (data args, state) -> data value; it may
     # raise UndefinedObservation where no value has been established yet.
@@ -40,8 +42,8 @@ class Component:
                  value_type: Optional[type] = None):
         self.name = name
         # Constructor -> argument sorts (values.VALUE / POSITION / STATE / METHOD, or
-        # a tuple of POSITIONs for an address), with `nop` declared as taking none.
-        self.method_ctors = method_ctors
+        # a tuple of POSITIONs for an address), `nop`, which takes none, first.
+        self.method_ctors = {"nop": (), **method_ctors}
         self.initial_state = initial_state
         # The element component of a pattern instance or dynamic composition, or
         # the factors of a static product.
@@ -52,7 +54,7 @@ class Component:
 
     # Each sort keys its list with one memo, whose ids the list keeps alive.
     def enum_methods(self, b: Bounds = DEFAULT_BOUNDS) -> List[Method]:
-        methods = self.enum_methods_fn(b)
+        methods = [NOP, *self.enum_methods_fn(b)]
         if len(methods) > b.max_methods:
             raise BoundsExceeded(f"{self.name}: {len(methods)} methods exceed "
                                  f"the ceiling {b.max_methods}")

@@ -1,10 +1,10 @@
 """Parametric container patterns and admissibility.
 
-A pattern is a container component whose element sort is left open.  Binding
-the element sort to another component's states turns the pattern into a
-concrete component, its body; the pattern additionally carries the
-semantics needed to graft in-place element edits onto the container (see
-composition.dynamic_compose).
+A pattern is a container component whose element sort is left open: the
+class is the pattern, and an instance binds the element sort to another
+component's states, its child.  The instance is the container over those
+elements and also carries the semantics needed to graft in-place element
+edits onto it (see composition.dynamic_compose).
 
 Two patterns ship: a finite set (in a "literal" and a "guarded" variant,
 differing only in whether adding a present element is enabled) and a sequence
@@ -15,7 +15,7 @@ breaks insert ties by site id.
 from __future__ import annotations
 
 import itertools
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple, Type
 
 from .bounds import MAX_STATES, Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UndefinedObservation
@@ -24,7 +24,7 @@ from .values import (NOP, POSITION, STATE, Method, Opaque, SeqOf, SetOf, StateVa
                      seq_of, set_of)
 
 
-class CompositionPattern:
+class CompositionPattern(Component):
     """A container whose formal element parameter must come with an
     equivalence (the axioms eq-symmetric and eq-transitive).
 
@@ -35,17 +35,19 @@ class CompositionPattern:
     `tests/test_patterns.py` runs every bundled pattern on elements that
     allow nothing else.
 
-    A subclass defines `build_body(child, name)`, its component over the
-    child's states, and the in-place element edits that dynamic composition
-    grafts on.  An edit carries its address, the old child state and the new
-    one.  `update_address` declares an address's sorts, a tuple of one
-    POSITION per coordinate, and `update_addrs(b)` lists the addresses at
-    bounds `b`;
+    A subclass is a pattern.  Its class body sets `name` and
+    `update_address`, which dynamic composition reads before a child is
+    bound: the sorts of an edit's address, a tuple of one POSITION per
+    coordinate.  An instance, `Pattern(child, name)`, is the container over
+    the child's states, with the functions of every component, and the
+    in-place element edits that dynamic composition grafts on.  An edit
+    carries its address, the old child state and the new one:
     `update_do(addr, old, new, st)` and `update_poss(addr, old, new, st)`
     apply it and say whether it is enabled; `it_update_vs_method(addr, old,
     new, m)` is its address after a concurrent container method m, or None
     where m removed the edited element; and `it_method_vs_update(m, addr,
-    old, new)` is m transformed against it.
+    old, new)` is m transformed against it.  Its addresses and issuing
+    sites are worked out from these (see `ComposedComponent`).
 
     `update_guard(addr, old)` declares an edit's exclusive guard, a (slot,
     value) pair, or None: two edits with the same slot and different values
@@ -55,12 +57,6 @@ class CompositionPattern:
     """
 
     update_address: Tuple[Any, ...]
-    # Whether edits are enumerated once per issuing site, so that the
-    # checker's site cut applies to them; no transform reads an edit's site.
-    update_site_aware = False
-
-    def __init__(self, name: str):
-        self.name = name
 
     def update_guard(self, addr, old) -> Optional[Tuple[Any, Any]]:
         return None
@@ -73,7 +69,7 @@ class AdmissibilityReport:
         self.failed_axiom: Optional[str] = failed_axiom
 
 
-def check_admissible(pattern: CompositionPattern, child: Component,
+def check_admissible(pattern: Type[CompositionPattern], child: Component,
                      phi: None = None, b: Bounds = DEFAULT_BOUNDS) -> AdmissibilityReport:
     """Verify that the child's states at `b` can stand for the pattern's
     elements: at least two of them, and no two equal.  Structural equality
@@ -95,13 +91,26 @@ def check_admissible(pattern: CompositionPattern, child: Component,
 # Finite-set pattern
 # ---------------------------------------------------------------------------
 
-class SetBody(Component):
-    """The set pattern over its child's states: add and remove an element."""
+class SetPattern(CompositionPattern):
+    """Finite sets of elements with add/remove and element-wise transform.
 
-    def __init__(self, child: Component, guarded: bool, name: str):
-        super().__init__(name, {"nop": (), "add": (STATE,), "remove": (STATE,)}, SetOf(),
+    The "literal" variant always enables add; the "guarded" variant requires
+    the element to be absent, which removes the one delivery race where a
+    concurrent add/remove pair on a present element diverges.  The guarded
+    variant guards in-place edits the same way: the new value must not collide
+    with another element already present, since a value-addressed set would
+    silently merge the two and lose one of them.
+
+    A set holds many elements, so edits of different old elements may be
+    enabled together: it declares no update guard.
+    """
+
+    update_address = ()  # the old element itself addresses the target
+    guarded: bool
+
+    def __init__(self, child: Component, name: Optional[str] = None):
+        super().__init__(name or self.name, {"add": (STATE,), "remove": (STATE,)}, SetOf(),
                          (child,))
-        self.guarded = guarded
         self.attributes = {"iselem": self.iselem}
 
     def do_fn(self, m: Method, st: SetOf) -> SetOf:
@@ -122,7 +131,7 @@ class SetBody(Component):
 
     def enum_methods_fn(self, b: Bounds) -> List[Method]:
         elems = self.parts[0].enum_states(b)
-        return [NOP] + [Method(c, (e,)) for c in ("add", "remove") for e in elems]
+        return [Method(c, (e,)) for c in ("add", "remove") for e in elems]
 
     def enum_states_fn(self, b: Bounds) -> List[SetOf]:
         elems = self.parts[0].enum_states(b)
@@ -135,35 +144,6 @@ class SetBody(Component):
 
     def iselem(self, args, st: SetOf) -> bool:
         return args[0] in st.items
-
-
-class SetPattern(CompositionPattern):
-    """Finite sets of elements with add/remove and element-wise transform.
-
-    The "literal" variant always enables add; the "guarded" variant requires
-    the element to be absent, which removes the one delivery race where a
-    concurrent add/remove pair on a present element diverges.  The guarded
-    variant guards in-place edits the same way: the new value must not collide
-    with another element already present, since a value-addressed set would
-    silently merge the two and lose one of them.
-
-    A set holds many elements, so edits of different old elements may be
-    enabled together: it declares no update guard.
-    """
-
-    update_address = ()  # the old element itself addresses the target
-
-    def __init__(self, variant: str):
-        if variant not in ("literal", "guarded"):
-            raise ValueError(f"unknown set variant {variant!r}")
-        super().__init__(f"set-{variant}")
-        self.guarded = variant == "guarded"
-
-    def build_body(self, child: Component, name: Optional[str] = None) -> SetBody:
-        return SetBody(child, self.guarded, name or self.name)
-
-    def update_addrs(self, b: Bounds) -> List[Tuple[Any, ...]]:
-        return [()]
 
     def update_do(self, addr, old, new, st: SetOf) -> SetOf:
         return SetOf((st.items - {old}) | {new})
@@ -186,8 +166,18 @@ class SetPattern(CompositionPattern):
         return m
 
 
-def set_pattern(variant: str = "guarded") -> SetPattern:
-    return SetPattern(variant)
+class LiteralSet(SetPattern):
+    name, guarded = "set-literal", False
+
+
+class GuardedSet(SetPattern):
+    name, guarded = "set-guarded", True
+
+
+def set_pattern(variant: str = "guarded") -> Type[SetPattern]:
+    if variant not in ("literal", "guarded"):
+        raise ValueError(f"unknown set variant {variant!r}")
+    return GuardedSet if variant == "guarded" else LiteralSet
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +188,14 @@ def _site(m: Method) -> int:
     return -1 if m.site is None else m.site
 
 
-class StringBody(Component):
-    """The sequence pattern over its child's states: insert and delete an
-    element at a position."""
+class StringPattern(CompositionPattern):
+    """A sequence of elements with position-addressed insert and delete."""
 
-    def __init__(self, child: Component, name: str):
-        super().__init__(name, {"nop": (), "Ins": (POSITION, STATE), "Del": (POSITION,)},
+    name = "string"
+    update_address = (POSITION,)
+
+    def __init__(self, child: Component, name: Optional[str] = None):
+        super().__init__(name or self.name, {"Ins": (POSITION, STATE), "Del": (POSITION,)},
                          SeqOf(), (child,))
         self.attributes = {"elemAt": self.elem_at, "length": self.length}
 
@@ -248,7 +240,7 @@ class StringBody(Component):
 
     def enum_methods_fn(self, b: Bounds) -> List[Method]:
         elems = self.parts[0].enum_states(b)
-        out = [NOP]
+        out = []
         for n in range(b.sites):
             out.extend(Method("Ins", (p, e), n)
                        for p in range(b.max_len + 1) for e in elems)
@@ -273,22 +265,6 @@ class StringBody(Component):
 
     def length(self, args, st: SeqOf) -> int:
         return len(st.items)
-
-
-class StringPattern(CompositionPattern):
-    """A sequence of elements with position-addressed insert and delete."""
-
-    update_address = (POSITION,)
-    update_site_aware = True
-
-    def __init__(self):
-        super().__init__("string")
-
-    def build_body(self, child: Component, name: Optional[str] = None) -> StringBody:
-        return StringBody(child, name or self.name)
-
-    def update_addrs(self, b: Bounds) -> List[Tuple[Any, ...]]:
-        return [(p,) for p in range(b.max_len)]
 
     def update_do(self, addr, old, new, st: SeqOf) -> SeqOf:
         p = addr[0]
@@ -318,8 +294,8 @@ class StringPattern(CompositionPattern):
         return m  # edits shift no position
 
 
-def string_pattern() -> StringPattern:
-    return StringPattern()
+def string_pattern() -> Type[StringPattern]:
+    return StringPattern
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +310,15 @@ def _token_names(n: int) -> List[str]:
 
 
 class Token(Component):
-    """A degenerate element supplier: fixed opaque tokens, no methods but
-    `nop`, which the kernel answers itself."""
+    """A degenerate element supplier: fixed opaque tokens, and no methods of
+    its own, so only `nop`, which the kernel answers itself."""
 
     def __init__(self):
-        super().__init__("token", {"nop": ()}, Opaque("x"), value_type=str)
+        super().__init__("token", {}, Opaque("x"), value_type=str)
         self.attributes = {"ident": self.ident}
 
     def enum_methods_fn(self, b: Bounds) -> List[Method]:
-        return [NOP]
+        return []
 
     def enum_states_fn(self, b: Bounds) -> List[Opaque]:
         return [Opaque(t) for t in _token_names(b.universe)]

@@ -20,7 +20,7 @@ from .cells import cchar, ccolor, cnat
 from .composition import dynamic_compose, static_compose
 from .errors import ExprError
 from .kernel import Component
-from .patterns import set_pattern, string_pattern, token_component
+from .patterns import GuardedSet, LiteralSet, StringPattern, token_component
 
 COMPONENTS = {
     "cchar": cchar,
@@ -28,11 +28,7 @@ COMPONENTS = {
     "ccolor": ccolor,
 }
 
-PATTERNS = {
-    "set-literal": lambda: set_pattern("literal"),
-    "set-guarded": lambda: set_pattern("guarded"),
-    "string": string_pattern,
-}
+PATTERNS = {p.name: p for p in (LiteralSet, GuardedSet, StringPattern)}
 
 _TOKENS = re.compile(r"\s*(\(\+\)|\[|\]|[a-z0-9_-]+)")
 
@@ -100,11 +96,11 @@ class _Builder:
             if self.peek() != "]":
                 raise ExprError("missing ']'", pos)
             self.take()
-            return dynamic_compose(PATTERNS[tok](), child)
+            return dynamic_compose(PATTERNS[tok], child)
         if tok in COMPONENTS:
             return COMPONENTS[tok]()
         if tok in PATTERNS:  # a bare pattern holds opaque tokens
-            return PATTERNS[tok]().build_body(token_component())
+            return PATTERNS[tok](token_component())
         raise ExprError(f"unknown name {tok!r}", pos)
 
 

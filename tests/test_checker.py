@@ -27,7 +27,7 @@ from otcomp.errors import BoundsExceeded, InvalidSpec, ReplayMismatch
 from otcomp.patterns import set_pattern
 from otcomp.registry import build, registry_names
 from otcomp.tower import build_document_tower
-from otcomp.values import NOP, Cell, Method, value_from_json
+from otcomp.values import Cell, Method, value_from_json
 
 B = DEFAULT_BOUNDS
 
@@ -99,7 +99,9 @@ def test_reports_are_deterministic():
 
 
 def test_empty_method_enumeration_makes_the_check_vacuous():
-    c = _replaced(cchar(), enum_methods_fn=lambda b: [])
+    # `nop` is every component's, so emptying the enumeration empties
+    # `enum_methods` itself.
+    c = _replaced(cchar(), enum_methods=lambda b: [])
     rep = check_cp1(c)
     assert rep.verdict == "vacuous" and rep.cases == 0
 
@@ -140,7 +142,7 @@ class _TwoSiteCell(CellComponent):
         super().__init__("cchar", "putchar", "getchar", cchar().values, max)
 
     def enum_methods_fn(self, b):
-        return [NOP] + [Method("putchar", (v,), s) for s in range(2) for v in self.values(b)]
+        return [Method("putchar", (v,), s) for s in range(2) for v in self.values(b)]
 
 
 def test_methods_carrying_sites_are_cut_by_site_whatever_the_component():
@@ -449,7 +451,7 @@ def test_an_enumeration_that_repeats_a_value_is_rejected():
         check_cp1(c)
     # A pattern over such a child repeats the methods built from its states.
     with pytest.raises(InvalidSpec, match="repeats"):
-        check_cp2(set_pattern("guarded").build_body(c))
+        check_cp2(set_pattern("guarded")(c))
 
 
 def test_every_ceiling_is_checked_before_the_first_sweep(monkeypatch):

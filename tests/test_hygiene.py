@@ -7,7 +7,8 @@ from the component, not the validating kernel, only the checker's table
 fills and runner name `nop`, only the checker's cutter reads sites or
 pairs mirrors, the simulator asks nothing but the validating
 kernel, no component or pattern is built from functions
-made for it or takes bounds or a `site_aware`, nothing reads
+made for it or takes bounds or a `site_aware`, every pattern's class
+sets its name and address sorts, nothing reads
 `site_aware`, no value class compares or hashes in Python, and importing
 otcomp loads neither `dataclasses` nor `inspect`, nor the modules only a
 split check needs."""
@@ -321,7 +322,7 @@ def test_no_component_or_pattern_is_built_from_functions_made_for_it():
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
     classes = _component_classes(trees.values())
-    assert {"CellComponent", "SetBody", "StaticProduct", "ComposedComponent",
+    assert {"CellComponent", "SetPattern", "StaticProduct", "ComposedComponent",
             "StringPattern"} <= classes
     found = [f"{name}:{line}" for name, tree in trees.items()
              for line in _functions_passed_to_constructors(tree, classes)]
@@ -340,6 +341,80 @@ def test_no_component_or_pattern_is_built_from_functions_made_for_it():
         "    def __init__(self):\n"
         "        super().__init__('c', lambda b: [])\n")
     assert _functions_passed_to_constructors(planted, {"Component", "Cell"}) == [5, 6, 7, 10]
+
+
+# What dynamic composition reads off a pattern's class before a child is bound.
+_PATTERN_CLASS_ATTRIBUTES = ("name", "update_address")
+
+
+def _patterns_missing_class_attributes(trees):
+    """(pattern, attribute) for each CompositionPattern subclass that no
+    class derives from, and each of `name` and `update_address` that no
+    class body assigns, its own or an ancestor's below CompositionPattern:
+    one set in `__init__` alone is missing."""
+    classes = {n.name: n for tree in trees for n in ast.walk(tree)
+               if isinstance(n, ast.ClassDef)}
+    bases = {name: [getattr(b, "id", getattr(b, "attr", None)) for b in c.bases]
+             for name, c in classes.items()}
+
+    def lineage(name):
+        """The class and its ancestors below CompositionPattern, or [] if it
+        does not derive from it."""
+        for base in bases.get(name, ()):
+            if base == "CompositionPattern":
+                return [name]
+            up = lineage(base)
+            if up:
+                return [name, *up]
+        return []
+
+    def assigned(c):
+        targets = [t for stmt in c.body for t in (
+            stmt.targets if isinstance(stmt, ast.Assign) else
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+            else [])]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+    derived_from = {b for bs in bases.values() for b in bs}
+    found = []
+    for name in sorted(classes):
+        chain = lineage(name)
+        if chain and name not in derived_from:
+            have = set().union(*(assigned(classes[c]) for c in chain))
+            found += [(name, a) for a in _PATTERN_CLASS_ATTRIBUTES if a not in have]
+    return found
+
+
+def test_every_pattern_class_sets_its_name_and_address_sorts():
+    # `dynamic_compose` names the composition and declares Update's
+    # argument sorts from the pattern's class, before it binds the child.
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    found = _patterns_missing_class_attributes(trees)
+    assert not found, f"patterns missing class attributes: {found}"
+    # The rule catches a name set per instance, a missing address and a
+    # variant that sets neither, and passes one that inherits the address.
+    planted = ast.parse(textwrap.dedent("""
+        class P(CompositionPattern):
+            update_address = ()
+            def __init__(self, child):
+                self.name = "p"
+        class Q(CompositionPattern):
+            name: str = "q"
+            update_address: tuple
+        class Base(CompositionPattern):
+            update_address = (POSITION,)
+        class V(Base):
+            name, guarded = "v", True
+        class W(Base):
+            guarded = False
+        """))
+    assert _patterns_missing_class_attributes([planted]) == [
+        ("P", "name"), ("Q", "update_address"), ("W", "name")]
+    # It reads the bundled patterns: one that loses its name is caught.
+    source = (SRC / "patterns.py").read_text()
+    unnamed = source.replace('    name = "string"\n', "")
+    assert unnamed != source
+    assert _patterns_missing_class_attributes([ast.parse(unnamed)]) == [("StringPattern", "name")]
 
 
 def test_values_compare_and_hash_as_tuples():

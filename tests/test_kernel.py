@@ -106,7 +106,7 @@ class _Once(kernel.Component):
     """A one-shot component: the method is enabled only on the empty cell."""
 
     def __init__(self):
-        super().__init__("once", {"nop": (), "set": (VALUE,)}, Cell(None))
+        super().__init__("once", {"set": (VALUE,)}, Cell(None))
 
     def do_fn(self, m, st_):
         return Cell(m.args[0])

@@ -9,7 +9,7 @@ from otcomp import kernel, patterns, values
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar
 from otcomp.checker import check_consistency
-from otcomp.composition import dynamic_compose, is_update, make_update
+from otcomp.composition import dynamic_compose, is_update, make_update, update_addr
 from otcomp.errors import BoundsExceeded, UndefinedObservation
 from otcomp.patterns import (Token, check_admissible, set_pattern, string_pattern,
                              token_component)
@@ -43,12 +43,12 @@ def test_admissibility_takes_no_other_equality():
 
 @pytest.fixture(scope="module")
 def sguard():
-    return set_pattern("guarded").build_body(token_component())
+    return set_pattern("guarded")(token_component())
 
 
 @pytest.fixture(scope="module")
 def sliteral():
-    return set_pattern("literal").build_body(token_component())
+    return set_pattern("literal")(token_component())
 
 
 def _add(e):
@@ -95,14 +95,14 @@ def test_a_set_is_refused_past_the_state_ceiling(monkeypatch):
     # The ceiling sequences and products use, at its boundary: 2**3 subsets
     # of three tokens fit a ceiling of 8, and 2**4 of four do not.
     monkeypatch.setattr(patterns, "MAX_STATES", 8)
-    body = set_pattern("guarded").build_body(token_component())
+    body = set_pattern("guarded")(token_component())
     assert len(body.enum_states(_tokens(3))) == 8
     with pytest.raises(BoundsExceeded, match="^set-guarded: 16 subset states$"):
         body.enum_states(_tokens(4))
 
 
 def test_set_instantiation_ranges_over_child_states():
-    c = set_pattern("guarded").build_body(cchar())
+    c = set_pattern("guarded")(cchar())
     elems = {m.args[0] for m in c.enum_methods(B) if m.ctor == "add"}
     assert elems == set(cchar().enum_states(B))
     s = kernel.apply(c, Method("add", (Cell("a"),)), SetOf())
@@ -113,7 +113,7 @@ def test_set_instantiation_ranges_over_child_states():
 
 @pytest.fixture(scope="module")
 def seq():
-    return string_pattern().build_body(token_component())
+    return string_pattern()(token_component())
 
 
 def _ins(p, e, site=0):
@@ -263,13 +263,25 @@ _PATTERNS = pytest.mark.parametrize(
 @_PATTERNS
 @pytest.mark.parametrize("max_len", [1, 2, 3, 4])
 def test_every_update_address_has_the_declared_arity(make, max_len):
-    # An Update's address sorts are a constant of its pattern, so building
-    # a dynamic composition needs no bounds to learn them.
+    # A pattern declares only its address sorts, so building a dynamic
+    # composition needs no bounds to learn them.  Its Updates are worked
+    # out: every address of that arity with positions below max_len, every
+    # old child state and child method, and each site that issues the
+    # body's own methods (the string's), or no site (the sets').
     pattern = make()
-    addrs = pattern.update_addrs(B.with_(max_len=max_len))
-    assert addrs and set(pattern.update_address) <= {values.POSITION}
-    assert all(len(a) == len(pattern.update_address) and all(type(p) is int for p in a)
-               for a in addrs)
+    assert set(pattern.update_address) <= {values.POSITION}
+    string = pattern.name == "string"
+    for child, sites in itertools.product((cchar, token_component), (1, 2, 3)):
+        b = B.with_(max_len=max_len, sites=sites)
+        c = dynamic_compose(pattern, child())
+        updates = [m for m in c.enum_methods(b) if is_update(m)]
+        addrs = [(p,) for p in range(max_len)] if string else [()]
+        issuers = set(range(sites)) if string else {None}
+        assert sorted({update_addr(u) for u in updates}) == addrs
+        assert {u.site for u in updates} == issuers
+        kid = c.parts[0]
+        assert len(set(updates)) == len(updates) == (
+            len(addrs) * len(kid.enum_states(b)) * len(kid.enum_methods(b)) * len(issuers))
 
 
 def _clash(g, h):
@@ -308,10 +320,10 @@ def test_the_set_patterns_declare_no_guard(variant):
 @_PATTERNS
 def test_a_pattern_reads_its_elements_through_equality_and_hash_alone(sentinel_keys, make):
     # Every method and state of the pattern over three sentinel elements,
-    # through the body's functions and the pattern's Update semantics.
+    # through the container's functions and the pattern's Update semantics.
     b = B.with_(universe=3)
-    pattern, elements = make(), SentinelElements()
-    c = dynamic_compose(pattern, elements)
+    elements = SentinelElements()
+    c = dynamic_compose(make(), elements)
     methods = [m for m in c.enum_methods(b) if m.ctor != "nop"]
     states = c.enum_states(b)
     assert {is_update(m) for m in methods} == {True, False} and len(states) > 3
@@ -323,10 +335,11 @@ def test_a_pattern_reads_its_elements_through_equality_and_hash_alone(sentinel_k
         c.it_fn(m1, m2)
     elems = elements.enum_states(b)
     container = [m for m in methods if not is_update(m)]
-    for addr, old, new in itertools.product(pattern.update_addrs(b), elems, elems):
+    addrs = {update_addr(m) for m in methods if is_update(m)}
+    for addr, old, new in itertools.product(addrs, elems, elems):
         for st in states:
-            pattern.update_poss(addr, old, new, st)
-            pattern.update_do(addr, old, new, st)
+            c.body.update_poss(addr, old, new, st)
+            c.body.update_do(addr, old, new, st)
         for m in container:
-            pattern.it_update_vs_method(addr, old, new, m)
-            pattern.it_method_vs_update(m, addr, old, new)
+            c.body.it_update_vs_method(addr, old, new, m)
+            c.body.it_method_vs_update(m, addr, old, new)

@@ -5,7 +5,6 @@ import pytest
 
 from otcomp.errors import ExprError
 from otcomp.kernel import Component
-from otcomp.patterns import CompositionPattern
 from otcomp.registry import build, registry_names
 from otcomp.tower import build_document_tower
 
@@ -47,14 +46,13 @@ def _subclasses(cls):
 
 
 def test_building_enumerates_nothing(monkeypatch):
-    # A component is built from its parts alone: no kind enumerates its
-    # methods or states, and no pattern lists its Update addresses.
+    # A component is built from its parts alone: no kind, pattern or not,
+    # enumerates its methods or states.
     def refuse(self, b=None):
         raise RuntimeError(f"{type(self).__name__} enumerated while being built")
 
-    spied = {"enum_states", "enum_methods", "enum_states_fn", "enum_methods_fn",
-             "update_addrs"}
-    for cls in _subclasses(Component) + _subclasses(CompositionPattern):
+    spied = {"enum_states", "enum_methods", "enum_states_fn", "enum_methods_fn"}
+    for cls in _subclasses(Component):
         for name in spied & set(vars(cls)):
             monkeypatch.setattr(cls, name, refuse)
     assert len(build_document_tower()) == 9
