@@ -38,8 +38,9 @@ Nothing outlives the call.
 Joint legality is decided where it is read: by a CP1 sweep over the states
 both methods are enabled on, which transforms no pair that no state
 enables together; for CP2, first by the cut, which asks the component for
-each method's guard (`Component.guard`) and skips as not jointly legal a
-triple holding two whose guards clash; and for a failing triple's
+each method's guard, literals that hold wherever the method is enabled
+(`Component.guard`), and skips as not jointly legal a triple holding two
+whose guards give one slot two values; and for a failing triple's
 realizability over the states all three are enabled on.  Every failing case
 is replayed through the public kernel before it is emitted, which
 cross-checks the component's tables: a pair's joint legality and final
@@ -67,8 +68,8 @@ import math
 import operator
 import os
 import time
-from functools import cached_property, partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, partial, reduce
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .composition import ComposedComponent, is_update
@@ -239,9 +240,6 @@ class _Compiled:
                        partial(kernel.transform, c))}
         self.json = _Lazy(lambda i: value_to_json(method[i]))
         self.methods = self._distinct("method", [self.mid(m) for m in methods])
-        # Each given method's guard (see `Component.guard`), by id: the given
-        # methods are interned first, in order.
-        self.guard: List[Optional[tuple]] = list(map(c.guard, method))
 
     @cached_property
     def tables(self) -> _Tables:
@@ -250,6 +248,28 @@ class _Compiled:
     @cached_property
     def kernel(self) -> _Tables:
         return _Tables(self, *self._fills["kernel"])
+
+    @cached_property
+    def clashing(self) -> Optional[List[int]]:
+        """For each given method, by id, the mask of the given methods whose
+        guards clash with its own (see `Component.guard`), bit i standing
+        for id i; None where none clash, so that a check no guard cuts
+        builds no index.  A literal clashes with those of its slot that have
+        another value, so one whose slot takes one value clashes with none."""
+        given = list(map(self.c.guard, self.method[:len(self.methods)]))  # interned first
+        if not any(given):
+            return None
+        held: Dict[Any, Dict[Any, int]] = {}  # slot -> value -> mask of the ids holding it
+        for i, g in enumerate(given):
+            for slot, value in g:
+                at = held.setdefault(slot, {})
+                at[value] = at.get(value, 0) | 1 << i
+        against = {(slot, value): reduce(operator.or_, [ids for other, ids in at.items()
+                                                        if other != value])
+                   for slot, at in held.items() if len(at) > 1 for value in at}
+        if not against:
+            return None
+        return [reduce(operator.or_, [against.get(lit, 0) for lit in g], 0) for g in given]
 
     @cached_property
     def states(self) -> List[int]:
@@ -305,14 +325,14 @@ def _by_site(t: _Compiled, blocks: Blocks) -> Tuple[Cut, int, int]:
     the combinations of two different sites or of None are kept.
 
     Guard rule, for a CP2 block: no state enables two methods whose guards
-    clash, having one slot and different values (see `Component.guard`), so
-    no triple holding two such methods is jointly legal.  The first two
-    lists are split by guard as well, combinations whose guards clash are
-    dropped, and the third list is cut to the methods that clash with
+    clash, giving one slot two values (see `Component.guard`), so no triple
+    holding two such methods is jointly legal.  Where guards clash (see
+    `_Compiled.clashing`), the first two lists are split as well by the
+    methods each one's guard clashes with, combinations whose guards clash
+    are dropped, and the third list is cut to the methods that clash with
     neither guard: one list object for each distinct cut, so the blocks
-    that share it share their sweep's columns (see `_cp2_sweep`).  A
-    CP1 block is cut by site alone, since its sweep decides joint legality
-    state by state.  Lists keep id order.
+    that share it share their sweep's columns (see `_cp2_sweep`).  A CP1 block is cut by site alone, since its sweep
+    decides joint legality state by state.  Lists keep id order.
 
     Mirrors: the case (m2, m1), or (m2, m1, m3), reads the entries of (m1,
     m2), or (m1, m2, m3), left and right swapped.  A block whose two lists
@@ -321,31 +341,19 @@ def _by_site(t: _Compiled, blocks: Blocks) -> Tuple[Cut, int, int]:
     cut at groups (k1, k2) mirrors its mirror's cut at (k2, k1), which has
     the same third list, so it is kept as (origin, mirror's origin or None,
     lists) and stands for both (see `_pairs`)."""
-    method, guard = t.method, t.guard
+    method = t.method
+    clashing = t.clashing if len(blocks[0]) == 3 else None
+    guarded = clashing is not None
 
-    def clash(g: Optional[tuple], h: Optional[tuple]) -> bool:
-        return g is not None and h is not None and g[0] == h[0] and g[1] != h[1]
-
-    def split(x: List[int], guarded: bool) -> Dict[tuple, List[int]]:
-        groups: Dict[tuple, List[int]] = {}
+    def split(x: List[int]) -> Dict[Tuple[Optional[int], int], List[int]]:
+        # By site and, guarded, by the methods a method clashes with: a group
+        # clashes with none of its own, and with all or none of another.
+        groups: Dict[Tuple[Optional[int], int], List[int]] = {}
         for i in x:
-            groups.setdefault((method[i].site, guard[i] if guarded else None), []).append(i)
+            groups.setdefault((method[i].site, clashing[i] if guarded else 0), []).append(i)
         return groups
 
-    thirds: Dict[tuple, List[int]] = {}  # (id of a third list, pair of guards) -> its cut
-    equal: Dict[tuple, List[int]] = {}  # one list for equal cuts
-
-    def third(x3: List[int], g1: Optional[tuple], g2: Optional[tuple]) -> List[int]:
-        if g1 is None and g2 is None:
-            return x3
-        key = (id(x3), frozenset((g1, g2)))
-        if key not in thirds:
-            # A method stays unless its guard has a slot of theirs with another value.
-            value = dict(g for g in (g1, g2) if g is not None)  # slot -> value
-            y3 = [i for i in x3 if guard[i] is None
-                  or value.get(guard[i][0], guard[i][1]) == guard[i][1]]
-            thirds[key] = equal.setdefault(tuple(y3), y3)
-        return thirds[key]
+    thirds: Dict[int, List[int]] = {}  # mask of a third list's ids -> the list
 
     cut: Cut = []
     examined = cases = 0
@@ -356,22 +364,42 @@ def _by_site(t: _Compiled, blocks: Blocks) -> Tuple[Cut, int, int]:
         mirror = b if x1 is x2 else next((k for k in range(b + 1, len(blocks)) if k not in claimed
                                           and blocks[k] == (x2, x1, *rest)), None)
         claimed.add(mirror)
-        by1 = split(x1, bool(rest))
-        by2 = by1 if x2 is x1 else split(x2, bool(rest))
+        by1 = split(x1)
+        by2 = by1 if x2 is x1 else split(x2)
         n3 = len(rest[0]) if rest else 1
-        for k, ((s1, g1), y1) in enumerate(by1.items()):
+        if guarded:
+            m3 = reduce(operator.or_, (1 << i for i in rest[0]), 0)
+            thirds.setdefault(m3, rest[0])  # an uncut list is kept as it is
+        for k, ((s1, c1), y1) in enumerate(by1.items()):
             # Of a block that is its own mirror, (k2, k1) is the mirror of (k1, k2).
-            for (s2, g2), y2 in itertools.islice(by2.items(), k if by2 is by1 else 0, None):
+            for (s2, c2), y2 in itertools.islice(by2.items(), k if by2 is by1 else 0, None):
                 if s1 == s2 and s1 is not None:
                     continue
                 stands = 1 + (mirror is not None and y1 is not y2)
                 examined += len(y1) * len(y2) * n3 * stands
-                if rest and clash(g1, g2):
+                if c1 >> y2[0] & 1:  # the guards clash
                     continue
-                block = (y1, y2, third(rest[0], g1, g2)) if rest else (y1, y2)
+                block: tuple = (y1, y2)
+                if rest:
+                    y3 = rest[0]
+                    if guarded:
+                        cut3 = m3 & ~(c1 | c2)
+                        y3 = thirds.get(cut3)
+                        if y3 is None:
+                            y3 = thirds[cut3] = _ids(cut3)
+                    block += (y3,)
                 cut.append((b, mirror, block))
                 cases += math.prod(map(len, block)) * stands
     return cut, examined, cases
+
+
+def _ids(mask: int) -> List[int]:
+    """The ids whose bits are set in the mask, ascending."""
+    bits = bin(mask)[:1:-1].encode().translate(_BITS)  # bit i as byte i, 0 or 1
+    return list(itertools.compress(range(len(bits)), bits))
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _pairs(mirror: Optional[int], x1: List[int], x2: List[int]) -> List[Tuple[int, int, bool]]:
@@ -426,6 +454,8 @@ def _cp2_sweep(t: _Compiled, blocks: Cut) -> list:
     found: List[Tuple[int, int, int, int, int, int]] = []  # (origin, m1, m2, m3, left, right)
     vias: Dict[int, _Lazy] = {}  # id of a third list -> its via, shared by the blocks
     for b, mirror, (x1, x2, g3) in blocks:
+        if not (x1 and x2 and g3):  # such as a cut block of `nop` alone
+            continue
         # via[i] takes the IT column of a method m to the tuple, over m3 in
         # g3, of m3 transformed against method i and then against m.
         via = vias.get(id(g3))

@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from .bounds import MAX_STATES, Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UnknownMethod
-from .kernel import Component
+from .kernel import Component, Guard
 from . import kernel
 from .patterns import CompositionPattern
 from .values import METHOD, NOP, STATE, Method, Product, StateValue, product
@@ -119,14 +119,15 @@ class StaticProduct(Component):
             leaves += sub
         return leaves, owner
 
-    def guard(self, m: Method) -> Optional[Tuple[Any, Any]]:
-        """The owning factor's guard, its slot tagged with the factor's
-        index, since factors' methods act on disjoint items of a state."""
+    def guard(self, m: Method) -> Guard:
+        """The owning factor's guard, each literal's slot tagged with the
+        factor's index, since factors' methods act on disjoint items of a
+        state."""
         if m.ctor not in self.owner:
-            return None
+            return ()
         i, ctor = self.owner[m.ctor]
         g = self.parts[i].guard(m if ctor == m.ctor else m.renamed(ctor))
-        return None if g is None else ((i, g[0]), g[1])
+        return tuple(((i, slot), value) for slot, value in g) if g else g
 
     def count_states(self, counts: Iterator[int]) -> int:
         """Refused past MAX_STATES at every level, as `enum_states` refuses."""
@@ -181,9 +182,10 @@ def is_update(m: Method) -> bool:
 class ComposedComponent(Component):
     """A pattern, a CompositionPattern subclass, instantiated over its
     child, parts[0], with Update grafted on: the instance, `body`, answers
-    every other method and gives Update its meaning.  Update declares its
-    address as the pattern does (`update_address`), and its guard too
-    (`update_guard`).  Its addresses are every tuple of positions below
+    every other method and gives Update its meaning, and declares every
+    method's guard: a container method's (`guard`) and an Update's
+    (`update_guard`).  Update declares its address as the pattern does
+    (`update_address`).  Its addresses are every tuple of positions below
     `max_len` of that arity, and it is issued by each site that issues the
     body's own methods, none if they carry no site.  The name,
     `pattern[child]` unless given, is the body's too, so the body's refusals
@@ -243,11 +245,11 @@ class ComposedComponent(Component):
     def enum_states_fn(self, b: Bounds) -> List[StateValue]:
         return self.body.enum_states_fn(b)
 
-    def guard(self, m: Method) -> Optional[Tuple[Any, Any]]:
+    def guard(self, m: Method) -> Guard:
         if m.ctor == "Update":
             addr, old, _ = m.args
-            return self.body.update_guard(addr, old)
-        return None
+            return self.body.update_guard(addr, old, partial(self.update_new, m))
+        return self.body.guard(m)
 
     def update_new(self, u: Method) -> StateValue:
         """The new child state carried implicitly by an update method.

@@ -17,6 +17,9 @@ from .bounds import Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UnknownAttribute, UnknownMethod
 from .values import METHOD, NOP, Method, StateValue, canon_key
 
+# A method's guard: literals (slot, value), see `Component.guard`.
+Guard = Tuple[Tuple[Any, Any], ...]
+
 
 class Component:
     """The base of every kind of component.  A subclass defines
@@ -75,13 +78,15 @@ class Component:
         """How many states `enum_states` gives, from its leaves' counts."""
         return next(counts)
 
-    def guard(self, m: Method) -> Optional[Tuple[Any, Any]]:
-        """m's exclusive guard, a (slot, value) pair of hashable values, or
-        None: no state enables two methods whose guards have the same slot
-        and different values, so the checker skips them together as not
-        jointly legal.  Here none: a dynamic composition declares its
-        pattern's for an Update, and a static product its factors'."""
-        return None
+    def guard(self, m: Method) -> Guard:
+        """m's guard, a conjunction of literals: (slot, value) pairs of
+        hashable values, each holding on every state that enables m.  Two
+        guards clash when they give one slot two values; no state enables
+        two methods whose guards clash, so the checker skips them together
+        as not jointly legal.  Here none: a pattern declares its methods',
+        a dynamic composition its pattern's, and a static product its
+        factors'."""
+        return ()
 
     def assemble(self, items: Iterator[StateValue]) -> StateValue:
         """The state whose leaves' states are the items, in leaf order."""

@@ -15,11 +15,11 @@ breaks insert ties by site id.
 from __future__ import annotations
 
 import itertools
-from typing import Any, List, Optional, Tuple, Type
+from typing import Any, Callable, List, Optional, Tuple, Type
 
 from .bounds import MAX_STATES, Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UndefinedObservation
-from .kernel import Component
+from .kernel import Component, Guard
 from .values import (NOP, POSITION, STATE, Method, Opaque, SeqOf, SetOf, StateValue,
                      seq_of, set_of)
 
@@ -49,17 +49,19 @@ class CompositionPattern(Component):
     old, new)` is m transformed against it.  Its addresses and issuing
     sites are worked out from these (see `ComposedComponent`).
 
-    `update_guard(addr, old)` declares an edit's exclusive guard, a (slot,
-    value) pair, or None: two edits with the same slot and different values
-    are enabled on no state together, so the checker does not sweep them
-    together (see `Component.guard`).  A pattern declares none unless
-    `update_poss` makes it so.
+    `update_guard(addr, old, new)` declares an edit's guard as `guard`
+    declares a container method's: literals (slot, value) that hold on
+    every state enabling it, so that the checker does not sweep together
+    two methods whose guards give one slot two values (see
+    `Component.guard`).  `new()` derives the new child state through the
+    kernel, so a guard that does not read it asks nothing of the child.  A
+    pattern declares none unless `poss_fn` / `update_poss` make it so.
     """
 
     update_address: Tuple[Any, ...]
 
-    def update_guard(self, addr, old) -> Optional[Tuple[Any, Any]]:
-        return None
+    def update_guard(self, addr, old, new: Callable[[], StateValue]) -> Guard:
+        return ()
 
 
 class AdmissibilityReport:
@@ -101,8 +103,12 @@ class SetPattern(CompositionPattern):
     with another element already present, since a value-addressed set would
     silently merge the two and lose one of them.
 
-    A set holds many elements, so edits of different old elements may be
-    enabled together: it declares no update guard.
+    Its guards declare membership, an element's slot holding True where it
+    is present and False where it is absent: `remove e` needs e present,
+    the guarded `add e` needs it absent, and an edit needs its old element
+    present and, guarded, its new one absent unless they are equal.  A set
+    holds many elements, so edits of different old elements may be enabled
+    together: their guards name different slots.
     """
 
     update_address = ()  # the old element itself addresses the target
@@ -124,6 +130,11 @@ class SetPattern(CompositionPattern):
         if m.ctor == "add":
             return e not in st.items if self.guarded else True
         return e in st.items
+
+    def guard(self, m: Method) -> Guard:
+        if m.ctor == "remove":
+            return ((m.args[0], True),)
+        return ((m.args[0], False),) if m.ctor == "add" and self.guarded else ()
 
     def it_fn(self, m1: Method, m2: Method) -> Method:
         # Two equal methods do their work once; any other pair leaves m1 as it is.
@@ -154,6 +165,11 @@ class SetPattern(CompositionPattern):
         if self.guarded:
             return new == old or new not in st.items
         return True
+
+    def update_guard(self, addr, old, new: Callable[[], StateValue]) -> Guard:
+        if self.guarded and new() != old:
+            return (old, True), (new(), False)
+        return ((old, True),)
 
     def it_update_vs_method(self, addr, old, new, m: Method) -> Optional[Tuple[Any, ...]]:
         if m.ctor == "remove" and m.args[0] == old:
@@ -276,8 +292,8 @@ class StringPattern(CompositionPattern):
         p = addr[0]
         return 0 <= p < len(st.items) and st.items[p] == old
 
-    def update_guard(self, addr, old) -> Tuple[Any, Any]:
-        return addr, old  # one position holds one old element
+    def update_guard(self, addr, old, new: Callable[[], StateValue]) -> Guard:
+        return ((addr, old),)  # one position holds one old element
 
     def it_update_vs_method(self, addr, old, new, m: Method) -> Optional[Tuple[Any, ...]]:
         (p,) = addr

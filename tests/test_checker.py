@@ -20,7 +20,7 @@ import pytest
 import otcomp
 from otcomp import checker, kernel
 from otcomp.bounds import DEFAULT_BOUNDS
-from otcomp.cells import CellComponent, cchar
+from otcomp.cells import CellComponent, cchar, cnat
 from otcomp.checker import check_consistency, check_cp1, check_cp2
 from otcomp.composition import ComposedComponent, is_update
 from otcomp.errors import BoundsExceeded, InvalidSpec, ReplayMismatch
@@ -28,6 +28,7 @@ from otcomp.patterns import set_pattern
 from otcomp.registry import build, registry_names
 from otcomp.tower import build_document_tower
 from otcomp.values import Cell, Method, value_from_json
+from unguarded import unguarded
 
 B = DEFAULT_BOUNDS
 
@@ -173,10 +174,10 @@ def test_plain_component_report_has_two_parts():
 def test_unrealizable_triples_are_reported_but_do_not_fail():
     """Method triples that violate the identity yet cannot all be legal from
     any one state are kept out of the witness list."""
-    c = build("set-guarded[cchar]")
+    c = unguarded(cchar())  # declares no guard, so the cut keeps such triples
     rep = check_consistency(c)
     assert rep.verdict == "pass"
-    assert rep.unrealizable  # the value-addressed collisions land here
+    assert len(rep.unrealizable) == 480  # the value-addressed collisions land here
     data = rep.to_json(mask_elapsed=True)
     assert "unrealizable" in data
     for w in rep.unrealizable[:5]:
@@ -216,17 +217,21 @@ def test_realizability_asks_the_kernel_only_on_states_the_first_method_enables(
     monkeypatch.setattr(kernel, "enabled",
                         lambda *args, _f=kernel.enabled: calls.append(args) or _f(*args))
     monkeypatch.setattr(checker, "_SPLIT_CASES", math.inf)
-    rep = check_consistency(build("set-guarded[cchar]"))
-    assert rep.unrealizable and len(calls) == 272
+    rep = check_consistency(unguarded(cchar()))
+    assert len(rep.unrealizable) == 480 and len(calls) == 272
 
 
-@pytest.mark.parametrize("expr, overrides", [("set-literal", {"universe": 1}),
-                                             ("set-guarded[cchar]", {})])
-def test_a_part_lists_the_indices_of_its_own_top_level_entries(expr, overrides):
+@pytest.mark.parametrize("make, overrides", [
+    pytest.param(lambda b: build("set-literal", b), {"universe": 1},
+                 id="set-literal-overrides0"),
+    pytest.param(lambda b: unguarded(cchar()), {}, id="set-guarded[cchar]-overrides1")])
+def test_a_part_lists_the_indices_of_its_own_top_level_entries(make, overrides):
     """A consistency report writes each entry once, at the top level; a
-    part's JSON lists are the indices of its own entries there."""
+    part's JSON lists are the indices of its own entries there: witnesses
+    of `set-literal`, unrealizable triples of the set that declares no
+    guard."""
     b = B.with_(**overrides)
-    rep = check_consistency(build(expr, b), b)
+    rep = check_consistency(make(b), b)
     data = json.loads(json.dumps(rep.to_json(mask_elapsed=True)))
     assert data["witnesses"] or data.get("unrealizable")
     for key in ("witnesses", "unrealizable"):
@@ -244,8 +249,10 @@ def test_a_part_lists_the_indices_of_its_own_top_level_entries(expr, overrides):
 
 
 def _under_python_o(script: str) -> str:
-    """What a check script prints when run with assertions stripped."""
-    env = {**os.environ, "PYTHONPATH": str(Path(otcomp.__file__).parent.parent)}
+    """What a check script prints when run with assertions stripped; it may
+    import this directory's modules."""
+    path = os.pathsep.join([str(Path(otcomp.__file__).parent.parent), str(Path(__file__).parent)])
+    env = {**os.environ, "PYTHONPATH": path}
     run = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
@@ -325,21 +332,23 @@ def test_a_cp1_legality_that_does_not_replay_raises_under_python_o():
 
 
 def test_a_realizability_that_does_not_replay_raises_under_python_o():
-    # The triple (put a on the element None, put b on it, any Update of the
-    # element 'a') fails CP2 and is unrealizable: the pair is jointly legal
-    # only on {None} and {None, 'c'}, where the third Update has no target.
+    # Over the set that declares no guard, the triple (put a on the element
+    # None, put b on it, any Update of the element 'a') is swept, fails CP2
+    # and is unrealizable: the pair is jointly legal only on {None} and
+    # {None, 'c'}, where the third Update has no target.
     # poss_fn answers whether that Update is enabled on {None} as the
     # component does on its first call and the opposite from its second on,
     # so the tables and the replay disagree on the triple's realizability.
     out = _under_python_o("""
         import copy
+        from otcomp.cells import cchar
         from otcomp.checker import check_cp2
         from otcomp.composition import make_update
         from otcomp.errors import ReplayMismatch
-        from otcomp.registry import build
         from otcomp.values import NOP, Cell, set_of
+        from unguarded import unguarded
 
-        base = build("set-guarded[cchar]")
+        base = unguarded(cchar())
         flipped = (make_update((), Cell("a"), NOP), set_of([Cell(None)]))
         calls = []
 
@@ -478,7 +487,7 @@ def test_a_check_refused_on_its_methods_builds_no_state(monkeypatch):
         raise RuntimeError("states built for a check refused on its methods")
 
     monkeypatch.setattr(c, "enum_states_fn", enumerated)
-    with pytest.raises(BoundsExceeded, match="estimated 41063625 cases"):
+    with pytest.raises(BoundsExceeded, match="estimated 35511273 cases"):
         check_consistency(c)
 
 
@@ -499,7 +508,7 @@ def test_no_compiled_component_outlives_its_check(monkeypatch):
     try:
         # Witnesses and unrealizable triples, so both tables are filled.
         assert check_consistency(build("set-literal", b), b).witnesses
-        assert check_consistency(build("set-guarded[cchar]")).unrealizable
+        assert check_consistency(unguarded(cchar())).unrealizable
         with pytest.raises(BoundsExceeded):  # refused after its states are built
             check_cp1(cchar(), B.with_(max_cases=10))
         assert len(compiled) == 3
@@ -713,10 +722,11 @@ def test_sweeps_match_every_ordered_case_on_overlapping_blocks(expr, overrides, 
     assert failing[fails], f"{expr} finds no failing {fails} case to compare"
 
 
-def _clash(t, ids):
-    """Whether two of the methods have guards of one slot and different values."""
-    guards = [t.guard[i] for i in ids if t.guard[i] is not None]
-    return any(g[0] == h[0] and g[1] != h[1] for g, h in itertools.combinations(guards, 2))
+def _clash(guards):
+    """Whether two of the guards (see `Component.guard`) give one slot two
+    values."""
+    return any(dict(g).get(slot, value) != value
+               for g, h in itertools.combinations(guards, 2) for slot, value in h)
 
 
 @pytest.mark.parametrize("expr, overrides, parts_of", [
@@ -725,6 +735,8 @@ def _clash(t, ids):
         t.select(is_update), t.select(lambda m: not is_update(m)))]),
     ("set-literal", {"universe": 1}, _overlapping),
     ("string", {"sites": 2}, _overlapping),
+    ("set-guarded[cchar]", {}, lambda t: [blocks for _, condition, blocks
+                                          in checker._consistency_parts(t) if condition == "CP2"]),
 ])
 def test_kept_blocks_stand_for_every_ordered_case_once(expr, overrides, parts_of):
     # Each kept block's pairs (see `checker._pairs`), and the mirrored case
@@ -733,6 +745,7 @@ def test_kept_blocks_stand_for_every_ordered_case_once(expr, overrides, parts_of
     b = B.with_(**overrides)
     c = build(expr, b)
     t = checker._Compiled(c, b, c.enum_methods(b))
+    guard = {i: c.guard(t.method[i]) for i in t.methods}
     for blocks in parts_of(t):
         kept, examined, cases = checker._by_site(t, blocks)
         stood = Counter()
@@ -744,11 +757,28 @@ def test_kept_blocks_stand_for_every_ordered_case_once(expr, overrides, parts_of
                         stood[(mirror, i2, i1, *i3)] += 1
         concurrent = [(o, *case) for o, block in enumerate(blocks)
                       for case in itertools.product(*block) if _concurrent(t, *case[:2])]
-        legal = [case for case in concurrent if len(case) == 3 or not _clash(t, case[1:])]
+        legal = [case for case in concurrent
+                 if len(case) == 3 or not _clash([guard[i] for i in case[1:]])]
         assert stood == Counter(legal) and set(stood.values()) == {1}
         assert (examined, cases) == (len(concurrent), len(legal))
-    if expr == "string[cchar]":
+    if "[cchar]" in expr:
         assert len(concurrent) > len(legal), "the guard rule skips no triple"
+
+
+@pytest.mark.parametrize("child", [cchar, cnat])
+def test_the_set_guards_skip_only_triples_no_state_enables(child):
+    # The guarded set against the same set declaring no guard: the cut
+    # keeps every witness, and each unrealizable triple of the unguarded
+    # set holds two methods whose guards clash, so the guarded set has none.
+    c = build(f"set-guarded[{child().name}]")
+    guarded, bare = check_consistency(c), check_consistency(unguarded(child()))
+    assert guarded.verdict == bare.verdict == "pass"
+    assert guarded.witnesses == bare.witnesses and not guarded.unrealizable
+    assert bare.unrealizable
+    for w in bare.unrealizable:
+        assert _clash([c.guard(value_from_json(m)) for m in w["methods"]]), w
+    assert [p.examined for p in guarded.parts] == [p.examined for p in bare.parts]
+    assert guarded.cases < bare.cases
 
 
 def _walked(monkeypatch):
@@ -768,7 +798,8 @@ def _walked(monkeypatch):
 def test_each_unordered_pair_is_decided_once(monkeypatch):
     # CP1 over all methods, and CP2-cross's six blocks, of which four are
     # two mirrored pairs: a pair of updates or of container methods is
-    # decided once, a pair of one of each once for each mirrored pair.
+    # decided once, a pair of one of each once for each mirrored pair, and
+    # CP2 decides no pair whose guards clash.
     asked = _walked(monkeypatch)
     c = build("set-guarded[cchar]")
     t = checker._Compiled(c, B, c.enum_methods(B))
@@ -780,7 +811,9 @@ def test_each_unordered_pair_is_decided_once(monkeypatch):
     container = t.select(lambda m: not is_update(m))
     checker._cp2_sweep(t, checker._by_site(t, checker._cross(updates, container))[0])
     assert asked == Counter({frozenset((i, j)): 1 + ((i in updates) != (j in updates))
-                             for i in t.methods for j in t.methods})
+                             for i in t.methods for j in t.methods
+                             if not _clash([c.guard(t.method[i]), c.guard(t.method[j])])})
+    assert len(asked) < n * (n + 1) // 2, "no pair's guards clash"
 
 
 def test_each_concurrent_unordered_pair_is_decided_once_across_sites(monkeypatch):
@@ -801,19 +834,20 @@ def _counted_by_the_kernel(c, b):
     over the part's own blocks through the public kernel alone: for CP1 the
     states on which both sequences of a concurrent ordered pair are legal,
     and the concurrent ordered pairs times the states; for CP2 the triples
-    of a concurrent pair and any m3, less those holding two separated
-    methods, and all of them."""
+    of a concurrent pair and any m3, less those holding two methods that
+    no state enables together, and all of them."""
     methods, states = c.enum_methods(b), c.enum_states(b)
 
     def concurrent(m1, m2):
         return None in (m1.site, m2.site) or m1.site != m2.site
 
+    on = {m: {s for s, st in enumerate(states) if kernel.enabled(c, m, st)} for m in methods}
+
     def separated(m1, m2):
-        # Two Updates of one position of a string whose old elements differ:
-        # `tests/test_patterns.py` checks that no state enables both.
-        return (isinstance(c, ComposedComponent) and c.pattern.name == "string"
-                and is_update(m1) and is_update(m2)
-                and m1.args[0] == m2.args[0] and m1.args[1] != m2.args[1])
+        # No state enables both.  `tests/test_patterns.py` checks that no
+        # state enables two methods whose guards clash; here, that the
+        # checker skips every such pair of these components and no other.
+        return not on[m1] & on[m2]
 
     def cp1(m1s, m2s):
         pairs = [(m1, m2) for m1 in m1s for m2 in m2s if concurrent(m1, m2)]

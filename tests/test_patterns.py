@@ -285,36 +285,49 @@ def test_every_update_address_has_the_declared_arity(make, max_len):
 
 
 def _clash(g, h):
-    return g is not None and h is not None and g[0] == h[0] and g[1] != h[1]
+    """Whether two guards (see `Component.guard`) give one slot two values."""
+    return any(dict(g).get(slot, value) != value for slot, value in h)
 
 
 @_PATTERNS
 @pytest.mark.parametrize("child", [cchar, token_component], ids=["cchar", "token"])
 def test_no_state_enables_two_updates_whose_guards_clash(make, child):
-    # The checker skips a CP2 triple holding two methods whose guards have
-    # one slot and different values as not jointly legal: no enumerated
-    # state may enable both, asked through the public kernel.
+    # The checker skips a CP2 triple holding two methods whose guards give
+    # one slot two values as not jointly legal: no enumerated state may
+    # enable two such methods, container methods and Updates alike, asked
+    # through the public kernel.
     c = dynamic_compose(make(), child())
-    updates = [m for m in c.enum_methods(B) if is_update(m)]
+    methods = [m for m in c.enum_methods(B) if m.ctor != "nop"]
     states = c.enum_states(B)
-    on = {m: {i for i, st in enumerate(states) if kernel.enabled(c, m, st)} for m in updates}
-    separated = [(m1, m2) for m1, m2 in itertools.combinations(updates, 2)
+    on = {m: {i for i, st in enumerate(states) if kernel.enabled(c, m, st)} for m in methods}
+    separated = [(m1, m2) for m1, m2 in itertools.combinations(methods, 2)
                  if _clash(c.guard(m1), c.guard(m2))]
-    assert bool(separated) == (c.pattern.name == "string")
+    assert bool(separated) == (c.pattern.name != "set-literal")
+    # The guarded set's container methods clash too: `remove e` with `add e`.
+    assert any(not is_update(m) for pair in separated for m in pair) == (
+        c.pattern.name == "set-guarded")
     assert all(on[m1] for m1, _ in separated)
     assert [(m1, m2) for m1, m2 in separated if on[m1] & on[m2]] == []
 
 
 @pytest.mark.parametrize("variant", ["literal", "guarded"])
-def test_the_set_patterns_declare_no_guard(variant):
-    # A set holds many elements, so updates of two different old elements
-    # are enabled together: a guard on the old element would be wrong.
+def test_the_set_patterns_declare_membership(variant):
+    # An element's slot holds True where it is present and False where it
+    # is absent.  A set holds many elements, so updates of two different old
+    # elements are enabled together: their guards name different slots.
     c = dynamic_compose(set_pattern(variant), cchar())
-    updates = [m for m in c.enum_methods(B) if is_update(m)]
-    assert updates and [m for m in updates if c.guard(m) is not None] == []
     a, b = Cell("a"), Cell("b")
+    guarded = variant == "guarded"
+    assert c.guard(NOP) == ()
+    assert c.guard(Method("remove", (a,))) == ((a, True),)
+    assert c.guard(Method("add", (a,))) == (((a, False),) if guarded else ())
+    for child_method in (NOP, Method("putchar", ("a",))):  # the new element is the old
+        assert c.guard(make_update((), a, child_method)) == ((a, True),)
+    assert c.guard(make_update((), a, Method("putchar", ("b",)))) == (
+        ((a, True), (b, False)) if guarded else ((a, True),))
     edits = [make_update((), old, Method("putchar", ("c",))) for old in (a, b)]
     assert all(kernel.enabled(c, u, set_of([a, b])) for u in edits)
+    assert not _clash(c.guard(edits[0]), c.guard(edits[1]))
 
 
 @_PATTERNS
