@@ -11,17 +11,17 @@ component as its six-part decomposition.
 A check is a list of parts, each plain data: a name, a condition and the
 blocks of method ids its sweep walks.  One runner, `_check`, compiles the
 component once, cuts every part's blocks by site so that every pair they
-draw is concurrent, and each CP2 block by the methods' guards so that no
-triple holds two methods that no state enables together (see `_by_site`),
-reads every part's case estimate off them, exactly the cases it sweeps, and
-raises BoundsExceeded before any sweep if one is over `max_cases`.  A large
-check runs its CP2 parts, which build no state, beside its CP1 parts in a
-forked child, with the same report (see `_split`).  Compiling interns the
-methods it is given (the component's sorted enumeration, or a leaf's own
-methods in the component's order) and the sorted state enumeration to ints.
-Each method is validated once, by `kernel.validate_method`, when it is
-interned: an enumerated one, or a result outside the enumeration (an insert
-one past the longest state, a longer sequence) when first seen.
+draw is concurrent, and each CP2 block so that no triple holds two methods
+that no state enables together (see `_by_site`), reads every part's case
+estimate off them, exactly the cases it sweeps, and raises BoundsExceeded
+before any sweep if one is over `max_cases`.  A large check runs its CP2
+parts beside its CP1 parts in a forked child, with the same report (see
+`_split`).  Compiling interns the methods it is given (the component's
+sorted enumeration, or a leaf's own methods in the component's order) and
+the sorted state enumeration to ints.  Each method is validated once, by
+`kernel.validate_method`, when it is interned: an enumerated one, or a
+result outside the enumeration (an insert one past the longest state, a
+longer sequence) when first seen.
 
 One table type, `_Tables`, holds what a check reads over those ids: IT
 (method, method) -> method, Do (state, method) -> state and Poss (state,
@@ -37,11 +37,10 @@ Nothing outlives the call.
 
 Joint legality is decided where it is read: by a CP1 sweep over the states
 both methods are enabled on, which transforms no pair that no state
-enables together; for CP2, first by the cut, which asks the component for
-each method's guard, literals that hold wherever the method is enabled
-(`Component.guard`), and skips as not jointly legal a triple holding two
-whose guards give one slot two values; and for a failing triple's
-realizability over the states all three are enabled on.  Every failing case
+enables together; for CP2, first by the cut, which skips as not jointly
+legal a triple holding two methods whose Poss rows share no state (see
+`_Compiled.apart`); and for a failing triple's realizability over the
+states all three are enabled on.  Every failing case
 is replayed through the public kernel before it is emitted, which
 cross-checks the component's tables: a pair's joint legality and final
 states from its state, a triple's transformed methods and its
@@ -69,7 +68,7 @@ import operator
 import os
 import time
 from functools import cached_property, partial, reduce
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import Bounds, DEFAULT_BOUNDS
 from .composition import ComposedComponent, is_update
@@ -217,7 +216,7 @@ class _Compiled:
     for the replays.  `json[i]` is the report form of method i, shared by
     every entry that names it.  An enumeration that repeats a value would
     count its cases twice; it raises InvalidSpec.  A check's leaves also
-    have `own` and `up` (see `_check`).
+    have `own` and `up`, and t its `leaves` (see `_check`).
     """
 
     def __init__(self, c: Component, b: Bounds, methods: List[Method]):
@@ -250,26 +249,43 @@ class _Compiled:
         return _Tables(self, *self._fills["kernel"])
 
     @cached_property
-    def clashing(self) -> Optional[List[int]]:
-        """For each given method, by id, the mask of the given methods whose
-        guards clash with its own (see `Component.guard`), bit i standing
-        for id i; None where none clash, so that a check no guard cuts
-        builds no index.  A literal clashes with those of its slot that have
-        another value, so one whose slot takes one value clashes with none."""
-        given = list(map(self.c.guard, self.method[:len(self.methods)]))  # interned first
-        if not any(given):
-            return None
-        held: Dict[Any, Dict[Any, int]] = {}  # slot -> value -> mask of the ids holding it
-        for i, g in enumerate(given):
-            for slot, value in g:
-                at = held.setdefault(slot, {})
-                at[value] = at.get(value, 0) | 1 << i
-        against = {(slot, value): reduce(operator.or_, [ids for other, ids in at.items()
-                                                        if other != value])
-                   for slot, at in held.items() if len(at) > 1 for value in at}
-        if not against:
-            return None
-        return [reduce(operator.or_, [against.get(lit, 0) for lit in g], 0) for g in given]
+    def leaves(self) -> List[_Compiled]:
+        """The compiled leaves whose Poss rows `apart` reads: this one."""
+        return [self]
+
+    @cached_property
+    def apart(self) -> Optional[List[int]]:
+        """For each given method, by id, the mask of the given methods that
+        no state enables together with it, bit i standing for id i; None
+        where there is none.  Read off the leaves' Poss rows, filled over all
+        their states unless that is past `max_cases`: two methods of a leaf
+        are apart when their enabled states are disjoint, methods of two
+        leaves (disjoint items of a state) and `nop` never, and one enabled
+        on no state from every method, itself included."""
+        fill = sum(len(f.methods) * len(f.states) for f in self.leaves)
+        if fill > self.b.max_cases:
+            raise BoundsExceeded(
+                f"estimated {fill} Poss entries exceeds ceiling {self.b.max_cases}")
+        apart, dead = [0] * len(self.methods), 0  # dead: the methods no state enables
+        for f in self.leaves:
+            by: Dict[frozenset, int] = {}  # enabled states -> the mask of those methods
+            for j in f.methods:
+                key = f.tables.enables[j]
+                by[key] = by.get(key, 0) | 1 << (j if f is self else f.up[j])
+            on: Dict[int, int] = {}  # state -> the mask of the methods enabled on it
+            for states, mask in by.items():
+                for s in states:
+                    on[s] = on.get(s, 0) | mask
+            mine = reduce(operator.or_, by.values(), 0)
+            for states, mask in by.items():
+                shared = reduce(operator.or_, map(on.__getitem__, states), 0)
+                dead |= 0 if states else mask
+                for i in _ids(mask):
+                    apart[i] = mine & ~shared
+        if dead:
+            every = (1 << len(apart)) - 1
+            apart = [every if dead >> i & 1 else mask | dead for i, mask in enumerate(apart)]
+        return apart if any(apart) else None
 
     @cached_property
     def states(self) -> List[int]:
@@ -324,15 +340,15 @@ def _by_site(t: _Compiled, blocks: Blocks) -> Tuple[Cut, int, int]:
     block's first two lists are split by issuing site (None: no site), and
     the combinations of two different sites or of None are kept.
 
-    Guard rule, for a CP2 block: no state enables two methods whose guards
-    clash, giving one slot two values (see `Component.guard`), so no triple
-    holding two such methods is jointly legal.  Where guards clash (see
-    `_Compiled.clashing`), the first two lists are split as well by the
-    methods each one's guard clashes with, combinations whose guards clash
-    are dropped, and the third list is cut to the methods that clash with
-    neither guard: one list object for each distinct cut, so the blocks
-    that share it share their sweep's columns (see `_cp2_sweep`).  A CP1 block is cut by site alone, since its sweep
-    decides joint legality state by state.  Lists keep id order.
+    Exclusion rule, for a CP2 block: no triple holding two methods that no
+    state enables together is jointly legal.  Where there are such methods
+    (see `_Compiled.apart`), the first two lists are split as well by the
+    methods each one is apart from, combinations of two apart are dropped,
+    and the third list is cut to the methods apart from neither: one list
+    object for each distinct cut, so the blocks that share it share their
+    sweep's columns (see `_cp2_sweep`).  A CP1 block is cut by site alone,
+    since its sweep decides joint legality state by state.  Lists keep id
+    order.
 
     Mirrors: the case (m2, m1), or (m2, m1, m3), reads the entries of (m1,
     m2), or (m1, m2, m3), left and right swapped.  A block whose two lists
@@ -342,15 +358,14 @@ def _by_site(t: _Compiled, blocks: Blocks) -> Tuple[Cut, int, int]:
     the same third list, so it is kept as (origin, mirror's origin or None,
     lists) and stands for both (see `_pairs`)."""
     method = t.method
-    clashing = t.clashing if len(blocks[0]) == 3 else None
-    guarded = clashing is not None
+    apart = t.apart if len(blocks[0]) == 3 else None
 
     def split(x: List[int]) -> Dict[Tuple[Optional[int], int], List[int]]:
-        # By site and, guarded, by the methods a method clashes with: a group
-        # clashes with none of its own, and with all or none of another.
+        # By site and by the methods a method is apart from: the relation is
+        # symmetric, so a group is apart from all or none of another.
         groups: Dict[Tuple[Optional[int], int], List[int]] = {}
         for i in x:
-            groups.setdefault((method[i].site, clashing[i] if guarded else 0), []).append(i)
+            groups.setdefault((method[i].site, apart[i] if apart else 0), []).append(i)
         return groups
 
     thirds: Dict[int, List[int]] = {}  # mask of a third list's ids -> the list
@@ -367,7 +382,7 @@ def _by_site(t: _Compiled, blocks: Blocks) -> Tuple[Cut, int, int]:
         by1 = split(x1)
         by2 = by1 if x2 is x1 else split(x2)
         n3 = len(rest[0]) if rest else 1
-        if guarded:
+        if apart:
             m3 = reduce(operator.or_, (1 << i for i in rest[0]), 0)
             thirds.setdefault(m3, rest[0])  # an uncut list is kept as it is
         for k, ((s1, c1), y1) in enumerate(by1.items()):
@@ -377,12 +392,12 @@ def _by_site(t: _Compiled, blocks: Blocks) -> Tuple[Cut, int, int]:
                     continue
                 stands = 1 + (mirror is not None and y1 is not y2)
                 examined += len(y1) * len(y2) * n3 * stands
-                if c1 >> y2[0] & 1:  # the guards clash
+                if c1 >> y2[0] & 1:  # no state enables the two together
                     continue
                 block: tuple = (y1, y2)
                 if rest:
                     y3 = rest[0]
-                    if guarded:
+                    if apart:
                         cut3 = m3 & ~(c1 | c2)
                         y3 = thirds.get(cut3)
                         if y3 is None:
@@ -555,8 +570,8 @@ def _lift(t: _Compiled, leaves: List[_Compiled], part: CutPart, cut: List[Cut],
     methods: for CP1 its cases and failing cases, for CP2 its failing
     triples.  The report examines what the site rule alone keeps: for CP1
     its pairs times t's states, for CP2 its triples, so that a CP2 part's
-    `examined` less its `cases` is the triples the guard rule skipped as not
-    jointly legal.
+    `examined` less its `cases` is the triples the exclusion rule skipped as
+    not jointly legal.
 
     Every count is read off t's kept blocks, for one leaf as for many: a
     CP2 part's cases are the triples they stand for (see `_by_site`), and a
@@ -583,12 +598,9 @@ def _lift(t: _Compiled, leaves: List[_Compiled], part: CutPart, cut: List[Cut],
                 up = f.up
                 lifted.append([(up[i1], up[i2], up[i3], k, i1, i2, i3, up[left], up[right],
                                 realizable) for i1, i2, i3, left, right, realizable in failing])
-            # A triple is realizable on a state of t, which a brute-force
-            # sweep builds: t is refused here past the state ceiling.
-            has_states = t.c.count_states(len(f.states) for f in leaves) > 0
             for p1, p2, p3, k, i1, i2, i3, left, right, realizable in heapq.merge(*lifted):
                 _replay_realizable(leaves[k], i1, i2, i3, realizable)
-                realizable = realizable and has_states
+                realizable = realizable and all(f.states for f in leaves)  # a state of t
                 entries[realizable].append(_replay_cp2(t, p1, p2, p3, left, right, realizable))
         return CheckReport(name, _verdict(cases, entries[True]), cases, entries[True],
                            examined=examined, unrealizable=entries[False])
@@ -627,15 +639,15 @@ def _check(c: Component, b: Bounds,
     """Compile c once as t, and its leaves (see `Component.leaves`): t
     itself, or each over its own methods, in t's order.  A leaf's `own`
     maps t's id of each method it sweeps (never `nop`) to its own, and `up`
-    maps back.  Each part's blocks are cut once (see `_by_site`).
-    Once every part's estimate is within the case ceiling (the cases its
-    kept blocks stand for, `nop` included, times the states for CP1), each part
+    maps back.  Each refusal comes before the work it guards: t's state
+    count, past MAX_STATES as a product's flattening; then, part by part,
+    its estimate (the cases its blocks, cut once by `_by_site`, stand for,
+    `nop` included, times the states for CP1) past `max_cases`, the first
+    CP2 cut's Poss rows first (see `_Compiled.apart`).  Then each part
     sweeps every leaf over its cut blocks cut to the leaf's methods, and
-    lifts what they found (see `_lift`).  CP2's
-    estimates, which need no states, are read first, so a check its methods
-    alone put over the ceiling builds no state.  Then, refused or not, free
-    the tables, whose fill functions refer back to their compiled
-    component, without a GC pass."""
+    lifts what they found (see `_lift`).  Refused or not, free the tables,
+    whose fill functions refer back to their compiled component, without a
+    GC pass."""
     t = _Compiled(c, b, c.enum_methods(b))
     leaves = [t]
     try:
@@ -645,9 +657,9 @@ def _check(c: Component, b: Bounds,
             m = t.method[i]
             if m.ctor in owner:
                 k, ctor = owner[m.ctor]
-                own[k][i] = m if ctor == m.ctor else m.renamed(ctor)
-        leaves = [t if f is c else _Compiled(f, b, list(ms.values()))
-                  for f, ms in zip(factors, own)]
+                own[k][i] = m.renamed(ctor)
+        t.leaves = leaves = [t if f is c else _Compiled(f, b, list(ms.values()))
+                             for f, ms in zip(factors, own)]
         # (leaf, its constructor) -> t's; a `nop` a leaf's transform gives is t's.
         names = {v: k for k, v in owner.items()}
         for k, (f, ms) in enumerate(zip(leaves, own)):
@@ -655,12 +667,12 @@ def _check(c: Component, b: Bounds,
             f.up = _Lazy(lambda j, k=k, m=f.method: t.mid(
                 m[j].renamed(names.get((k, m[j].ctor), "nop"))))
             f.up.update(zip(f.own.values(), f.own))
-        parts: List[CutPart] = [(name, condition, *_by_site(t, blocks))
-                                for name, condition, blocks in parts_of(t)]
+        states = c.count_states(len(f.states) for f in leaves)
+        parts: List[CutPart] = []
         total = 0
-        for _, condition, _, _, estimate in sorted(parts, key=lambda part: part[1] == "CP1"):
-            if condition == "CP1":
-                estimate *= c.count_states(len(f.states) for f in leaves)
+        for name, condition, blocks in parts_of(t):
+            parts.append((name, condition, *_by_site(t, blocks)))
+            estimate = parts[-1][4] * (states if condition == "CP1" else 1)
             if estimate > b.max_cases:
                 raise BoundsExceeded(
                     f"estimated {estimate} cases exceeds ceiling {b.max_cases}")

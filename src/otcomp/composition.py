@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from .bounds import MAX_STATES, Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UnknownMethod
-from .kernel import Component, Guard
+from .kernel import Component
 from . import kernel
 from .patterns import CompositionPattern
 from .values import METHOD, NOP, STATE, Method, Product, StateValue, product
@@ -62,9 +62,7 @@ class StaticProduct(Component):
         return i, Method(ctor, m.args, m.site)
 
     def _pack(self, i: int, m: Method) -> Method:
-        if m.ctor == "nop":
-            return NOP
-        return Method(self.renamed[i, m.ctor], m.args, m.site)
+        return NOP if m.ctor == "nop" else m.renamed(self.renamed[i, m.ctor])
 
     # The kernel has checked m's ctor against the product's method_ctors and
     # answered `nop` itself, so a factor's own functions are called directly.
@@ -88,9 +86,11 @@ class StaticProduct(Component):
         return self._pack(i1, self.parts[i1].it_fn(inner1, inner2))
 
     def enum_methods_fn(self, b: Bounds) -> List[Method]:
+        # Each factor's own methods, unsorted and without `nop`: the
+        # product's `enum_methods` adds `nop`, sorts and checks the ceiling once.
         out: List[Method] = []
         for i, f in enumerate(self.parts):
-            out.extend(self._pack(i, m) for m in f.enum_methods(b) if m.ctor != "nop")
+            out.extend(self._pack(i, m) for m in f.enum_methods_fn(b))
         return out
 
     def enum_states_fn(self, b: Bounds) -> List[Product]:
@@ -118,16 +118,6 @@ class StaticProduct(Component):
                     owner[ctor] = (len(leaves) + k, inner)
             leaves += sub
         return leaves, owner
-
-    def guard(self, m: Method) -> Guard:
-        """The owning factor's guard, each literal's slot tagged with the
-        factor's index, since factors' methods act on disjoint items of a
-        state."""
-        if m.ctor not in self.owner:
-            return ()
-        i, ctor = self.owner[m.ctor]
-        g = self.parts[i].guard(m if ctor == m.ctor else m.renamed(ctor))
-        return tuple(((i, slot), value) for slot, value in g) if g else g
 
     def count_states(self, counts: Iterator[int]) -> int:
         """Refused past MAX_STATES at every level, as `enum_states` refuses."""
@@ -182,14 +172,13 @@ def is_update(m: Method) -> bool:
 class ComposedComponent(Component):
     """A pattern, a CompositionPattern subclass, instantiated over its
     child, parts[0], with Update grafted on: the instance, `body`, answers
-    every other method and gives Update its meaning, and declares every
-    method's guard: a container method's (`guard`) and an Update's
-    (`update_guard`).  Update declares its address as the pattern does
-    (`update_address`).  Its addresses are every tuple of positions below
-    `max_len` of that arity, and it is issued by each site that issues the
-    body's own methods, none if they carry no site.  The name,
-    `pattern[child]` unless given, is the body's too, so the body's refusals
-    name this component."""
+    every other method and gives Update its meaning, Poss included, off
+    which the checker reads which methods no state enables together.
+    Update declares its address as the pattern does (`update_address`).
+    Its addresses are every tuple of positions below `max_len` of that
+    arity, and it is issued by each site that issues the body's own
+    methods, none if they carry no site.  The name, `pattern[child]` unless
+    given, is the body's too, so the body's refusals name this component."""
 
     def __init__(self, pattern: Type[CompositionPattern], child: Component,
                  name: Optional[str] = None):
@@ -244,12 +233,6 @@ class ComposedComponent(Component):
 
     def enum_states_fn(self, b: Bounds) -> List[StateValue]:
         return self.body.enum_states_fn(b)
-
-    def guard(self, m: Method) -> Guard:
-        if m.ctor == "Update":
-            addr, old, _ = m.args
-            return self.body.update_guard(addr, old, partial(self.update_new, m))
-        return self.body.guard(m)
 
     def update_new(self, u: Method) -> StateValue:
         """The new child state carried implicitly by an update method.

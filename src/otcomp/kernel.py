@@ -17,9 +17,6 @@ from .bounds import Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UnknownAttribute, UnknownMethod
 from .values import METHOD, NOP, Method, StateValue, canon_key
 
-# A method's guard: literals (slot, value), see `Component.guard`.
-Guard = Tuple[Tuple[Any, Any], ...]
-
 
 class Component:
     """The base of every kind of component.  A subclass defines
@@ -31,7 +28,8 @@ class Component:
     answers it, so a component with no other method defines no function
     of it.  A component is built from its parts alone: no bound, and no
     declaration of how its methods are issued, since two methods are
-    concurrent unless one site issues both."""
+    concurrent unless one site issues both, nor of which methods no state
+    enables together, which the checker reads off `poss_fn`."""
 
     # Attribute name -> observer (data args, state) -> data value; it may
     # raise UndefinedObservation where no value has been established yet.
@@ -77,16 +75,6 @@ class Component:
     def count_states(self, counts: Iterator[int]) -> int:
         """How many states `enum_states` gives, from its leaves' counts."""
         return next(counts)
-
-    def guard(self, m: Method) -> Guard:
-        """m's guard, a conjunction of literals: (slot, value) pairs of
-        hashable values, each holding on every state that enables m.  Two
-        guards clash when they give one slot two values; no state enables
-        two methods whose guards clash, so the checker skips them together
-        as not jointly legal.  Here none: a pattern declares its methods',
-        a dynamic composition its pattern's, and a static product its
-        factors'."""
-        return ()
 
     def assemble(self, items: Iterator[StateValue]) -> StateValue:
         """The state whose leaves' states are the items, in leaf order."""

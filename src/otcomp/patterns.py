@@ -15,11 +15,11 @@ breaks insert ties by site id.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, List, Optional, Tuple, Type
+from typing import Any, List, Optional, Tuple, Type
 
 from .bounds import MAX_STATES, Bounds, DEFAULT_BOUNDS
 from .errors import BoundsExceeded, UndefinedObservation
-from .kernel import Component, Guard
+from .kernel import Component
 from .values import (NOP, POSITION, STATE, Method, Opaque, SeqOf, SetOf, StateValue,
                      seq_of, set_of)
 
@@ -47,21 +47,12 @@ class CompositionPattern(Component):
     new, m)` is its address after a concurrent container method m, or None
     where m removed the edited element; and `it_method_vs_update(m, addr,
     old, new)` is m transformed against it.  Its addresses and issuing
-    sites are worked out from these (see `ComposedComponent`).
-
-    `update_guard(addr, old, new)` declares an edit's guard as `guard`
-    declares a container method's: literals (slot, value) that hold on
-    every state enabling it, so that the checker does not sweep together
-    two methods whose guards give one slot two values (see
-    `Component.guard`).  `new()` derives the new child state through the
-    kernel, so a guard that does not read it asks nothing of the child.  A
-    pattern declares none unless `poss_fn` / `update_poss` make it so.
+    sites are worked out from these, and which of its methods no state
+    enables together from `poss_fn` and `update_poss` (see
+    `ComposedComponent`).
     """
 
     update_address: Tuple[Any, ...]
-
-    def update_guard(self, addr, old, new: Callable[[], StateValue]) -> Guard:
-        return ()
 
 
 class AdmissibilityReport:
@@ -103,12 +94,11 @@ class SetPattern(CompositionPattern):
     with another element already present, since a value-addressed set would
     silently merge the two and lose one of them.
 
-    Its guards declare membership, an element's slot holding True where it
-    is present and False where it is absent: `remove e` needs e present,
-    the guarded `add e` needs it absent, and an edit needs its old element
-    present and, guarded, its new one absent unless they are equal.  A set
-    holds many elements, so edits of different old elements may be enabled
-    together: their guards name different slots.
+    So no state enables together a method that needs an element present
+    (`remove e`, an edit of e) and one that needs it absent (the guarded
+    `add e`, a guarded edit of another element into e).  Edits of different
+    elements may be enabled together, since a set holds many elements.  The
+    checker reads this off `poss_fn` and `update_poss`.
     """
 
     update_address = ()  # the old element itself addresses the target
@@ -130,11 +120,6 @@ class SetPattern(CompositionPattern):
         if m.ctor == "add":
             return e not in st.items if self.guarded else True
         return e in st.items
-
-    def guard(self, m: Method) -> Guard:
-        if m.ctor == "remove":
-            return ((m.args[0], True),)
-        return ((m.args[0], False),) if m.ctor == "add" and self.guarded else ()
 
     def it_fn(self, m1: Method, m2: Method) -> Method:
         # Two equal methods do their work once; any other pair leaves m1 as it is.
@@ -165,11 +150,6 @@ class SetPattern(CompositionPattern):
         if self.guarded:
             return new == old or new not in st.items
         return True
-
-    def update_guard(self, addr, old, new: Callable[[], StateValue]) -> Guard:
-        if self.guarded and new() != old:
-            return (old, True), (new(), False)
-        return ((old, True),)
 
     def it_update_vs_method(self, addr, old, new, m: Method) -> Optional[Tuple[Any, ...]]:
         if m.ctor == "remove" and m.args[0] == old:
@@ -291,9 +271,6 @@ class StringPattern(CompositionPattern):
     def update_poss(self, addr, old, new, st: SeqOf) -> bool:
         p = addr[0]
         return 0 <= p < len(st.items) and st.items[p] == old
-
-    def update_guard(self, addr, old, new: Callable[[], StateValue]) -> Guard:
-        return ((addr, old),)  # one position holds one old element
 
     def it_update_vs_method(self, addr, old, new, m: Method) -> Optional[Tuple[Any, ...]]:
         (p,) = addr

@@ -110,8 +110,8 @@ class Method(Frozen, tuple):
         return tuple.__new__(cls, (cls, ctor, args, site))
 
     def renamed(self, ctor: str) -> "Method":
-        """This method under another constructor name."""
-        return Method(ctor, self.args, self.site)
+        """This method under a constructor name: itself under its own."""
+        return self if ctor == self.ctor else Method(ctor, self.args, self.site)
 
 
 NOP = Method("nop")

@@ -1,6 +1,7 @@
 """The exhaustive convergence checker: verdicts, witnesses, reports."""
 
 import copy
+import functools
 import gc
 import itertools
 import json
@@ -22,13 +23,13 @@ from otcomp import checker, kernel
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import CellComponent, cchar, cnat
 from otcomp.checker import check_consistency, check_cp1, check_cp2
-from otcomp.composition import ComposedComponent, is_update
+from otcomp.composition import ComposedComponent, is_update, static_compose
 from otcomp.errors import BoundsExceeded, InvalidSpec, ReplayMismatch
 from otcomp.patterns import set_pattern
 from otcomp.registry import build, registry_names
-from otcomp.tower import build_document_tower
+from otcomp.tower import TOWER_BOUNDS, build_document_tower
 from otcomp.values import Cell, Method, value_from_json
-from unguarded import unguarded
+from triangle import Triangle
 
 B = DEFAULT_BOUNDS
 
@@ -174,13 +175,13 @@ def test_plain_component_report_has_two_parts():
 def test_unrealizable_triples_are_reported_but_do_not_fail():
     """Method triples that violate the identity yet cannot all be legal from
     any one state are kept out of the witness list."""
-    c = unguarded(cchar())  # declares no guard, so the cut keeps such triples
-    rep = check_consistency(c)
+    rep = check_consistency(Triangle())  # every two of a, b, c share a state
     assert rep.verdict == "pass"
-    assert len(rep.unrealizable) == 480  # the value-addressed collisions land here
+    assert [w["methods"] for w in rep.unrealizable] == [
+        [{"ctor": x, "args": []} for x in abc] for abc in ("abc", "bac")]
     data = rep.to_json(mask_elapsed=True)
     assert "unrealizable" in data
-    for w in rep.unrealizable[:5]:
+    for w in rep.unrealizable:
         assert w["realizable"] is False
 
 
@@ -211,25 +212,28 @@ def test_aggregate_is_as_good_as_its_worst_part():
 def test_realizability_asks_the_kernel_only_on_states_the_first_method_enables(
         monkeypatch):
     # The replay of a failing CP2 triple fills the enabled states of its
-    # first method, then asks of the second and third only on those:
-    # intersecting all three methods' full rows would take 336 calls here.
+    # first method, then asks of the second and third only on those: a's
+    # row (3 calls), b on p and q, and c on q alone, where b is enabled.
+    # Intersecting all three methods' full rows would take 9 calls.  The
+    # component's own tables ask the kernel of `nop` alone.
     calls = []
     monkeypatch.setattr(kernel, "enabled",
                         lambda *args, _f=kernel.enabled: calls.append(args) or _f(*args))
     monkeypatch.setattr(checker, "_SPLIT_CASES", math.inf)
-    rep = check_consistency(unguarded(cchar()))
-    assert len(rep.unrealizable) == 480 and len(calls) == 272
+    rep = check_consistency(Triangle())
+    asked = [(m.ctor, st.value) for _, m, st in calls if m.ctor != "nop"]
+    assert len(rep.unrealizable) == 2
+    assert asked == [("a", "p"), ("a", "q"), ("a", "r"), ("b", "p"), ("b", "q"), ("c", "q")]
 
 
 @pytest.mark.parametrize("make, overrides", [
     pytest.param(lambda b: build("set-literal", b), {"universe": 1},
                  id="set-literal-overrides0"),
-    pytest.param(lambda b: unguarded(cchar()), {}, id="set-guarded[cchar]-overrides1")])
+    pytest.param(lambda b: Triangle(), {}, id="triangle")])
 def test_a_part_lists_the_indices_of_its_own_top_level_entries(make, overrides):
     """A consistency report writes each entry once, at the top level; a
     part's JSON lists are the indices of its own entries there: witnesses
-    of `set-literal`, unrealizable triples of the set that declares no
-    guard."""
+    of `set-literal`, unrealizable triples of the triangle."""
     b = B.with_(**overrides)
     rep = check_consistency(make(b), b)
     data = json.loads(json.dumps(rep.to_json(mask_elapsed=True)))
@@ -332,24 +336,20 @@ def test_a_cp1_legality_that_does_not_replay_raises_under_python_o():
 
 
 def test_a_realizability_that_does_not_replay_raises_under_python_o():
-    # Over the set that declares no guard, the triple (put a on the element
-    # None, put b on it, any Update of the element 'a') is swept, fails CP2
-    # and is unrealizable: the pair is jointly legal only on {None} and
-    # {None, 'c'}, where the third Update has no target.
-    # poss_fn answers whether that Update is enabled on {None} as the
-    # component does on its first call and the opposite from its second on,
-    # so the tables and the replay disagree on the triple's realizability.
+    # The triangle's triple (a, b, c) fails CP2 and is unrealizable: a and
+    # b are enabled together on q alone, where c is not.  poss_fn answers
+    # whether c is enabled on q as the component does on its first call and
+    # the opposite from its second on, so the tables and the replay
+    # disagree on the triple's realizability.
     out = _under_python_o("""
         import copy
-        from otcomp.cells import cchar
         from otcomp.checker import check_cp2
-        from otcomp.composition import make_update
         from otcomp.errors import ReplayMismatch
-        from otcomp.values import NOP, Cell, set_of
-        from unguarded import unguarded
+        from otcomp.values import Method, Opaque
+        from triangle import Triangle
 
-        base = unguarded(cchar())
-        flipped = (make_update((), Cell("a"), NOP), set_of([Cell(None)]))
+        base = Triangle()
+        flipped = (Method("c", ()), Opaque("q"))
         calls = []
 
         def poss_fn(m, st):
@@ -465,30 +465,39 @@ def test_an_enumeration_that_repeats_a_value_is_rejected():
 
 def test_every_ceiling_is_checked_before_the_first_sweep(monkeypatch):
     # The CP2-cross part alone exceeds the ceiling, which is CP1-updates'
-    # estimate, the next largest; nothing may be swept.
+    # estimate, the next largest; nothing may be swept or transformed.  The
+    # cut's Poss rows are filled first, from the component's `poss_fn`.
     b = B.with_(sites=4, max_cases=2_350_080)
     c = build("string[cchar]", b)
 
     def swept(*args):
         raise RuntimeError("swept before every part's estimate was checked")
 
-    for name in ("apply", "enabled", "transform"):
-        monkeypatch.setattr(kernel, name, swept)
+    for name in ("_cp1_sweep", "_cp2_sweep"):
+        monkeypatch.setattr(checker, name, swept)
+    monkeypatch.setattr(kernel, "transform", swept)
+    monkeypatch.setattr(c, "it_fn", swept)
     with pytest.raises(BoundsExceeded, match="estimated 7379904 cases exceeds ceiling 2350080"):
         check_consistency(c, b)
 
 
-def test_a_check_refused_on_its_methods_builds_no_state(monkeypatch):
-    # CP2-updates alone exceeds the ceiling, so CP1's estimates, which count
-    # the states, are never read.
+@pytest.mark.parametrize("check, refusal", [
+    # CP1-updates, estimated before anything is filled.
+    pytest.param(check_consistency, "estimated 3900211200 cases exceeds ceiling 10000000",
+                 id="consistency"),
+    # The Poss rows CP2's cut reads: 376 methods on 32,768 states each.
+    pytest.param(check_cp2, "estimated 12320768 Poss entries exceeds ceiling 10000000",
+                 id="cp2")])
+def test_a_refused_check_fills_no_poss_entry(monkeypatch, check, refusal):
     c = build("set-guarded[string]")
 
-    def enumerated(b):
-        raise RuntimeError("states built for a check refused on its methods")
+    def asked(m, st):
+        raise RuntimeError("a Poss entry filled for a refused check")
 
-    monkeypatch.setattr(c, "enum_states_fn", enumerated)
-    with pytest.raises(BoundsExceeded, match="estimated 35511273 cases"):
-        check_consistency(c)
+    monkeypatch.setattr(c, "poss_fn", asked)
+    with pytest.raises(BoundsExceeded) as exc:
+        check(c)
+    assert str(exc.value) == refusal
 
 
 def test_no_compiled_component_outlives_its_check(monkeypatch):
@@ -508,7 +517,7 @@ def test_no_compiled_component_outlives_its_check(monkeypatch):
     try:
         # Witnesses and unrealizable triples, so both tables are filled.
         assert check_consistency(build("set-literal", b), b).witnesses
-        assert check_consistency(unguarded(cchar())).unrealizable
+        assert check_consistency(Triangle()).unrealizable
         with pytest.raises(BoundsExceeded):  # refused after its states are built
             check_cp1(cchar(), B.with_(max_cases=10))
         assert len(compiled) == 3
@@ -722,11 +731,16 @@ def test_sweeps_match_every_ordered_case_on_overlapping_blocks(expr, overrides, 
     assert failing[fails], f"{expr} finds no failing {fails} case to compare"
 
 
-def _clash(guards):
-    """Whether two of the guards (see `Component.guard`) give one slot two
-    values."""
-    return any(dict(g).get(slot, value) != value
-               for g, h in itertools.combinations(guards, 2) for slot, value in h)
+def _apart(c, b):
+    """Whether no enumerated state enables two given methods, asked
+    through the public kernel."""
+    states = c.enum_states(b)
+
+    @functools.cache
+    def on(m):
+        return frozenset(s for s, st in enumerate(states) if kernel.enabled(c, m, st))
+
+    return lambda m1, m2: not on(m1) & on(m2)
 
 
 @pytest.mark.parametrize("expr, overrides, parts_of", [
@@ -741,11 +755,12 @@ def _clash(guards):
 def test_kept_blocks_stand_for_every_ordered_case_once(expr, overrides, parts_of):
     # Each kept block's pairs (see `checker._pairs`), and the mirrored case
     # of each pair marked twice, credited to the mirror's origin, are every
-    # concurrent ordered case of each block, guard-compatible for CP2, once.
+    # concurrent ordered case of each block, for CP2 every one whose three
+    # methods some state enables two by two, once.
     b = B.with_(**overrides)
     c = build(expr, b)
     t = checker._Compiled(c, b, c.enum_methods(b))
-    guard = {i: c.guard(t.method[i]) for i in t.methods}
+    apart = _apart(c, b)
     for blocks in parts_of(t):
         kept, examined, cases = checker._by_site(t, blocks)
         stood = Counter()
@@ -757,28 +772,34 @@ def test_kept_blocks_stand_for_every_ordered_case_once(expr, overrides, parts_of
                         stood[(mirror, i2, i1, *i3)] += 1
         concurrent = [(o, *case) for o, block in enumerate(blocks)
                       for case in itertools.product(*block) if _concurrent(t, *case[:2])]
-        legal = [case for case in concurrent
-                 if len(case) == 3 or not _clash([guard[i] for i in case[1:]])]
+        legal = [case for case in concurrent if len(case) == 3 or not any(
+            apart(t.method[i], t.method[j]) for i, j in itertools.combinations(case[1:], 2))]
         assert stood == Counter(legal) and set(stood.values()) == {1}
         assert (examined, cases) == (len(concurrent), len(legal))
     if "[cchar]" in expr:
-        assert len(concurrent) > len(legal), "the guard rule skips no triple"
+        assert len(concurrent) > len(legal), "the exclusion rule skips no triple"
 
 
 @pytest.mark.parametrize("child", [cchar, cnat])
-def test_the_set_guards_skip_only_triples_no_state_enables(child):
-    # The guarded set against the same set declaring no guard: the cut
-    # keeps every witness, and each unrealizable triple of the unguarded
-    # set holds two methods whose guards clash, so the guarded set has none.
+def test_the_set_guards_skip_only_triples_no_state_enables(monkeypatch, child):
+    # The guarded set checked as it is and with the cut by site alone: the
+    # cut keeps every witness, and each unrealizable triple of the uncut
+    # check holds two methods that no state enables together, so the cut
+    # check has none.
     c = build(f"set-guarded[{child().name}]")
-    guarded, bare = check_consistency(c), check_consistency(unguarded(child()))
-    assert guarded.verdict == bare.verdict == "pass"
-    assert guarded.witnesses == bare.witnesses and not guarded.unrealizable
+    cut = check_consistency(c)
+    with monkeypatch.context() as patched:
+        patched.setattr(checker._Compiled, "apart", None)
+        bare = check_consistency(c)
+    assert cut.verdict == bare.verdict == "pass"
+    assert cut.witnesses == bare.witnesses and not cut.unrealizable
     assert bare.unrealizable
+    apart = _apart(c, B)
     for w in bare.unrealizable:
-        assert _clash([c.guard(value_from_json(m)) for m in w["methods"]]), w
-    assert [p.examined for p in guarded.parts] == [p.examined for p in bare.parts]
-    assert guarded.cases < bare.cases
+        m1, m2, m3 = map(value_from_json, w["methods"])
+        assert apart(m1, m2) or apart(m1, m3) or apart(m2, m3), w
+    assert [p.examined for p in cut.parts] == [p.examined for p in bare.parts]
+    assert cut.cases < bare.cases
 
 
 def _walked(monkeypatch):
@@ -799,9 +820,10 @@ def test_each_unordered_pair_is_decided_once(monkeypatch):
     # CP1 over all methods, and CP2-cross's six blocks, of which four are
     # two mirrored pairs: a pair of updates or of container methods is
     # decided once, a pair of one of each once for each mirrored pair, and
-    # CP2 decides no pair whose guards clash.
+    # CP2 decides no pair that no state enables together.
     asked = _walked(monkeypatch)
     c = build("set-guarded[cchar]")
+    apart = _apart(c, B)
     t = checker._Compiled(c, B, c.enum_methods(B))
     checker._cp1_sweep(t, checker._by_site(t, [(t.methods, t.methods)])[0])
     n = len(t.methods)
@@ -812,8 +834,8 @@ def test_each_unordered_pair_is_decided_once(monkeypatch):
     checker._cp2_sweep(t, checker._by_site(t, checker._cross(updates, container))[0])
     assert asked == Counter({frozenset((i, j)): 1 + ((i in updates) != (j in updates))
                              for i in t.methods for j in t.methods
-                             if not _clash([c.guard(t.method[i]), c.guard(t.method[j])])})
-    assert len(asked) < n * (n + 1) // 2, "no pair's guards clash"
+                             if not apart(t.method[i], t.method[j])})
+    assert len(asked) < n * (n + 1) // 2, "no pair is apart"
 
 
 def test_each_concurrent_unordered_pair_is_decided_once_across_sites(monkeypatch):
@@ -844,9 +866,8 @@ def _counted_by_the_kernel(c, b):
     on = {m: {s for s, st in enumerate(states) if kernel.enabled(c, m, st)} for m in methods}
 
     def separated(m1, m2):
-        # No state enables both.  `tests/test_patterns.py` checks that no
-        # state enables two methods whose guards clash; here, that the
-        # checker skips every such pair of these components and no other.
+        # No state enables both: the checker skips every such pair of these
+        # components and no other.
         return not on[m1] & on[m2]
 
     def cp1(m1s, m2s):
@@ -930,6 +951,48 @@ def test_no_sweep_is_handed_nop(monkeypatch, expr):
 _FLEET = [("cchar", {}), ("cnat", {}), ("ccolor", {}), ("set-guarded", {}),
           ("set-literal", {"universe": 1}), ("string", {}), ("set-guarded[cchar]", {}),
           ("cchar (+) cnat (+) ccolor", {})]
+
+
+class _Seen(Exception):
+    pass
+
+
+def _masks(monkeypatch, c, b):
+    """Each enumerated method, and the mask of those the cut of
+    `check_cp2(c, b)` holds apart from it, bit i standing for the ith; the
+    check stops there."""
+    seen = []
+
+    def spied(t, blocks):
+        seen.append(([t.method[i] for i in t.methods], t.apart or [0] * len(t.methods)))
+        raise _Seen
+
+    with monkeypatch.context() as patched, pytest.raises(_Seen):
+        patched.setattr(checker, "_by_site", spied)
+        check_cp2(c, b)
+    (methods, masks), = seen
+    return methods, masks
+
+
+@pytest.mark.parametrize("c, b", [
+    *[pytest.param(lambda expr=expr, o=o: build(expr, B.with_(**o)), B.with_(**o), id=expr)
+      for expr, o in _FLEET],
+    pytest.param(lambda: build("string[cchar]", B.with_(sites=3)), B.with_(sites=3),
+                 id="string[cchar]-sites3"),
+    pytest.param(lambda: build_document_tower()["word"], TOWER_BOUNDS, id="tower-word"),
+    pytest.param(lambda: static_compose(Triangle({"a": {"p"}, "b": {"q", "r"}, "c": set()}),
+                                        cchar()), B, id="enabled-nowhere"),
+])
+def test_the_cut_holds_apart_exactly_the_methods_no_state_enables_together(
+        monkeypatch, c, b):
+    # The cut reads each leaf's Poss rows; the reference asks the public
+    # kernel on every state of the component.  A method enabled on no
+    # state is apart from every method, itself and `nop` included.
+    c = c()
+    methods, masks = _masks(monkeypatch, c, b)
+    apart = _apart(c, b)
+    assert masks == [sum(1 << j for j, m2 in enumerate(methods) if apart(m1, m2))
+                     for m1 in methods]
 
 
 @pytest.fixture

@@ -11,10 +11,9 @@ import pytest
 import otcomp
 from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.checker import check_consistency
-from otcomp.cells import cchar
 from otcomp.cli import (EXIT_FAIL, EXIT_PASS, EXIT_USAGE, _render_report, main)
 from otcomp.registry import build
-from unguarded import unguarded
+from triangle import Triangle
 
 
 def test_list_names_registry(capsys):
@@ -95,12 +94,12 @@ def test_check_text_format_lists_each_witness_once(capsys):
 
 def test_check_text_format_counts_unrealizable_triples():
     # No bundled expression reports an unrealizable triple: the text format
-    # renders the report of the set that declares no guard, which does.
-    rep = check_consistency(unguarded(cchar()))
+    # renders the triangle's report, which does.
+    rep = check_consistency(Triangle())
     lines = _render_report(rep).splitlines()
     assert lines[0].startswith("consistency: pass (")
     assert f", 0 witnesses, {len(rep.unrealizable)} unrealizable, " in lines[0]
-    assert len(rep.unrealizable) == 480
+    assert len(rep.unrealizable) == 2
     for part, line in zip(rep.parts, lines[1:], strict=True):
         assert line.startswith(f"  {part.property}: ")
         counted = f", {len(part.unrealizable)} unrealizable, " in line

@@ -42,8 +42,7 @@ DIGESTS = {
         "cb77b193e0a30502faf65590aaf03e0b24c5a3a81293a6a70c47593872958c38",
     ("set-literal", "cp1"): "623b89829cd2eeed6fa60f8bd8545f5dff2f268d211d13029175c29d7f39a5fc",
     ("set-literal", "cp2"): "ac0d3739dc471173424ed9c784db8c045d03f3ac1a1fdc937b604382241de2e6",
-    # The sets declare membership guards (`SetPattern.guard`), so CP2 skips
-    # the `set-guarded` triples that no state enables together.
+    # CP2 skips the `set-guarded` triples that no state enables together.
     ("set-guarded", "consistency"):
         "6ee44b9ce0b162b89247d769b9e4a45c1d7ef222f7bc982c60a9685fa40ed755",
     ("set-guarded", "cp1"): "85ece54721e41c8be1096178799a69a348c68b22248cd9bc9fdb4eeb6fe9ad21",
@@ -85,7 +84,7 @@ TOWER_DIGESTS = {
 }
 
 REFUSALS = {
-    ("string[string]", "consistency"): "estimated 1184822460 cases exceeds ceiling 10000000",
+    ("string[string]", "consistency"): "estimated 7747099200 cases exceeds ceiling 10000000",
     ("string[string]", "cp1"): "estimated 8734813216 cases exceeds ceiling 10000000",
     ("string[string]", "cp2"): "estimated 1801741537 cases exceeds ceiling 10000000",
 }

@@ -2,11 +2,11 @@
 check rests on an `assert`, which `python -O` removes, only composition
 knows how an Update method is laid out, only the checker's runner
 compiles a component or sweeps it, the checker never names the static
-product nor reads a pattern, the checker's sweeps read tables filled
-from the component, not the validating kernel, only the checker's table
-fills and runner name `nop`, only the checker's cutter reads sites or
-pairs mirrors, the simulator asks nothing but the validating
-kernel, no component or pattern is built from functions
+product nor reads a pattern, no module declares a guard, the checker's
+sweeps read tables filled from the component, not the validating kernel,
+only the checker's table fills and runner name `nop`, only the checker's
+cutter reads sites or pairs mirrors, the simulator asks nothing but the
+validating kernel, no component or pattern is built from functions
 made for it or takes bounds or a `site_aware`, every pattern's class
 sets its name and address sorts, nothing reads
 `site_aware`, no value class compares or hashes in Python, and importing
@@ -94,15 +94,51 @@ def _pattern_reads(source: str):
 
 
 def test_the_checker_reads_no_pattern():
-    # The checker asks a component for a method's guard (`Component.guard`),
-    # as it asks composition whether a method is an Update: it never reads
-    # the pattern a dynamic composition is built from.
+    # The checker reads which methods no state enables together off the
+    # component's Poss rows, and asks composition whether a method is an
+    # Update: it never reads the pattern a dynamic composition is built from.
     source = (SRC / "checker.py").read_text()
     found = _pattern_reads(source)
     assert not found, f"checker.py lines reading .pattern: {found}"
     # The rule catches a read through any object.
-    planted = source + "\n\ndef _guard(t, i):\n    return t.c.pattern.update_guard(i, i)\n"
+    planted = source + "\n\ndef _poss(t, i, s):\n    return t.c.pattern.update_poss(i, i, i, s)\n"
     assert _pattern_reads(planted) == [len(source.splitlines()) + 4]
+
+
+# Names of a declared exclusion: a method's guard, read by the checker
+# instead of its Poss row.
+_GUARD_NAMES = {"Guard", "guard", "update_guard"}
+
+
+def _guard_names(tree):
+    """Lines that define, name or read a guard: a function, class,
+    variable, argument or attribute so named."""
+    return sorted({n.lineno for n in ast.walk(tree)
+                   if (n.name if isinstance(n, (ast.FunctionDef, ast.ClassDef)) else
+                       n.attr if isinstance(n, ast.Attribute) else
+                       n.id if isinstance(n, ast.Name) else
+                       n.arg if isinstance(n, ast.arg) else None) in _GUARD_NAMES})
+
+
+def test_no_module_declares_exclusion():
+    # The checker works out which methods no state enables together from
+    # the components' own `poss_fn`: no component declares it, so no
+    # declaration can disagree with what the component does.
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in _guard_names(ast.parse(path.read_text(), str(path)))]
+    assert not found, "guards declared or read:\n" + "\n".join(found)
+    # The rule catches a definition, a call, a type and an argument, and
+    # passes the set's `guarded` variant.
+    planted = ast.parse(textwrap.dedent("""
+        class GuardedSet(SetPattern):
+            guarded = True
+            def guard(self, m):
+                return ()
+        def _apart(t, c, i, update_guard):
+            Guard = tuple
+            return c.body.update_guard(i) or c.guard(i)
+        """))
+    assert _guard_names(planted) == [4, 6, 7, 8]
 
 
 def test_the_checker_never_names_the_static_product():

@@ -284,50 +284,58 @@ def test_every_update_address_has_the_declared_arity(make, max_len):
             len(addrs) * len(kid.enum_states(b)) * len(kid.enum_methods(b)) * len(issuers))
 
 
-def _clash(g, h):
-    """Whether two guards (see `Component.guard`) give one slot two values."""
-    return any(dict(g).get(slot, value) != value for slot, value in h)
-
-
 @_PATTERNS
 @pytest.mark.parametrize("child", [cchar, token_component], ids=["cchar", "token"])
 def test_no_state_enables_two_updates_whose_guards_clash(make, child):
-    # The checker skips a CP2 triple holding two methods whose guards give
-    # one slot two values as not jointly legal: no enumerated state may
-    # enable two such methods, container methods and Updates alike, asked
-    # through the public kernel.
+    # A method's guard is its Poss row, and two clash when no state enables
+    # both: the checker skips a CP2 triple holding two such methods as not
+    # jointly legal (`tests/test_checker.py` checks that it skips exactly
+    # these).  Asked through the public kernel: only the string's Updates
+    # and the guarded set's methods clash, and every method is enabled on
+    # some state, so none clashes with every method.
     c = dynamic_compose(make(), child())
     methods = [m for m in c.enum_methods(B) if m.ctor != "nop"]
     states = c.enum_states(B)
     on = {m: {i for i, st in enumerate(states) if kernel.enabled(c, m, st)} for m in methods}
     separated = [(m1, m2) for m1, m2 in itertools.combinations(methods, 2)
-                 if _clash(c.guard(m1), c.guard(m2))]
+                 if not on[m1] & on[m2]]
     assert bool(separated) == (c.pattern.name != "set-literal")
     # The guarded set's container methods clash too: `remove e` with `add e`.
     assert any(not is_update(m) for pair in separated for m in pair) == (
         c.pattern.name == "set-guarded")
-    assert all(on[m1] for m1, _ in separated)
-    assert [(m1, m2) for m1, m2 in separated if on[m1] & on[m2]] == []
+    assert all(on.values())
 
 
 @pytest.mark.parametrize("variant", ["literal", "guarded"])
 def test_the_set_patterns_declare_membership(variant):
-    # An element's slot holds True where it is present and False where it
-    # is absent.  A set holds many elements, so updates of two different old
-    # elements are enabled together: their guards name different slots.
+    # A method of a set is enabled exactly where some elements are present
+    # and some absent: `remove e` needs e present, the guarded `add e` needs
+    # it absent, and an update needs its old element present and, guarded,
+    # its new one absent unless they are equal.  A set holds many elements,
+    # so updates of two different old elements are enabled together.
     c = dynamic_compose(set_pattern(variant), cchar())
-    a, b = Cell("a"), Cell("b")
+    states = c.enum_states(B)
+    every = frozenset().union(*(st.items for st in states))
+
+    def needs(m):
+        """The elements m needs present and absent, if it needs no more."""
+        on = [st.items for st in states if kernel.enabled(c, m, st)]
+        present, absent = frozenset.intersection(*on), every.difference(*on)
+        assert on == [st.items for st in states
+                      if present <= st.items and not absent & st.items], m
+        return present, absent
+
+    a, b, none = frozenset([Cell("a")]), frozenset([Cell("b")]), frozenset()
     guarded = variant == "guarded"
-    assert c.guard(NOP) == ()
-    assert c.guard(Method("remove", (a,))) == ((a, True),)
-    assert c.guard(Method("add", (a,))) == (((a, False),) if guarded else ())
+    assert needs(NOP) == (none, none)
+    assert needs(Method("remove", (Cell("a"),))) == (a, none)
+    assert needs(Method("add", (Cell("a"),))) == (none, a if guarded else none)
     for child_method in (NOP, Method("putchar", ("a",))):  # the new element is the old
-        assert c.guard(make_update((), a, child_method)) == ((a, True),)
-    assert c.guard(make_update((), a, Method("putchar", ("b",)))) == (
-        ((a, True), (b, False)) if guarded else ((a, True),))
-    edits = [make_update((), old, Method("putchar", ("c",))) for old in (a, b)]
-    assert all(kernel.enabled(c, u, set_of([a, b])) for u in edits)
-    assert not _clash(c.guard(edits[0]), c.guard(edits[1]))
+        assert needs(make_update((), Cell("a"), child_method)) == (a, none)
+    assert needs(make_update((), Cell("a"), Method("putchar", ("b",)))) == (
+        a, b if guarded else none)
+    edits = [make_update((), old, Method("putchar", ("c",))) for old in (Cell("a"), Cell("b"))]
+    assert all(kernel.enabled(c, u, set_of([Cell("a"), Cell("b")])) for u in edits)
 
 
 @_PATTERNS
@@ -343,7 +351,6 @@ def test_a_pattern_reads_its_elements_through_equality_and_hash_alone(sentinel_k
     for m, st in itertools.product(methods, states):
         c.poss_fn(m, st)
         c.do_fn(m, st)
-    {c.guard(m) for m in methods}  # the checker hashes and compares guards
     for m1, m2 in itertools.product(methods, repeat=2):
         c.it_fn(m1, m2)
     elems = elements.enum_states(b)

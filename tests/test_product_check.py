@@ -61,9 +61,6 @@ class _Flat(Component):
     def enum_states_fn(self, b):
         return self.product.enum_states_fn(b)
 
-    def guard(self, m):
-        return self.product.guard(m)
-
 
 def brute_force(p):
     """The product's functions as a plain component, with no factors."""
@@ -85,7 +82,7 @@ def _broken_it(c):
 
 
 # Every bundled product whose brute-force check fits, both orders of a
-# failing one, two site-aware factors, a factor whose updates declare guards,
+# failing one, two site-aware factors, a factor whose updates exclude others,
 # one factor twice (its constructors renamed), products nested either side, a
 # planted fault, and four leaves, two of them site-aware, failing both
 # conditions.
@@ -126,7 +123,8 @@ def test_a_fault_in_one_factor_is_caught_with_the_brute_force_witnesses():
 
 
 @pytest.mark.parametrize("check, expr", [
-    # 614,125 product states; CP2's estimate refuses the other checks first.
+    # 614,125 product states: every check counts the states first.  The
+    # last is refused by its first CP1 part's estimate.
     (check_cp1, "string[cchar] (+) string[cchar] (+) string[cchar]"),
     (check_cp2, "string[cchar] (+) string[cchar] (+) string[cchar]"),
     (check_consistency, "string[cchar] (+) string[cchar] (+) string[cchar]"),
