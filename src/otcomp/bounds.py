@@ -8,8 +8,8 @@ from .values import Frozen
 class Bounds(Frozen):
     """Finite enumeration limits.
 
-    At these defaults `check_consistency` decides 958,646 cases on
-    `string[cchar]` and 2,675,053 on `string[cnat]`, the largest bundled
+    At these defaults `check_consistency` decides 993,526 cases on
+    `string[cchar]` and 2,774,653 on `string[cnat]`, the largest bundled
     check that fits; CP2 skips 404,352 and 1,509,000 triples there as not
     jointly legal.  `BENCH_27.json` records how long the first, and the
     small bundled checks, take.  CP2 is cubic in the method count, so

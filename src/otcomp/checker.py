@@ -16,12 +16,12 @@ that no state enables together (see `_by_site`), reads every part's case
 estimate off them, exactly the cases it sweeps, and raises BoundsExceeded
 before any sweep if one is over `max_cases`.  A large check runs its CP2
 parts beside its CP1 parts in a forked child, with the same report (see
-`_split`).  Compiling interns the methods it is given (the component's
-sorted enumeration, or a leaf's own methods in the component's order) and
-the sorted state enumeration to ints.  Each method is validated once, by
-`kernel.validate_method`, when it is interned: an enumerated one, or a
-result outside the enumeration (an insert one past the longest state, a
-longer sequence) when first seen.
+`_split`).  Compiling interns the component's sorted method and state
+enumerations to ints.  Every method id of a check is the component's: a
+leaf (see below) interns its own states but no method.  Each method is
+validated once, by `kernel.validate_method`, when the component interns
+it: an enumerated one, or a result outside the enumeration (an insert one
+past the longest state, a longer sequence) when first seen.
 
 One table type, `_Tables`, holds what a check reads over those ids: IT
 (method, method) -> method, Do (state, method) -> state and Poss (state,
@@ -51,7 +51,8 @@ its mirrored case, counted and replayed too, is read off the same entries.
 Every check sweeps the component's leaves and lifts what they find (see
 `_lift`), by the same steps for one leaf as for many.  A component is its
 own only leaf, unless it is a static product, whose leaves are its factors
-that are not products.  No leaf sweeps `nop`.  A case across leaves or with
+that are not products, each sweeping a group of the product's methods under
+its own constructor names.  No leaf sweeps `nop`.  A case across leaves or with
 `nop` holds by construction, so the lift counts it off the sizes of the
 component's blocks and compares nothing: the product's transform is the identity across
 leaves, whose methods act on disjoint items of a state, and IT(m, nop) = m,
@@ -215,16 +216,28 @@ class _Compiled:
     the component for the sweeps, and `kernel`, filled by the public kernel
     for the replays.  `json[i]` is the report form of method i, shared by
     every entry that names it.  An enumeration that repeats a value would
-    count its cases twice; it raises InvalidSpec.  A check's leaves also
-    have `own` and `up`, and t its `leaves` (see `_check`).
-    """
+    count its cases twice; it raises InvalidSpec.  t, the checked
+    component, also has its `leaves` (see `_check`).
 
-    def __init__(self, c: Component, b: Bounds, methods: List[Method]):
+    A leaf of t other than t itself, given t and `names` (t's name of each
+    constructor it owns -> its own), interns its states but no method: its
+    `methods` are t's ids of those it sweeps, its method i is t's under its
+    name, and `mid` lifts a method it gives to t's name once, for t to
+    intern and validate; `nop`, or one it does not own, it validates first."""
+
+    def __init__(self, c: Component, b: Bounds, methods: list,
+                 t: Optional[_Compiled] = None, names: Optional[Dict[str, str]] = None):
         self.c, self.b = c, b
-        self.method: List[Method] = []
         self.state: List[StateValue] = []
-        self._mid: Dict[Method, int] = {}
         self._sid: Dict[StateValue, int] = {}
+        if t is None:
+            self.method: List[Method] = []
+            self._mid: Dict[Method, int] = {}
+        else:
+            up = {inner: ctor for ctor, inner in names.items()}
+            self.method = _Lazy(lambda i: (m := t.method[i]).renamed(names.get(m.ctor, m.ctor)))
+            self.mid = _Lazy(lambda m: t.mid(m.renamed(up[m.ctor]) if m.ctor in up
+                                             else kernel.validate_method(c, m) or m)).__getitem__
         method = self.method
         # What each table is filled by, built on first use: the component's
         # own functions on interned, so validated, methods (a Token has none),
@@ -238,7 +251,7 @@ class _Compiled:
             "kernel": (partial(kernel.enabled, c), partial(kernel.apply, c),
                        partial(kernel.transform, c))}
         self.json = _Lazy(lambda i: value_to_json(method[i]))
-        self.methods = self._distinct("method", [self.mid(m) for m in methods])
+        self.methods = methods if t else self._distinct("method", [self.mid(m) for m in methods])
 
     @cached_property
     def tables(self) -> _Tables:
@@ -271,7 +284,7 @@ class _Compiled:
             by: Dict[frozenset, int] = {}  # enabled states -> the mask of those methods
             for j in f.methods:
                 key = f.tables.enables[j]
-                by[key] = by.get(key, 0) | 1 << (j if f is self else f.up[j])
+                by[key] = by.get(key, 0) | 1 << j
             on: Dict[int, int] = {}  # state -> the mask of the methods enabled on it
             for states, mask in by.items():
                 for s in states:
@@ -545,14 +558,6 @@ def _replay_cp2(t: _Compiled, i1: int, i2: int, i3: int, left: int, right: int,
     }
 
 
-def _replay_realizable(t: _Compiled, i1: int, i2: int, i3: int, realizable: bool) -> None:
-    """Re-decide a failing triple's realizability, as the component's tables
-    decided it, from the kernel's tables."""
-    if realizable != t.kernel.realizable[min(i1, i2), max(i1, i2), i3]:
-        _mismatch("CP2", [t.method[i] for i in (i1, i2, i3)],
-                  f"realizable is {realizable} by the tables")
-
-
 def _weighed(leaves: List[_Compiled], x: List[int], ys: Sequence[List[int]],
              others: List[int], n: int) -> List[int]:
     """For each leaf, then for all of them, the sum of x's methods weighed
@@ -585,23 +590,24 @@ def _lift(t: _Compiled, leaves: List[_Compiled], part: CutPart, cut: List[Cut],
     product of a block's two weighed sums less each leaf's own, over t's
     state count, are its CP1 cases across groups.
 
-    Each lifted entry is replayed through the public kernel on t; a
-    triple's realizability on its leaf.  CP1 witnesses are in sweep order,
-    a state of t's id being its leaves' ids in turn.  CP2 entries are the
-    leaves' merged by t's method ids, so one leaf's keep block order."""
+    Every method id is t's, so no entry's is translated.  Each lifted entry
+    is replayed through the public kernel on t; a triple's realizability on
+    its leaf.  CP1 witnesses are in sweep order, a state of t's id being its
+    leaves' ids in turn.  CP2 entries are the leaves' merged by method ids,
+    so one leaf's keep block order."""
     name, condition, blocks, examined, cases = part
     if condition == "CP2":
         entries: Dict[bool, List[dict]] = {True: [], False: []}
         if any(found):
-            lifted = []
-            for k, (f, failing) in enumerate(zip(leaves, found)):
-                up = f.up
-                lifted.append([(up[i1], up[i2], up[i3], k, i1, i2, i3, up[left], up[right],
-                                realizable) for i1, i2, i3, left, right, realizable in failing])
-            for p1, p2, p3, k, i1, i2, i3, left, right, realizable in heapq.merge(*lifted):
-                _replay_realizable(leaves[k], i1, i2, i3, realizable)
+            lifted = [[(i1, i2, i3, k, left, right, realizable)
+                       for i1, i2, i3, left, right, realizable in failing]
+                      for k, failing in enumerate(found)]
+            for i1, i2, i3, k, left, right, realizable in heapq.merge(*lifted):
+                if realizable != leaves[k].kernel.realizable[min(i1, i2), max(i1, i2), i3]:
+                    _mismatch("CP2", [t.method[i] for i in (i1, i2, i3)],
+                              f"realizable is {realizable} by the tables")
                 realizable = realizable and all(f.states for f in leaves)  # a state of t
-                entries[realizable].append(_replay_cp2(t, p1, p2, p3, left, right, realizable))
+                entries[realizable].append(_replay_cp2(t, i1, i2, i3, left, right, realizable))
         return CheckReport(name, _verdict(cases, entries[True]), cases, entries[True],
                            examined=examined, unrealizable=entries[False])
 
@@ -616,20 +622,19 @@ def _lift(t: _Compiled, leaves: List[_Compiled], part: CutPart, cut: List[Cut],
         across = (w1[-1] * w2[-1] - sum(map(operator.mul, w1[:-1], w2[:-1]))) // (n or 1)
         cases += across * (1 + (mirror is not None and x1 is not x2))
     lifted = []
-    for k, (f, (_, failing)) in enumerate(zip(leaves, found)):
+    for k, (_, failing) in enumerate(found):
         axes: List[Sequence[int]] = list(map(range, ns))
         for s, i1, i2, left, right in failing:
             axes[k] = (s,)
-            p1, p2 = f.up[i1], f.up[i2]
-            lifted += [(ids, p1, p2, k, left, right) for ids in itertools.product(*axes)]
+            lifted += [(ids, i1, i2, k, left, right) for ids in itertools.product(*axes)]
     witnesses = []
-    for ids, p1, p2, k, left, right in sorted(lifted):
+    for ids, i1, i2, k, left, right in sorted(lifted):
         items = [f.state[s] for f, s in zip(leaves, ids)]
         st = t.c.assemble(iter(items))
         items[k] = leaves[k].state[left]
         left_st = t.c.assemble(iter(items))
         items[k] = leaves[k].state[right]
-        witnesses.append(_replay_cp1(t, st, p1, p2, left_st, t.c.assemble(iter(items))))
+        witnesses.append(_replay_cp1(t, st, i1, i2, left_st, t.c.assemble(iter(items))))
     return CheckReport(name, _verdict(cases, witnesses), cases, witnesses,
                        examined=examined * n)
 
@@ -637,36 +642,26 @@ def _lift(t: _Compiled, leaves: List[_Compiled], part: CutPart, cut: List[Cut],
 def _check(c: Component, b: Bounds,
            parts_of: Callable[[_Compiled], List[Part]]) -> List[CheckReport]:
     """Compile c once as t, and its leaves (see `Component.leaves`): t
-    itself, or each over its own methods, in t's order.  A leaf's `own`
-    maps t's id of each method it sweeps (never `nop`) to its own, and `up`
-    maps back.  Each refusal comes before the work it guards: t's state
-    count, past MAX_STATES as a product's flattening; then, part by part,
-    its estimate (the cases its blocks, cut once by `_by_site`, stand for,
-    `nop` included, times the states for CP1) past `max_cases`, the first
-    CP2 cut's Poss rows first (see `_Compiled.apart`).  Then each part
-    sweeps every leaf over its cut blocks cut to the leaf's methods, and
-    lifts what they found (see `_lift`).  Refused or not, free the tables,
-    whose fill functions refer back to their compiled component, without a
-    GC pass."""
+    itself, or each over t's ids of the methods it owns (never `nop`), under
+    its own names for their constructors, taken off the owner map here
+    alone (see `_Compiled`).  Each refusal comes before the work it guards:
+    t's state count, past MAX_STATES as a product's flattening; then, part
+    by part, its estimate (the cases its blocks, cut once by `_by_site`,
+    stand for, `nop` included, times the states for CP1) past `max_cases`,
+    the first CP2 cut's Poss rows first (see `_Compiled.apart`).  Then each
+    part sweeps every leaf over its cut blocks cut to the leaf's methods,
+    and lifts what they found (see `_lift`).  Refused or not, free the
+    tables, whose fill functions refer back to their compiled component,
+    without a GC pass."""
     t = _Compiled(c, b, c.enum_methods(b))
     leaves = [t]
     try:
         factors, owner = c.leaves()
-        own: List[Dict[int, Method]] = [{} for _ in factors]  # t's id -> the leaf's method
-        for i in t.methods:
-            m = t.method[i]
-            if m.ctor in owner:
-                k, ctor = owner[m.ctor]
-                own[k][i] = m.renamed(ctor)
-        t.leaves = leaves = [t if f is c else _Compiled(f, b, list(ms.values()))
-                             for f, ms in zip(factors, own)]
-        # (leaf, its constructor) -> t's; a `nop` a leaf's transform gives is t's.
-        names = {v: k for k, v in owner.items()}
-        for k, (f, ms) in enumerate(zip(leaves, own)):
-            f.own = {i: f.mid(m) for i, m in ms.items()}
-            f.up = _Lazy(lambda j, k=k, m=f.method: t.mid(
-                m[j].renamed(names.get((k, m[j].ctor), "nop"))))
-            f.up.update(zip(f.own.values(), f.own))
+        names = [{ctor: inner for ctor, (j, inner) in owner.items() if j == k}  # t's -> leaf's
+                 for k in range(len(factors))]
+        mine = [[i for i in t.methods if t.method[i].ctor in ns] for ns in names]
+        t.leaves = leaves = [t if f is c else _Compiled(f, b, ids, t, ns)
+                             for f, ids, ns in zip(factors, mine, names)]
         states = c.count_states(len(f.states) for f in leaves)
         parts: List[CutPart] = []
         total = 0
@@ -681,7 +676,7 @@ def _check(c: Component, b: Bounds,
 
         def run(part: CutPart) -> CheckReport:
             t0 = time.perf_counter()
-            cut = [_to_leaf(f.own, part[2]) for f in leaves]
+            cut = [_to_leaf(ids, part[2]) for ids in mine]
             found = [sweep[part[1]](f, f_blocks) for f, f_blocks in zip(leaves, cut)]
             rep = _lift(t, leaves, part, cut, found)
             rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -697,36 +692,41 @@ def _check(c: Component, b: Bounds,
             vars(compiled).clear()
 
 
-def _to_leaf(own: Dict[int, int], blocks: Cut) -> Cut:
-    """The blocks cut to a leaf's methods, `own` mapping t's ids to the
-    leaf's: a list the blocks share gives one list they share."""
+def _to_leaf(ids: List[int], blocks: Cut) -> Cut:
+    """The blocks cut to a leaf's methods, `ids`: a list the blocks share
+    gives one list they share."""
+    mine = set(ids)
     lists: Dict[int, List[int]] = {}  # id of t's list -> the leaf's
-
-    def mine(x: List[int]) -> List[int]:
-        y = lists.get(id(x))
-        if y is None:
-            y = lists[id(x)] = [own[i] for i in x if i in own]
-        return y
-    return [(o, mirror, tuple(map(mine, block))) for o, mirror, block in blocks]
+    for _, _, block in blocks:
+        for x in block:
+            if id(x) not in lists:
+                lists[id(x)] = [i for i in x if i in mine]
+    return [(o, mirror, tuple(lists[id(x)] for x in block)) for o, mirror, block in blocks]
 
 
 def _split(run: Callable[[CutPart], CheckReport], parts: List[CutPart]) -> List[CheckReport]:
     """`run` over the parts: the CP1 ones, which come first, here and the CP2
-    ones in a forked child that pickles their reports, or its exception, back
-    over a pipe.  On two vCPUs, `string[cchar]` checks ran 30 % faster split
-    at 1.47 M estimated cases, 28 % at 354,017, and even at 91,728 (medians of
-    12 alternations).  An exception here is raised once the child
-    is killed and reaped.  The child leaves by `os._exit`: it flushes nothing."""
+    ones in a forked child that pickles their reports back over a pipe.  On
+    two vCPUs, `string[cchar]` checks ran 30 % faster split at 1.47 M
+    estimated cases, 28 % at 354,017, and even at 91,728 (medians of 12
+    alternations).  An exception here is raised once the child is killed
+    and reaped.  The child leaves by `os._exit`: it flushes nothing, and
+    sends nothing if it raised.  Where it sent nothing, or none could be
+    forked, the CP2 parts run here after the CP1 parts, as in a serial
+    check: a split check returns or raises what a serial one does."""
     import pickle
     import signal
+    cp2 = [part for part in parts if part[1] == "CP2"]
     r, w = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return [run(part) for part in parts]
     if pid == 0:
         try:
-            try:
-                got = [run(part) for part in parts if part[1] == "CP2"]
-            except Exception as e:
-                got = e
+            got = [run(part) for part in cp2]
             with open(w, "wb") as out:
                 pickle.dump(got, out, pickle.HIGHEST_PROTOCOL)
         finally:
@@ -735,15 +735,13 @@ def _split(run: Callable[[CutPart], CheckReport], parts: List[CutPart]) -> List[
     try:
         with open(r, "rb") as pipe:
             mine = [run(part) for part in parts if part[1] == "CP1"]
-            got = pickle.load(pipe)
+            sent = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
         os.waitpid(pid, 0)
-    if isinstance(got, Exception):
-        raise got
-    return mine + got
+    return mine + (pickle.loads(sent) if sent else [run(part) for part in cp2])
 
 
 def check_cp1(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
@@ -752,16 +750,17 @@ def check_cp1(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
 
 
 def check_cp2(c: Component, b: Bounds = DEFAULT_BOUNDS) -> CheckReport:
-    """Triple condition over every enumerated method triple (state-free)."""
+    """Triple condition over every enumerated method triple, cut by the
+    Poss rows (see `_Compiled.apart`)."""
     return _check(c, b, lambda t: [("CP2", "CP2", [(t.methods,) * 3])])[0]
 
 
-def _cross(g1: List[int], g2: List[int]) -> Blocks:
-    """The CP2 blocks drawing (m1, m2, m3) from the two groups in every
-    combination except all three from the same one."""
+def _cross(g1: List[int], g2: List[int], n: int) -> Blocks:
+    """The blocks of n lists drawing from the two groups in every combination
+    but all from one: for CP1 (g1, g2) and its mirror, for CP2 six blocks."""
     groups = (g1, g2)
     return [tuple(groups[k] for k in ks)
-            for ks in itertools.product((0, 1), repeat=3) if len(set(ks)) > 1]
+            for ks in itertools.product((0, 1), repeat=n) if len(set(ks)) > 1]
 
 
 def _aggregate(name: str, t0: float, parts: List[CheckReport]) -> CheckReport:
@@ -786,10 +785,10 @@ def _consistency_parts(t: _Compiled) -> List[Part]:
     return [
         ("CP1-updates", "CP1", [(updates, updates)]),
         ("CP1-container", "CP1", [(container, container)]),
-        ("CP1-cross", "CP1", [(updates, container)]),
+        ("CP1-cross", "CP1", _cross(updates, container, 2)),
         ("CP2-updates", "CP2", [(updates,) * 3]),
         ("CP2-container", "CP2", [(container,) * 3]),
-        ("CP2-cross", "CP2", _cross(updates, container)),
+        ("CP2-cross", "CP2", _cross(updates, container, 3)),
     ]
 
 

@@ -268,7 +268,7 @@ def test_criterion_10_string_of_characters_check_is_fast_and_replayable():
         b = DEFAULT_BOUNDS
         comp = build("string[cchar]", b)
         rep = check_consistency(comp, b)
-        assert (rep.verdict, rep.cases, rep.examined) == ("fail", 958_646, 1_871_140)
+        assert (rep.verdict, rep.cases, rep.examined) == ("fail", 993_526, 2_034_340)
         assert (len(rep.witnesses), len(rep.unrealizable)) == (384, 0)
 
         states = comp.enum_states(b)

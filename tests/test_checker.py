@@ -746,7 +746,7 @@ def _apart(c, b):
 @pytest.mark.parametrize("expr, overrides, parts_of", [
     ("string", {"sites": 3}, lambda t: [[(t.methods, t.methods)], [(t.methods,) * 3]]),
     ("string[cchar]", {"alphabet": 2, "max_len": 2}, lambda t: [checker._cross(  # CP2-cross
-        t.select(is_update), t.select(lambda m: not is_update(m)))]),
+        t.select(is_update), t.select(lambda m: not is_update(m)), 3)]),
     ("set-literal", {"universe": 1}, _overlapping),
     ("string", {"sites": 2}, _overlapping),
     ("set-guarded[cchar]", {}, lambda t: [blocks for _, condition, blocks
@@ -831,7 +831,7 @@ def test_each_unordered_pair_is_decided_once(monkeypatch):
     asked.clear()
     updates = t.select(is_update)
     container = t.select(lambda m: not is_update(m))
-    checker._cp2_sweep(t, checker._by_site(t, checker._cross(updates, container))[0])
+    checker._cp2_sweep(t, checker._by_site(t, checker._cross(updates, container, 3))[0])
     assert asked == Counter({frozenset((i, j)): 1 + ((i in updates) != (j in updates))
                              for i in t.methods for j in t.methods
                              if not apart(t.method[i], t.method[j])})
@@ -870,8 +870,9 @@ def _counted_by_the_kernel(c, b):
         # components and no other.
         return not on[m1] & on[m2]
 
-    def cp1(m1s, m2s):
-        pairs = [(m1, m2) for m1 in m1s for m2 in m2s if concurrent(m1, m2)]
+    def cp1(*blocks):
+        pairs = [(m1, m2) for m1s, m2s in blocks
+                 for m1 in m1s for m2 in m2s if concurrent(m1, m2)]
         cases = sum(kernel.legal(c, [m1, kernel.transform(c, m2, m1)], st)
                     and kernel.legal(c, [m2, kernel.transform(c, m1, m2)], st)
                     for m1, m2 in pairs for st in states)
@@ -885,12 +886,13 @@ def _counted_by_the_kernel(c, b):
         return cases, len(triples)
 
     if not isinstance(c, ComposedComponent):
-        return [cp1(methods, methods), cp2((methods,) * 3)]
+        return [cp1((methods, methods)), cp2((methods,) * 3)]
     groups = updates, container = ([m for m in methods if is_update(m)],
                                    [m for m in methods if not is_update(m)])
     cross = [tuple(groups[k] for k in ks)
              for ks in itertools.product((0, 1), repeat=3) if len(set(ks)) > 1]
-    return [cp1(updates, updates), cp1(container, container), cp1(updates, container),
+    return [cp1((updates, updates)), cp1((container, container)),
+            cp1((updates, container), (container, updates)),
             cp2((updates,) * 3), cp2((container,) * 3), cp2(*cross)]
 
 
@@ -917,6 +919,31 @@ def test_every_part_counts_its_cases_as_the_public_kernel_does(expr, overrides):
 _CELLS, _PATTERNS = registry_names()["components"], registry_names()["patterns"]
 _BUNDLED = [*_CELLS, *_PATTERNS, *(f"{p}[{e}]" for p in _PATTERNS for e in _CELLS + _PATTERNS),
             "cchar (+) cnat (+) ccolor", "string[cchar] (+) cnat"]
+
+
+def _entries(reports):
+    """The reports' cases, examined, and witness and unrealizable entries,
+    untagged and sorted."""
+    def untagged(entries):
+        return sorted(json.dumps({k: v for k, v in e.items() if k != "part"}, sort_keys=True)
+                      for e in entries)
+    return (sum(r.cases for r in reports), sum(r.examined for r in reports),
+            untagged(w for r in reports for w in r.witnesses),
+            untagged(w for r in reports for w in r.unrealizable))
+
+
+@pytest.mark.parametrize("expr", [e for e in _BUNDLED if "[" in e and "(+)" not in e])
+def test_the_consistency_parts_partition_each_condition(expr):
+    # A composed component's update, container and cross parts of a
+    # condition together sweep every case that condition's own check does,
+    # each once: both orders of a cross pair, for CP1 as for CP2.
+    b = B.with_(alphabet=2, nat_max=1, colors=2, universe=1, max_len=2)
+    c = build(expr, b)
+    rep = check_consistency(c, b)
+    for condition, check in (("CP1", check_cp1), ("CP2", check_cp2)):
+        parts = [p for p in rep.parts if p.property.startswith(condition)]
+        assert len(parts) == 3
+        assert _entries(parts) == _entries([check(c, b)]), condition
 
 
 def test_no_leaf_owns_nop():
@@ -1073,6 +1100,44 @@ def test_a_mismatch_in_the_child_is_raised_as_a_serial_run_raises_it(monkeypatch
     assert type(split.value) is type(serial.value)
     assert str(split.value) == str(serial.value)
     assert str(serial.value).startswith("CP2 case")
+
+
+def test_an_exception_the_child_cannot_pickle_is_raised_as_a_serial_run_raises_it(
+        monkeypatch, forks):
+    # A class defined here does not pickle: the child of a split run cannot
+    # send it back, so the CP2 parts run again here and raise it.
+    class Planted(Exception):
+        pass
+
+    lift = checker._lift
+
+    def planted(t, leaves, part, cut, found):
+        if part[0] == "CP2-container":
+            raise Planted(f"{part[0]} planted")
+        return lift(t, leaves, part, cut, found)
+
+    monkeypatch.setattr(checker, "_lift", planted)
+    with pytest.raises(Planted) as split:
+        check_consistency(build("string[cchar]"))
+    assert len(forks) == 1
+    _no_child_left()
+    monkeypatch.setattr(checker, "_SPLIT_CASES", math.inf)
+    with pytest.raises(Planted) as serial:
+        check_consistency(build("string[cchar]"))
+    assert len(forks) == 1
+    assert str(split.value) == str(serial.value) == "CP2-container planted"
+
+
+def test_a_check_that_cannot_fork_reports_as_a_serial_one(monkeypatch, forks):
+    def fork():
+        raise OSError("no process to be had")
+
+    monkeypatch.setattr(os, "fork", fork)
+    unforked = check_consistency(build("string[cchar]"))
+    monkeypatch.setattr(checker, "_SPLIT_CASES", math.inf)
+    serial = check_consistency(build("string[cchar]"))
+    assert not forks
+    assert _masked(unforked) == _masked(serial)
 
 
 def test_a_failure_in_the_cp1_parts_kills_and_reaps_the_child(monkeypatch, forks):

@@ -51,19 +51,19 @@ DIGESTS = {
     ("string", "cp1"): "95012d2eb30e8b64f550ae225ebbf2e6ebacc4400403ffbe3f10cdd8aa1b9023",
     ("string", "cp2"): "6f147adb468b55df68504049a6393bdae420d1b666fb329e560f363dbe6d7f6d",
     ("set-guarded[cchar]", "consistency"):
-        "efbd2eeda2ce124fc0fc8261fd369b9909756117082125f70d0a6e2f90340941",
+        "6a2c4386372d0ee63b4a4477b1641333a7fec6bdaaf6a4f3cb0d27a32e6414de",
     ("set-guarded[cchar]", "cp1"):
         "9ed23d610e157635959a2fd4924d095a512c9ab90c5573cc2a8f4b085d03820e",
     ("set-guarded[cchar]", "cp2"):
         "25be6c366ea8c59c6d24f18ca1831ebe06c2179dd7726a0f43c37872a6c923d5",
     ("set-literal[cchar]", "consistency"):
-        "a2321ca757b1a8e75076e6559f27b63a42b37d946acf0cb37bbe290e22a30cba",
+        "3a7deb389103fb7b417f9238ec7dcc3623807ee9b15f0238c142d0331c74db02",
     ("set-literal[cchar]", "cp1"):
         "0a88f98462f226ad5dcc08ef6d56b312b794008ab10e496d411edb51d70c1847",
     ("set-literal[cchar]", "cp2"):
         "1bd5623b6e06bc56c7fb6c60b77bf8acad470a8e20bf736af962e8a41a975e9d",
     ("string[cchar]", "consistency"):
-        "22c91ca0e3f8c2a017c09469b0785f3fd315a8a6b91de002bc3c5f4df7e5b5c2",
+        "26da2b1f734486c063a2aebbb136402879b2f02c4d7ddace7054d901e8a66f1e",
     ("cchar (+) cnat (+) ccolor", "consistency"):
         "f452f3892bbcc5aa8081f2479a31ca465296f6f0c66938025247b353b00678b2",
     ("cchar (+) cnat (+) ccolor", "cp1"):
@@ -79,7 +79,7 @@ TOWER_DIGESTS = {
     ("fchar", "consistency"): "ffd70706e0b01f12d9accc434f175875dfb71837172e8d307ad6296798fb51bf",
     ("fchar", "cp1"): "dad965df2e9c996cf287ab2d7ee8b8cd3f26d7abb899f2aa026cf59562e30b30",
     ("fchar", "cp2"): "4f44679f3be167438211b196a64b22e090bf4bebb69cfe1e266a999675e30d2a",
-    ("word", "consistency"): "11bb5feb081ac511b16c47477565c0bcdbff41b7efca245b3fd61a863a98c52c",
+    ("word", "consistency"): "f7b594580d441dd3a77ee1d1a8ebb2b528683af392893da5167ac5cc4976f104",
     ("word", "cp2"): "fb058df3a35c7522c77e873124e5d5533316a89ec14e538685d0afe14034a356",
 }
 

@@ -203,8 +203,8 @@ def test_sweeps_do_not_call_the_validating_kernel():
 
 
 # Where the checker may name `nop`: the component's table fills, which hand a
-# `nop` to the kernel, and the runner, which maps a leaf's `nop` to t's.
-_MAY_NAME_NOP = {("_Compiled", "__init__"), (None, "_check")}
+# `nop` to the kernel.
+_MAY_NAME_NOP = {("_Compiled", "__init__")}
 
 
 def _nop_constants(source: str):

@@ -15,11 +15,11 @@ from otcomp.bounds import DEFAULT_BOUNDS
 from otcomp.cells import cchar, cnat
 from otcomp.checker import check_consistency, check_cp1, check_cp2
 from otcomp.composition import static_compose
-from otcomp.errors import BoundsExceeded, ReplayMismatch
+from otcomp.errors import BoundsExceeded, ReplayMismatch, UnknownMethod
 from otcomp.kernel import Component
 from otcomp.registry import build
 from otcomp.tower import TOWER_BOUNDS, build_document_tower
-from otcomp.values import value_from_json
+from otcomp.values import Method, value_from_json
 
 B = DEFAULT_BOUNDS
 U1 = B.with_(universe=1)
@@ -84,8 +84,8 @@ def _broken_it(c):
 # Every bundled product whose brute-force check fits, both orders of a
 # failing one, two site-aware factors, a factor whose updates exclude others,
 # one factor twice (its constructors renamed), products nested either side, a
-# planted fault, and four leaves, two of them site-aware, failing both
-# conditions.
+# planted fault, one in a factor whose constructors are renamed, bare and
+# nested, and four leaves, two of them site-aware, failing both conditions.
 PRODUCTS = {
     "fchar": lambda: (build_document_tower()["fchar"], TOWER_BOUNDS),
     "cchar (+) cnat (+) ccolor": lambda: (build("cchar (+) cnat (+) ccolor"), B),
@@ -102,6 +102,9 @@ PRODUCTS = {
                                             static_compose(cnat(), build("set-literal", U1))),
                              SHORT),
     "broken cnat": lambda: (static_compose(cchar(), _broken_it(cnat())), B),
+    "broken cchar": lambda: (static_compose(cchar(), _broken_it(cchar())), B),
+    "nested broken cchar": lambda: (static_compose(cnat(), static_compose(
+        cchar(), _broken_it(cchar()))), B),
     "cnat (+) string (+) set-literal (+) string":
         lambda: (build("cnat (+) string (+) set-literal (+) string", SHORT), SHORT),
 }
@@ -120,6 +123,26 @@ def test_a_fault_in_one_factor_is_caught_with_the_brute_force_witnesses():
     assert rep.verdict == "fail" and rep.witnesses
     assert {value_from_json(w["methods"][0]).ctor for w in rep.witnesses} == {"putnat"}
     assert rep.witnesses == check_consistency(brute_force(c), b).witnesses
+
+
+@pytest.mark.parametrize("name, witnesses", [("broken cchar", 96),
+                                             ("nested broken cchar", 480)])
+def test_a_fault_in_a_renamed_factor_is_named_as_the_product_names_it(name, witnesses):
+    # The second `cchar`'s `putchar` is the product's `cchar.putchar`: its
+    # leaf sweeps it under its own name, and the lift names it the product's.
+    c, b = PRODUCTS[name]()
+    rep = check_cp1(c, b)
+    assert len(rep.witnesses) == witnesses
+    assert {value_from_json(w["methods"][0]).ctor for w in rep.witnesses} == {"cchar.putchar"}
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda f: f.__name__)
+def test_a_factor_transform_giving_another_factors_method_is_refused(check):
+    # `putchar` is the product's name for `cchar`'s own: a `cnat` leaf whose
+    # transform gives it is wrong, however the product names it.
+    wrong = _replaced(cnat(), it_fn=lambda m1, m2: Method("putchar", ("a",)))
+    with pytest.raises(UnknownMethod, match="'putchar' is not a method of component 'cnat'"):
+        check(static_compose(cchar(), wrong))
 
 
 @pytest.mark.parametrize("check, expr", [
