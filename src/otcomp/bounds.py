@@ -30,6 +30,8 @@ class Bounds(Frozen):
                  max_cases: int = 10_000_000):  # refuse sweeps past this many cases
         values = (alphabet, nat_max, colors, universe, max_len, sites, max_methods, max_cases)
         for name, value in zip(self._fields, values):
+            if type(value) is not int:  # not isinstance: True would count as 1
+                raise ValueError(f"bound {name} must be an int, not {value!r}")
             if value < 0 or (value == 0 and name != "nat_max"):
                 sign = "non-negative" if name == "nat_max" else "strictly positive"
                 raise ValueError(f"bound {name} must be {sign}")

@@ -643,25 +643,23 @@ def _check(c: Component, b: Bounds,
            parts_of: Callable[[_Compiled], List[Part]]) -> List[CheckReport]:
     """Compile c once as t, and its leaves (see `Component.leaves`): t
     itself, or each over t's ids of the methods it owns (never `nop`), under
-    its own names for their constructors, taken off the owner map here
-    alone (see `_Compiled`).  Each refusal comes before the work it guards:
-    t's state count, past MAX_STATES as a product's flattening; then, part
-    by part, its estimate (the cases its blocks, cut once by `_by_site`,
-    stand for, `nop` included, times the states for CP1) past `max_cases`,
-    the first CP2 cut's Poss rows first (see `_Compiled.apart`).  Then each
-    part sweeps every leaf over its cut blocks cut to the leaf's methods,
-    and lifts what they found (see `_lift`).  Refused or not, free the
-    tables, whose fill functions refer back to their compiled component,
-    without a GC pass."""
+    the leaf's names for their constructors, as `leaves` gives them (see
+    `_Compiled`).  Each refusal comes before the work it guards: t's state
+    count, past MAX_STATES as a product's flattening; then, part by part,
+    its estimate (the cases its blocks, cut once by `_by_site`, stand for,
+    `nop` included, times the states for CP1) past `max_cases`, the first
+    CP2 cut's Poss rows first (see `_Compiled.apart`).  Then each part
+    sweeps every leaf over its cut blocks cut to the leaf's methods, and
+    lifts what they found (see `_lift`).  Refused or not, free the tables,
+    whose fill functions refer back to their compiled component, without a
+    GC pass."""
     t = _Compiled(c, b, c.enum_methods(b))
     leaves = [t]
     try:
-        factors, owner = c.leaves()
-        names = [{ctor: inner for ctor, (j, inner) in owner.items() if j == k}  # t's -> leaf's
-                 for k in range(len(factors))]
-        mine = [[i for i in t.methods if t.method[i].ctor in ns] for ns in names]
-        t.leaves = leaves = [t if f is c else _Compiled(f, b, ids, t, ns)
-                             for f, ids, ns in zip(factors, mine, names)]
+        named = c.leaves()
+        mine = [[i for i in t.methods if t.method[i].ctor in names] for _, names in named]
+        t.leaves = leaves = [t if f is c else _Compiled(f, b, ids, t, names)
+                             for (f, names), ids in zip(named, mine)]
         states = c.count_states(len(f.states) for f in leaves)
         parts: List[CutPart] = []
         total = 0

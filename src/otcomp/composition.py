@@ -59,7 +59,7 @@ class StaticProduct(Component):
 
     def _unpack(self, m: Method) -> Tuple[int, Method]:
         i, ctor = self.owner[m.ctor]
-        return i, Method(ctor, m.args, m.site)
+        return i, m.renamed(ctor)
 
     def _pack(self, i: int, m: Method) -> Method:
         return NOP if m.ctor == "nop" else m.renamed(self.renamed[i, m.ctor])
@@ -103,21 +103,12 @@ class StaticProduct(Component):
         # (a product state's key is its items' keys in order): no sort.
         return self.enum_states_fn(b)
 
-    def leaves(self) -> Tuple[List[Component], Dict[str, Tuple[int, str]]]:
+    def leaves(self) -> List[Tuple[Component, Dict[str, str]]]:
         """The factors' leaves, in the order their states appear in a
-        product state; and, as for every component, for each constructor
-        but `nop`, which no leaf sweeps, the index of the leaf owning it and
-        the leaf's name for it."""
-        leaves: List[Component] = []
-        owner: Dict[str, Tuple[int, str]] = {}
-        for i, f in enumerate(self.parts):
-            sub, sub_owner = f.leaves()
-            for ctor, (j, inner) in self.owner.items():
-                if j == i:
-                    k, inner = sub_owner[inner]
-                    owner[ctor] = (len(leaves) + k, inner)
-            leaves += sub
-        return leaves, owner
+        product state, each with its name for each product constructor it
+        owns: the factor's, under the product's name for it."""
+        return [(leaf, {self.renamed[i, ctor]: inner for ctor, inner in names.items()})
+                for i, f in enumerate(self.parts) for leaf, names in f.leaves()]
 
     def count_states(self, counts: Iterator[int]) -> int:
         """Refused past MAX_STATES at every level, as `enum_states` refuses."""

@@ -66,11 +66,12 @@ class Component:
 
     # A check sweeps a component's leaves (see `checker._check`): the
     # component itself, unless it is a static product.
-    def leaves(self) -> Tuple[List[Component], Dict[str, Tuple[int, str]]]:
-        """The leaves, in the order their states make up a state; and for
-        each constructor but `nop`, which no leaf sweeps, the leaf's index
-        and its name for it: here every other constructor, unrenamed."""
-        return [self], {ctor: (0, ctor) for ctor in self.method_ctors if ctor != "nop"}
+    def leaves(self) -> List[Tuple[Component, Dict[str, str]]]:
+        """Each leaf, in the order their states make up a state, with the
+        leaf's name for each constructor of this component it owns: `nop`,
+        which no leaf sweeps, is nobody's.  Here the one leaf is the
+        component itself, owning every other constructor, unrenamed."""
+        return [(self, {ctor: ctor for ctor in self.method_ctors if ctor != "nop"})]
 
     def count_states(self, counts: Iterator[int]) -> int:
         """How many states `enum_states` gives, from its leaves' counts."""
@@ -84,9 +85,7 @@ class Component:
 def _require_method(c: Component, m: Method) -> Tuple[Any, ...]:
     """The argument sorts of m's constructor, if m is a method of c with as
     many arguments as they are; UnknownMethod otherwise.  It reads no
-    argument, so it takes the same time for every method.  `apply`,
-    `enabled` and `transform` make the same test in line on every call, and
-    call this only to raise: a call costs as much as the test."""
+    argument, so it takes the same time for every method."""
     sorts = c.method_ctors.get(m.ctor) if isinstance(m, Method) else None
     if sorts is None:
         ctor = getattr(m, "ctor", m)
@@ -108,7 +107,7 @@ def validate_method(c: Component, m: Method) -> None:
         return
     if m.ctor in c.owner:
         i, ctor = c.owner[m.ctor]
-        validate_method(c.parts[i], Method(ctor, m.args, m.site))
+        validate_method(c.parts[i], m.renamed(ctor))
     else:
         for sort, arg in zip(sorts, m.args):
             if sort == METHOD:
@@ -117,9 +116,7 @@ def validate_method(c: Component, m: Method) -> None:
 
 def apply(c: Component, m: Method, st: StateValue) -> StateValue:
     """Execute one method on a state.  `nop` is the identity."""
-    sorts = c.method_ctors.get(m.ctor) if isinstance(m, Method) else None
-    if sorts is None or len(sorts) != len(m.args):
-        _require_method(c, m)  # raises
+    _require_method(c, m)
     if m.ctor == "nop":
         return st
     return c.do_fn(m, st)
@@ -127,9 +124,7 @@ def apply(c: Component, m: Method, st: StateValue) -> StateValue:
 
 def enabled(c: Component, m: Method, st: StateValue) -> bool:
     """Whether the method may execute on the state.  `nop` is always enabled."""
-    sorts = c.method_ctors.get(m.ctor) if isinstance(m, Method) else None
-    if sorts is None or len(sorts) != len(m.args):
-        _require_method(c, m)  # raises
+    _require_method(c, m)
     if m.ctor == "nop":
         return True
     return bool(c.poss_fn(m, st))
@@ -142,12 +137,8 @@ def transform(c: Component, m1: Method, m2: Method) -> Method:
     `nop`; component tables only cover proper method pairs.  Those answers
     read no component function, so the other method is validated in full.
     """
-    sorts1 = c.method_ctors.get(m1.ctor) if isinstance(m1, Method) else None
-    sorts2 = c.method_ctors.get(m2.ctor) if isinstance(m2, Method) else None
-    if (sorts1 is None or sorts2 is None
-            or len(sorts1) != len(m1.args) or len(sorts2) != len(m2.args)):
-        _require_method(c, m1)
-        _require_method(c, m2)  # one of them raises
+    _require_method(c, m1)
+    _require_method(c, m2)
     if m2.ctor == "nop":
         validate_method(c, m1)
         return m1

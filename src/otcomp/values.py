@@ -261,8 +261,7 @@ def decode_method(c, obj: Any) -> Method:
         raise ValueError(f"cannot read {obj!r} as a method of {c.name}")
     if ctor in c.owner:
         i, inner = c.owner[ctor]
-        m = decode_method(c.parts[i], {**obj, "ctor": inner})
-        return Method(ctor, m.args, m.site)
+        return decode_method(c.parts[i], {**obj, "ctor": inner}).renamed(ctor)
     sorts = c.method_ctors.get(ctor)
     if sorts is None or len(args) != len(sorts):
         raise ValueError(f"cannot read {obj!r} as a method of {c.name}")

@@ -624,6 +624,7 @@ def _by_reference(monkeypatch, check, c, b=B):
 @pytest.mark.parametrize("expr, overrides", [
     ("cchar", {}),
     ("set-guarded", {}),  # not site-aware: its diagonal pairs are concurrent
+    ("set-guarded", {"universe": 1}),  # its cut gives CP2 one-method third lists
     ("set-literal", {"universe": 1}),  # fails the pair condition
     ("string", {"sites": 2}),
     ("string", {"sites": 3}),
@@ -704,12 +705,14 @@ def test_a_mirrored_entry_that_does_not_replay_raises():
 
 def _overlapping(t):
     """CP1 and CP2 blocks that share methods, mirror each other, repeat, or
-    have no mirror."""
+    have no mirror, and a CP2 block whose third list is one insert, if
+    there is one."""
     n = len(t.methods)
     g1, g2, g3 = t.methods[: 2 * n // 3], t.methods[n // 3:], t.methods[::2]
+    ins = [i for i in g3 if t.method[i].ctor == "Ins"][:1]
     return ([(g1, g1), (g1, g2), (g2, g1), (g2, g2), (g1, g1)],
             [(g1, g2, g3), (g1, g1, g2), (g1, g2, g3), (g2, g1, g3), (g2, g1, g3),
-             (g3, g1, g2), (g2, g2, g2)])
+             (g3, g1, g2), (g2, g2, g2), (g1, g2, ins)])
 
 
 @pytest.mark.parametrize("expr, overrides, fails", [("set-literal", {"universe": 1}, "CP1"),
@@ -951,9 +954,8 @@ def test_no_leaf_owns_nop():
     # the lift counts them, and no leaf sweeps one.
     found = []
     for c in [*map(build, _BUNDLED), *build_document_tower().values()]:
-        leaves, owner = c.leaves()
-        found += [(c.name, ctor, leaves[k].name, inner)
-                  for ctor, (k, inner) in owner.items() if "nop" in (ctor, inner)]
+        found += [(c.name, ctor, leaf.name, inner) for leaf, names in c.leaves()
+                  for ctor, inner in names.items() if "nop" in (ctor, inner)]
     assert not found, f"leaves owning nop: {found}"
 
 

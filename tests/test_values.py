@@ -7,12 +7,12 @@ import pickle
 
 import pytest
 
-from otcomp.bounds import DEFAULT_BOUNDS
+from otcomp.bounds import DEFAULT_BOUNDS, Bounds
 from otcomp.composition import make_update
 from otcomp.registry import build
 from otcomp.tower import TOWER_BOUNDS, build_document_tower
 from otcomp.values import (NOP, Cell, Method, Opaque, Product, SeqOf, SetOf, decode_method,
-                           decode_state, value_to_json)
+                           decode_state, value_from_json, value_to_json)
 
 
 def _values():
@@ -75,6 +75,20 @@ def test_fields_can_be_neither_assigned_nor_deleted():
     assert DEFAULT_BOUNDS.sites == 2
 
 
+def test_a_bound_that_is_not_an_int_is_refused():
+    # A float would fail deep inside enumeration, and True would count as
+    # one site, so that `string[cchar]` checks vacuous.
+    for name, value in (("max_len", 2.0), ("alphabet", 2.5), ("sites", True),
+                        ("max_cases", "10"), ("nat_max", None)):
+        with pytest.raises(ValueError, match=f"bound {name} must be an int"):
+            Bounds(**{name: value})
+        with pytest.raises(ValueError, match=f"bound {name} must be an int"):
+            DEFAULT_BOUNDS.with_(**{name: value})
+    with pytest.raises(ValueError, match="bound max_len must be strictly positive"):
+        Bounds(max_len=0)
+    assert Bounds(nat_max=0).nat_max == 0
+
+
 def test_copies_and_pickle_round_trips_are_equal():
     for v, text in _values():
         for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
@@ -115,6 +129,6 @@ def test_enumerated_values_decode_back(name, tower):
     else:
         c, b = build(name), DEFAULT_BOUNDS
     for m in c.enum_methods(b):
-        assert decode_method(c, _trip(m)) == m
+        assert decode_method(c, _trip(m)) == value_from_json(_trip(m)) == m
     for s in c.enum_states(b):
-        assert decode_state(c, _trip(s)) == s
+        assert decode_state(c, _trip(s)) == value_from_json(_trip(s)) == s
