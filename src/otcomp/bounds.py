@@ -11,7 +11,7 @@ class Bounds(Frozen):
     At these defaults `check_consistency` decides 993,526 cases on
     `string[cchar]` and 2,774,653 on `string[cnat]`, the largest bundled
     check that fits; CP2 skips 404,352 and 1,509,000 triples there as not
-    jointly legal.  `BENCH_27.json` records how long the first, and the
+    jointly legal.  `BENCH_34.json` records how long the first, and the
     small bundled checks, take.  CP2 is cubic in the method count, so
     raising a bound that grows the methods grows it fast.
     """

@@ -31,9 +31,12 @@ call of the functions the tables are built with.  A compiled component has
 two, each built on first use.  The sweeps read the component's, filled by
 its own `it_fn`, `do_fn` and `poss_fn`, and by the kernel's `transform`,
 `apply` or `enabled` where `nop` is involved, so the `nop` rules live only
-in the kernel.  The replays read the kernel's, filled by the public kernel
-alone, whose `enabled` and `apply` they also call on a pair's states.
-Nothing outlives the call.
+in the kernel; their Do and Poss rows are keyed by a method's constructor
+and arguments, one row for the methods that differ only by site, which
+Do and Poss never read (see `kernel.Component`).  The replays read the
+kernel's, one row per id, filled by the public kernel alone, whose
+`enabled` and `apply` they also call on a pair's states.  Nothing
+outlives the call.
 
 Joint legality is decided where it is read: by a CP1 sweep over the states
 both methods are enabled on, which transforms no pair that no state
@@ -159,10 +162,31 @@ class _Tables:
     `enabled` and `apply` are kept as given, for states t does not intern.
     The fills refer to t and to the tables' dicts, never to this object, so
     clearing t's attributes frees them without a GC pass.
+
+    Where `by_effect` is set, the Do and Poss rows, and `enables`, are keyed
+    by a method's constructor and arguments: methods that differ only in
+    their issuing site share one row, filled by whichever of them asks
+    first, since neither `do_fn` nor `poss_fn` reads the site (see
+    `kernel.Component`).  IT rows stay one per id: IT reads sites.
     """
 
-    def __init__(self, t: "_Compiled", enabled, apply, transform):
+    def __init__(self, t: "_Compiled", enabled, apply, transform, by_effect: bool = False):
         method, state, mid, sid = t.method, t.state, t.mid, t.sid
+
+        def shared(row: Callable[[int], object]) -> Callable[[int], object]:
+            # Method i's row, one for every method with its constructor and arguments.
+            if not by_effect:
+                return row
+            rows: dict = {}
+
+            def of(i: int):
+                m = method[i]
+                key = m.ctor, m.args
+                got = rows.get(key)
+                if got is None:
+                    got = rows[key] = row(i)
+                return got
+            return of
 
         def poss_row(i: int) -> _Lazy:
             m = method[i]
@@ -195,8 +219,8 @@ class _Tables:
 
         self.enabled, self.apply = enabled, apply
         self.it = it = _Lazy(it_row)
-        self.do = do = _Lazy(do_row)
-        self.poss = poss = _Lazy(poss_row)
+        self.do = do = _Lazy(shared(do_row))
+        self.poss = poss = _Lazy(shared(poss_row))
         def enabled_on(i: int) -> frozenset:
             # Fill method i's row over every state in one pass, not entry by entry.
             m, row = method[i], poss[i]
@@ -205,7 +229,7 @@ class _Tables:
                     row[s] = bool(enabled(m, state[s]))
             return frozenset(filter(row.__getitem__, t.states))
 
-        self.enables = enables = _Lazy(enabled_on)
+        self.enables = enables = _Lazy(shared(enabled_on))
         self.realizable = _Lazy(realizable)
 
 
@@ -255,7 +279,7 @@ class _Compiled:
 
     @cached_property
     def tables(self) -> _Tables:
-        return _Tables(self, *self._fills["tables"])
+        return _Tables(self, *self._fills["tables"], by_effect=True)
 
     @cached_property
     def kernel(self) -> _Tables:
@@ -705,13 +729,14 @@ def _to_leaf(ids: List[int], blocks: Cut) -> Cut:
 def _split(run: Callable[[CutPart], CheckReport], parts: List[CutPart]) -> List[CheckReport]:
     """`run` over the parts: the CP1 ones, which come first, here and the CP2
     ones in a forked child that pickles their reports back over a pipe.  On
-    two vCPUs, `string[cchar]` checks ran 30 % faster split at 1.47 M
-    estimated cases, 28 % at 354,017, and even at 91,728 (medians of 12
-    alternations).  An exception here is raised once the child is killed
-    and reaped.  The child leaves by `os._exit`: it flushes nothing, and
-    sends nothing if it raised.  Where it sent nothing, or none could be
-    forked, the CP2 parts run here after the CP1 parts, as in a serial
-    check: a split check returns or raises what a serial one does."""
+    two vCPUs, `string[cchar]` checks ran 25 % faster split at 1.47 M
+    estimated cases; at 354,017 and 91,728 the gain was within the host's
+    noise (medians of 12 alternations).  An exception here is raised once
+    the child is killed and reaped.  The child leaves by `os._exit`: it
+    flushes nothing, and sends nothing if it raised.  Where it sent nothing,
+    or none could be forked, the CP2 parts run here after the CP1 parts, as
+    in a serial check: a split check returns or raises what a serial one
+    does."""
     import pickle
     import signal
     cp2 = [part for part in parts if part[1] == "CP2"]

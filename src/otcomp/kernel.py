@@ -29,7 +29,10 @@ class Component:
     of it.  A component is built from its parts alone: no bound, and no
     declaration of how its methods are issued, since two methods are
     concurrent unless one site issues both, nor of which methods no state
-    enables together, which the checker reads off `poss_fn`."""
+    enables together, which the checker reads off `poss_fn`.  A method's
+    site only breaks `it_fn`'s ties: `do_fn` and `poss_fn` read its
+    constructor and arguments, never its own site, so the checker asks
+    them once for all the methods that differ only by site."""
 
     # Attribute name -> observer (data args, state) -> data value; it may
     # raise UndefinedObservation where no value has been established yet.

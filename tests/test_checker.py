@@ -976,6 +976,63 @@ def test_no_sweep_is_handed_nop(monkeypatch, expr):
     assert handed and "nop" not in handed
 
 
+def test_methods_that_differ_only_by_site_share_their_do_and_poss_rows():
+    # Do and Poss read no site (see `kernel.Component`): the component's
+    # tables give a method's every site one row, while IT, which reads
+    # sites, and the kernel's tables, which cross-check them, keep one each.
+    c = build("string")
+    t = checker._Compiled(c, B, c.enum_methods(B))
+    twins = {}
+    for i in t.methods:
+        twins.setdefault((t.method[i].ctor, t.method[i].args), []).append(i)
+    i, j = next(ids for ids in twins.values() if len(ids) > 1)[:2]
+    assert t.method[i].site != t.method[j].site
+    tables, kernel_tables = t.tables, t.kernel
+    assert tables.do[i] is tables.do[j] and tables.poss[i] is tables.poss[j]
+    assert tables.enables[i] is tables.enables[j]
+    assert tables.it[i] is not tables.it[j]
+    assert kernel_tables.do[i] is not kernel_tables.do[j]
+    assert kernel_tables.poss[i] is not kernel_tables.poss[j]
+
+
+def test_the_component_tables_ask_each_do_and_poss_entry_once(monkeypatch):
+    # On `string[cchar]`, every (constructor, args, state) is asked of
+    # `do_fn` and `poss_fn` once by the component's tables, half as often as
+    # one row per method id would ask; the replays still ask through the
+    # public kernel, row by row of their own.
+    c = build("string[cchar]")
+    replaying = []  # the components the public kernel is asking, innermost last
+    asked, replayed = Counter(), Counter()
+
+    def through_kernel(f):
+        def spy(comp, *args):
+            replaying.append(comp)
+            try:
+                return f(comp, *args)
+            finally:
+                replaying.pop()
+        return spy
+
+    def counted(name):
+        f = getattr(c, name)
+
+        def spy(m, st):
+            (replayed if replaying else asked)[name, m.ctor, m.args, st] += 1
+            return f(m, st)
+        return spy
+
+    for name in ("apply", "enabled"):
+        monkeypatch.setattr(kernel, name, through_kernel(getattr(kernel, name)))
+    for name in ("do_fn", "poss_fn"):
+        monkeypatch.setattr(c, name, counted(name))
+    monkeypatch.setattr(checker, "_SPLIT_CASES", math.inf)  # every fill in this process
+    assert check_consistency(c).witnesses
+    assert set(asked.values()) == {1}
+    calls = Counter(name for name, *_ in asked)
+    assert calls["poss_fn"] <= 16_020 and calls["do_fn"] <= 12_653, calls
+    assert replayed
+
+
 # The benchmark's check-small-fleet workload: each check runs in one process.
 _FLEET = [("cchar", {}), ("cnat", {}), ("ccolor", {}), ("set-guarded", {}),
           ("set-literal", {"universe": 1}), ("string", {}), ("set-guarded[cchar]", {}),

@@ -6,6 +6,10 @@ every method it carries, commutes with `kernel.transform` and leaves
 read a site only through `<` (the string's insert tie), and states carry
 none.  This is the contract a sweep of one site assignment per order type
 rests on.  Seeded samples of methods and states keep it to about a second.
+
+A method's own site reaches no answer of `kernel.enabled` or `kernel.apply`
+at all: Do and Poss read its constructor and arguments, so the checker's
+tables give the methods that differ only by site one row.
 """
 
 import itertools
@@ -15,10 +19,13 @@ import pytest
 
 from otcomp import kernel
 from otcomp.bounds import DEFAULT_BOUNDS
+from otcomp.cells import cchar
 from otcomp.composition import is_update
 from otcomp.registry import build
 from otcomp.tower import TOWER_BOUNDS, build_document_tower
 from otcomp.values import Method
+from test_product_check import PRODUCTS, _replaced
+from triangle import Triangle
 
 # Cases drawn per renaming where there are more than this many.
 SAMPLES = 600
@@ -88,3 +95,37 @@ def test_the_renamings_move_the_sites_methods_carry():
              and m.args[2].site == 1)
     moved = _renamed(u, {0: 3, 1: 8})
     assert (moved.site, moved.args[2].site) == (3, 8)
+
+
+# Components whose Do and Poss are checked to ignore a method's own site:
+# the bundled ones above, the triangle, and the products with a planted fault.
+SITE_BLIND = {
+    **COMPONENTS,
+    "triangle": lambda: (Triangle(), DEFAULT_BOUNDS),
+    **{name: PRODUCTS[name] for name in ("broken cnat", "broken cchar", "nested broken cchar")},
+}
+
+
+def _site_readings(c, b, rng):
+    """The sampled (method, state) on which `kernel.enabled` or
+    `kernel.apply` gives more than one answer as the method's own site runs
+    over None and 0..sites-1."""
+    found = []
+    for m, st in _cases(rng, c.enum_methods(b), c.enum_states(b)):
+        on = [Method(m.ctor, m.args, site) for site in (None, *range(b.sites))]
+        if (len({kernel.enabled(c, x, st) for x in on}) > 1
+                or len({kernel.apply(c, x, st) for x in on}) > 1):
+            found.append((m, st))
+    return found
+
+
+@pytest.mark.parametrize("name", list(SITE_BLIND))
+def test_do_and_poss_read_no_method_site(name):
+    c, b = SITE_BLIND[name]()
+    found = _site_readings(c, b, random.Random(name))
+    assert not found, found[:3]
+
+
+def test_a_poss_that_reads_the_site_is_caught():
+    c = _replaced(cchar(), poss_fn=lambda m, st: m.site != 1)
+    assert _site_readings(c, DEFAULT_BOUNDS, random.Random("planted"))
